@@ -173,9 +173,14 @@ def _cmd_verify(cfg: RunConfig) -> int:
     report = _skeleton(cfg)
     report["pieces"] = [p.to_json() for p in pieces]
     report["dims"] = [
-        {"module_tag": run.module_tag, "weight": w, "charge": k, "dim": d}
+        {
+            "module_tag": p.module_tag,
+            "weight": p.weight,
+            "charge": p.charge,
+            "dim": p.rank_eval,
+        }
         for run in runs
-        for (w, k), d in sorted(run.dims_table.items())
+        for p in run.pieces
     ]
     ok = all(run.all_pass for run in runs)
 
@@ -296,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     if cfg.max_weight < weight_floor:
         print(f"error: --max-weight must be >= {weight_floor}", file=sys.stderr)
         return 2
-    if cfg.t_max < 4:
+    if cfg.command == "lemmas" and cfg.t_max < 4:
         print("error: --t-max must be >= 4 (floor -2 relations start there)", file=sys.stderr)
         return 2
     return _DISPATCH[cfg.command](cfg)

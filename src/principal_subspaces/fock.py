@@ -14,6 +14,11 @@ with the lattice cocycle taken identically 1; the component x(m) reads off
 the x^(-m-1) coefficient.  With the pairing <alpha, alpha> = 2 this makes
 a(n) a(-n) - a(-n) a(n) = 2n, kills x(m) v for m large (so every action is a
 finite exact sum), and makes all the component operators commute.
+
+Each x(m) on a basis state is computed once and tabulated as integer
+numerators over their least common denominator.  Monomial actions and the
+square-zero sweep run on that integer form and cancel terms by integer
+arithmetic; ``Fraction`` coefficients appear only in the returned vectors.
 """
 
 from __future__ import annotations
@@ -187,14 +192,6 @@ def _as_vector(v: FockVector | FockState) -> FockVector:
     return v
 
 
-def _accumulate(acc: dict[FockState, Fraction], state: FockState, delta: Fraction) -> None:
-    new = acc.get(state, 0) + delta
-    if new:
-        acc[state] = new
-    else:
-        acc.pop(state, None)
-
-
 _PARTITIONS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
 
@@ -309,16 +306,20 @@ def heis_act(n: int, v: FockVector | FockState) -> FockVector:
     return FockVector(out)
 
 
-_X_CACHE: dict[tuple[int, FockState], FockVector] = {}
+# x(m) on a basis state, as integer numerators over their least common
+# denominator: (denominator, ((target state, numerator), ...))
+_XImage = tuple[int, tuple[tuple[FockState, int], ...]]
+
+_X_TABLE: dict[tuple[int, FockState], _XImage] = {}
 
 
-def _x_on_state(m: int, s: FockState) -> FockVector:
+def _x_on_state(m: int, s: FockState) -> _XImage:
     key = (m, s)
-    cached = _X_CACHE.get(key)
+    cached = _X_TABLE.get(key)
     if cached is not None:
         return cached
     two_r = s.two_r
-    out: dict[FockState, Fraction] = {}
+    result: _XImage = (1, ())
     degree_max = -m - 1 - two_r + sum(s.mu)
     if degree_max >= 0:
         # accumulate integer numerators over degree_max!, which every
@@ -337,55 +338,49 @@ def _x_on_state(m: int, s: FockState) -> FockVector:
                     acc[target] = new
                 else:
                     del acc[target]
-        out = {
-            _interned_state(mu, two_r + 2): Fraction(n, scale)
-            for mu, n in acc.items()
-        }
-    vec = FockVector()
-    vec.terms = out
-    _X_CACHE[key] = vec
-    return vec
-
-
-_X_SCALED_CACHE: dict[tuple[int, FockState], tuple[int, tuple[tuple[FockState, int], ...]]] = {}
-
-
-def _x_on_state_scaled(m: int, s: FockState) -> tuple[int, tuple[tuple[FockState, int], ...]]:
-    """x(m) on a basis state with coefficients cleared to integers: a pair
-    (common denominator, ((state, numerator), ...)).  Lets the square-zero
-    sweep cancel terms with integer arithmetic only."""
-    key = (m, s)
-    cached = _X_SCALED_CACHE.get(key)
-    if cached is not None:
-        return cached
-    vec = _x_on_state(m, s)
-    if not vec.terms:
-        result: tuple[int, tuple[tuple[FockState, int], ...]] = (1, ())
-    else:
-        den = 1
-        for c in vec.terms.values():
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        result = (
-            den,
-            tuple(
-                (state, c.numerator * (den // c.denominator))
-                for state, c in vec.terms.items()
-            ),
-        )
-    _X_SCALED_CACHE[key] = result
+        if acc:
+            g = math.gcd(scale, *acc.values())
+            result = (
+                scale // g,
+                tuple((_interned_state(mu, two_r + 2), n // g) for mu, n in acc.items()),
+            )
+    _X_TABLE[key] = result
     return result
+
+
+def _integer_form(v: FockVector | FockState) -> tuple[int, dict[FockState, int]]:
+    """A vector as (common denominator, {state: integer numerator})."""
+    terms = _as_vector(v).terms
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, {s: c.numerator * (den // c.denominator) for s, c in terms.items()}
+
+
+def _x_step(m: int, den: int, nums: dict[FockState, int]) -> tuple[int, dict[FockState, int]]:
+    """x(m) on the vector nums/den, in the same integer form."""
+    images = [(n, _x_on_state(m, s)) for s, n in nums.items()]
+    step = math.lcm(*(d for _, (d, _) in images))
+    out: dict[FockState, int] = {}
+    for n, (d, terms) in images:
+        scale = n * (step // d)
+        for target, t in terms:
+            new = out.get(target, 0) + scale * t
+            if new:
+                out[target] = new
+            else:
+                del out[target]
+    return den * step, out
+
+
+def _fraction_vector(den: int, nums: dict[FockState, int]) -> FockVector:
+    res = FockVector()
+    res.terms = {s: Fraction(n, den) for s, n in nums.items()}
+    return res
 
 
 def x_act(m: int, v: FockVector | FockState) -> FockVector:
     """Vertex operator component x(m): raises charge by 1 and weight by -m;
     annihilates any state once m exceeds |mu| - 1 - 2r."""
-    out: dict[FockState, Fraction] = {}
-    for s, c in _as_vector(v).terms.items():
-        for target, c2 in _x_on_state(m, s).terms.items():
-            _accumulate(out, target, c * c2)
-    res = FockVector()
-    res.terms = out
-    return res
+    return _fraction_vector(*_x_step(m, *_integer_form(v)))
 
 
 def half_shift(v: FockVector | FockState) -> FockVector:
@@ -414,12 +409,12 @@ def weight_charge(v: FockVector | FockState) -> tuple[Fraction, Fraction]:
 def apply_monomial(mono: Monomial, v: FockVector | FockState) -> FockVector:
     """Act by the monomial x(m1)...x(mk), rightmost (largest) index first.
     The components commute, so the order is a convention, not a choice."""
-    vec = _as_vector(v)
+    den, nums = _integer_form(v)
     for m in reversed(mono.indices):
-        if vec.is_zero():
+        if not nums:
             break
-        vec = x_act(m, vec)
-    return vec
+        den, nums = _x_step(m, den, nums)
+    return _fraction_vector(den, nums)
 
 
 def basis_states(n: int, r: Scalar) -> list[FockState]:
@@ -460,12 +455,12 @@ def check_square_zero(weight_bound: int) -> bool:
                     common = 1
                     for m2 in range(-t - m_top, (-t) // 2 + 1):
                         m1 = -t - m2
-                        den1, first = _x_on_state_scaled(m1, state)
+                        den1, first = _x_on_state(m1, state)
                         if not first:
                             continue
                         pair_factor = 1 if m1 == m2 else 2
                         for mid, n1 in first:
-                            den2, second = _x_on_state_scaled(m2, mid)
+                            den2, second = _x_on_state(m2, mid)
                             if not second:
                                 continue
                             den = den1 * den2

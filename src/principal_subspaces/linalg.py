@@ -5,8 +5,7 @@ entries: no floating point and no tolerance anywhere.  Determinism matters as
 much as exactness (reports are diffed byte for byte), so the pivot choice is a
 fixed rule: within the current column take the entry of smallest combined
 numerator/denominator bit length, ties broken by lowest row index.  Rows are
-kept as ``{col: value}`` dicts while the matrix stays sparse; once fill-in
-passes half the matrix the remaining elimination runs on dense lists.
+kept as ``{col: value}`` dicts throughout elimination.
 """
 
 from __future__ import annotations
@@ -64,12 +63,6 @@ class SparseMatQ:
                     entries[(i, j)] = v
         return cls(len(rows), n_cols, entries)
 
-    def to_rows(self) -> list[Vector]:
-        rows = [[ZERO] * self.n_cols for _ in range(self.n_rows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
     def transpose(self) -> "SparseMatQ":
         return SparseMatQ(
             self.n_cols,
@@ -102,37 +95,18 @@ class SparseMatQ:
 class RrefResult(NamedTuple):
     matrix: SparseMatQ
     pivot_cols: list[int]
-    ops: list[tuple] | None
 
 
 def _score(v: Fraction) -> int:
     return v.numerator.bit_length() + v.denominator.bit_length()
 
 
-def rref(
-    m: SparseMatQ, record_ops: bool = False, dense: bool | None = None
-) -> RrefResult:
-    """Reduced row-echelon form with pivot columns.
-
-    ``record_ops`` additionally returns the elementary row operations applied,
-    as ``("swap", i, j)``, ``("scale", i, c)`` and ``("addmul", i, j, c)``
-    (meaning ``row_i += c * row_j``), so callers can reconstruct the input.
-    ``dense`` forces a representation; by default rows start sparse and switch
-    to dense lists when fill-in exceeds half the matrix.
-    """
+def rref(m: SparseMatQ) -> RrefResult:
+    """Reduced row-echelon form with pivot columns."""
     n_rows, n_cols = m.n_rows, m.n_cols
-    cells = n_rows * n_cols
-    srows: list[dict[int, Fraction]] = [dict() for _ in range(n_rows)]
+    rows: list[dict[int, Fraction]] = [{} for _ in range(n_rows)]
     for (i, j), v in m.entries.items():
-        srows[i][j] = v
-    if dense is None:
-        is_dense = cells > 0 and 2 * len(m.entries) > cells
-    else:
-        is_dense = dense
-    drows: list[Vector] = []
-    if is_dense:
-        drows = m.to_rows()
-    ops: list[tuple] | None = [] if record_ops else None
+        rows[i][j] = v
     pivots: list[int] = []
     piv_r = 0
     for col in range(n_cols):
@@ -141,72 +115,36 @@ def rref(
         best = -1
         best_score = 0
         for i in range(piv_r, n_rows):
-            v = drows[i][col] if is_dense else srows[i].get(col, ZERO)
+            v = rows[i].get(col)
             if v:
                 s = _score(v)
                 if best < 0 or s < best_score:
                     best, best_score = i, s
         if best < 0:
             continue
-        if best != piv_r:
-            if is_dense:
-                drows[best], drows[piv_r] = drows[piv_r], drows[best]
-            else:
-                srows[best], srows[piv_r] = srows[piv_r], srows[best]
-            if ops is not None:
-                ops.append(("swap", piv_r, best))
-        pv = drows[piv_r][col] if is_dense else srows[piv_r][col]
+        rows[best], rows[piv_r] = rows[piv_r], rows[best]
+        pivot_row = rows[piv_r]
+        pv = pivot_row[col]
         if pv != 1:
             inv = ONE / pv
-            if is_dense:
-                drows[piv_r] = [w * inv for w in drows[piv_r]]
-            else:
-                srows[piv_r] = {j: w * inv for j, w in srows[piv_r].items()}
-            if ops is not None:
-                ops.append(("scale", piv_r, inv))
-        for i in range(n_rows):
+            pivot_row = rows[piv_r] = {j: w * inv for j, w in pivot_row.items()}
+        for i, row in enumerate(rows):
             if i == piv_r:
                 continue
-            v = drows[i][col] if is_dense else srows[i].get(col, ZERO)
+            v = row.get(col)
             if not v:
                 continue
             c = -v
-            if is_dense:
-                src, dst = drows[piv_r], drows[i]
-                for j in range(col, n_cols):
-                    if src[j]:
-                        dst[j] += c * src[j]
-            else:
-                dst_s = srows[i]
-                for j, w in srows[piv_r].items():
-                    new = dst_s.get(j, ZERO) + c * w
-                    if new:
-                        dst_s[j] = new
-                    else:
-                        dst_s.pop(j, None)
-            if ops is not None:
-                ops.append(("addmul", i, piv_r, c))
+            for j, w in pivot_row.items():
+                new = row.get(j, ZERO) + c * w
+                if new:
+                    row[j] = new
+                else:
+                    del row[j]
         pivots.append(col)
         piv_r += 1
-        if not is_dense and dense is None and cells:
-            nnz = sum(len(r) for r in srows)
-            if 2 * nnz > cells:
-                is_dense = True
-                drows = [[ZERO] * n_cols for _ in range(n_rows)]
-                for i, r in enumerate(srows):
-                    for j, w in r.items():
-                        drows[i][j] = w
-    entries: dict[tuple[int, int], Fraction] = {}
-    if is_dense:
-        for i, row in enumerate(drows):
-            for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = v
-    else:
-        for i, r in enumerate(srows):
-            for j, v in r.items():
-                entries[(i, j)] = v
-    return RrefResult(SparseMatQ(n_rows, n_cols, entries), pivots, ops)
+    entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
+    return RrefResult(SparseMatQ(n_rows, n_cols, entries), pivots)
 
 
 def rank(m: SparseMatQ) -> int:

@@ -11,7 +11,7 @@ never exceptions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .fock import FockState, apply_monomial, basis_states
@@ -62,8 +62,6 @@ class VerificationRun:
     module_tag: str
     max_weight: int
     pieces: list[PieceReport]
-    lemma_results: dict[str, bool] = field(default_factory=dict)
-    dims_table: dict[tuple[int, int], int] = field(default_factory=dict)
 
     @property
     def all_pass(self) -> bool:
@@ -152,14 +150,12 @@ def verify_presentation(tag: str, max_weight: int) -> VerificationRun:
         raise ValueError("max_weight must be >= 1")
     if tag not in TAGS:
         raise ValueError(f"unknown module tag {tag!r}")
-    pieces: list[PieceReport] = []
-    dims: dict[tuple[int, int], int] = {}
-    for weight in range(max_weight + 1):
-        for charge in charge_range(tag, weight):
-            report = piece_report(tag, weight, charge)
-            pieces.append(report)
-            dims[(weight, charge)] = report.rank_eval
-    return VerificationRun(tag, max_weight, pieces, {}, dims)
+    pieces = [
+        piece_report(tag, weight, charge)
+        for weight in range(max_weight + 1)
+        for charge in charge_range(tag, weight)
+    ]
+    return VerificationRun(tag, max_weight, pieces)
 
 
 def kernel_containment_L0_in_L1(max_weight: int) -> bool:

@@ -1,10 +1,15 @@
 """Command line behaviour: exit codes, formats, determinism."""
 
+import dataclasses
 import json
+import re
 
 import pytest
 
+from principal_subspaces import relations
 from principal_subspaces.cli import main
+from principal_subspaces.fock import FockState, apply_monomial
+from principal_subspaces.poly import Monomial
 
 
 def run(capsys, *argv):
@@ -78,6 +83,51 @@ def test_lemmas_rejects_small_t_max(capsys):
     code, _, err = run(capsys, "lemmas", "--t-max", "3")
     assert code == 2
     assert "t-max" in err
+
+
+def test_t_max_ignored_outside_lemmas(capsys):
+    code, _, err = run(capsys, "verify", "--t-max", "2", "--max-weight", "2")
+    assert code == 0
+    assert err == ""
+
+
+def witness_monomial(witness):
+    """Parse a single-monomial witness such as ``x(-1)^2``."""
+    factors = re.findall(r"x\((-?\d+)\)(?:\^(\d+))?", witness)
+    mono = Monomial(
+        tuple(int(m) for m, exp in factors for _ in range(int(exp or 1)))
+    )
+    assert str(mono) == witness
+    return mono
+
+
+@pytest.mark.parametrize(
+    "change, idx, containment_ok, witness, killed",
+    [
+        # an ideal holding x(-1) is not inside the kernel
+        ({"includes_degree_one_generator": True}, (1, 1), False, "x(-1)", False),
+        # without the weight-2 relation the kernel escapes the ideal
+        ({"relation_weight_min": 3}, (2, 2), True, "x(-1)^2", True),
+    ],
+)
+def test_verify_fails_on_mutated_ideal(
+    capsys, monkeypatch, change, idx, containment_ok, witness, killed
+):
+    spec = relations.IDEALS["lambda0"]
+    monkeypatch.setitem(relations.IDEALS, "lambda0", dataclasses.replace(spec, **change))
+    code, out, _ = run(
+        capsys, "verify", "--module", "lambda0", "--max-weight", "4", "--format", "json"
+    )
+    assert code == 1
+    piece = next(
+        p for p in json.loads(out)["pieces"]
+        if (p["idx"]["weight"], p["idx"]["charge"]) == idx
+    )
+    assert piece["containment_ok"] is containment_ok
+    assert piece["equality_ok"] is False
+    assert piece["witness"] == witness
+    image = apply_monomial(witness_monomial(witness), FockState((), 0))
+    assert image.is_zero() is killed
 
 
 def test_qseries_matches_oracle(capsys):

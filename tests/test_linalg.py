@@ -1,5 +1,6 @@
 """Exact linear algebra: frozen examples plus randomized structural laws."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -124,33 +125,43 @@ def test_rref_is_idempotent(m):
     assert rref(once).matrix == once
 
 
+def leibniz_det(rows):
+    """Determinant by permutation expansion, independent of elimination."""
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = Fraction((-1) ** inversions)
+        for row, col in zip(rows, perm):
+            term *= row[col]
+        total += term
+    return total
+
+
 @settings(deadline=None, max_examples=60)
 @given(sparse_matrices())
-def test_recorded_ops_reconstruct_input(m):
-    """Replaying the inverse elimination steps on the echelon form recovers
-    the input exactly: nothing was rounded anywhere."""
-    result = rref(m, record_ops=True)
-    rows = result.matrix.to_rows()
-    for op in reversed(result.ops):
-        if op[0] == "swap":
-            _, i, j = op
-            rows[i], rows[j] = rows[j], rows[i]
-        elif op[0] == "scale":
-            _, i, c = op
-            rows[i] = [v / c for v in rows[i]]
-        else:
-            _, i, j, c = op
-            rows[i] = [v - c * w for v, w in zip(rows[i], rows[j])]
-    assert SparseMatQ.from_rows(rows, m.n_cols) == m
-
-
-@settings(deadline=None, max_examples=40)
-@given(sparse_matrices())
-def test_sparse_and_dense_paths_agree(m):
-    sparse_result = rref(m, dense=False)
-    dense_result = rref(m, dense=True)
-    assert sparse_result.matrix == dense_result.matrix
-    assert sparse_result.pivot_cols == dense_result.pivot_cols
+def test_rref_is_row_equivalent_to_input(m):
+    """m equals its pivot columns C times the first rank rows of R = rref(m),
+    R is reduced at its pivots and vanishes past the rank, and C has a
+    nonzero maximal minor, so R and m have the same row space exactly."""
+    result = rref(m)
+    pivots = result.pivot_cols
+    r = len(pivots)
+    assert pivots == sorted(set(pivots))
+    assert all(i < r for i, _ in result.matrix.entries)
+    for p, k in enumerate(pivots):
+        column = {i: v for (i, j), v in result.matrix.entries.items() if j == k}
+        assert column == {p: 1}
+    product = {}
+    for (i, k), a in m.entries.items():
+        if k in pivots:
+            for (row, j), b in result.matrix.entries.items():
+                if row == pivots.index(k):
+                    product[(i, j)] = product.get((i, j), 0) + a * b
+    assert SparseMatQ(m.n_rows, m.n_cols, product) == m
+    assert any(
+        leibniz_det([[m.entries.get((i, k), 0) for k in pivots] for i in rows])
+        for rows in itertools.combinations(range(m.n_rows), r)
+    )
 
 
 def test_rref_deterministic():
