@@ -15,11 +15,11 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import fock, relations, verify
 
-MODULE_CHOICES = ("lambda0", "lambda1", "lambda1prime", "all")
+MODULE_CHOICES = (*verify.TAGS, "all")
 FORMAT_CHOICES = ("json", "csv", "text")
 
 
@@ -33,14 +33,7 @@ class RunConfig:
     output_path: str | None
 
     def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "module_tag": self.module_tag,
-            "max_weight": self.max_weight,
-            "t_max": self.t_max,
-            "format": self.format,
-            "output_path": self.output_path,
-        }
+        return asdict(self)
 
 
 def build_parser() -> argparse.ArgumentParser:

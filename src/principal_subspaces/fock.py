@@ -15,22 +15,25 @@ the x^(-m-1) coefficient.  With the pairing <alpha, alpha> = 2 this makes
 a(n) a(-n) - a(-n) a(n) = 2n, kills x(m) v for m large (so every action is a
 finite exact sum), and makes all the component operators commute.
 
-Each x(m) on a basis state is computed once and tabulated as integer
-numerators over their least common denominator.  Monomial actions and the
-square-zero sweep run on that integer form and cancel terms by integer
-arithmetic; ``Fraction`` coefficients appear only in the returned vectors.
+Vectors are ``FockVector``s, the exact linear combinations of ``poly``
+over Fock states.  Each x(m) on a basis state is computed once and
+tabulated as integer numerators over their least common denominator.
+Monomial actions and the square-zero sweep run on that integer form and
+cancel terms by integer arithmetic; ``Fraction`` coefficients appear only
+in the returned vectors.  The tables (x(m) images, partitions, annihilation
+expansions, interned states) are ``functools.cache`` functions: unbounded,
+kept for the life of the process, and each reports ``cache_info()``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
-from .poly import Monomial
-
-Scalar = Union[int, Fraction]
+from .poly import LinearCombination, Monomial, Scalar
 
 HALF = Fraction(1, 2)
 
@@ -97,93 +100,10 @@ class FockState:
         return f"{head} {tail}" if head else tail
 
 
-class FockVector:
+class FockVector(LinearCombination):
     """Finite rational combination of Fock states."""
 
-    __slots__ = ("terms",)
-
-    def __init__(
-        self,
-        terms: dict[FockState, Scalar] | Iterable[tuple[FockState, Scalar]] | None = None,
-    ):
-        acc: dict[FockState, Fraction] = {}
-        if terms is not None:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for state, c in items:
-                f = c if isinstance(c, Fraction) else Fraction(c)
-                if not f:
-                    continue
-                prev = acc.get(state)
-                new = f if prev is None else prev + f
-                if new:
-                    acc[state] = new
-                elif prev is not None:
-                    del acc[state]
-        self.terms = acc
-
-    @classmethod
-    def zero(cls) -> "FockVector":
-        return cls()
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self) -> list[tuple[FockState, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        out = dict(self.terms)
-        for state, c in other.terms.items():
-            new = out.get(state, 0) + c
-            if new:
-                out[state] = new
-            else:
-                out.pop(state, None)
-        res = FockVector()
-        res.terms = out
-        return res
-
-    def __neg__(self) -> "FockVector":
-        res = FockVector()
-        res.terms = {s: -c for s, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + (-other)
-
-    def __mul__(self, other: Scalar) -> "FockVector":
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        if not other:
-            return FockVector()
-        res = FockVector()
-        res.terms = {s: c * other for s, c in self.terms.items()}
-        return res
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"FockVector({str(self)!r})"
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks: list[str] = []
-        for i, (state, c) in enumerate(self.sorted_terms()):
-            mag = abs(c)
-            body = str(state) if mag == 1 else f"{mag}*{state}"
-            if i == 0:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(chunks)
+    __slots__ = ()
 
 
 def _as_vector(v: FockVector | FockState) -> FockVector:
@@ -192,75 +112,43 @@ def _as_vector(v: FockVector | FockState) -> FockVector:
     return v
 
 
-_PARTITIONS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-
-
+@functools.cache
 def partitions(n: int, min_part: int = 1) -> tuple[tuple[int, ...], ...]:
     """All partitions of n with parts >= min_part, as non-decreasing tuples
-    in lexicographic order."""
+    in lexicographic order.  The cache keys on the arguments as passed, so
+    callers in this module always pass min_part."""
     if n < 0:
         return ()
-    key = (n, min_part)
-    cached = _PARTITIONS.get(key)
-    if cached is not None:
-        return cached
     if n == 0:
-        result: tuple[tuple[int, ...], ...] = ((),)
-    else:
-        acc: list[tuple[int, ...]] = []
-        for first in range(min_part, n + 1):
-            for rest in partitions(n - first, first):
-                acc.append((first,) + rest)
-        result = tuple(acc)
-    _PARTITIONS[key] = result
-    return result
-
-
-_Z_FACTORS: dict[tuple[int, ...], int] = {}
+        return ((),)
+    return tuple(
+        (first,) + rest
+        for first in range(min_part, n + 1)
+        for rest in partitions(n - first, first)
+    )
 
 
 def _z_factor(lam: tuple[int, ...]) -> int:
-    z = _Z_FACTORS.get(lam)
-    if z is None:
-        z = 1
-        for part, mult in Counter(lam).items():
-            z *= part**mult * math.factorial(mult)
-        _Z_FACTORS[lam] = z
+    z = 1
+    for part, mult in Counter(lam).items():
+        z *= part**mult * math.factorial(mult)
     return z
 
 
-_PARTITIONS_WITH_Z: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
-
-
+@functools.cache
 def _partitions_with_z(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    got = _PARTITIONS_WITH_Z.get(n)
-    if got is None:
-        got = tuple((lam, _z_factor(lam)) for lam in partitions(n))
-        _PARTITIONS_WITH_Z[n] = got
-    return got
+    return tuple((lam, _z_factor(lam)) for lam in partitions(n, 1))
 
 
-_STATE_INTERN: dict[tuple[tuple[int, ...], int], FockState] = {}
-
-
+@functools.cache
 def _interned_state(mu_sorted: tuple[int, ...], two_r: int) -> FockState:
-    key = (mu_sorted, two_r)
-    state = _STATE_INTERN.get(key)
-    if state is None:
-        state = FockState(mu_sorted, _two_r=two_r)
-        _STATE_INTERN[key] = state
-    return state
+    return FockState(mu_sorted, _two_r=two_r)
 
 
-_ANNIHILATIONS: dict[tuple[int, ...], tuple[tuple[int, tuple[int, ...], int], ...]] = {}
-
-
+@functools.cache
 def _annihilation_terms(mu: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...], int], ...]:
     """Expansion of exp(-sum a(n)/n x^-n) on the state with partition mu:
     triples (removed_size, remaining_parts, integer coefficient)."""
-    cached = _ANNIHILATIONS.get(mu)
-    if cached is not None:
-        return cached
     results: list[tuple[int, tuple[int, ...], int]] = [(0, (), 1)]
     for part, mult in sorted(Counter(mu).items()):
         new: list[tuple[int, tuple[int, ...], int]] = []
@@ -274,9 +162,7 @@ def _annihilation_terms(mu: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]
                     )
                 )
         results = new
-    frozen = tuple(results)
-    _ANNIHILATIONS[mu] = frozen
-    return frozen
+    return tuple(results)
 
 
 def heis_act(n: int, v: FockVector | FockState) -> FockVector:
@@ -310,16 +196,10 @@ def heis_act(n: int, v: FockVector | FockState) -> FockVector:
 # denominator: (denominator, ((target state, numerator), ...))
 _XImage = tuple[int, tuple[tuple[FockState, int], ...]]
 
-_X_TABLE: dict[tuple[int, FockState], _XImage] = {}
 
-
+@functools.cache
 def _x_on_state(m: int, s: FockState) -> _XImage:
-    key = (m, s)
-    cached = _X_TABLE.get(key)
-    if cached is not None:
-        return cached
     two_r = s.two_r
-    result: _XImage = (1, ())
     degree_max = -m - 1 - two_r + sum(s.mu)
     if degree_max >= 0:
         # accumulate integer numerators over degree_max!, which every
@@ -340,12 +220,11 @@ def _x_on_state(m: int, s: FockState) -> _XImage:
                     del acc[target]
         if acc:
             g = math.gcd(scale, *acc.values())
-            result = (
+            return (
                 scale // g,
                 tuple((_interned_state(mu, two_r + 2), n // g) for mu, n in acc.items()),
             )
-    _X_TABLE[key] = result
-    return result
+    return (1, ())
 
 
 def _integer_form(v: FockVector | FockState) -> tuple[int, dict[FockState, int]]:
@@ -372,9 +251,7 @@ def _x_step(m: int, den: int, nums: dict[FockState, int]) -> tuple[int, dict[Foc
 
 
 def _fraction_vector(den: int, nums: dict[FockState, int]) -> FockVector:
-    res = FockVector()
-    res.terms = {s: Fraction(n, den) for s, n in nums.items()}
-    return res
+    return FockVector._from_terms({s: Fraction(n, den) for s, n in nums.items()})
 
 
 def x_act(m: int, v: FockVector | FockState) -> FockVector:
@@ -397,13 +274,7 @@ def half_shift(v: FockVector | FockState) -> FockVector:
 def weight_charge(v: FockVector | FockState) -> tuple[Fraction, Fraction]:
     """(weight, charge) of a nonzero bihomogeneous vector; weight lies in
     (1/4)Z and charge in (1/2)Z."""
-    vec = _as_vector(v)
-    if vec.is_zero():
-        raise ValueError("the zero vector has no bidegree")
-    degrees = {(s.weight, s.charge) for s in vec.terms}
-    if len(degrees) > 1:
-        raise ValueError("vector mixes bidegrees")
-    return degrees.pop()
+    return _as_vector(v).bidegree()
 
 
 def apply_monomial(mono: Monomial, v: FockVector | FockState) -> FockVector:
@@ -421,7 +292,7 @@ def basis_states(n: int, r: Scalar) -> list[FockState]:
     """The canonical ordered basis of states (mu; r) with |mu| = n."""
     if n < 0:
         return []
-    return [FockState(p, r) for p in partitions(n)]
+    return [FockState(p, r) for p in partitions(n, 1)]
 
 
 def check_square_zero(weight_bound: int) -> bool:
@@ -443,7 +314,7 @@ def check_square_zero(weight_bound: int) -> bool:
     for two_r in range(-two_r_limit, two_r_limit + 1):
         size_limit = (4 * weight_bound - two_r * two_r) // 4
         for size in range(size_limit + 1):
-            for mu in partitions(size):
+            for mu in partitions(size, 1):
                 state = FockState(mu, _two_r=two_r)
                 m_top = size - 1 - two_r
                 for t in range(-2 * weight_bound, 2 * weight_bound + 1):

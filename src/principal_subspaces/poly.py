@@ -8,13 +8,17 @@ index tuple, so every matrix built downstream has a reproducible column
 order.  Indices range over all of Z: membership in the subalgebras with
 indices <= -1 or <= -2 is a property of an element, not a separate type,
 because the translation map genuinely produces indices >= 0.
+
+``LinearCombination`` is the finite exact linear combination over any
+bigraded basis; ``PolyQ`` is the one over monomials and adds the product,
+and ``fock.FockVector`` is the one over Fock states.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 Scalar = int | Fraction
 
@@ -67,123 +71,136 @@ class Monomial:
 UNIT = Monomial(())
 
 
-class PolyQ:
-    """Finite linear combination of monomials with rational coefficients."""
+class LinearCombination:
+    """Finite linear combination of basis elements with rational
+    coefficients.
+
+    A basis element is hashable and has ``sort_key()``, ``weight`` and
+    ``charge``.  Each subclass fixes one basis type, and combinations of
+    different subclasses never add, subtract or compare equal.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(
-        self,
-        terms: dict[Monomial, Scalar] | Iterable[tuple[Monomial, Scalar]] | None = None,
-    ):
-        acc: dict[Monomial, Fraction] = {}
+    def __init__(self, terms: dict | Iterable[tuple[Hashable, Scalar]] | None = None):
+        acc: dict = {}
         if terms is not None:
             items = terms.items() if isinstance(terms, dict) else terms
-            for mono, c in items:
+            for basis, c in items:
                 f = c if isinstance(c, Fraction) else Fraction(c)
                 if not f:
                     continue
-                prev = acc.get(mono)
+                prev = acc.get(basis)
                 new = f if prev is None else prev + f
                 if new:
-                    acc[mono] = new
+                    acc[basis] = new
                 elif prev is not None:
-                    del acc[mono]
+                    del acc[basis]
         self.terms = acc
 
     @classmethod
-    def zero(cls) -> "PolyQ":
-        return cls()
+    def _from_terms(cls, terms: dict) -> "LinearCombination":
+        """Wrap an already normalised dict (no zero coefficients)."""
+        res = cls.__new__(cls)
+        res.terms = terms
+        return res
 
     @classmethod
-    def one(cls) -> "PolyQ":
-        return cls({UNIT: 1})
+    def zero(cls) -> "LinearCombination":
+        return cls()
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def bidegree(self) -> tuple[int, int]:
+    def bidegree(self) -> tuple:
         """(weight, charge) of a nonzero bihomogeneous element."""
         if not self.terms:
-            raise ValueError("the zero polynomial has no bidegree")
-        degrees = {(m.weight, m.charge) for m in self.terms}
+            raise ValueError(f"the zero {type(self).__name__} has no bidegree")
+        degrees = {(b.weight, b.charge) for b in self.terms}
         if len(degrees) > 1:
-            raise ValueError("polynomial mixes bidegrees")
+            raise ValueError(f"{type(self).__name__} mixes bidegrees")
         return degrees.pop()
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Hashable, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
 
-    def __add__(self, other: "PolyQ") -> "PolyQ":
-        if not isinstance(other, PolyQ):
+    def __add__(self, other: "LinearCombination") -> "LinearCombination":
+        if type(other) is not type(self):
             return NotImplemented
         out = dict(self.terms)
-        for mono, c in other.terms.items():
-            new = out.get(mono, 0) + c
+        for basis, c in other.terms.items():
+            new = out.get(basis, 0) + c
             if new:
-                out[mono] = new
+                out[basis] = new
             else:
-                out.pop(mono, None)
-        res = PolyQ()
-        res.terms = out
-        return res
+                out.pop(basis, None)
+        return self._from_terms(out)
 
-    def __neg__(self) -> "PolyQ":
-        res = PolyQ()
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+    def __neg__(self) -> "LinearCombination":
+        return self._from_terms({b: -c for b, c in self.terms.items()})
 
-    def __sub__(self, other: "PolyQ") -> "PolyQ":
+    def __sub__(self, other: "LinearCombination") -> "LinearCombination":
         return self + (-other)
 
-    def __mul__(self, other: "PolyQ | Scalar") -> "PolyQ":
-        if isinstance(other, PolyQ):
-            out: dict[Monomial, Fraction] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    mono = m1 * m2
-                    new = out.get(mono, 0) + c1 * c2
-                    if new:
-                        out[mono] = new
-                    else:
-                        out.pop(mono, None)
-            res = PolyQ()
-            res.terms = out
-            return res
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return PolyQ()
-            res = PolyQ()
-            res.terms = {m: c * other for m, c in self.terms.items()}
-            return res
-        return NotImplemented
+    def __mul__(self, other: Scalar) -> "LinearCombination":
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            return self._from_terms({})
+        return self._from_terms({b: c * other for b, c in self.terms.items()})
 
-    def __rmul__(self, other: "Scalar") -> "PolyQ":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PolyQ):
+        if type(other) is not type(self):
             return NotImplemented
         return self.terms == other.terms
 
     def __repr__(self) -> str:
-        return f"PolyQ({str(self)!r})"
+        return f"{type(self).__name__}({str(self)!r})"
+
+    def _term_body(self, basis: Hashable, mag: Fraction) -> str:
+        return str(basis) if mag == 1 else f"{mag}*{basis}"
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         chunks: list[str] = []
-        for i, (mono, c) in enumerate(self.sorted_terms()):
-            mag = abs(c)
-            if mono.indices:
-                body = str(mono) if mag == 1 else f"{mag}*{mono}"
-            else:
-                body = str(mag)
+        for i, (basis, c) in enumerate(self.sorted_terms()):
+            body = self._term_body(basis, abs(c))
             if i == 0:
                 chunks.append(body if c > 0 else f"-{body}")
             else:
                 chunks.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(chunks)
+
+
+class PolyQ(LinearCombination):
+    """Finite linear combination of monomials with rational coefficients."""
+
+    __slots__ = ()
+
+    @classmethod
+    def one(cls) -> "PolyQ":
+        return cls({UNIT: 1})
+
+    def __mul__(self, other: "PolyQ | Scalar") -> "PolyQ":
+        if type(other) is not PolyQ:
+            return super().__mul__(other)
+        out: dict[Monomial, Fraction] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mono = m1 * m2
+                new = out.get(mono, 0) + c1 * c2
+                if new:
+                    out[mono] = new
+                else:
+                    out.pop(mono, None)
+        return PolyQ._from_terms(out)
+
+    def _term_body(self, mono: Monomial, mag: Fraction) -> str:
+        # the constant term renders as its coefficient alone
+        return super()._term_body(mono, mag) if mono.indices else str(mag)
 
 
 def x(m: int) -> PolyQ:

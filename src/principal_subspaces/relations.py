@@ -12,6 +12,7 @@ pre-reduced; rank reduction is the caller's job.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .linalg import subspace_leq
 from .poly import (
@@ -45,19 +46,22 @@ def quadratic_relation(t: int, floor: int = -1) -> PolyQ:
 
 @dataclass(frozen=True)
 class IdealSpec:
-    """Which relations generate the ideal, and inside which subalgebra."""
+    """Which relations generate the ideal, inside which subalgebra, and the
+    lattice coordinate r of the highest weight vector e^{r alpha} that the
+    evaluation map acts on."""
 
     tag: str
     ambient_floor: int
     relation_floor: int
     relation_weight_min: int
     includes_degree_one_generator: bool
+    vacuum_r: Fraction
 
 
 IDEALS: dict[str, IdealSpec] = {
-    "lambda0": IdealSpec("lambda0", -1, -1, 2, False),
-    "lambda1": IdealSpec("lambda1", -1, -1, 2, True),
-    "lambda1prime": IdealSpec("lambda1prime", -2, -2, 4, False),
+    "lambda0": IdealSpec("lambda0", -1, -1, 2, False, Fraction(0)),
+    "lambda1": IdealSpec("lambda1", -1, -1, 2, True, Fraction(1, 2)),
+    "lambda1prime": IdealSpec("lambda1prime", -2, -2, 4, False, Fraction(1, 2)),
 }
 
 

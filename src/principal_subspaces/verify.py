@@ -19,13 +19,7 @@ from .linalg import SparseMatQ, kernel_basis, rank, span_dim, subspace_leq
 from .poly import Monomial, PolyQ, coordinates, derive, enumerate_monomials
 from .relations import IDEALS, ideal_piece
 
-TAGS = ("lambda0", "lambda1", "lambda1prime")
-
-_VACUUM_R = {
-    "lambda0": Fraction(0),
-    "lambda1": Fraction(1, 2),
-    "lambda1prime": Fraction(1, 2),
-}
+TAGS = tuple(IDEALS)
 
 
 @dataclass(frozen=True)
@@ -77,7 +71,7 @@ def charge_range(tag: str, weight: int) -> range:
 
 def heisenberg_size(tag: str, weight: int, charge: int) -> int:
     """|mu| of the target bidegree: weight + wt(vacuum) - (r0 + charge)^2."""
-    r0 = _VACUUM_R[tag]
+    r0 = IDEALS[tag].vacuum_r
     size = weight + r0 * r0 - (r0 + charge) ** 2
     return int(size)
 
@@ -87,12 +81,12 @@ def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
     monomials in canonical order, rows the Fock states of the target
     bidegree, entries the exact coefficients of each monomial's action on
     the highest weight vector."""
-    floor = IDEALS[tag].ambient_floor
-    monos = enumerate_monomials(weight, charge, floor)
+    spec = IDEALS[tag]
+    monos = enumerate_monomials(weight, charge, spec.ambient_floor)
     size = heisenberg_size(tag, weight, charge)
-    rows = basis_states(size, _VACUUM_R[tag] + charge)
+    rows = basis_states(size, spec.vacuum_r + charge)
     row_index = {s: i for i, s in enumerate(rows)}
-    vacuum = FockState((), _VACUUM_R[tag])
+    vacuum = FockState((), spec.vacuum_r)
     entries: dict[tuple[int, int], Fraction] = {}
     for j, mono in enumerate(monos):
         image = apply_monomial(mono, vacuum)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -102,21 +103,27 @@ def witness_monomial(witness):
 
 
 @pytest.mark.parametrize(
-    "change, idx, containment_ok, witness, killed",
+    "tag, change, idx, containment_ok, witness, killed",
     [
         # an ideal holding x(-1) is not inside the kernel
-        ({"includes_degree_one_generator": True}, (1, 1), False, "x(-1)", False),
+        ("lambda0", {"includes_degree_one_generator": True}, (1, 1), False, "x(-1)", False),
         # without the weight-2 relation the kernel escapes the ideal
-        ({"relation_weight_min": 3}, (2, 2), True, "x(-1)^2", True),
+        ("lambda0", {"relation_weight_min": 3}, (2, 2), True, "x(-1)^2", True),
+        # wrong vacuum: on e^{alpha/2} x(-1) acts as zero, outside the lambda0 ideal
+        ("lambda0", {"vacuum_r": Fraction(1, 2)}, (1, 1), True, "x(-1)", True),
+        # wrong vacuum: on e^0 the generator x(-1) of the lambda1 ideal survives
+        ("lambda1", {"vacuum_r": Fraction(0)}, (1, 1), False, "x(-1)", False),
+        # wrong vacuum: on e^0 the weight-4 relation x(-2)^2 survives
+        ("lambda1prime", {"vacuum_r": Fraction(0)}, (4, 2), False, "x(-2)^2", False),
     ],
 )
 def test_verify_fails_on_mutated_ideal(
-    capsys, monkeypatch, change, idx, containment_ok, witness, killed
+    capsys, monkeypatch, tag, change, idx, containment_ok, witness, killed
 ):
-    spec = relations.IDEALS["lambda0"]
-    monkeypatch.setitem(relations.IDEALS, "lambda0", dataclasses.replace(spec, **change))
+    spec = dataclasses.replace(relations.IDEALS[tag], **change)
+    monkeypatch.setitem(relations.IDEALS, tag, spec)
     code, out, _ = run(
-        capsys, "verify", "--module", "lambda0", "--max-weight", "4", "--format", "json"
+        capsys, "verify", "--module", tag, "--max-weight", "4", "--format", "json"
     )
     assert code == 1
     piece = next(
@@ -126,7 +133,7 @@ def test_verify_fails_on_mutated_ideal(
     assert piece["containment_ok"] is containment_ok
     assert piece["equality_ok"] is False
     assert piece["witness"] == witness
-    image = apply_monomial(witness_monomial(witness), FockState((), 0))
+    image = apply_monomial(witness_monomial(witness), FockState((), spec.vacuum_r))
     assert image.is_zero() is killed
 
 

@@ -18,7 +18,7 @@ from principal_subspaces.fock import (
     weight_charge,
     x_act,
 )
-from principal_subspaces.poly import Monomial
+from principal_subspaces.poly import Monomial, PolyQ, x
 
 HALF = Fraction(1, 2)
 VAC0 = FockState((), 0)
@@ -189,3 +189,18 @@ def test_odd_component_sum_annihilates_highest_weight_vector():
     for m2 in range(-4, 1):
         total = total + x_act(-3 - m2, x_act(m2, VAC1))
     assert total.is_zero()
+
+
+def test_vectors_and_polynomials_do_not_mix():
+    # both are exact linear combinations, but of different basis types
+    v = vec((VAC0, 1))
+    p = x(-1)
+    for a, b in ((p, v), (v, p)):
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a - b
+        assert not a == b
+        assert a != b
+    # empty combinations of the two types stay distinct as well
+    assert FockVector() != PolyQ()
