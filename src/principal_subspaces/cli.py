@@ -15,7 +15,8 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
+from typing import Iterable
 
 from . import fock, relations, verify
 
@@ -95,11 +96,13 @@ def _skeleton(cfg: RunConfig) -> dict:
     return {"run": cfg.to_json(), "pieces": [], "lemmas": {}, "dims": []}
 
 
-def _emit(cfg: RunConfig, report: dict, text: str) -> None:
+def _emit(
+    cfg: RunConfig, report: dict, text: str, header: list[str], rows: Iterable[Iterable]
+) -> None:
     if cfg.format == "json":
         payload = json.dumps(report, indent=2) + "\n"
     elif cfg.format == "csv":
-        payload = _to_csv(cfg, report)
+        payload = _to_csv(header, rows)
     else:
         payload = text
     if cfg.output_path:
@@ -109,52 +112,19 @@ def _emit(cfg: RunConfig, report: dict, text: str) -> None:
         sys.stdout.write(payload)
 
 
-def _to_csv(cfg: RunConfig, report: dict) -> str:
+def _to_csv(header: list[str], rows: Iterable[Iterable]) -> str:
+    """One CSV table; booleans render as ``true``/``false`` and ``None`` as
+    an empty field."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if cfg.command == "verify":
-        writer.writerow(
-            [
-                "module_tag",
-                "weight",
-                "charge",
-                "dim_domain",
-                "rank_eval",
-                "dim_kernel",
-                "dim_ideal_piece",
-                "containment_ok",
-                "equality_ok",
-                "witness",
-            ]
-        )
-        for p in report["pieces"]:
-            writer.writerow(
-                [
-                    p["module_tag"],
-                    p["idx"]["weight"],
-                    p["idx"]["charge"],
-                    p["dim_domain"],
-                    p["rank_eval"],
-                    p["dim_kernel"],
-                    p["dim_ideal_piece"],
-                    str(p["containment_ok"]).lower(),
-                    str(p["equality_ok"]).lower(),
-                    p["witness"] or "",
-                ]
-            )
-    elif cfg.command == "lemmas":
-        writer.writerow(["name", "ok"])
-        for name, ok in report["lemmas"].items():
-            writer.writerow([name, str(ok).lower()])
-    else:
-        rows = report["dims"]
-        header = list(rows[0].keys()) if rows else []
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [str(v).lower() if isinstance(v, bool) else v for v in row.values()]
-            )
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in row])
     return buf.getvalue()
+
+
+def _dims_table(rows: list[dict]) -> tuple[list[str], list]:
+    return (list(rows[0]) if rows else []), [row.values() for row in rows]
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
@@ -191,7 +161,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
             f"  {'yes' if p.equality_ok else 'NO'}"
         )
     lines.append(f"pieces: {len(pieces)}, all equal: {'yes' if ok else 'NO'}")
-    _emit(cfg, report, "\n".join(lines) + "\n")
+    header = [f.name for f in fields(verify.PieceReport)]
+    _emit(cfg, report, "\n".join(lines) + "\n", header, map(astuple, pieces))
     return 0 if ok else 1
 
 
@@ -205,7 +176,7 @@ def _cmd_dims(cfg: RunConfig) -> int:
                 {"module_tag": tag, "weight": w, "charge": k, "dim": d}
             )
             lines.append(f"{tag:<14} weight {w:>3}  charge {k:>3}  dim {d}")
-    _emit(cfg, report, "\n".join(lines) + "\n")
+    _emit(cfg, report, "\n".join(lines) + "\n", *_dims_table(report["dims"]))
     return 0
 
 
@@ -232,7 +203,7 @@ def _cmd_lemmas(cfg: RunConfig) -> int:
     lines = [f"identity sweeps (t <= {cfg.t_max}, weight <= {cfg.max_weight})"]
     for name, ok in results.items():
         lines.append(f"{name:<28} {'pass' if ok else 'FAIL'}")
-    _emit(cfg, report, "\n".join(lines) + "\n")
+    _emit(cfg, report, "\n".join(lines) + "\n", ["name", "ok"], results.items())
     return 0 if all(results.values()) else 1
 
 
@@ -266,7 +237,7 @@ def _cmd_qseries(cfg: RunConfig) -> int:
             f"{n:>6}{totals0[n]:>9}{o0:>8}{totals1[n]:>14}{o1:>8}"
             f"  {'yes' if match else 'NO'}"
         )
-    _emit(cfg, report, "\n".join(lines) + "\n")
+    _emit(cfg, report, "\n".join(lines) + "\n", *_dims_table(report["dims"]))
     return 0 if ok else 1
 
 

@@ -4,17 +4,22 @@ Everything here is fraction-normalized Gaussian elimination on ``Fraction``
 entries: no floating point and no tolerance anywhere.  Determinism matters as
 much as exactness (reports are diffed byte for byte), so the pivot choice is a
 fixed rule: within the current column take the entry of smallest combined
-numerator/denominator bit length, ties broken by lowest row index.  Rows are
-kept as ``{col: value}`` dicts throughout elimination.
+numerator/denominator bit length, ties broken by lowest row index.
+
+There is one vector type, ``Vector``: a sparse ``{column: value}`` dict
+holding only the nonzero entries.  Rows during elimination, kernel vectors,
+the families handed to the span helpers and the output of ``matvec`` are all
+of this type, so the zero vector is ``{}``.  The span helpers take the column
+count explicitly, and a column outside it raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 Scalar = int | Fraction
-Vector = list[Fraction]
+Vector = dict[int, Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -50,18 +55,14 @@ class SparseMatQ:
 
     @classmethod
     def from_rows(
-        cls, rows: Sequence[Sequence[Scalar]], n_cols: int | None = None
+        cls, rows: Sequence[Mapping[int, Scalar]], n_cols: int
     ) -> "SparseMatQ":
-        if n_cols is None:
-            n_cols = len(rows[0]) if rows else 0
-        entries: dict[tuple[int, int], Scalar] = {}
-        for i, row in enumerate(rows):
-            if len(row) != n_cols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = v
-        return cls(len(rows), n_cols, entries)
+        """Stack sparse rows ``{col: value}`` into a len(rows) x n_cols matrix."""
+        return cls(
+            len(rows),
+            n_cols,
+            {(i, j): v for i, row in enumerate(rows) for j, v in row.items()},
+        )
 
     def transpose(self) -> "SparseMatQ":
         return SparseMatQ(
@@ -70,14 +71,15 @@ class SparseMatQ:
             {(j, i): v for (i, j), v in self.entries.items()},
         )
 
-    def matvec(self, vec: Sequence[Scalar]) -> Vector:
-        if len(vec) != self.n_cols:
-            raise ValueError("vector length does not match column count")
-        out = [ZERO] * self.n_rows
+    def matvec(self, vec: Mapping[int, Scalar]) -> Vector:
+        if any(not 0 <= j < self.n_cols for j in vec):
+            raise ValueError("vector column out of bounds")
+        out: Vector = {}
         for (i, j), v in self.entries.items():
-            if vec[j]:
-                out[i] += v * vec[j]
-        return out
+            c = vec.get(j)
+            if c:
+                out[i] = out.get(i, ZERO) + v * c
+        return {i: v for i, v in out.items() if v}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseMatQ):
@@ -156,54 +158,28 @@ def kernel_basis(m: SparseMatQ) -> list[Vector]:
     order, each with a 1 in its free position."""
     result = rref(m)
     pivot_set = set(result.pivot_cols)
-    basis: list[Vector] = []
-    for f in range(m.n_cols):
-        if f in pivot_set:
-            continue
-        v = [ZERO] * m.n_cols
-        v[f] = ONE
-        for i, p in enumerate(result.pivot_cols):
-            c = result.matrix.entries.get((i, f))
-            if c:
-                v[p] = -c
-        basis.append(v)
-    return basis
+    basis = {f: {f: ONE} for f in range(m.n_cols) if f not in pivot_set}
+    for (i, f), c in result.matrix.entries.items():
+        if f in basis:
+            basis[f][result.pivot_cols[i]] = -c
+    return list(basis.values())
 
 
-def _stack(vectors: Sequence[Sequence[Scalar]], n_cols: int) -> SparseMatQ:
-    entries: dict[tuple[int, int], Scalar] = {}
-    for i, vec in enumerate(vectors):
-        if len(vec) != n_cols:
-            raise ValueError("vectors of mixed lengths")
-        for j, v in enumerate(vec):
-            if v:
-                entries[(i, j)] = v
-    return SparseMatQ(len(vectors), n_cols, entries)
-
-
-def span_dim(vectors: Sequence[Sequence[Scalar]], n_cols: int | None = None) -> int:
+def span_dim(vectors: Sequence[Vector], n_cols: int) -> int:
     """Dimension of the span of the given vectors (0 for an empty family)."""
     if not vectors:
         return 0
-    return rank(_stack(vectors, len(vectors[0]) if n_cols is None else n_cols))
+    return rank(SparseMatQ.from_rows(vectors, n_cols))
 
 
-def subspace_leq(
-    a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]
-) -> bool:
+def subspace_leq(a: Sequence[Vector], b: Sequence[Vector], n_cols: int) -> bool:
     """True iff span(a) is contained in span(b), by rank comparison."""
     if not a:
         return True
-    n = len(a[0])
-    for vec in list(a) + list(b):
-        if len(vec) != n:
-            raise ValueError("dimension mismatch between vector families")
-    rank_b = rank(_stack(list(b), n))
-    rank_ba = rank(_stack(list(b) + list(a), n))
+    rank_b = rank(SparseMatQ.from_rows(b, n_cols))
+    rank_ba = rank(SparseMatQ.from_rows([*b, *a], n_cols))
     return rank_b == rank_ba
 
 
-def span_equal(
-    a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]
-) -> bool:
-    return subspace_leq(a, b) and subspace_leq(b, a)
+def span_equal(a: Sequence[Vector], b: Sequence[Vector], n_cols: int) -> bool:
+    return subspace_leq(a, b, n_cols) and subspace_leq(b, a, n_cols)

@@ -280,13 +280,19 @@ def enumerate_monomials(weight: int, charge: int, floor: int = -1) -> list[Monom
     return out
 
 
-def coordinates(p: PolyQ, basis: Sequence[Monomial]) -> list[Fraction]:
-    """Coordinate vector of ``p`` over an ordered monomial basis."""
+def coordinates(
+    polys: Iterable[PolyQ], basis: Sequence[Monomial]
+) -> list[dict[int, Fraction]]:
+    """Sparse coordinate vectors ``{basis position: coefficient}`` of the
+    given polynomials over an ordered monomial basis, one per polynomial."""
     index = {mono: i for i, mono in enumerate(basis)}
-    vec = [Fraction(0)] * len(basis)
-    for mono, c in p.terms.items():
-        i = index.get(mono)
-        if i is None:
-            raise ValueError(f"monomial {mono} outside the given basis")
-        vec[i] = c
-    return vec
+    vecs = []
+    for p in polys:
+        vec = {}
+        for mono, c in p.terms.items():
+            i = index.get(mono)
+            if i is None:
+                raise ValueError(f"monomial {mono} outside the given basis")
+            vec[i] = c
+        vecs.append(vec)
+    return vecs

@@ -122,9 +122,6 @@ def check_translate_ideal_inclusion(weight: int, charge: int) -> bool:
     if not source:
         return True
     basis = enumerate_monomials(weight + charge, charge, -1)
-    shifted = [coordinates(translate(p, 1), basis) for p in source]
-    target = [
-        coordinates(q, basis)
-        for q in ideal_piece("lambda1", weight + charge, charge)
-    ]
-    return subspace_leq(shifted, target)
+    shifted = coordinates([translate(p, 1) for p in source], basis)
+    target = coordinates(ideal_piece("lambda1", weight + charge, charge), basis)
+    return subspace_leq(shifted, target, len(basis))

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .fock import FockState, apply_monomial, basis_states
 from .linalg import SparseMatQ, kernel_basis, rank, span_dim, subspace_leq
-from .poly import Monomial, PolyQ, coordinates, derive, enumerate_monomials
+from .poly import PolyQ, coordinates, derive, enumerate_monomials
 from .relations import IDEALS, ideal_piece
 
 TAGS = tuple(IDEALS)
@@ -95,10 +95,6 @@ def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
     return SparseMatQ(len(rows), len(monos), entries)
 
 
-def _vector_as_poly(vec: list[Fraction], monos: list[Monomial]) -> PolyQ:
-    return PolyQ({m: c for m, c in zip(monos, vec)})
-
-
 def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
     floor = IDEALS[tag].ambient_floor
     monos = enumerate_monomials(weight, charge, floor)
@@ -106,13 +102,13 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
     kernel = kernel_basis(matrix)
     rank_eval = len(monos) - len(kernel)
     ideal_polys = ideal_piece(tag, weight, charge)
-    ideal_vecs = [coordinates(p, monos) for p in ideal_polys]
+    ideal_vecs = coordinates(ideal_polys, monos)
     dim_ideal = span_dim(ideal_vecs, len(monos))
 
     containment_ok = True
     witness: str | None = None
     for p, vec in zip(ideal_polys, ideal_vecs):
-        if any(matrix.matvec(vec)):
+        if matrix.matvec(vec):
             containment_ok = False
             witness = str(p)
             break
@@ -121,8 +117,8 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
         # containment makes the ideal span a subspace of the kernel, so a
         # mismatch means some kernel vector escapes the ideal span
         for vec in kernel:
-            if not subspace_leq([vec], ideal_vecs):
-                witness = str(_vector_as_poly(vec, monos))
+            if not subspace_leq([vec], ideal_vecs, len(monos)):
+                witness = str(PolyQ({monos[j]: c for j, c in vec.items()}))
                 break
     return PieceReport(
         module_tag=tag,
@@ -138,12 +134,16 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
     )
 
 
+def _require_tag(tag: str) -> None:
+    if tag not in TAGS:
+        raise ValueError(f"unknown module tag {tag!r}")
+
+
 def verify_presentation(tag: str, max_weight: int) -> VerificationRun:
     """Check kernel == ideal span on every bidegree up to max_weight."""
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
-    if tag not in TAGS:
-        raise ValueError(f"unknown module tag {tag!r}")
+    _require_tag(tag)
     pieces = [
         piece_report(tag, weight, charge)
         for weight in range(max_weight + 1)
@@ -159,11 +159,12 @@ def kernel_containment_L0_in_L1(max_weight: int) -> bool:
         raise ValueError("max_weight must be >= 1")
     for weight in range(max_weight + 1):
         for charge in range(weight + 1):
-            k0 = kernel_basis(eval_matrix("lambda0", weight, charge))
+            m0 = eval_matrix("lambda0", weight, charge)
+            k0 = kernel_basis(m0)
             if not k0:
                 continue
             k1 = kernel_basis(eval_matrix("lambda1", weight, charge))
-            if not subspace_leq(k0, k1):
+            if not subspace_leq(k0, k1, m0.n_cols):
                 return False
     return True
 
@@ -173,6 +174,7 @@ def graded_dims(tag: str, max_weight: int) -> dict[tuple[int, int], int]:
     of the image module."""
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
+    _require_tag(tag)
     dims: dict[tuple[int, int], int] = {}
     for weight in range(max_weight + 1):
         for charge in charge_range(tag, weight):
@@ -227,11 +229,8 @@ def check_ideal_D_stability(max_weight: int) -> bool:
             if not piece:
                 continue
             basis = enumerate_monomials(weight + 1, charge, -1)
-            derived = [coordinates(derive(p), basis) for p in piece]
-            target = [
-                coordinates(q, basis)
-                for q in ideal_piece("lambda0", weight + 1, charge)
-            ]
-            if not subspace_leq(derived, target):
+            derived = coordinates([derive(p) for p in piece], basis)
+            target = coordinates(ideal_piece("lambda0", weight + 1, charge), basis)
+            if not subspace_leq(derived, target, len(basis)):
                 return False
     return True

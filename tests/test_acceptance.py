@@ -90,8 +90,8 @@ def test_low_charge_kernel_structure():
         for t in range(t_min, 13):
             kernel = kernel_basis(eval_matrix(tag, t, 2))
             basis = enumerate_monomials(t, 2, floor)
-            expected = [coordinates(quadratic_relation(t, floor), basis)]
-            if len(kernel) != 1 or not span_equal(kernel, expected):
+            expected = coordinates([quadratic_relation(t, floor)], basis)
+            if len(kernel) != 1 or not span_equal(kernel, expected, len(basis)):
                 ok = False
     report("charge-1 kernels vanish, charge-2 kernels spanned by relations (t<=12)", ok)
 

@@ -9,8 +9,15 @@ import pytest
 
 from principal_subspaces import relations
 from principal_subspaces.cli import main
-from principal_subspaces.fock import FockState, apply_monomial
-from principal_subspaces.poly import Monomial
+from principal_subspaces.fock import FockState, FockVector, apply_monomial
+from principal_subspaces.linalg import subspace_leq
+from principal_subspaces.poly import (
+    Monomial,
+    PolyQ,
+    coordinates,
+    enumerate_monomials,
+    x,
+)
 
 
 def run(capsys, *argv):
@@ -135,6 +142,42 @@ def test_verify_fails_on_mutated_ideal(
     assert piece["witness"] == witness
     image = apply_monomial(witness_monomial(witness), FockState((), spec.vacuum_r))
     assert image.is_zero() is killed
+
+
+@pytest.mark.parametrize(
+    "tag, witness",
+    [
+        ("lambda0", 2 * (x(-5) * x(-1)) + 2 * (x(-4) * x(-2)) + x(-3) * x(-3)),
+        ("lambda1", 2 * (x(-4) * x(-2)) + x(-3) * x(-3)),
+        ("lambda1prime", 2 * (x(-4) * x(-2)) + x(-3) * x(-3)),
+    ],
+)
+def test_verify_fails_without_one_relation_weight(capsys, monkeypatch, tag, witness):
+    """Dropping the weight-6 relation leaves a kernel vector of (6,2) outside
+    the ideal: a multi-term witness with non-unit coefficients."""
+    original = relations.quadratic_relation
+    monkeypatch.setattr(
+        relations,
+        "quadratic_relation",
+        lambda t, floor=-1: PolyQ() if t == 6 else original(t, floor),
+    )
+    code, out, _ = run(
+        capsys, "verify", "--module", tag, "--max-weight", "6", "--format", "json"
+    )
+    assert code == 1
+    failed = [p for p in json.loads(out)["pieces"] if not p["equality_ok"]]
+    assert [(p["idx"]["weight"], p["idx"]["charge"]) for p in failed] == [(6, 2)]
+    assert failed[0]["containment_ok"] is True
+    assert failed[0]["witness"] == str(witness)
+    spec = relations.IDEALS[tag]
+    vacuum = FockState((), spec.vacuum_r)
+    image = FockVector()
+    for mono, c in witness.terms.items():
+        image = image + c * apply_monomial(mono, vacuum)
+    assert image.is_zero()
+    monos = enumerate_monomials(6, 2, spec.ambient_floor)
+    ideal = coordinates(relations.ideal_piece(tag, 6, 2), monos)
+    assert not subspace_leq(coordinates([witness], monos), ideal, len(monos))
 
 
 def test_qseries_matches_oracle(capsys):

@@ -19,7 +19,9 @@ from principal_subspaces.linalg import (
 
 
 def mat(rows):
-    return SparseMatQ.from_rows([[Fraction(v) for v in row] for row in rows])
+    """Matrix from dense row literals."""
+    sparse = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows]
+    return SparseMatQ.from_rows(sparse, len(rows[0]))
 
 
 def test_rref_identity():
@@ -50,38 +52,57 @@ def test_kernel_identity_trivial():
 def test_kernel_rank_one():
     # solve a + 2b = 0
     basis = kernel_basis(mat([[1, 2], [2, 4]]))
-    assert basis == [[Fraction(-2), Fraction(1)]]
+    assert basis == [{0: Fraction(-2), 1: Fraction(1)}]
 
 
 def test_kernel_zero_row():
     basis = kernel_basis(SparseMatQ(1, 3))
-    assert len(basis) == 3
+    assert basis == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_subspace_leq_examples():
-    assert subspace_leq([], [[1, 2, 3]])
-    assert subspace_leq([[1, 0]], [[1, 1], [0, 1]])  # (1,0) = (1,1) - (0,1)
-    assert not subspace_leq([[1, 0]], [[0, 1]])
+    assert subspace_leq([], [{0: 1, 1: 2, 2: 3}], 3)
+    # (1,0) = (1,1) - (0,1)
+    assert subspace_leq([{0: 1}], [{0: 1, 1: 1}, {1: 1}], 2)
+    assert not subspace_leq([{0: 1}], [{1: 1}], 2)
 
 
-def test_subspace_leq_dimension_mismatch():
+def test_subspace_leq_column_out_of_range():
     with pytest.raises(ValueError):
-        subspace_leq([[1, 0]], [[1, 0, 0]])
+        subspace_leq([{0: 1}], [{2: 1}], 2)
+    with pytest.raises(ValueError):
+        subspace_leq([{2: 1}], [{0: 1}], 2)
 
 
 def test_span_helpers():
-    assert span_dim([]) == 0
-    assert span_dim([[1, 1], [2, 2]]) == 1
-    assert span_equal([[1, 0], [0, 1]], [[1, 1], [1, -1]])
+    assert span_dim([], 2) == 0
+    assert span_dim([{0: 1, 1: 1}, {0: 2, 1: 2}], 2) == 1
+    assert span_equal([{0: 1}, {1: 1}], [{0: 1, 1: 1}, {0: 1, 1: -1}], 2)
+    # the zero vector is the empty dict and adds nothing to a span
+    assert span_dim([{}, {1: 3}], 2) == 1
 
 
 def test_matvec_and_bounds():
     m = mat([[1, 2], [0, 3]])
-    assert m.matvec([1, 1]) == [Fraction(3), Fraction(3)]
+    assert m.matvec({0: 1, 1: 1}) == {0: Fraction(3), 1: Fraction(3)}
     with pytest.raises(ValueError):
-        m.matvec([1, 1, 1])
+        m.matvec({2: 1})
     with pytest.raises(ValueError):
         SparseMatQ(1, 1, {(1, 0): 1})
+    with pytest.raises(ValueError):
+        SparseMatQ.from_rows([{1: 1}], 1)
+
+
+def test_matvec_nonzero_only_in_row_zero():
+    # a dict image is tested by emptiness: its only key here is the falsy 0
+    image = mat([[1, 0], [0, 0]]).matvec({0: 5})
+    assert image == {0: Fraction(5)}
+    assert image and not any(image)
+
+
+def test_matvec_cancels_to_empty():
+    m = mat([[1, 2], [3, 6]])
+    assert m.matvec({0: 2, 1: -1}) == {}
 
 
 small_fraction = st.fractions(
@@ -113,9 +134,8 @@ def test_kernel_vectors_are_annihilated_and_independent(m):
     basis = kernel_basis(m)
     assert len(basis) == m.n_cols - rank(m)
     for v in basis:
-        assert all(entry == 0 for entry in m.matvec(v))
-    if basis:
-        assert span_dim(basis) == len(basis)
+        assert m.matvec(v) == {}
+    assert span_dim(basis, m.n_cols) == len(basis)
 
 
 @settings(deadline=None, max_examples=60)
@@ -162,6 +182,57 @@ def test_rref_is_row_equivalent_to_input(m):
         leibniz_det([[m.entries.get((i, k), 0) for k in pivots] for i in rows])
         for rows in itertools.combinations(range(m.n_rows), r)
     )
+
+
+@st.composite
+def sparse_families(draw):
+    """A column count and a short family of sparse vectors over it."""
+    n_cols = draw(st.integers(min_value=0, max_value=4))
+    family = draw(
+        st.lists(
+            st.dictionaries(
+                st.integers(min_value=0, max_value=max(n_cols - 1, 0)),
+                small_fraction.filter(bool),
+                max_size=n_cols,
+            ),
+            max_size=4,
+        )
+    )
+    return n_cols, family
+
+
+def largest_nonzero_minor(vectors, n_cols):
+    """Size of the largest square submatrix with nonzero determinant, by
+    Leibniz expansion, so independent of elimination."""
+    for size in range(min(len(vectors), n_cols), 0, -1):
+        for rows in itertools.combinations(vectors, size):
+            for cols in itertools.combinations(range(n_cols), size):
+                if leibniz_det([[row.get(c, 0) for c in cols] for row in rows]):
+                    return size
+    return 0
+
+
+@settings(deadline=None, max_examples=60)
+@given(sparse_families())
+def test_span_dim_is_largest_nonzero_minor(family):
+    n_cols, vectors = family
+    assert span_dim(vectors, n_cols) == largest_nonzero_minor(vectors, n_cols)
+
+
+@settings(deadline=None, max_examples=60)
+@given(sparse_families(), st.data())
+def test_combinations_lie_in_the_span(family, data):
+    n_cols, b = family
+    a = []
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        combo = {}
+        for vec in b:
+            c = data.draw(small_fraction)
+            for j, v in vec.items():
+                combo[j] = combo.get(j, 0) + c * v
+        a.append({j: v for j, v in combo.items() if v})
+    assert subspace_leq(a, b, n_cols)
+    assert span_dim(b + a, n_cols) == span_dim(b, n_cols)
 
 
 def test_rref_deterministic():

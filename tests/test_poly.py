@@ -182,9 +182,14 @@ def test_rendering():
 def test_coordinates_roundtrip():
     basis = enumerate_monomials(4, 2, -1)
     r40 = 2 * (x(-3) * x(-1)) + x(-2) * x(-2)
-    assert coordinates(r40, basis) == [Fraction(2), Fraction(1)]
+    assert coordinates([r40, PolyQ.zero(), x(-2) * x(-2)], basis) == [
+        {0: Fraction(2), 1: Fraction(1)},
+        {},
+        {1: Fraction(1)},
+    ]
+    assert coordinates([], basis) == []
     with pytest.raises(ValueError):
-        coordinates(x(-4), basis)
+        coordinates([r40, x(-4)], basis)
 
 
 def test_bidegree():

@@ -146,15 +146,13 @@ def test_translated_lambda0_piece_spans_lambda1prime_piece():
             if not source:
                 continue
             basis = enumerate_monomials(weight + charge, charge, -1)
-            shifted = [
-                coordinates(drop_minus_one_terms(translate(p, 1)), basis)
-                for p in source
-            ]
-            target = [
-                coordinates(q, basis)
-                for q in ideal_piece("lambda1prime", weight + charge, charge)
-            ]
-            assert span_equal(shifted, target)
+            shifted = coordinates(
+                [drop_minus_one_terms(translate(p, 1)) for p in source], basis
+            )
+            target = coordinates(
+                ideal_piece("lambda1prime", weight + charge, charge), basis
+            )
+            assert span_equal(shifted, target, len(basis))
 
 
 def test_lift_composition_closes():

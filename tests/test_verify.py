@@ -48,7 +48,8 @@ def test_piece_report_weight_four_charge_two():
     # the kernel is spanned by the weight-4 relation itself
     kernel = kernel_basis(eval_matrix("lambda0", 4, 2))
     basis = enumerate_monomials(4, 2, -1)
-    assert span_equal(kernel, [coordinates(quadratic_relation(4, -1), basis)])
+    expected = coordinates([quadratic_relation(4, -1)], basis)
+    assert span_equal(kernel, expected, len(basis))
 
 
 def test_piece_report_lambda1prime_weight_four():
@@ -100,6 +101,11 @@ def test_partition_oracle_examples():
     assert partition_oracle(3, 2, 2) == 0
     with pytest.raises(ValueError):
         partition_oracle(-1, 0, 1)
+
+
+def test_graded_dims_rejects_unknown_tag():
+    with pytest.raises(ValueError, match="unknown module tag 'nope'"):
+        graded_dims("nope", 4)
 
 
 def test_graded_dims_weight_totals():
