@@ -1,38 +1,57 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals, and ranks over F_p.
 
-Everything here is fraction-normalized Gaussian elimination on ``Fraction``
-entries: no floating point and no tolerance anywhere.  Determinism matters as
-much as exactness (reports are diffed byte for byte), so the pivot choice is a
-fixed rule: within the current column take the entry of smallest combined
-numerator/denominator bit length, ties broken by lowest row index.
+``rref`` and everything built on it is fraction-normalized Gaussian
+elimination on ``int``/``Fraction`` entries: no floating point and no
+tolerance anywhere.  Determinism matters as much as exactness (reports are
+diffed byte for byte), so the pivot choice is a fixed rule: within the
+current column take the entry of smallest combined numerator/denominator bit
+length, ties broken by lowest row index.
+
+``rank_mod_p`` ranks an integer matrix over the prime field F_P with
+P = 2^61 - 1.  Every minor of an integer matrix that vanishes over the
+rationals vanishes mod P, so its result is a lower bound on the rational
+rank, never more; it is lower exactly when P divides every r x r minor,
+r the rational rank.  Callers turn such bounds into exact statements (see
+``verify.piece_report``); nothing here decides when a lower bound suffices.
 
 There is one vector type, ``Vector``: a sparse ``{column: value}`` dict
-holding only the nonzero entries.  Rows during elimination, kernel vectors,
-the families handed to the span helpers and the output of ``matvec`` are all
-of this type, so the zero vector is ``{}``.  The span helpers take the column
-count explicitly, and a column outside it raises ``ValueError``.
+holding only the nonzero entries, which may be ints or Fractions.  Rows
+during elimination, kernel vectors, the families handed to the span helpers
+and the output of ``matvec`` are all of this type, so the zero vector is
+``{}``.  The span helpers and ``rank_mod_p`` take the column count
+explicitly, and a column outside it raises ``ValueError``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 Scalar = int | Fraction
-Vector = dict[int, Fraction]
+Vector = dict[int, Scalar]
+K = TypeVar("K", bound=Hashable)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# the Mersenne prime 2^61 - 1; a large prime rarely divides every r x r
+# minor of a rank-r matrix, so rank_mod_p is rarely short
+P = (1 << 61) - 1
 
-def _frac(v: Scalar) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+
+def integer_form(vec: Mapping[K, Fraction]) -> tuple[int, dict[K, int]]:
+    """A sparse rational vector as (d, {key: integer numerator}), where d is
+    the least common denominator of its entries, so vec = numerators / d."""
+    den = math.lcm(*(c.denominator for c in vec.values()))
+    return den, {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
 
 
 class SparseMatQ:
-    """Sparse rational matrix stored as ``{(row, col): nonzero Fraction}``."""
+    """Sparse rational matrix stored as ``{(row, col): nonzero entry}``;
+    entries stay the ``int`` or ``Fraction`` they were given as."""
 
-    __slots__ = ("n_rows", "n_cols", "entries")
+    __slots__ = ("n_rows", "n_cols", "entries", "_columns")
 
     def __init__(
         self,
@@ -44,14 +63,14 @@ class SparseMatQ:
             raise ValueError("matrix dimensions must be non-negative")
         self.n_rows = n_rows
         self.n_cols = n_cols
-        self.entries: dict[tuple[int, int], Fraction] = {}
+        self.entries: dict[tuple[int, int], Scalar] = {}
+        self._columns: dict[int, Vector] | None = None
         if entries:
             for (i, j), v in entries.items():
                 if not (0 <= i < n_rows and 0 <= j < n_cols):
                     raise ValueError(f"entry ({i}, {j}) out of bounds")
-                f = _frac(v)
-                if f:
-                    self.entries[(i, j)] = f
+                if v:
+                    self.entries[(i, j)] = v
 
     @classmethod
     def from_rows(
@@ -71,14 +90,26 @@ class SparseMatQ:
             {(j, i): v for (i, j), v in self.entries.items()},
         )
 
+    def columns(self) -> dict[int, Vector]:
+        """The nonzero columns as ``{col: {row: value}}``, built on the first
+        call and kept; the matrix is not to be mutated after that."""
+        if self._columns is None:
+            self._columns = {}
+            for (i, j), v in self.entries.items():
+                self._columns.setdefault(j, {})[i] = v
+        return self._columns
+
     def matvec(self, vec: Mapping[int, Scalar]) -> Vector:
+        """The product with a sparse column vector; visits only the matrix
+        columns that ``vec`` touches."""
         if any(not 0 <= j < self.n_cols for j in vec):
             raise ValueError("vector column out of bounds")
+        columns = self.columns()
         out: Vector = {}
-        for (i, j), v in self.entries.items():
-            c = vec.get(j)
-            if c:
-                out[i] = out.get(i, ZERO) + v * c
+        for j, c in vec.items():
+            if c and j in columns:
+                for i, v in columns[j].items():
+                    out[i] = out.get(i, 0) + v * c
         return {i: v for i, v in out.items() if v}
 
     def __eq__(self, other: object) -> bool:
@@ -99,14 +130,14 @@ class RrefResult(NamedTuple):
     pivot_cols: list[int]
 
 
-def _score(v: Fraction) -> int:
+def _score(v: Scalar) -> int:
     return v.numerator.bit_length() + v.denominator.bit_length()
 
 
 def rref(m: SparseMatQ) -> RrefResult:
     """Reduced row-echelon form with pivot columns."""
     n_rows, n_cols = m.n_rows, m.n_cols
-    rows: list[dict[int, Fraction]] = [{} for _ in range(n_rows)]
+    rows: list[Vector] = [{} for _ in range(n_rows)]
     for (i, j), v in m.entries.items():
         rows[i][j] = v
     pivots: list[int] = []
@@ -163,6 +194,38 @@ def kernel_basis(m: SparseMatQ) -> list[Vector]:
         if f in basis:
             basis[f][result.pivot_cols[i]] = -c
     return list(basis.values())
+
+
+def rank_mod_p(rows: Iterable[Mapping[int, int]], n_cols: int) -> int:
+    """Rank over F_P of the integer matrix with the given sparse rows.
+
+    Each row is reduced against an echelon form keyed by leading column, so
+    a pivot is found by one dict lookup and no row is ever scanned for one.
+    A lower bound on the rational rank (see the module docstring)."""
+    echelon: dict[int, dict[int, int]] = {}
+    for row in rows:
+        vec: dict[int, int] = {}
+        for j, v in row.items():
+            if not 0 <= j < n_cols:
+                raise ValueError("row column out of bounds")
+            v %= P
+            if v:
+                vec[j] = v
+        while vec:
+            lead = min(vec)
+            basis = echelon.get(lead)
+            if basis is None:
+                inv = pow(vec[lead], -1, P)
+                echelon[lead] = {j: v * inv % P for j, v in vec.items()}
+                break
+            c = vec[lead]
+            for j, w in basis.items():
+                new = (vec.get(j, 0) - c * w) % P
+                if new:
+                    vec[j] = new
+                else:
+                    del vec[j]
+    return len(echelon)
 
 
 def span_dim(vectors: Sequence[Vector], n_cols: int) -> int:

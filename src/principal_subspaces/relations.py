@@ -80,12 +80,18 @@ def ideal_piece(tag: str, weight: int, charge: int) -> list[PolyQ]:
         for t in range(spec.relation_weight_min, weight + 1):
             rel = quadratic_relation(t, spec.relation_floor)
             for u in enumerate_monomials(weight - t, charge - 2, spec.ambient_floor):
-                out.append(PolyQ({u: 1}) * rel)
+                out.append(_monomial_times(u, rel))
     if spec.includes_degree_one_generator:
         gen = x(-1)
         for u in enumerate_monomials(weight - 1, charge - 1, spec.ambient_floor):
-            out.append(PolyQ({u: 1}) * gen)
+            out.append(_monomial_times(u, gen))
     return out
+
+
+def _monomial_times(u: Monomial, p: PolyQ) -> PolyQ:
+    """u * p without the general product: multiplying distinct monomials by
+    one monomial gives distinct monomials, so no coefficients combine."""
+    return PolyQ._from_terms({u * m: c for m, c in p.terms.items()})
 
 
 def check_translate_relation(t: int) -> bool:

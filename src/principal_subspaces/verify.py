@@ -3,23 +3,38 @@ spans, with an independent partition-count cross-check.
 
 For each module tag the evaluation map sends a monomial in the generators to
 its action on the highest weight vector of the lattice realization.  Per
-(weight, charge) piece this is a finite rational matrix whose kernel is
-compared, both by containment and by dimension, against the spanning set of
-the corresponding ideal piece.  Failures are data (a report with a witness),
-never exceptions.
+(weight, charge) piece this is a finite matrix, scaled to integer entries,
+whose kernel is compared against the spanning set of the corresponding ideal
+piece: containment exactly over Z, and dimension by a rank sandwich over
+F_p that is exact whenever it closes (``piece_report``).  When it does not
+close, the piece is decided again by exact rational elimination, which also
+finds the witness; ``fallbacks`` counts those pieces in this process and is
+read by tests only, never by a report.  Failures are data (a report with a
+witness), never exceptions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .fock import FockState, apply_monomial, basis_states
-from .linalg import SparseMatQ, kernel_basis, rank, span_dim, subspace_leq
+from .fock import FockState, _monomial_numerators, basis_states
+from .linalg import (
+    SparseMatQ,
+    integer_form,
+    kernel_basis,
+    rank,
+    rank_mod_p,
+    span_dim,
+    subspace_leq,
+)
 from .poly import PolyQ, coordinates, derive, enumerate_monomials
 from .relations import IDEALS, ideal_piece
 
 TAGS = tuple(IDEALS)
+
+# pieces that piece_report decided by rational elimination, in this process
+fallbacks = 0
 
 
 @dataclass(frozen=True)
@@ -80,53 +95,87 @@ def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
     """Matrix of the evaluation map on one bidegree: columns are the domain
     monomials in canonical order, rows the Fock states of the target
     bidegree, entries the exact coefficients of each monomial's action on
-    the highest weight vector."""
+    the highest weight vector, all multiplied by one positive integer L, the
+    least common multiple of the column denominators.  Every entry is then
+    an integer, and the kernel, the rank and the RREF are those of the
+    unscaled matrix."""
     spec = IDEALS[tag]
     monos = enumerate_monomials(weight, charge, spec.ambient_floor)
     size = heisenberg_size(tag, weight, charge)
     rows = basis_states(size, spec.vacuum_r + charge)
     row_index = {s: i for i, s in enumerate(rows)}
     vacuum = FockState((), spec.vacuum_r)
-    entries: dict[tuple[int, int], Fraction] = {}
-    for j, mono in enumerate(monos):
-        image = apply_monomial(mono, vacuum)
-        for state, c in image.terms.items():
-            entries[(row_index[state], j)] = c
+    columns = []
+    for mono in monos:
+        den, nums = _monomial_numerators(mono, vacuum)
+        g = math.gcd(den, *nums.values())
+        columns.append((den // g, g, nums))
+    scale = math.lcm(*(den for den, _, _ in columns))
+    entries: dict[tuple[int, int], int] = {}
+    for j, (den, g, nums) in enumerate(columns):
+        factor = scale // den
+        for state, n in nums.items():
+            entries[(row_index[state], j)] = n // g * factor
     return SparseMatQ(len(rows), len(monos), entries)
 
 
 def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
+    """Compare the kernel of the evaluation map with the ideal piece.
+
+    Containment is checked first, exactly over Z, each ideal polynomial in
+    turn, and the first one with a nonzero image is the witness.  Given
+    containment, with n = dim_domain, E the integer evaluation matrix and I
+    the ideal coordinates with each vector scaled to integers, ranks over
+    F_p (``rank_mod_p``) bound the rational ones from below, so
+
+        rank_p(I) <= rank_Q(I) <= dim ker E = n - rank_Q(E) <= n - rank_p(E).
+
+    The middle step is containment.  If rank_p(I) + rank_p(E) = n the two
+    ends meet, every step is an equality, and the report's numbers and
+    ``equality_ok`` are exact.  A real failure (rank_Q(I) < dim ker E) keeps
+    the middle step strict, so it can never close the sandwich.  Otherwise
+    (a failure, or a prime dividing every maximal minor) the piece falls
+    back to rational elimination, which also finds the witness."""
+    global fallbacks
     floor = IDEALS[tag].ambient_floor
     monos = enumerate_monomials(weight, charge, floor)
+    n = len(monos)
     matrix = eval_matrix(tag, weight, charge)
-    kernel = kernel_basis(matrix)
-    rank_eval = len(monos) - len(kernel)
     ideal_polys = ideal_piece(tag, weight, charge)
-    ideal_vecs = coordinates(ideal_polys, monos)
-    dim_ideal = span_dim(ideal_vecs, len(monos))
+    ideal_vecs = [integer_form(v)[1] for v in coordinates(ideal_polys, monos)]
 
-    containment_ok = True
     witness: str | None = None
     for p, vec in zip(ideal_polys, ideal_vecs):
         if matrix.matvec(vec):
-            containment_ok = False
             witness = str(p)
             break
-    equality_ok = containment_ok and dim_ideal == len(kernel)
-    if containment_ok and not equality_ok:
-        # containment makes the ideal span a subspace of the kernel, so a
-        # mismatch means some kernel vector escapes the ideal span
-        for vec in kernel:
-            if not subspace_leq([vec], ideal_vecs, len(monos)):
-                witness = str(PolyQ({monos[j]: c for j, c in vec.items()}))
-                break
+    containment_ok = witness is None
+    certified = False
+    if containment_ok:
+        rank_eval = rank_mod_p(matrix.columns().values(), matrix.n_rows)
+        dim_ideal = rank_mod_p(ideal_vecs, n)
+        certified = rank_eval + dim_ideal == n
+    equality_ok = certified
+    if not certified:
+        fallbacks += 1
+        kernel = kernel_basis(matrix)
+        rank_eval = n - len(kernel)
+        dim_ideal = span_dim(ideal_vecs, n)
+        equality_ok = containment_ok and dim_ideal == len(kernel)
+        if containment_ok and not equality_ok:
+            # containment makes the ideal span a subspace of the kernel, so
+            # a mismatch means some kernel vector escapes the ideal span
+            for vec in kernel:
+                if not subspace_leq([vec], ideal_vecs, n):
+                    witness = str(PolyQ({monos[j]: c for j, c in vec.items()}))
+                    break
     return PieceReport(
         module_tag=tag,
         weight=weight,
         charge=charge,
-        dim_domain=len(monos),
+        dim_domain=n,
         rank_eval=rank_eval,
-        dim_kernel=len(kernel),
+        dim_kernel=n - rank_eval,
         dim_ideal_piece=dim_ideal,
         containment_ok=containment_ok,
         equality_ok=equality_ok,

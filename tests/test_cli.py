@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from principal_subspaces import relations
+from principal_subspaces import relations, verify
 from principal_subspaces.cli import main
 from principal_subspaces.fock import FockState, FockVector, apply_monomial
 from principal_subspaces.linalg import subspace_leq
@@ -129,10 +129,12 @@ def test_verify_fails_on_mutated_ideal(
 ):
     spec = dataclasses.replace(relations.IDEALS[tag], **change)
     monkeypatch.setitem(relations.IDEALS, tag, spec)
+    monkeypatch.setattr(verify, "fallbacks", 0)
     code, out, _ = run(
         capsys, "verify", "--module", tag, "--max-weight", "4", "--format", "json"
     )
     assert code == 1
+    assert verify.fallbacks >= 1
     piece = next(
         p for p in json.loads(out)["pieces"]
         if (p["idx"]["weight"], p["idx"]["charge"]) == idx
@@ -161,10 +163,12 @@ def test_verify_fails_without_one_relation_weight(capsys, monkeypatch, tag, witn
         "quadratic_relation",
         lambda t, floor=-1: PolyQ() if t == 6 else original(t, floor),
     )
+    monkeypatch.setattr(verify, "fallbacks", 0)
     code, out, _ = run(
         capsys, "verify", "--module", tag, "--max-weight", "6", "--format", "json"
     )
     assert code == 1
+    assert verify.fallbacks >= 1
     failed = [p for p in json.loads(out)["pieces"] if not p["equality_ok"]]
     assert [(p["idx"]["weight"], p["idx"]["charge"]) for p in failed] == [(6, 2)]
     assert failed[0]["containment_ok"] is True
@@ -178,6 +182,52 @@ def test_verify_fails_without_one_relation_weight(capsys, monkeypatch, tag, witn
     monos = enumerate_monomials(6, 2, spec.ambient_floor)
     ideal = coordinates(relations.ideal_piece(tag, 6, 2), monos)
     assert not subspace_leq(coordinates([witness], monos), ideal, len(monos))
+
+
+def test_verify_fails_with_a_halved_relation_coefficient(capsys, monkeypatch):
+    """With 2*x(-3)*x(-1) changed to x(-3)*x(-1) in the weight-4 relation,
+    the lambda0 ideal piece (4,2) has the kernel's dimension but lies
+    outside it: only the containment check can reject it."""
+    original = relations.quadratic_relation
+    monkeypatch.setattr(
+        relations,
+        "quadratic_relation",
+        lambda t, floor=-1: (
+            PolyQ({m: 1 for m in original(t, floor).terms}) if t == 4 else original(t, floor)
+        ),
+    )
+    monkeypatch.setattr(verify, "fallbacks", 0)
+    code, out, _ = run(
+        capsys, "verify", "--module", "lambda0", "--max-weight", "6", "--format", "json"
+    )
+    assert code == 1
+    assert verify.fallbacks >= 1
+    failed = [p for p in json.loads(out)["pieces"] if not p["equality_ok"]]
+    assert [(p["idx"]["weight"], p["idx"]["charge"]) for p in failed] == [(4, 2)]
+    piece = failed[0]
+    assert piece["containment_ok"] is False
+    assert piece["dim_kernel"] == piece["dim_ideal_piece"] == 1
+    witness = x(-3) * x(-1) + x(-2) * x(-2)
+    assert piece["witness"] == str(witness)
+    vacuum = FockState((), 0)
+    image = FockVector()
+    for mono, c in witness.terms.items():
+        image = image + c * apply_monomial(mono, vacuum)
+    assert not image.is_zero()
+
+
+def test_fraction_fallback_gives_the_same_report(capsys, monkeypatch):
+    """With every modular rank one short the sandwich never closes, so each
+    piece is decided by rational elimination, and the report is unchanged."""
+    args = ["verify", "--max-weight", "8", "--format", "json"]
+    code, certified, _ = run(capsys, *args)
+    real = verify.rank_mod_p
+    monkeypatch.setattr(verify, "rank_mod_p", lambda rows, n_cols: real(rows, n_cols) - 1)
+    monkeypatch.setattr(verify, "fallbacks", 0)
+    code_fallback, eliminated, _ = run(capsys, *args)
+    assert code == code_fallback == 0
+    assert eliminated == certified
+    assert verify.fallbacks == len(json.loads(eliminated)["pieces"])
 
 
 def test_qseries_matches_oracle(capsys):

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from principal_subspaces.linalg import (
+    P,
     SparseMatQ,
     kernel_basis,
     rank,
+    rank_mod_p,
     rref,
     span_dim,
     span_equal,
@@ -233,6 +235,45 @@ def test_combinations_lie_in_the_span(family, data):
         a.append({j: v for j, v in combo.items() if v})
     assert subspace_leq(a, b, n_cols)
     assert span_dim(b + a, n_cols) == span_dim(b, n_cols)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Sparse rows of small integers: every minor is below 5! * 9^5 < P in
+    absolute value, so no minor vanishes mod P without vanishing."""
+    n_cols = draw(st.integers(min_value=0, max_value=5))
+    rows = draw(
+        st.lists(
+            st.dictionaries(
+                st.integers(min_value=0, max_value=max(n_cols - 1, 0)),
+                st.integers(min_value=-9, max_value=9).filter(bool),
+                max_size=n_cols,
+            ),
+            max_size=5,
+        )
+    )
+    return n_cols, rows
+
+
+@settings(deadline=None, max_examples=100)
+@given(integer_matrices())
+def test_rank_mod_p_equals_rational_rank_on_small_integers(matrix):
+    n_cols, rows = matrix
+    assert rank_mod_p(rows, n_cols) == rank(SparseMatQ.from_rows(rows, n_cols))
+
+
+def test_rank_mod_p_is_lower_when_p_divides_every_maximal_minor():
+    assert rank_mod_p([{0: P}], 1) == 0
+    assert rank(mat([[P]])) == 1
+    # det = p * (1 + p) - p = p^2
+    assert rank_mod_p([{0: P, 1: 1}, {0: P, 1: 1 + P}], 2) == 1
+    assert rank(mat([[P, 1], [P, 1 + P]])) == 2
+
+
+def test_rank_mod_p_column_out_of_range():
+    assert rank_mod_p([], 0) == 0
+    with pytest.raises(ValueError):
+        rank_mod_p([{2: 1}], 2)
 
 
 def test_rref_deterministic():

@@ -1,17 +1,22 @@
 """Evaluation matrices, kernel-ideal comparison and the partition oracle."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
+from principal_subspaces import verify
+from principal_subspaces.fock import FockState, apply_monomial, basis_states
 from principal_subspaces.linalg import kernel_basis, span_equal
 from principal_subspaces.poly import coordinates, enumerate_monomials
-from principal_subspaces.relations import quadratic_relation
+from principal_subspaces.relations import IDEALS, quadratic_relation
 from principal_subspaces.verify import (
     TAGS,
+    charge_range,
     check_ideal_D_stability,
     eval_matrix,
     graded_dims,
+    heisenberg_size,
     kernel_containment_L0_in_L1,
     oracle_weight_total,
     partition_oracle,
@@ -36,6 +41,38 @@ def test_eval_matrix_weight_two_charge_two():
     m = eval_matrix("lambda0", 2, 2)
     assert (m.n_rows, m.n_cols) == (0, 1)
     assert m.entries == {}
+
+
+def test_eval_matrix_is_one_integer_multiple_of_the_action():
+    """Each matrix is L times the exact coefficients of apply_monomial, for
+    one positive integer L: the lcm of the column denominators."""
+    for tag in TAGS:
+        spec = IDEALS[tag]
+        vacuum = FockState((), spec.vacuum_r)
+        for weight in range(11):
+            for charge in charge_range(tag, weight):
+                m = eval_matrix(tag, weight, charge)
+                monos = enumerate_monomials(weight, charge, spec.ambient_floor)
+                rows = basis_states(
+                    heisenberg_size(tag, weight, charge), spec.vacuum_r + charge
+                )
+                row_index = {s: i for i, s in enumerate(rows)}
+                exact = {
+                    (row_index[s], j): c
+                    for j, mono in enumerate(monos)
+                    for s, c in apply_monomial(mono, vacuum).terms.items()
+                }
+                scale = math.lcm(*(c.denominator for c in exact.values()))
+                assert (m.n_rows, m.n_cols) == (len(rows), len(monos))
+                assert all(type(v) is int for v in m.entries.values())
+                assert m.entries == {k: scale * c for k, c in exact.items()}
+
+
+def test_sandwich_closes_on_every_piece_to_weight_14(monkeypatch):
+    monkeypatch.setattr(verify, "fallbacks", 0)
+    for tag in TAGS:
+        assert verify_presentation(tag, 14).all_pass
+    assert verify.fallbacks == 0
 
 
 def test_piece_report_weight_four_charge_two():
