@@ -20,11 +20,9 @@ over Fock states.  Each x(m) on a basis state is computed once and
 tabulated as integer numerators over their least common denominator.
 Monomial actions and the square-zero sweep run on that integer form and
 cancel terms by integer arithmetic; ``Fraction`` coefficients appear only
-in the returned vectors, and ``verify.eval_matrix`` reads the integer form
-itself (``_monomial_numerators``).  The tables (x(m) images, partitions,
-annihilation expansions, interned states) are ``functools.cache``
-functions: unbounded, kept for the life of the process, and each reports
-``cache_info()``.
+in the returned vectors.  The tables (x(m) images, partitions, annihilation
+expansions, interned states) are ``functools.cache`` functions: unbounded,
+kept for the life of the process, and each reports ``cache_info()``.
 """
 
 from __future__ import annotations
@@ -281,20 +279,12 @@ def weight_charge(v: FockVector | FockState) -> tuple[Fraction, Fraction]:
 def apply_monomial(mono: Monomial, v: FockVector | FockState) -> FockVector:
     """Act by the monomial x(m1)...x(mk), rightmost (largest) index first.
     The components commute, so the order is a convention, not a choice."""
-    return _fraction_vector(*_monomial_numerators(mono, v))
-
-
-def _monomial_numerators(
-    mono: Monomial, v: FockVector | FockState
-) -> tuple[int, dict[FockState, int]]:
-    """``apply_monomial`` in integer form: (denominator, {state: numerator}),
-    with the denominator not necessarily reduced against the numerators."""
     den, nums = _integer_form(v)
     for m in reversed(mono.indices):
         if not nums:
             break
         den, nums = _x_step(m, den, nums)
-    return den, nums
+    return _fraction_vector(den, nums)
 
 
 def basis_states(n: int, r: Scalar) -> list[FockState]:

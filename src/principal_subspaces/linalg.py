@@ -13,6 +13,9 @@ rationals vanishes mod P, so its result is a lower bound on the rational
 rank, never more; it is lower exactly when P divides every r x r minor,
 r the rational rank.  Callers turn such bounds into exact statements (see
 ``verify.piece_report``); nothing here decides when a lower bound suffices.
+``kernel_basis`` works mod P too, but proves its result: the basis found
+mod P is lifted to the rationals and multiplied by the matrix exactly, and
+``rref`` runs only when that product is not zero.
 
 There is one vector type, ``Vector``: a sparse ``{column: value}`` dict
 holding only the nonzero entries, which may be ints or Fractions.  Rows
@@ -186,7 +189,13 @@ def rank(m: SparseMatQ) -> int:
 
 def kernel_basis(m: SparseMatQ) -> list[Vector]:
     """Basis of the right null space; one vector per free column, in column
-    order, each with a 1 in its free position."""
+    order, each with a 1 in its free position.
+
+    The basis is first found mod P and proved exactly (``_kernel_mod_p``);
+    ``rref`` runs only when that fails, and both give the same vectors."""
+    basis = _kernel_mod_p(m)
+    if basis is not None:
+        return basis
     result = rref(m)
     pivot_set = set(result.pivot_cols)
     basis = {f: {f: ONE} for f in range(m.n_cols) if f not in pivot_set}
@@ -198,10 +207,17 @@ def kernel_basis(m: SparseMatQ) -> list[Vector]:
 
 def rank_mod_p(rows: Iterable[Mapping[int, int]], n_cols: int) -> int:
     """Rank over F_P of the integer matrix with the given sparse rows.
-
-    Each row is reduced against an echelon form keyed by leading column, so
-    a pivot is found by one dict lookup and no row is ever scanned for one.
     A lower bound on the rational rank (see the module docstring)."""
+    return len(_echelon_mod_p(rows, n_cols))
+
+
+def _echelon_mod_p(
+    rows: Iterable[Mapping[int, int]], n_cols: int
+) -> dict[int, dict[int, int]]:
+    """Echelon form over F_P of integer sparse rows, as {leading column:
+    row scaled to a leading 1}.  Each row is reduced against the rows kept
+    so far, so a pivot is found by one dict lookup and no row is ever
+    scanned for one."""
     echelon: dict[int, dict[int, int]] = {}
     for row in rows:
         vec: dict[int, int] = {}
@@ -225,7 +241,68 @@ def rank_mod_p(rows: Iterable[Mapping[int, int]], n_cols: int) -> int:
                     vec[j] = new
                 else:
                     del vec[j]
-    return len(echelon)
+    return echelon
+
+
+def _rational_mod_p(a: int) -> Fraction | None:
+    """The fraction r/s with |r|, s <= sqrt(P/2) that is congruent to a mod
+    P, found by the extended Euclidean algorithm; None if there is none."""
+    bound = math.isqrt(P // 2)
+    r0, r1 = P, a % P
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if not 0 < abs(s1) <= bound:
+        return None
+    return Fraction(r1, s1)
+
+
+def _kernel_mod_p(m: SparseMatQ) -> list[Vector] | None:
+    """``kernel_basis`` by elimination over F_P, or None.
+
+    Each row is scaled to integers, the reduced echelon form is taken mod P,
+    and each free column f gives a vector with a 1 at f and the rational
+    reconstruction of the reduced column at the pivots before f.  Each
+    vector is then multiplied by m exactly.  If all of them are killed, each
+    free column f mod P lies in the rational span of the columns before it,
+    so it is free over Q too; as the rational rank is at least the rank mod
+    P, the free columns are the same, and a kernel vector with a 1 at f and
+    0 at the other free columns is unique, so these are exactly the vectors
+    ``rref`` gives.  None if a reconstruction or a product fails."""
+    rows: dict[int, Vector] = {}
+    for (i, j), v in m.entries.items():
+        rows.setdefault(i, {})[j] = v
+    echelon = _echelon_mod_p((integer_form(row)[1] for row in rows.values()), m.n_cols)
+    leads = sorted(echelon)
+    for lead in reversed(leads):
+        row = echelon[lead]
+        for j in [j for j in row if j != lead and j in echelon]:
+            c = row[j]
+            for k, w in echelon[j].items():
+                new = (row.get(k, 0) - c * w) % P
+                if new:
+                    row[k] = new
+                else:
+                    del row[k]
+    basis: dict[int, Vector] = {f: {f: ONE} for f in range(m.n_cols) if f not in echelon}
+    for lead in leads:
+        for f, c in echelon[lead].items():
+            if f in basis:
+                entry = _rational_mod_p(-c)
+                if entry is None:
+                    return None
+                basis[f][lead] = entry
+    columns = m.columns()
+    for vec in basis.values():
+        image: Vector = {}
+        for j, c in integer_form(vec)[1].items():
+            for i, v in columns.get(j, {}).items():
+                image[i] = image.get(i, 0) + v * c
+        if any(image.values()):
+            return None
+    return list(basis.values())
 
 
 def span_dim(vectors: Sequence[Vector], n_cols: int) -> int:

@@ -5,12 +5,14 @@ For each module tag the evaluation map sends a monomial in the generators to
 its action on the highest weight vector of the lattice realization.  Per
 (weight, charge) piece this is a finite matrix, scaled to integer entries,
 whose kernel is compared against the spanning set of the corresponding ideal
-piece: containment exactly over Z, and dimension by a rank sandwich over
-F_p that is exact whenever it closes (``piece_report``).  When it does not
-close, the piece is decided again by exact rational elimination, which also
-finds the witness; ``fallbacks`` counts those pieces in this process and is
-read by tests only, never by a report.  Failures are data (a report with a
-witness), never exceptions.
+piece: containment exactly over Z, the kernel exactly (``kernel_basis``
+finds it mod p and proves it), and the dimension of the ideal span by its
+rank over F_p, a lower bound that is exact whenever it reaches the kernel
+dimension (``piece_report``).  When it does not, the ideal span is ranked
+again by exact rational elimination, which also finds the witness;
+``fallbacks`` counts those pieces in this process and is read by tests
+only, never by a report.  Failures are data (a report with a witness),
+never exceptions.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fock import FockState, _monomial_numerators, basis_states
+from .fock import FockState, apply_monomial, basis_states
 from .linalg import (
     SparseMatQ,
     integer_form,
@@ -105,17 +107,13 @@ def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
     rows = basis_states(size, spec.vacuum_r + charge)
     row_index = {s: i for i, s in enumerate(rows)}
     vacuum = FockState((), spec.vacuum_r)
-    columns = []
-    for mono in monos:
-        den, nums = _monomial_numerators(mono, vacuum)
-        g = math.gcd(den, *nums.values())
-        columns.append((den // g, g, nums))
-    scale = math.lcm(*(den for den, _, _ in columns))
+    columns = [integer_form(apply_monomial(mono, vacuum).terms) for mono in monos]
+    scale = math.lcm(*(den for den, _ in columns))
     entries: dict[tuple[int, int], int] = {}
-    for j, (den, g, nums) in enumerate(columns):
+    for j, (den, nums) in enumerate(columns):
         factor = scale // den
         for state, n in nums.items():
-            entries[(row_index[state], j)] = n // g * factor
+            entries[(row_index[state], j)] = n * factor
     return SparseMatQ(len(rows), len(monos), entries)
 
 
@@ -123,19 +121,19 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
     """Compare the kernel of the evaluation map with the ideal piece.
 
     Containment is checked first, exactly over Z, each ideal polynomial in
-    turn, and the first one with a nonzero image is the witness.  Given
-    containment, with n = dim_domain, E the integer evaluation matrix and I
-    the ideal coordinates with each vector scaled to integers, ranks over
-    F_p (``rank_mod_p``) bound the rational ones from below, so
+    turn, and the first one with a nonzero image is the witness.  The kernel
+    basis is exact (``kernel_basis``).  Given containment, with I the ideal
+    coordinates with each vector scaled to integers, the rank of I over F_p
+    (``rank_mod_p``) bounds the rational one from below, so
 
-        rank_p(I) <= rank_Q(I) <= dim ker E = n - rank_Q(E) <= n - rank_p(E).
+        rank_p(I) <= rank_Q(I) <= dim ker E.
 
-    The middle step is containment.  If rank_p(I) + rank_p(E) = n the two
-    ends meet, every step is an equality, and the report's numbers and
+    The second step is containment.  If rank_p(I) = dim ker E the two ends
+    meet, both steps are equalities, and the report's numbers and
     ``equality_ok`` are exact.  A real failure (rank_Q(I) < dim ker E) keeps
-    the middle step strict, so it can never close the sandwich.  Otherwise
-    (a failure, or a prime dividing every maximal minor) the piece falls
-    back to rational elimination, which also finds the witness."""
+    the second step strict, so it can never close the sandwich.  Otherwise
+    (a failure, or a prime dividing every maximal minor of I) the ideal is
+    ranked again by rational elimination, which also finds the witness."""
     global fallbacks
     floor = IDEALS[tag].ambient_floor
     monos = enumerate_monomials(weight, charge, floor)
@@ -150,16 +148,11 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
             witness = str(p)
             break
     containment_ok = witness is None
-    certified = False
-    if containment_ok:
-        rank_eval = rank_mod_p(matrix.columns().values(), matrix.n_rows)
-        dim_ideal = rank_mod_p(ideal_vecs, n)
-        certified = rank_eval + dim_ideal == n
-    equality_ok = certified
-    if not certified:
+    kernel = kernel_basis(matrix)
+    equality_ok = containment_ok and rank_mod_p(ideal_vecs, n) == len(kernel)
+    dim_ideal = len(kernel)
+    if not equality_ok:
         fallbacks += 1
-        kernel = kernel_basis(matrix)
-        rank_eval = n - len(kernel)
         dim_ideal = span_dim(ideal_vecs, n)
         equality_ok = containment_ok and dim_ideal == len(kernel)
         if containment_ok and not equality_ok:
@@ -174,8 +167,8 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
         weight=weight,
         charge=charge,
         dim_domain=n,
-        rank_eval=rank_eval,
-        dim_kernel=n - rank_eval,
+        rank_eval=n - len(kernel),
+        dim_kernel=len(kernel),
         dim_ideal_piece=dim_ideal,
         containment_ok=containment_ok,
         equality_ok=equality_ok,

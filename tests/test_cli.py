@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from principal_subspaces import relations, verify
+from principal_subspaces import linalg, relations, verify
 from principal_subspaces.cli import main
 from principal_subspaces.fock import FockState, FockVector, apply_monomial
 from principal_subspaces.linalg import subspace_leq
@@ -228,6 +228,18 @@ def test_fraction_fallback_gives_the_same_report(capsys, monkeypatch):
     assert code == code_fallback == 0
     assert eliminated == certified
     assert verify.fallbacks == len(json.loads(eliminated)["pieces"])
+
+
+
+def test_rref_kernel_gives_the_same_report(capsys, monkeypatch):
+    """With the kernel never found mod p, every kernel comes from rational
+    elimination, and the report is unchanged."""
+    args = ["verify", "--max-weight", "8", "--format", "json"]
+    code, modular, _ = run(capsys, *args)
+    monkeypatch.setattr(linalg, "_kernel_mod_p", lambda m: None)
+    code_rref, eliminated, _ = run(capsys, *args)
+    assert code == code_rref == 0
+    assert eliminated == modular
 
 
 def test_qseries_matches_oracle(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from principal_subspaces import linalg
 from principal_subspaces.linalg import (
     P,
     SparseMatQ,
@@ -274,6 +275,59 @@ def test_rank_mod_p_column_out_of_range():
     assert rank_mod_p([], 0) == 0
     with pytest.raises(ValueError):
         rank_mod_p([{2: 1}], 2)
+
+
+
+def rref_kernel(m):
+    """The kernel read off the rational RREF: for each free column f, a 1 at
+    f and minus column f of the reduced matrix at the pivots."""
+    result = rref(m)
+    basis = {f: {f: 1} for f in range(m.n_cols) if f not in result.pivot_cols}
+    for (i, f), c in sorted(result.matrix.entries.items()):
+        if f in basis:
+            basis[f][result.pivot_cols[i]] = -c
+    return list(basis.values())
+
+
+@settings(deadline=None, max_examples=100)
+@given(sparse_matrices())
+def test_kernel_basis_equals_the_rref_kernel(m):
+    assert kernel_basis(m) == rref_kernel(m)
+
+
+def count_rref(monkeypatch):
+    calls = []
+    real = linalg.rref
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    return calls
+
+
+def test_kernel_basis_found_mod_p_without_rref(monkeypatch):
+    calls = count_rref(monkeypatch)
+    assert kernel_basis(mat([[1, 2], [2, 4]])) == [{0: -2, 1: 1}]
+    assert kernel_basis(mat([[3, 0, 1], [0, 2, 0]])) == [{2: 1, 0: Fraction(-1, 3)}]
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "rows, kernel",
+    [
+        # P divides every maximal minor: one free column mod P, none over Q
+        ([[P]], []),
+        ([[P, 1], [P, 1 + P]], []),
+        # the kernel entry -1/2^40 is beyond rational reconstruction mod P
+        ([[2**40, 1]], [{1: 1, 0: Fraction(-1, 2**40)}]),
+    ],
+)
+def test_kernel_basis_falls_back_to_rref(monkeypatch, rows, kernel):
+    calls = count_rref(monkeypatch)
+    assert kernel_basis(mat(rows)) == kernel
+    assert len(calls) == 1
 
 
 def test_rref_deterministic():
