@@ -194,8 +194,11 @@ def kernel_basis(m: SparseMatQ) -> list[Vector]:
     The basis is first found mod P and proved exactly (``_kernel_mod_p``);
     ``rref`` runs only when that fails, and both give the same vectors."""
     basis = _kernel_mod_p(m)
-    if basis is not None:
-        return basis
+    return rref_kernel(m) if basis is None else basis
+
+
+def rref_kernel(m: SparseMatQ) -> list[Vector]:
+    """``kernel_basis`` by rational elimination alone."""
     result = rref(m)
     pivot_set = set(result.pivot_cols)
     basis = {f: {f: ONE} for f in range(m.n_cols) if f not in pivot_set}

@@ -2,41 +2,74 @@
 spans, with an independent partition-count cross-check.
 
 For each module tag the evaluation map sends a monomial in the generators to
-its action on the highest weight vector of the lattice realization.  Per
-(weight, charge) piece this is a finite matrix, scaled to integer entries,
-whose kernel is compared against the spanning set of the corresponding ideal
-piece: containment exactly over Z, the kernel exactly (``kernel_basis``
-finds it mod p and proves it), and the dimension of the ideal span by its
-rank over F_p, a lower bound that is exact whenever it reaches the kernel
-dimension (``piece_report``).  When it does not, the ideal span is ranked
-again by exact rational elimination, which also finds the witness;
-``fallbacks`` counts those pieces in this process and is read by tests
-only, never by a report.  Failures are data (a report with a witness),
-never exceptions.
+its action on the highest weight vector e^{r alpha} of the lattice
+realization.  With the cocycle taken to be 1, the exponential formula of
+``fock`` composes to the functional realization
+
+    Y(e^alpha, z_1) ... Y(e^alpha, z_k) e^{r alpha}
+        = prod_{i<j} (z_i - z_j)^2 prod_i z_i^{2r} Omega(z) e^{(r+k) alpha},
+
+    Omega(z) = exp(sum_n a(-n) p_n(z) / n) = sum_lambda a(-lambda) p_lambda(z) / z_lambda,
+
+and x(m_1)...x(m_k) reads off the coefficient of z^e, e_i = -m_i - 1.  So on
+the piece of charge k, with d = ``heisenberg_size``, the row a(-lambda) of
+the Fock matrix (``fock_matrix``) is phi(p_lambda) / z_lambda, where phi(g)
+is the functional x(m_1)...x(m_k) -> [z^e] z^{2r} Delta^2 g and Delta^2 =
+prod_{i<j} (z_i - z_j)^2.  The p_lambda with lambda a partition of d span
+the symmetric polynomials of degree d in k variables, and so do the
+monomial symmetric polynomials m_nu with nu a partition of d into at most k
+parts, which are a basis.  Hence the rows phi(m_nu) of ``eval_matrix`` span
+the row space of the Fock matrix: the same kernel, rank and reduced kernel
+basis, from p_{<=k}(d) rows instead of p(d).  phi is injective, since
+multiplying by z^{2r} Delta^2 is and every exponent of z^{2r} Delta^2 g,
+sorted, is that of a domain monomial, so the rows are independent and the
+rank is the row count.  ``graded_dims`` certifies that count by
+rank_p = n_rows, as rank_p <= rank_Q <= n_rows, and ranks over Q only when
+the certificate falls short.
+
+Per piece (``piece_report``), the ideal is checked to lie in the kernel
+exactly over Z, the kernel is exact (``kernel_basis`` finds it mod p and
+proves it), and the dimension of the ideal span is its rank over F_p, a
+lower bound that is exact whenever it reaches the kernel dimension.  When it
+does not, the ideal span is ranked again by exact rational elimination,
+which also finds the witness.  Up to weight ``FOCK_CHECK_WEIGHT`` the
+kernel is also proved equal to that of the Fock matrix, the direct
+evaluation by the vertex operators (``_fock_check``).  ``fallbacks`` counts
+the pieces that needed rational elimination in this process and is read by
+tests only, never by a report.  Failures are data (a report with a
+witness), never exceptions.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
-from .fock import FockState, apply_monomial, basis_states
+from .fock import FockState, apply_monomial, basis_states, partitions
 from .linalg import (
     SparseMatQ,
+    Vector,
     integer_form,
     kernel_basis,
     rank,
     rank_mod_p,
+    rref_kernel,
     span_dim,
     subspace_leq,
 )
-from .poly import PolyQ, coordinates, derive, enumerate_monomials
+from .poly import Monomial, PolyQ, coordinates, derive, enumerate_monomials
 from .relations import IDEALS, ideal_piece
 
 TAGS = tuple(IDEALS)
 
 # pieces that piece_report decided by rational elimination, in this process
 fallbacks = 0
+
+# pieces up to this weight also check the kernel of eval_matrix against
+# fock_matrix, the direct evaluation that it replaces
+FOCK_CHECK_WEIGHT = 8
 
 
 @dataclass(frozen=True)
@@ -93,14 +126,14 @@ def heisenberg_size(tag: str, weight: int, charge: int) -> int:
     return int(size)
 
 
-def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
-    """Matrix of the evaluation map on one bidegree: columns are the domain
-    monomials in canonical order, rows the Fock states of the target
-    bidegree, entries the exact coefficients of each monomial's action on
-    the highest weight vector, all multiplied by one positive integer L, the
-    least common multiple of the column denominators.  Every entry is then
-    an integer, and the kernel, the rank and the RREF are those of the
-    unscaled matrix."""
+def fock_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
+    """Matrix of the evaluation map on one bidegree in the Fock basis:
+    columns are the domain monomials in canonical order, rows the Fock
+    states of the target bidegree, entries the exact coefficients of each
+    monomial's action on the highest weight vector, all multiplied by one
+    positive integer L, the least common multiple of the column
+    denominators.  Every entry is then an integer, and the kernel, the rank
+    and the RREF are those of the unscaled matrix."""
     spec = IDEALS[tag]
     monos = enumerate_monomials(weight, charge, spec.ambient_floor)
     size = heisenberg_size(tag, weight, charge)
@@ -117,14 +150,124 @@ def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
     return SparseMatQ(len(rows), len(monos), entries)
 
 
+@functools.cache
+def _vandermonde_squared(k: int) -> dict[tuple[int, ...], int]:
+    """The coefficients of prod_{i<j} (z_i - z_j)^2 in k variables, keyed
+    by exponent tuple."""
+    poly = {(0,) * k: 1}
+    for i, j in itertools.combinations(range(k), 2):
+        for _ in range(2):
+            out: dict[tuple[int, ...], int] = {}
+            for e, c in poly.items():
+                for var, sign in ((i, c), (j, -c)):
+                    f = e[:var] + (e[var] + 1,) + e[var + 1 :]
+                    new = out.get(f, 0) + sign
+                    if new:
+                        out[f] = new
+                    else:
+                        del out[f]
+            poly = out
+    return poly
+
+
+@functools.cache
+def _orbit(exponents: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The distinct permutations of an exponent tuple: the monomials of the
+    monomial symmetric polynomial it indexes."""
+    return tuple(sorted(set(itertools.permutations(exponents))))
+
+
+def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
+    """Matrix of the evaluation map on one bidegree in the functional
+    realization: columns are the domain monomials in canonical order, and
+    there is one row per partition nu of d = ``heisenberg_size`` with at
+    most k = charge parts.  The entry of row nu and column x(m_1)...x(m_k)
+    is the integer
+
+        [z^e] z^{2r} Delta^2 m_nu(z_1, ..., z_k),   e_i = -m_i - 1,
+
+    with r the vacuum coordinate, Delta^2 = prod_{i<j} (z_i - z_j)^2 and
+    m_nu the monomial symmetric polynomial: the sum of the Delta^2
+    coefficients at e - 2r - a over the distinct permutations a of nu
+    padded to length k.
+
+    It has the row space of ``fock_matrix``, and so the same kernel, rank
+    and reduced kernel basis (see the module docstring).  Its rows are
+    independent, so its rank is the row count."""
+    spec = IDEALS[tag]
+    monos = enumerate_monomials(weight, charge, spec.ambient_floor)
+    size = heisenberg_size(tag, weight, charge)
+    # no partition of a negative size: the rows are empty and Delta^2, of
+    # degree k(k-1) with k up to the weight, is never expanded
+    orbits = [
+        _orbit(nu + (0,) * (charge - len(nu)))
+        for nu in partitions(size, 1)
+        if len(nu) <= charge
+    ]
+    entries: dict[tuple[int, int], int] = {}
+    if orbits:
+        delta2 = _vandermonde_squared(charge)
+        shift = 1 + int(2 * spec.vacuum_r)
+        for j, mono in enumerate(monos):
+            e = [-m - shift for m in mono.indices]
+            for i, orbit in enumerate(orbits):
+                v = sum(
+                    delta2.get(tuple(ei - ai for ei, ai in zip(e, a)), 0)
+                    for a in orbit
+                )
+                if v:
+                    entries[(i, j)] = v
+    return SparseMatQ(len(orbits), len(monos), entries)
+
+
+def _ideal_coordinates(
+    polys: list[PolyQ], monos: list[Monomial], floor: int
+) -> tuple[list[dict[int, int]], int]:
+    """Integer coordinate vectors of the ideal polynomials, and their column
+    count.  The columns are the domain monomials and then, in canonical
+    order, every monomial of the polynomials with an index above the floor,
+    so a polynomial outside the domain has a column at or past len(monos)."""
+    outside = sorted({m for p in polys for m in p.terms if m.indices[-1] > floor})
+    vecs = coordinates(polys, monos + outside)
+    return [integer_form(v)[1] for v in vecs], len(monos) + len(outside)
+
+
+def _fock_check(
+    tag: str, weight: int, charge: int, matrix: SparseMatQ, kernel: list[Vector]
+) -> tuple[bool, Vector | None, bool]:
+    """Whether ``matrix`` E, from ``eval_matrix``, has the kernel of the
+    Fock matrix F, given the exact kernel basis of E.  Also returns a vector
+    in one kernel and not the other, if there is one, and whether F was
+    eliminated over Q.
+
+    Every basis vector is multiplied by F exactly, which proves ker E in
+    ker F.  Then rank_p(F) <= rank_Q(F) <= rank E, so rank_p(F) = rank E
+    proves the two kernels have one dimension and are equal.  If rank_p(F)
+    falls short, the kernels are equal exactly when E kills every vector of
+    the reduced kernel basis of F, taken by rational elimination."""
+    fock = fock_matrix(tag, weight, charge)
+    for vec in kernel:
+        if fock.matvec(vec):
+            return False, vec, False
+    rank_eval = matrix.n_cols - len(kernel)
+    if rank_mod_p(fock.columns().values(), fock.n_rows) == rank_eval:
+        return True, None, False
+    wider = next((vec for vec in rref_kernel(fock) if matrix.matvec(vec)), None)
+    return wider is None, wider, True
+
+
 def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
     """Compare the kernel of the evaluation map with the ideal piece.
 
     Containment is checked first, exactly over Z, each ideal polynomial in
-    turn, and the first one with a nonzero image is the witness.  The kernel
-    basis is exact (``kernel_basis``).  Given containment, with I the ideal
-    coordinates with each vector scaled to integers, the rank of I over F_p
-    (``rank_mod_p``) bounds the rational one from below, so
+    turn, and the first one with a nonzero image, or with a monomial
+    outside the domain, is the witness.  The kernel basis is exact
+    (``kernel_basis``).  Up to weight ``FOCK_CHECK_WEIGHT`` it is checked
+    against the Fock matrix (``_fock_check``), and a vector in one of the
+    two kernels and not the other is the witness.  Given containment,
+    with I the ideal coordinates with each vector scaled to integers, the
+    rank of I over F_p (``rank_mod_p``) bounds the rational one from below,
+    so
 
         rank_p(I) <= rank_Q(I) <= dim ker E.
 
@@ -140,28 +283,35 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
     n = len(monos)
     matrix = eval_matrix(tag, weight, charge)
     ideal_polys = ideal_piece(tag, weight, charge)
-    ideal_vecs = [integer_form(v)[1] for v in coordinates(ideal_polys, monos)]
+    ideal_vecs, n_ideal = _ideal_coordinates(ideal_polys, monos, floor)
 
     witness: str | None = None
     for p, vec in zip(ideal_polys, ideal_vecs):
-        if matrix.matvec(vec):
+        if max(vec, default=-1) >= n or matrix.matvec(vec):
             witness = str(p)
             break
     containment_ok = witness is None
     kernel = kernel_basis(matrix)
-    equality_ok = containment_ok and rank_mod_p(ideal_vecs, n) == len(kernel)
+    fock_ok, disagreement, eliminated = True, None, False
+    if weight <= FOCK_CHECK_WEIGHT:
+        fock_ok, disagreement, eliminated = _fock_check(tag, weight, charge, matrix, kernel)
+        if disagreement is not None and witness is None:
+            witness = _as_poly(disagreement, monos)
+    kernel_ok = containment_ok and fock_ok
+    equality_ok = kernel_ok and rank_mod_p(ideal_vecs, n_ideal) == len(kernel)
     dim_ideal = len(kernel)
     if not equality_ok:
-        fallbacks += 1
-        dim_ideal = span_dim(ideal_vecs, n)
-        equality_ok = containment_ok and dim_ideal == len(kernel)
-        if containment_ok and not equality_ok:
+        eliminated = True
+        dim_ideal = span_dim(ideal_vecs, n_ideal)
+        equality_ok = kernel_ok and dim_ideal == len(kernel)
+        if kernel_ok and not equality_ok:
             # containment makes the ideal span a subspace of the kernel, so
             # a mismatch means some kernel vector escapes the ideal span
             for vec in kernel:
-                if not subspace_leq([vec], ideal_vecs, n):
-                    witness = str(PolyQ({monos[j]: c for j, c in vec.items()}))
+                if not subspace_leq([vec], ideal_vecs, n_ideal):
+                    witness = _as_poly(vec, monos)
                     break
+    fallbacks += eliminated
     return PieceReport(
         module_tag=tag,
         weight=weight,
@@ -174,6 +324,10 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
         equality_ok=equality_ok,
         witness=witness,
     )
+
+
+def _as_poly(vec: Vector, monos: list[Monomial]) -> str:
+    return str(PolyQ({monos[j]: c for j, c in vec.items()}))
 
 
 def _require_tag(tag: str) -> None:
@@ -220,7 +374,10 @@ def graded_dims(tag: str, max_weight: int) -> dict[tuple[int, int], int]:
     dims: dict[tuple[int, int], int] = {}
     for weight in range(max_weight + 1):
         for charge in charge_range(tag, weight):
-            dims[(weight, charge)] = rank(eval_matrix(tag, weight, charge))
+            m = eval_matrix(tag, weight, charge)
+            # the rows are independent, and rank_p <= rank_Q <= n_rows
+            full = rank_mod_p(m.columns().values(), m.n_rows) == m.n_rows
+            dims[(weight, charge)] = m.n_rows if full else rank(m)
     return dims
 
 

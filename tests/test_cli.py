@@ -1,6 +1,8 @@
 """Command line behaviour: exit codes, formats, determinism."""
 
 import dataclasses
+import functools
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -122,6 +124,8 @@ def witness_monomial(witness):
         ("lambda1", {"vacuum_r": Fraction(0)}, (1, 1), False, "x(-1)", False),
         # wrong vacuum: on e^0 the weight-4 relation x(-2)^2 survives
         ("lambda1prime", {"vacuum_r": Fraction(0)}, (4, 2), False, "x(-2)^2", False),
+        # without its degree-one generator the lambda1 ideal misses x(-1)
+        ("lambda1", {"includes_degree_one_generator": False}, (1, 1), True, "x(-1)", True),
     ],
 )
 def test_verify_fails_on_mutated_ideal(
@@ -216,6 +220,132 @@ def test_verify_fails_with_a_halved_relation_coefficient(capsys, monkeypatch):
     assert not image.is_zero()
 
 
+def test_verify_fails_on_relations_outside_the_domain(capsys, monkeypatch):
+    """lambda1prime with the floor -1 relations: its ideal leaves the
+    subalgebra on indices <= -2 that the evaluation map is defined on.  The
+    first ideal polynomial with an x(-1) term fails containment and is the
+    witness; nothing raises."""
+    tag = "lambda1prime"
+    spec = dataclasses.replace(
+        relations.IDEALS[tag], relation_floor=-1, relation_weight_min=2
+    )
+    monkeypatch.setitem(relations.IDEALS, tag, spec)
+    monkeypatch.setattr(verify, "fallbacks", 0)
+    code, out, _ = run(
+        capsys, "verify", "--module", tag, "--max-weight", "6", "--format", "json"
+    )
+    assert code == 1
+    assert verify.fallbacks >= 1
+    failed = [p for p in json.loads(out)["pieces"] if not p["equality_ok"]]
+    piece = failed[0]
+    assert (piece["idx"]["weight"], piece["idx"]["charge"]) == (4, 2)
+    assert piece["containment_ok"] is False
+    witness = relations.quadratic_relation(4, -1)
+    assert piece["witness"] == str(witness)
+    assert witness in relations.ideal_piece(tag, 4, 2)
+    domain = enumerate_monomials(4, 2, spec.ambient_floor)
+    assert any(mono not in domain for mono in witness.terms)
+
+
+@functools.cache
+def vandermonde(k):
+    """prod_{i<j} (z_i - z_j) in k variables: Delta, not Delta^2."""
+    poly = {(0,) * k: 1}
+    for i, j in itertools.combinations(range(k), 2):
+        out = {}
+        for e, c in poly.items():
+            for var, sign in ((i, c), (j, -c)):
+                f = e[:var] + (e[var] + 1,) + e[var + 1 :]
+                out[f] = out.get(f, 0) + sign
+        poly = {e: c for e, c in out.items() if c}
+    return poly
+
+
+@pytest.mark.parametrize(
+    "tag, idx, witness",
+    [
+        ("lambda0", (4, 2), "x(-3)*x(-1)"),
+        ("lambda1", (6, 2), "x(-4)*x(-2)"),
+        ("lambda1prime", (6, 2), "x(-4)*x(-2)"),
+    ],
+)
+def test_verify_fails_with_delta_in_place_of_delta_squared(
+    capsys, monkeypatch, tag, idx, witness
+):
+    """The functional matrix built from Delta has the wrong kernel.  The
+    cross-check against the Fock matrix rejects it: the witness is a kernel
+    vector of the functional matrix that the Fock action does not kill."""
+    monkeypatch.setattr(verify, "_vandermonde_squared", vandermonde)
+    monkeypatch.setattr(verify, "fallbacks", 0)
+    code, out, _ = run(
+        capsys, "verify", "--module", tag, "--max-weight", "8", "--format", "json"
+    )
+    assert code == 1
+    assert verify.fallbacks >= 1
+    failed = [p for p in json.loads(out)["pieces"] if not p["equality_ok"]]
+    piece = failed[0]
+    assert (piece["idx"]["weight"], piece["idx"]["charge"]) == idx
+    assert piece["witness"] == witness
+    weight, charge = idx
+    matrix = verify.eval_matrix(tag, weight, charge)
+    kernel = linalg.kernel_basis(matrix)
+    agree, escaped, _ = verify._fock_check(tag, weight, charge, matrix, kernel)
+    assert not agree
+    mono = witness_monomial(witness)
+    monos = enumerate_monomials(weight, charge, relations.IDEALS[tag].ambient_floor)
+    assert escaped == {monos.index(mono): 1}
+    assert not matrix.matvec(escaped)
+    vacuum = FockState((), relations.IDEALS[tag].vacuum_r)
+    assert not apply_monomial(mono, vacuum).is_zero()
+
+
+def fock_killing_nothing(m):
+    n = m.n_cols
+    return linalg.SparseMatQ(n, n, {(j, j): 1 for j in range(n)})
+
+
+def fock_killing_everything(m):
+    return linalg.SparseMatQ(m.n_rows, m.n_cols)
+
+
+@pytest.mark.parametrize(
+    "wrong_fock, disputed",
+    [(fock_killing_nothing, "dim_kernel"), (fock_killing_everything, "rank_eval")],
+)
+def test_verify_reports_a_kernel_the_fock_matrix_disputes(
+    capsys, monkeypatch, wrong_fock, disputed
+):
+    """With a Fock matrix that kills nothing, every piece to weight 8 with a
+    kernel fails, and the witness is one of its kernel vectors; with one that
+    kills everything, every piece to weight 8 with a nonzero rank fails, and
+    the witness is a vector the Fock matrix kills and the evaluation does not.
+    Pieces above weight 8 are not cross-checked and pass."""
+    real = verify.fock_matrix
+    monkeypatch.setattr(verify, "fock_matrix", lambda *piece: wrong_fock(real(*piece)))
+    code, out, _ = run(capsys, "verify", "--max-weight", "10", "--format", "json")
+    assert code == 1
+    pieces = json.loads(out)["pieces"]
+    failed = [p for p in pieces if not p["equality_ok"]]
+    assert failed == [p for p in pieces if p["idx"]["weight"] <= 8 and p[disputed] > 0]
+    for p in failed:
+        tag, weight, charge = p["module_tag"], p["idx"]["weight"], p["idx"]["charge"]
+        assert p["containment_ok"] is True
+        matrix = verify.eval_matrix(tag, weight, charge)
+        monos = enumerate_monomials(weight, charge, relations.IDEALS[tag].ambient_floor)
+        if wrong_fock is fock_killing_nothing:
+            # a kernel vector of the evaluation
+            candidates = [
+                PolyQ({monos[j]: c for j, c in v.items()})
+                for v in linalg.kernel_basis(matrix)
+            ]
+        else:
+            # a monomial that the evaluation does not kill
+            candidates = [
+                PolyQ({mono: 1}) for j, mono in enumerate(monos) if matrix.matvec({j: 1})
+            ]
+        assert p["witness"] in map(str, candidates)
+
+
 def test_fraction_fallback_gives_the_same_report(capsys, monkeypatch):
     """With every modular rank one short the sandwich never closes, so each
     piece is decided by rational elimination, and the report is unchanged."""
@@ -228,7 +358,6 @@ def test_fraction_fallback_gives_the_same_report(capsys, monkeypatch):
     assert code == code_fallback == 0
     assert eliminated == certified
     assert verify.fallbacks == len(json.loads(eliminated)["pieces"])
-
 
 
 def test_rref_kernel_gives_the_same_report(capsys, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from principal_subspaces import linalg, verify
 from principal_subspaces.fock import FockState, apply_monomial, basis_states
-from principal_subspaces.linalg import kernel_basis, span_equal
+from principal_subspaces.linalg import kernel_basis, rank_mod_p, span_equal
 from principal_subspaces.poly import coordinates, enumerate_monomials
 from principal_subspaces.relations import IDEALS, quadratic_relation
 from principal_subspaces.verify import (
@@ -15,6 +15,7 @@ from principal_subspaces.verify import (
     charge_range,
     check_ideal_D_stability,
     eval_matrix,
+    fock_matrix,
     graded_dims,
     heisenberg_size,
     kernel_containment_L0_in_L1,
@@ -44,14 +45,14 @@ def test_eval_matrix_weight_two_charge_two():
 
 
 def test_eval_matrix_is_one_integer_multiple_of_the_action():
-    """Each matrix is L times the exact coefficients of apply_monomial, for
-    one positive integer L: the lcm of the column denominators."""
+    """Each Fock matrix is L times the exact coefficients of apply_monomial,
+    for one positive integer L: the lcm of the column denominators."""
     for tag in TAGS:
         spec = IDEALS[tag]
         vacuum = FockState((), spec.vacuum_r)
         for weight in range(11):
             for charge in charge_range(tag, weight):
-                m = eval_matrix(tag, weight, charge)
+                m = fock_matrix(tag, weight, charge)
                 monos = enumerate_monomials(weight, charge, spec.ambient_floor)
                 rows = basis_states(
                     heisenberg_size(tag, weight, charge), spec.vacuum_r + charge
@@ -68,10 +69,78 @@ def test_eval_matrix_is_one_integer_multiple_of_the_action():
                 assert m.entries == {k: scale * c for k, c in exact.items()}
 
 
-def test_sandwich_closes_on_every_piece_to_weight_14(monkeypatch):
-    def no_rref(m):
-        raise AssertionError("rational elimination on a passing piece")
+def test_eval_matrix_weight_four_charge_two():
+    # one row, nu = (); the entries are the coefficients of (z1 - z2)^2 at
+    # z1^2 and z1 z2, so the kernel is the weight-4 relation
+    m = eval_matrix("lambda0", 4, 2)
+    assert [mono.indices for mono in enumerate_monomials(4, 2, -1)] == [(-3, -1), (-2, -2)]
+    assert (m.n_rows, m.n_cols) == (1, 2)
+    assert m.entries == {(0, 0): 1, (0, 1): -2}
 
+
+def test_vandermonde_squared_table():
+    assert verify._vandermonde_squared(0) == {(): 1}
+    assert verify._vandermonde_squared(2) == {(2, 0): 1, (1, 1): -2, (0, 2): 1}
+    delta2 = verify._vandermonde_squared(3)
+    assert len(delta2) == 19
+    assert all(sum(e) == 6 for e in delta2)
+    assert delta2[(2, 2, 2)] == -6 and delta2[(4, 2, 0)] == 1
+    # symmetric under a 3-cycle and a transposition, and zero at z = (1, 1, 1)
+    assert all(delta2[e[1:] + e[:1]] == c for e, c in delta2.items())
+    assert all(delta2[(e[1], e[0], e[2])] == c for e, c in delta2.items())
+    assert sum(delta2.values()) == 0
+
+
+def test_eval_matrix_expands_no_delta_squared_without_rows(monkeypatch):
+    """A piece with d < 0 has no rows, and its charge can reach the weight,
+    so Delta^2 in that many variables must never be expanded."""
+
+    def refuse(k):
+        raise AssertionError(f"Delta^2 expanded in {k} variables")
+
+    monkeypatch.setattr(verify, "_vandermonde_squared", refuse)
+    m = eval_matrix("lambda0", 22, 22)
+    assert (m.n_rows, m.n_cols, m.entries) == (0, 1, {})
+
+
+def test_functional_and_fock_kernels_agree_to_weight_16():
+    """The functional matrix has the reduced kernel basis of the Fock
+    matrix on every piece to weight 16, and its rows are independent mod p."""
+    for tag in TAGS:
+        for weight in range(17):
+            for charge in charge_range(tag, weight):
+                m = eval_matrix(tag, weight, charge)
+                fock = fock_matrix(tag, weight, charge)
+                assert kernel_basis(m) == kernel_basis(fock), (tag, weight, charge)
+                assert rank_mod_p(m.columns().values(), m.n_rows) == m.n_rows
+
+
+def no_rref(m):
+    raise AssertionError("rational elimination on a passing piece")
+
+
+def test_graded_dims_certified_by_the_row_count(monkeypatch):
+    """The ranks come from rank_mod_p = n_rows without any elimination, and
+    agree with the difference-two partition counts."""
+    monkeypatch.setattr(linalg, "rref", no_rref)
+    dims0 = graded_dims("lambda0", 14)
+    dims1 = graded_dims("lambda1prime", 14)
+    assert dims0 == {(w, k): partition_oracle(w, k, 1) for (w, k) in dims0}
+    assert dims1 == {(w, k): partition_oracle(w, k, 2) for (w, k) in dims1}
+
+
+def test_graded_dims_fall_back_to_the_rational_rank(monkeypatch):
+    """With rank_mod_p always short the certificate never closes, every
+    rank comes from rational elimination, and the dimensions are unchanged."""
+    certified = {tag: graded_dims(tag, 10) for tag in TAGS}
+    real_rank, calls = linalg.rank, []
+    monkeypatch.setattr(verify, "rank_mod_p", lambda rows, n_cols: -1)
+    monkeypatch.setattr(verify, "rank", lambda m: calls.append(m) or real_rank(m))
+    assert {tag: graded_dims(tag, 10) for tag in TAGS} == certified
+    assert len(calls) == sum(len(dims) for dims in certified.values())
+
+
+def test_sandwich_closes_on_every_piece_to_weight_14(monkeypatch):
     monkeypatch.setattr(linalg, "rref", no_rref)
     monkeypatch.setattr(verify, "fallbacks", 0)
     for tag in TAGS:
