@@ -1,32 +1,49 @@
-"""Exact lattice Fock realization of the two level-one highest weight modules.
+r"""Exact lattice Fock realization of the two level-one highest weight modules.
 
 A basis state is a pair (mu; r): mu a partition listing Heisenberg creation
 factors a(-n), and r the lattice coordinate, integral for one module and
 half-integral for the other.  The state has weight |mu| + r^2 and charge r.
 
-The vertex operator attached to the root vector acts by the exponential
-formula
+The vertex operator attached to the root vector, with the lattice cocycle
+taken identically 1, acts through its components x(m): x(m) raises charge
+by 1 and weight by -m.  They are built by a recursion on |mu|:
+
+    x(m) e^{r alpha} = sum over lambda |- -m-1-2r of a(-lambda) e^{(r+1) alpha} / z_lambda,
+    x(m)(mu; r)      = a(-n) x(m)(mu \ n; r) - 2 x(m-n)(mu \ n; r),
+
+with n the largest part of mu and z_lambda = prod part^mult * mult!.  The
+base case is the x^(-m-1) coefficient of exp(sum_{n>0} a(-n) x^n / n) x^(2r)
+on the shifted vacuum.  The step is the commutator
+[a(-n), x(m)] = 2 x(m-n), which the pairing <alpha, alpha> = 2 gives, along
+with a(n) a(-n) - a(-n) a(n) = 2n.  Removing any other part of mu gives
+the same image.  By induction on |mu|, expanding by two parts n1 and n2 in
+either order gives the same four terms on mu \ {n1, n2}:
+
+    a(-n1) a(-n2) x(m) - 2 a(-n1) x(m-n2) - 2 a(-n2) x(m-n1) + 4 x(m-n1-n2).
+
+So the bracket holds for every n on every state.  The exponential formula
 
     exp(+sum_{n>0} a(-n) x^n / n) * exp(-sum_{n>0} a(n) x^-n / n)
-        * (lattice shift r -> r+1) * x^(2r),
+        * (lattice shift r -> r+1) * x^(2r)
 
-with the lattice cocycle taken identically 1; the component x(m) reads off
-the x^(-m-1) coefficient.  With the pairing <alpha, alpha> = 2 this makes
-a(n) a(-n) - a(-n) a(n) = 2n, kills x(m) v for m large (so every action is a
-finite exact sum), and makes all the component operators commute.
+has the same base case and the same bracket, so it gives the same
+operators; the tests keep it as an exact oracle for the tables.  x(m)
+kills a state once m > |mu| - 1 - 2r, so every action is a finite exact
+sum, and all the component operators commute.
 
 Vectors are ``FockVector``s, the exact linear combinations of ``poly``
 over Fock states.  Each x(m) on a basis state is computed once and
 tabulated as integer numerators over their least common denominator.
-Monomial actions and the square-zero sweep run on that integer form and
+Monomial actions and the square-zero check run on that integer form and
 cancel terms by integer arithmetic; ``Fraction`` coefficients appear only
-in the returned vectors.  The tables (x(m) images, partitions, annihilation
-expansions, interned states) are ``functools.cache`` functions: unbounded,
-kept for the life of the process, and each reports ``cache_info()``.
+in the returned vectors.  The tables (x(m) images, partitions, interned
+states) are ``functools.cache`` functions: unbounded, kept for the life of
+the process, and each reports ``cache_info()``.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from collections import Counter
@@ -37,6 +54,13 @@ from .linalg import integer_form
 from .poly import LinearCombination, Monomial, Scalar
 
 HALF = Fraction(1, 2)
+
+# <alpha, alpha>: a(n) a(-n) - a(-n) a(n) = _PAIRING * n and
+# [a(-n), x(m)] = _PAIRING * x(m-n)
+_PAIRING = 2
+
+# check_square_zero runs its state-by-state sweep to this weight
+BRUTE_SWEEP_WEIGHT = 4
 
 
 class FockState:
@@ -146,26 +170,6 @@ def _interned_state(mu_sorted: tuple[int, ...], two_r: int) -> FockState:
     return FockState(mu_sorted, _two_r=two_r)
 
 
-@functools.cache
-def _annihilation_terms(mu: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...], int], ...]:
-    """Expansion of exp(-sum a(n)/n x^-n) on the state with partition mu:
-    triples (removed_size, remaining_parts, integer coefficient)."""
-    results: list[tuple[int, tuple[int, ...], int]] = [(0, (), 1)]
-    for part, mult in sorted(Counter(mu).items()):
-        new: list[tuple[int, tuple[int, ...], int]] = []
-        for removed, kept, coeff in results:
-            for k in range(mult + 1):
-                new.append(
-                    (
-                        removed + k * part,
-                        kept + (part,) * (mult - k),
-                        coeff * (-2) ** k * math.comb(mult, k),
-                    )
-                )
-        results = new
-    return tuple(results)
-
-
 def heis_act(n: int, v: FockVector | FockState) -> FockVector:
     """Heisenberg mode a(n): creation for n < 0 (adds the part |n|),
     annihilation for n > 0 with a(n) a(-n) - a(-n) a(n) = 2n.  n = 0 is
@@ -184,7 +188,7 @@ def heis_act(n: int, v: FockVector | FockState) -> FockVector:
             rest = list(s.mu)
             rest.remove(n)
             target = FockState(rest, _two_r=s.two_r)
-            coeff = c * 2 * n * mult
+            coeff = c * _PAIRING * n * mult
         new = out.get(target, 0) + coeff
         if new:
             out[target] = new
@@ -200,32 +204,45 @@ _XImage = tuple[int, tuple[tuple[FockState, int], ...]]
 
 @functools.cache
 def _x_on_state(m: int, s: FockState) -> _XImage:
-    two_r = s.two_r
-    degree_max = -m - 1 - two_r + sum(s.mu)
-    if degree_max >= 0:
-        # accumulate integer numerators over degree_max!, which every
-        # z-factor of a created partition divides
-        scale = math.factorial(degree_max)
-        acc: dict[tuple[int, ...], int] = {}
-        for removed, kept, ann_coeff in _annihilation_terms(s.mu):
-            degree_needed = -m - 1 - two_r + removed
-            if degree_needed < 0:
-                continue
-            for lam, z in _partitions_with_z(degree_needed):
-                numerator = ann_coeff * (scale // z)
-                target = tuple(sorted(kept + lam))
-                new = acc.get(target, 0) + numerator
-                if new:
-                    acc[target] = new
-                else:
-                    del acc[target]
-        if acc:
-            g = math.gcd(scale, *acc.values())
-            return (
-                scale // g,
-                tuple((_interned_state(mu, two_r + 2), n // g) for mu, n in acc.items()),
-            )
-    return (1, ())
+    """x(m) on a basis state by the recursion of the module docstring."""
+    mu, two_r = s.mu, s.two_r
+    if sum(mu) - m - 1 - two_r < 0:
+        return (1, ())
+    if not mu:
+        degree = -m - 1 - two_r
+        # numerators over degree!, which every z-factor divides
+        scale = math.factorial(degree)
+        return _reduced(
+            scale, {lam: scale // z for lam, z in _partitions_with_z(degree)}, two_r + 2
+        )
+    n = mu[-1]
+    rest = _interned_state(mu[:-1], two_r)
+    den_created, created = _x_on_state(m, rest)
+    den_shifted, shifted = _x_on_state(m - n, rest)
+    den = math.lcm(den_created, den_shifted)
+    acc: dict[tuple[int, ...], int] = {}
+    # a(-n) adds the part n, which maps distinct states to distinct states
+    scale = den // den_created
+    for target, num in created:
+        parts = target.mu
+        i = bisect.bisect_right(parts, n)
+        acc[parts[:i] + (n,) + parts[i:]] = scale * num
+    scale = _PAIRING * (den // den_shifted)
+    for target, num in shifted:
+        new = acc.get(target.mu, 0) - scale * num
+        if new:
+            acc[target.mu] = new
+        else:
+            del acc[target.mu]
+    return _reduced(den, acc, two_r + 2)
+
+
+def _reduced(den: int, nums: dict[tuple[int, ...], int], two_r: int) -> _XImage:
+    """nums/den on the states (mu; two_r/2), with the common factor removed."""
+    if not nums:
+        return (1, ())
+    g = math.gcd(den, *nums.values())
+    return (den // g, tuple((_interned_state(mu, two_r), n // g) for mu, n in nums.items()))
 
 
 def _integer_form(v: FockVector | FockState) -> tuple[int, dict[FockState, int]]:
@@ -295,58 +312,98 @@ def basis_states(n: int, r: Scalar) -> list[FockState]:
 
 
 def check_square_zero(weight_bound: int) -> bool:
-    """Verify that the weight-t component sums of the squared vertex
+    """Verify that the weight-t component sums S_t of the squared vertex
     operator annihilate every basis state of weight <= weight_bound, over
     both lattice cosets, for all |t| <= 2*weight_bound.
 
-    Each sum over x(m1)x(m2), m1 + m2 = -t, is truncated to the finitely
-    many pairs with both indices within the annihilation bound of the state;
-    all omitted pairs act as zero termwise because the components commute.
-    Commutativity (itself a tested invariant) is also used to evaluate each
-    composite with the more annihilating index applied first and to fold the
-    two orderings of a distinct pair into a factor 2, which keeps the
-    intermediate vectors small.
+    S_t sums x(m1)x(m2) over m1 + m2 = -t.  Two checks must both pass: the
+    state-by-state sweep to weight min(weight_bound, BRUTE_SWEEP_WEIGHT),
+    and S_t e^{r alpha} = 0 on the lattice vacua alone to weight_bound.
+
+    The vacua carry the whole statement.  The x(m) are defined by the
+    commutator recursion, so [a(-n), x(m)] = 2 x(m-n) for every n (module
+    docstring), hence [a(-n), S_t] = 4 S_{t+n} and
+
+        S_t a(-n) u = a(-n) S_t u - 4 S_{t+n} u.
+
+    Induction on |mu| with t + weight fixed carries S_t u = 0 from
+    (mu; r) down to the vacuum e^{r alpha}, at indices t' with
+    t <= t' <= t + |mu|.  For a state of weight w <= W = weight_bound and
+    |t| <= 2W this needs r^2 <= W and -2W <= t' <= 3W - r^2, the range
+    ``_vacuum_check`` covers.
+
+    Each sum is truncated to the finitely many pairs with both indices
+    within the annihilation bound of the state; all omitted pairs act as
+    zero termwise because the components commute.  Commutativity (a tested
+    invariant: ``test_components_commute*``) is also used, in both checks,
+    to evaluate each composite with the more annihilating index applied
+    first and to fold the two orderings of a distinct pair into a factor 2,
+    which keeps the intermediate vectors small.
     """
     if weight_bound < 1:
         raise ValueError("weight_bound must be >= 1")
+    return _brute_sweep(min(weight_bound, BRUTE_SWEEP_WEIGHT)) and _vacuum_check(
+        weight_bound
+    )
+
+
+def _brute_sweep(weight_bound: int) -> bool:
+    """S_t kills every basis state of weight <= weight_bound, |t| <= 2*weight_bound."""
     two_r_limit = math.isqrt(4 * weight_bound)
     for two_r in range(-two_r_limit, two_r_limit + 1):
         size_limit = (4 * weight_bound - two_r * two_r) // 4
         for size in range(size_limit + 1):
             for mu in partitions(size, 1):
-                state = FockState(mu, _two_r=two_r)
-                m_top = size - 1 - two_r
+                state = _interned_state(mu, two_r)
                 for t in range(-2 * weight_bound, 2 * weight_bound + 1):
-                    if -t - m_top > m_top:
-                        continue
-                    # integer numerators over a running common denominator;
-                    # the zero test is then literal integer cancellation
-                    total: dict[FockState, int] = {}
-                    common = 1
-                    for m2 in range(-t - m_top, (-t) // 2 + 1):
-                        m1 = -t - m2
-                        den1, first = _x_on_state(m1, state)
-                        if not first:
-                            continue
-                        pair_factor = 1 if m1 == m2 else 2
-                        for mid, n1 in first:
-                            den2, second = _x_on_state(m2, mid)
-                            if not second:
-                                continue
-                            den = den1 * den2
-                            lcm = den // math.gcd(common, den) * common
-                            if lcm != common:
-                                factor = lcm // common
-                                for key in total:
-                                    total[key] *= factor
-                                common = lcm
-                            scale = (common // den) * pair_factor * n1
-                            for target, n2 in second:
-                                new = total.get(target, 0) + scale * n2
-                                if new:
-                                    total[target] = new
-                                else:
-                                    del total[target]
-                    if total:
+                    if not _component_kills(t, state):
                         return False
     return True
+
+
+def _vacuum_check(weight_bound: int) -> bool:
+    """S_t kills e^{r alpha} for r^2 <= weight_bound and
+    -2*weight_bound <= t <= 3*weight_bound - r^2."""
+    two_r_limit = math.isqrt(4 * weight_bound)
+    for two_r in range(-two_r_limit, two_r_limit + 1):
+        vacuum = _interned_state((), two_r)
+        t_max = (12 * weight_bound - two_r * two_r) // 4
+        for t in range(-2 * weight_bound, t_max + 1):
+            if not _component_kills(t, vacuum):
+                return False
+    return True
+
+
+def _component_kills(t: int, state: FockState) -> bool:
+    """S_t state == 0, with the pairs truncated and folded as described in
+    check_square_zero."""
+    m_top = sum(state.mu) - 1 - state.two_r
+    # integer numerators over a running common denominator; the zero test
+    # is then literal integer cancellation
+    total: dict[FockState, int] = {}
+    common = 1
+    for m2 in range(-t - m_top, (-t) // 2 + 1):
+        m1 = -t - m2
+        den1, first = _x_on_state(m1, state)
+        if not first:
+            continue
+        pair_factor = 1 if m1 == m2 else 2
+        for mid, n1 in first:
+            den2, second = _x_on_state(m2, mid)
+            if not second:
+                continue
+            den = den1 * den2
+            lcm = den // math.gcd(common, den) * common
+            if lcm != common:
+                factor = lcm // common
+                for key in total:
+                    total[key] *= factor
+                common = lcm
+            scale = (common // den) * pair_factor * n1
+            for target, n2 in second:
+                new = total.get(target, 0) + scale * n2
+                if new:
+                    total[target] = new
+                else:
+                    del total[target]
+    return not total

@@ -11,6 +11,7 @@ pre-reduced; rank reduction is the caller's job.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,10 +27,13 @@ from .poly import (
 )
 
 
+@functools.cache
 def quadratic_relation(t: int, floor: int = -1) -> PolyQ:
     """Sum of x(m1)x(m2) over ordered pairs with m1 + m2 = -t, both <= floor.
 
-    Homogeneous of weight t and charge 2; defined for t >= 2*|floor|.
+    Homogeneous of weight t and charge 2; defined for t >= 2*|floor|.  Each
+    relation is built once and shared by every caller, which must not
+    change its terms.
     """
     if floor not in (-1, -2):
         raise ValueError("floor must be -1 or -2")

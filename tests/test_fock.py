@@ -1,11 +1,17 @@
 """Lattice Fock realization: frozen mode actions and operator identities."""
 
+import functools
+import json
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from principal_subspaces import fock
+from principal_subspaces.cli import main
 from principal_subspaces.fock import (
     FockState,
     FockVector,
@@ -204,3 +210,162 @@ def test_vectors_and_polynomials_do_not_mix():
         assert a != b
     # empty combinations of the two types stay distinct as well
     assert FockVector() != PolyQ()
+
+
+# The exponential formula for x(m), kept as an oracle for the recursion that
+# defines the tables: exp(+sum a(-n) x^n / n) exp(-sum a(n) x^-n / n) on
+# (mu; r), shifted to r + 1, times x^(2r), read at x^(-m-1).
+
+
+@functools.cache
+def annihilation_terms(mu):
+    """exp(-sum a(n)/n x^-n) on the state with partition mu: triples
+    (removed size, remaining parts, integer coefficient)."""
+    results = [(0, (), 1)]
+    for part, mult in sorted(Counter(mu).items()):
+        results = [
+            (
+                removed + k * part,
+                kept + (part,) * (mult - k),
+                coeff * (-2) ** k * math.comb(mult, k),
+            )
+            for removed, kept, coeff in results
+            for k in range(mult + 1)
+        ]
+    return tuple(results)
+
+
+@functools.cache
+def partitions_with_z(n):
+    """(lambda, z_lambda) for every partition lambda of n."""
+    return tuple(
+        (lam, math.prod(p**k * math.factorial(k) for p, k in Counter(lam).items()))
+        for lam in partitions(n, 1)
+    )
+
+
+def x_by_exponential(m, state):
+    """x(m) on a basis state as (denominator, {partition: numerator}),
+    reduced like the tables."""
+    two_r = state.two_r
+    degree_max = -m - 1 - two_r + sum(state.mu)
+    if degree_max < 0:
+        return 1, {}
+    # every z-factor of a created partition divides degree_max!
+    scale = math.factorial(degree_max)
+    acc = {}
+    for removed, kept, ann_coeff in annihilation_terms(state.mu):
+        degree = -m - 1 - two_r + removed
+        for lam, z in partitions_with_z(degree):
+            target = tuple(sorted(kept + lam))
+            acc[target] = acc.get(target, 0) + ann_coeff * (scale // z)
+    acc = {mu: n for mu, n in acc.items() if n}
+    if not acc:
+        return 1, {}
+    g = math.gcd(scale, *acc.values())
+    return scale // g, {mu: n // g for mu, n in acc.items()}
+
+
+def recursion_mismatches(size_max, two_r_range, m_min, m_over):
+    """(m, state) pairs where the table differs from the exponential formula,
+    over |mu| <= size_max, 2r in two_r_range, m_min <= m <= |mu| + m_over;
+    and the number of pairs compared."""
+    bad, compared = [], 0
+    for two_r in two_r_range:
+        for size in range(size_max + 1):
+            for mu in partitions(size, 1):
+                state = FockState(mu, _two_r=two_r)
+                for m in range(m_min, size + m_over + 1):
+                    den, terms = fock._x_on_state(m, state)
+                    image = (den, {target.mu: n for target, n in terms})
+                    compared += 1
+                    if image != x_by_exponential(m, state):
+                        bad.append((m, state))
+                    if terms:
+                        assert {target.two_r for target, _ in terms} == {two_r + 2}
+    return bad, compared
+
+
+def test_recursion_equals_exponential_formula():
+    # the same integer images, denominators included, on 9774 pairs; the
+    # zero images past the annihilation bound are compared too
+    bad, compared = recursion_mismatches(8, range(-4, 5), -4, 5)
+    assert compared == 9774
+    assert bad == []
+
+
+REAL_X_ON_STATE = fock._x_on_state
+
+
+@pytest.fixture
+def fresh_tables():
+    """Empty x(m) tables before and after, so a mutant neither reads real
+    images nor leaves its own behind."""
+    REAL_X_ON_STATE.cache_clear()
+    fock._partitions_with_z.cache_clear()
+    yield
+    REAL_X_ON_STATE.cache_clear()
+    fock._partitions_with_z.cache_clear()
+
+
+def perturb_one_image(monkeypatch):
+    """x(-3) on a(-1) e^0 with one numerator off by one; the recursion reads
+    the perturbed image through the module name."""
+
+    @functools.cache
+    def perturbed(m, state):
+        den, terms = REAL_X_ON_STATE(m, state)
+        if m == -3 and state.mu == (1,) and state.two_r == 0:
+            (target, n), *rest = terms
+            return den, ((target, n + 1), *rest)
+        return den, terms
+
+    monkeypatch.setattr(fock, "_x_on_state", perturbed)
+
+
+RECURSION_MUTANTS = {
+    # x(m)(mu; r) = a(-n) x(m)(mu \ n; r) + 2 x(m-n)(mu \ n; r)
+    "plus_two": lambda mp: mp.setattr(fock, "_PAIRING", -2),
+    # z_lambda without its mult! factor, wrong on every repeated part
+    "z_without_factorial": lambda mp: mp.setattr(fock, "_z_factor", math.prod),
+    "one_image": perturb_one_image,
+}
+
+
+@pytest.mark.parametrize("mutant", list(RECURSION_MUTANTS))
+def test_recursion_mutants_fail_lemmas(capsys, monkeypatch, fresh_tables, mutant):
+    RECURSION_MUTANTS[mutant](monkeypatch)
+    code = main(["lemmas", "--max-weight", "4", "--format", "json"])
+    lemmas = json.loads(capsys.readouterr().out)["lemmas"]
+    assert code == 1
+    assert lemmas["square_zero"] is False
+    assert [name for name, ok in lemmas.items() if not ok] == ["square_zero"]
+
+
+@pytest.mark.parametrize("half", ["_brute_sweep", "_vacuum_check"])
+@pytest.mark.parametrize("mutant", list(RECURSION_MUTANTS))
+def test_each_square_zero_half_rejects_recursion_mutants(
+    monkeypatch, fresh_tables, mutant, half
+):
+    RECURSION_MUTANTS[mutant](monkeypatch)
+    assert getattr(fock, half)(4) is False
+
+
+def test_square_zero_halves_and_bounds(monkeypatch):
+    calls = []
+    for half in ("_brute_sweep", "_vacuum_check"):
+        real = getattr(fock, half)
+        monkeypatch.setattr(
+            fock, half, lambda w, half=half, real=real: calls.append((half, w)) or real(w)
+        )
+    assert check_square_zero(5)
+    assert calls == [("_brute_sweep", fock.BRUTE_SWEEP_WEIGHT), ("_vacuum_check", 5)]
+    calls.clear()
+    assert check_square_zero(2)
+    assert calls == [("_brute_sweep", 2), ("_vacuum_check", 2)]
+
+
+@pytest.mark.parametrize("half", ["_brute_sweep", "_vacuum_check"])
+def test_square_zero_fails_when_either_half_fails(monkeypatch, half):
+    monkeypatch.setattr(fock, half, lambda weight_bound: False)
+    assert check_square_zero(3) is False
