@@ -34,9 +34,10 @@ sum, and all the component operators commute.
 Vectors are ``FockVector``s, the exact linear combinations of ``poly``
 over Fock states.  Each x(m) on a basis state is computed once and
 tabulated as integer numerators over their least common denominator.
-Monomial actions and the square-zero check run on that integer form and
-cancel terms by integer arithmetic; ``Fraction`` coefficients appear only
-in the returned vectors.  The tables (x(m) images, partitions, interned
+Monomial actions and the square-zero check both sum such images through
+one accumulator, ``_x_sum``, which brings them to a common denominator
+and cancels terms by integer arithmetic; ``Fraction`` coefficients appear
+only in the returned vectors.  The tables (x(m) images, partitions, interned
 states) are ``functools.cache`` functions: unbounded, kept for the life of
 the process, and each reports ``cache_info()``.
 """
@@ -245,25 +246,28 @@ def _reduced(den: int, nums: dict[tuple[int, ...], int], two_r: int) -> _XImage:
     return (den // g, tuple((_interned_state(mu, two_r), n // g) for mu, n in nums.items()))
 
 
-def _integer_form(v: FockVector | FockState) -> tuple[int, dict[FockState, int]]:
-    """A vector as (common denominator, {state: integer numerator})."""
-    return integer_form(_as_vector(v).terms)
-
-
-def _x_step(m: int, den: int, nums: dict[FockState, int]) -> tuple[int, dict[FockState, int]]:
-    """x(m) on the vector nums/den, in the same integer form."""
-    images = [(n, _x_on_state(m, s)) for s, n in nums.items()]
+def _x_sum(
+    den: int, terms: Iterable[tuple[int, FockState, int]]
+) -> tuple[int, dict[FockState, int]]:
+    """The sum of n x(m) s over the (m, s, n) in terms, divided by den, in
+    integer form: (common denominator, {state: integer numerator})."""
+    images = [(n, _x_on_state(m, s)) for m, s, n in terms]
     step = math.lcm(*(d for _, (d, _) in images))
     out: dict[FockState, int] = {}
-    for n, (d, terms) in images:
+    for n, (d, targets) in images:
         scale = n * (step // d)
-        for target, t in terms:
+        for target, t in targets:
             new = out.get(target, 0) + scale * t
             if new:
                 out[target] = new
             else:
                 del out[target]
     return den * step, out
+
+
+def _x_step(m: int, den: int, nums: dict[FockState, int]) -> tuple[int, dict[FockState, int]]:
+    """x(m) on the vector nums/den, in the same integer form."""
+    return _x_sum(den, ((m, s, n) for s, n in nums.items()))
 
 
 def _fraction_vector(den: int, nums: dict[FockState, int]) -> FockVector:
@@ -273,7 +277,7 @@ def _fraction_vector(den: int, nums: dict[FockState, int]) -> FockVector:
 def x_act(m: int, v: FockVector | FockState) -> FockVector:
     """Vertex operator component x(m): raises charge by 1 and weight by -m;
     annihilates any state once m exceeds |mu| - 1 - 2r."""
-    return _fraction_vector(*_x_step(m, *_integer_form(v)))
+    return _fraction_vector(*_x_step(m, *integer_form(_as_vector(v).terms)))
 
 
 def half_shift(v: FockVector | FockState) -> FockVector:
@@ -296,7 +300,7 @@ def weight_charge(v: FockVector | FockState) -> tuple[Fraction, Fraction]:
 def apply_monomial(mono: Monomial, v: FockVector | FockState) -> FockVector:
     """Act by the monomial x(m1)...x(mk), rightmost (largest) index first.
     The components commute, so the order is a convention, not a choice."""
-    den, nums = _integer_form(v)
+    den, nums = integer_form(_as_vector(v).terms)
     for m in reversed(mono.indices):
         if not nums:
             break
@@ -378,32 +382,17 @@ def _component_kills(t: int, state: FockState) -> bool:
     """S_t state == 0, with the pairs truncated and folded as described in
     check_square_zero."""
     m_top = sum(state.mu) - 1 - state.two_r
-    # integer numerators over a running common denominator; the zero test
-    # is then literal integer cancellation
-    total: dict[FockState, int] = {}
-    common = 1
+    firsts = []
     for m2 in range(-t - m_top, (-t) // 2 + 1):
         m1 = -t - m2
-        den1, first = _x_on_state(m1, state)
-        if not first:
-            continue
         pair_factor = 1 if m1 == m2 else 2
-        for mid, n1 in first:
-            den2, second = _x_on_state(m2, mid)
-            if not second:
-                continue
-            den = den1 * den2
-            lcm = den // math.gcd(common, den) * common
-            if lcm != common:
-                factor = lcm // common
-                for key in total:
-                    total[key] *= factor
-                common = lcm
-            scale = (common // den) * pair_factor * n1
-            for target, n2 in second:
-                new = total.get(target, 0) + scale * n2
-                if new:
-                    total[target] = new
-                else:
-                    del total[target]
-    return not total
+        firsts.append((m2, pair_factor, _x_on_state(m1, state)))
+    # the first images over one common denominator; the zero test is then
+    # literal integer cancellation
+    common = math.lcm(*(den for _, _, (den, _) in firsts))
+    terms = [
+        (m2, mid, pair_factor * (common // den) * n1)
+        for m2, pair_factor, (den, first) in firsts
+        for mid, n1 in first
+    ]
+    return not _x_sum(common, terms)[1]

@@ -1,11 +1,12 @@
 """Exact sparse linear algebra over the rationals, and ranks over F_p.
 
-``rref`` and everything built on it is fraction-normalized Gaussian
+There is one elimination routine, ``_echelon`` with the back-substitution
+``_reduce``, over Q or over F_p.  Over Q it is fraction-normalized Gaussian
 elimination on ``int``/``Fraction`` entries: no floating point and no
 tolerance anywhere.  Determinism matters as much as exactness (reports are
-diffed byte for byte), so the pivot choice is a fixed rule: within the
-current column take the entry of smallest combined numerator/denominator bit
-length, ties broken by lowest row index.
+diffed byte for byte), and it needs no pivot rule: the reduced row-echelon
+form of a matrix is unique, so the order in which rows are reduced changes
+the work done, never the result.  A rank is the number of echelon rows.
 
 ``rank_mod_p`` ranks an integer matrix over the prime field F_P with
 P = 2^61 - 1.  Every minor of an integer matrix that vanishes over the
@@ -35,7 +36,6 @@ Scalar = int | Fraction
 Vector = dict[int, Scalar]
 K = TypeVar("K", bound=Hashable)
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 # the Mersenne prime 2^61 - 1; a large prime rarely divides every r x r
@@ -133,58 +133,81 @@ class RrefResult(NamedTuple):
     pivot_cols: list[int]
 
 
-def _score(v: Scalar) -> int:
-    return v.numerator.bit_length() + v.denominator.bit_length()
+def _rows(m: SparseMatQ) -> Iterable[Vector]:
+    """The nonzero rows of m as sparse vectors."""
+    rows: dict[int, Vector] = {}
+    for (i, j), v in m.entries.items():
+        rows.setdefault(i, {})[j] = v
+    return rows.values()
+
+
+def _echelon(
+    rows: Iterable[Mapping[int, Scalar]], n_cols: int, p: int = 0
+) -> dict[int, Vector]:
+    """Echelon form of sparse rows, over Q if p is 0 and over F_p (of
+    integer rows) otherwise, as {leading column: row scaled to a leading 1}.
+    Each row is reduced against the rows kept so far, so a pivot is found
+    by one dict lookup and no row is ever scanned for one."""
+    echelon: dict[int, Vector] = {}
+    for row in rows:
+        vec: Vector = {}
+        for j, v in row.items():
+            if not 0 <= j < n_cols:
+                raise ValueError("row column out of bounds")
+            if p:
+                v %= p
+            if v:
+                vec[j] = v
+        while vec:
+            lead = min(vec)
+            basis = echelon.get(lead)
+            if basis is None:
+                inv = pow(vec[lead], -1, p) if p else ONE / vec[lead]
+                echelon[lead] = {j: v * inv % p if p else v * inv for j, v in vec.items()}
+                break
+            c = vec[lead]
+            for j, w in basis.items():
+                new = vec.get(j, 0) - c * w
+                if p:
+                    new %= p
+                if new:
+                    vec[j] = new
+                else:
+                    del vec[j]
+    return echelon
+
+
+def _reduce(echelon: dict[int, Vector], p: int = 0) -> list[int]:
+    """Back-substitution: clears each pivot column of ``_echelon``'s rows in
+    place, leaving the reduced row-echelon form, and returns the sorted
+    pivot columns.  Rows are cleared from the last pivot up, so each row is
+    reduced by rows that are already reduced."""
+    leads = sorted(echelon)
+    for lead in reversed(leads):
+        row = echelon[lead]
+        for j in [j for j in row if j != lead and j in echelon]:
+            c = row[j]
+            for k, w in echelon[j].items():
+                new = row.get(k, 0) - c * w
+                if p:
+                    new %= p
+                if new:
+                    row[k] = new
+                else:
+                    del row[k]
+    return leads
 
 
 def rref(m: SparseMatQ) -> RrefResult:
     """Reduced row-echelon form with pivot columns."""
-    n_rows, n_cols = m.n_rows, m.n_cols
-    rows: list[Vector] = [{} for _ in range(n_rows)]
-    for (i, j), v in m.entries.items():
-        rows[i][j] = v
-    pivots: list[int] = []
-    piv_r = 0
-    for col in range(n_cols):
-        if piv_r >= n_rows:
-            break
-        best = -1
-        best_score = 0
-        for i in range(piv_r, n_rows):
-            v = rows[i].get(col)
-            if v:
-                s = _score(v)
-                if best < 0 or s < best_score:
-                    best, best_score = i, s
-        if best < 0:
-            continue
-        rows[best], rows[piv_r] = rows[piv_r], rows[best]
-        pivot_row = rows[piv_r]
-        pv = pivot_row[col]
-        if pv != 1:
-            inv = ONE / pv
-            pivot_row = rows[piv_r] = {j: w * inv for j, w in pivot_row.items()}
-        for i, row in enumerate(rows):
-            if i == piv_r:
-                continue
-            v = row.get(col)
-            if not v:
-                continue
-            c = -v
-            for j, w in pivot_row.items():
-                new = row.get(j, ZERO) + c * w
-                if new:
-                    row[j] = new
-                else:
-                    del row[j]
-        pivots.append(col)
-        piv_r += 1
-    entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
-    return RrefResult(SparseMatQ(n_rows, n_cols, entries), pivots)
+    echelon = _echelon(_rows(m), m.n_cols)
+    pivots = _reduce(echelon)
+    entries = {(i, j): v for i, lead in enumerate(pivots) for j, v in echelon[lead].items()}
+    return RrefResult(SparseMatQ(m.n_rows, m.n_cols, entries), pivots)
 
 
 def rank(m: SparseMatQ) -> int:
-    return len(rref(m).pivot_cols)
+    return len(_echelon(_rows(m), m.n_cols))
 
 
 def kernel_basis(m: SparseMatQ) -> list[Vector]:
@@ -211,40 +234,7 @@ def rref_kernel(m: SparseMatQ) -> list[Vector]:
 def rank_mod_p(rows: Iterable[Mapping[int, int]], n_cols: int) -> int:
     """Rank over F_P of the integer matrix with the given sparse rows.
     A lower bound on the rational rank (see the module docstring)."""
-    return len(_echelon_mod_p(rows, n_cols))
-
-
-def _echelon_mod_p(
-    rows: Iterable[Mapping[int, int]], n_cols: int
-) -> dict[int, dict[int, int]]:
-    """Echelon form over F_P of integer sparse rows, as {leading column:
-    row scaled to a leading 1}.  Each row is reduced against the rows kept
-    so far, so a pivot is found by one dict lookup and no row is ever
-    scanned for one."""
-    echelon: dict[int, dict[int, int]] = {}
-    for row in rows:
-        vec: dict[int, int] = {}
-        for j, v in row.items():
-            if not 0 <= j < n_cols:
-                raise ValueError("row column out of bounds")
-            v %= P
-            if v:
-                vec[j] = v
-        while vec:
-            lead = min(vec)
-            basis = echelon.get(lead)
-            if basis is None:
-                inv = pow(vec[lead], -1, P)
-                echelon[lead] = {j: v * inv % P for j, v in vec.items()}
-                break
-            c = vec[lead]
-            for j, w in basis.items():
-                new = (vec.get(j, 0) - c * w) % P
-                if new:
-                    vec[j] = new
-                else:
-                    del vec[j]
-    return echelon
+    return len(_echelon(rows, n_cols, P))
 
 
 def _rational_mod_p(a: int) -> Fraction | None:
@@ -274,21 +264,8 @@ def _kernel_mod_p(m: SparseMatQ) -> list[Vector] | None:
     P, the free columns are the same, and a kernel vector with a 1 at f and
     0 at the other free columns is unique, so these are exactly the vectors
     ``rref`` gives.  None if a reconstruction or a product fails."""
-    rows: dict[int, Vector] = {}
-    for (i, j), v in m.entries.items():
-        rows.setdefault(i, {})[j] = v
-    echelon = _echelon_mod_p((integer_form(row)[1] for row in rows.values()), m.n_cols)
-    leads = sorted(echelon)
-    for lead in reversed(leads):
-        row = echelon[lead]
-        for j in [j for j in row if j != lead and j in echelon]:
-            c = row[j]
-            for k, w in echelon[j].items():
-                new = (row.get(k, 0) - c * w) % P
-                if new:
-                    row[k] = new
-                else:
-                    del row[k]
+    echelon = _echelon((integer_form(row)[1] for row in _rows(m)), m.n_cols, P)
+    leads = _reduce(echelon, P)
     basis: dict[int, Vector] = {f: {f: ONE} for f in range(m.n_cols) if f not in echelon}
     for lead in leads:
         for f, c in echelon[lead].items():
@@ -310,18 +287,12 @@ def _kernel_mod_p(m: SparseMatQ) -> list[Vector] | None:
 
 def span_dim(vectors: Sequence[Vector], n_cols: int) -> int:
     """Dimension of the span of the given vectors (0 for an empty family)."""
-    if not vectors:
-        return 0
-    return rank(SparseMatQ.from_rows(vectors, n_cols))
+    return len(_echelon(vectors, n_cols))
 
 
 def subspace_leq(a: Sequence[Vector], b: Sequence[Vector], n_cols: int) -> bool:
     """True iff span(a) is contained in span(b), by rank comparison."""
-    if not a:
-        return True
-    rank_b = rank(SparseMatQ.from_rows(b, n_cols))
-    rank_ba = rank(SparseMatQ.from_rows([*b, *a], n_cols))
-    return rank_b == rank_ba
+    return not a or span_dim([*b, *a], n_cols) == span_dim(b, n_cols)
 
 
 def span_equal(a: Sequence[Vector], b: Sequence[Vector], n_cols: int) -> bool:

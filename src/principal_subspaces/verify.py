@@ -308,7 +308,7 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
             # containment makes the ideal span a subspace of the kernel, so
             # a mismatch means some kernel vector escapes the ideal span
             for vec in kernel:
-                if not subspace_leq([vec], ideal_vecs, n_ideal):
+                if span_dim([*ideal_vecs, vec], n_ideal) > dim_ideal:
                     witness = _as_poly(vec, monos)
                     break
     fallbacks += eliminated

@@ -83,6 +83,8 @@ def test_span_helpers():
     assert span_equal([{0: 1}, {1: 1}], [{0: 1, 1: 1}, {0: 1, 1: -1}], 2)
     # the zero vector is the empty dict and adds nothing to a span
     assert span_dim([{}, {1: 3}], 2) == 1
+    with pytest.raises(ValueError):
+        span_dim([{2: 1}], 2)
 
 
 def test_matvec_and_bounds():
@@ -129,6 +131,7 @@ def sparse_matrices(draw):
 @given(sparse_matrices())
 def test_rank_equals_rank_of_transpose(m):
     assert rank(m) == rank(m.transpose())
+    assert rank(m) == len(rref(m).pivot_cols)
 
 
 @settings(deadline=None, max_examples=60)
@@ -146,6 +149,9 @@ def test_kernel_vectors_are_annihilated_and_independent(m):
 def test_rref_is_idempotent(m):
     once = rref(m).matrix
     assert rref(once).matrix == once
+    # the reduced form is unique, so the order the rows come in is no matter
+    flipped = {(m.n_rows - 1 - i, j): v for (i, j), v in m.entries.items()}
+    assert rref(SparseMatQ(m.n_rows, m.n_cols, flipped)).matrix == once
 
 
 def leibniz_det(rows):

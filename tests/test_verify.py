@@ -123,6 +123,7 @@ def test_graded_dims_certified_by_the_row_count(monkeypatch):
     """The ranks come from rank_mod_p = n_rows without any elimination, and
     agree with the difference-two partition counts."""
     monkeypatch.setattr(linalg, "rref", no_rref)
+    monkeypatch.setattr(verify, "rank", no_rref)
     dims0 = graded_dims("lambda0", 14)
     dims1 = graded_dims("lambda1prime", 14)
     assert dims0 == {(w, k): partition_oracle(w, k, 1) for (w, k) in dims0}
