@@ -16,6 +16,7 @@ and ``fock.FockVector`` is the one over Fock states.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
@@ -257,13 +258,22 @@ def enumerate_monomials(weight: int, charge: int, floor: int = -1) -> list[Monom
     in graded-lexicographic (index-tuple ascending) order.
 
     Equivalently: partitions of ``weight`` into exactly ``charge`` parts, each
-    part at least ``-floor``.  Returns [] when no such monomial exists.
+    part at least ``-floor``.  Returns [] when no such monomial exists.  The
+    monomials come from one shared table, ``_monomials``, so each domain is
+    enumerated once per process; the list returned is a fresh copy that the
+    caller may change.
     """
     if floor > -1:
         raise ValueError("floor must be <= -1")
     if weight < 0 or charge < 0:
         return []
-    min_part = -floor
+    return list(_monomials(weight, charge, -floor))
+
+
+@functools.cache
+def _monomials(weight: int, charge: int, min_part: int) -> tuple[Monomial, ...]:
+    """The table behind ``enumerate_monomials``: unbounded, kept for the life
+    of the process, and it reports ``cache_info()``."""
     out: list[Monomial] = []
 
     def descend(remaining: int, parts_left: int, cap: int, prefix: list[int]) -> None:
@@ -277,7 +287,7 @@ def enumerate_monomials(weight: int, charge: int, floor: int = -1) -> list[Monom
             descend(remaining - part, parts_left - 1, part, prefix + [-part])
 
     descend(weight, charge, weight, [])
-    return out
+    return tuple(out)
 
 
 def coordinates(

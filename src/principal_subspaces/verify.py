@@ -27,12 +27,16 @@ rank is the row count.  ``graded_dims`` certifies that count by
 rank_p = n_rows, as rank_p <= rank_Q <= n_rows, and ranks over Q only when
 the certificate falls short.
 
-Per piece (``piece_report``), the ideal is checked to lie in the kernel
-exactly over Z, the kernel is exact (``kernel_basis`` finds it mod p and
-proves it), and the dimension of the ideal span is its rank over F_p, a
-lower bound that is exact whenever it reaches the kernel dimension.  When it
-does not, the ideal span is ranked again by exact rational elimination,
-which also finds the witness.  Up to weight ``FOCK_CHECK_WEIGHT`` the
+Per piece (``piece_report``), the domain monomials come from the table
+behind ``enumerate_monomials``, shared with ``eval_matrix``, ``fock_matrix``
+and every cofactor enumeration of ``ideal_piece``, so each domain is
+enumerated once per process.  Each ideal polynomial becomes an integer row
+in one pass over its terms (``_ideal_coordinates``).  The ideal is checked
+to lie in the kernel exactly over Z, the kernel is exact (``kernel_basis``
+finds it mod p and proves it), and the dimension of the ideal span is its
+rank over F_p, a lower bound that is exact whenever it reaches the kernel
+dimension.  When it does not, the ideal span is ranked again by exact
+rational elimination, which also finds the witness.  Up to weight ``FOCK_CHECK_WEIGHT`` the
 kernel is also proved equal to that of the Fock matrix, the direct
 evaluation by the vertex operators (``_fock_check``).  ``fallbacks`` counts
 the pieces that needed rational elimination in this process and is read by
@@ -221,15 +225,31 @@ def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
 
 
 def _ideal_coordinates(
-    polys: list[PolyQ], monos: list[Monomial], floor: int
+    polys: list[PolyQ], monos: list[Monomial]
 ) -> tuple[list[dict[int, int]], int]:
-    """Integer coordinate vectors of the ideal polynomials, and their column
-    count.  The columns are the domain monomials and then, in canonical
-    order, every monomial of the polynomials with an index above the floor,
-    so a polynomial outside the domain has a column at or past len(monos)."""
-    outside = sorted({m for p in polys for m in p.terms if m.indices[-1] > floor})
-    vecs = coordinates(polys, monos + outside)
-    return [integer_form(v)[1] for v in vecs], len(monos) + len(outside)
+    """Integer coordinate vectors of the ideal polynomials, each scaled by
+    the least common denominator of its coefficients, and their column
+    count.  The columns are the domain monomials and then every other
+    monomial of the polynomials, in order of first appearance, so a
+    polynomial outside the domain has a column at or past len(monos).
+
+    The order of the outside columns changes no report: the containment
+    witness is the first polynomial with such a column or a nonzero image,
+    whatever the column's number, and a rank does not depend on the order of
+    the columns.  The index is keyed by index tuples, whose hash and
+    equality run in C, not by ``Monomial``."""
+    index = {mono.indices: j for j, mono in enumerate(monos)}
+    vecs = []
+    for p in polys:
+        scale = math.lcm(*(c.denominator for c in p.terms.values()))
+        vec = {}
+        for mono, c in p.terms.items():
+            j = index.get(mono.indices)
+            if j is None:
+                j = index[mono.indices] = len(index)
+            vec[j] = c.numerator * (scale // c.denominator)
+        vecs.append(vec)
+    return vecs, len(index)
 
 
 def _fock_check(
@@ -278,12 +298,11 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
     (a failure, or a prime dividing every maximal minor of I) the ideal is
     ranked again by rational elimination, which also finds the witness."""
     global fallbacks
-    floor = IDEALS[tag].ambient_floor
-    monos = enumerate_monomials(weight, charge, floor)
+    monos = enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor)
     n = len(monos)
     matrix = eval_matrix(tag, weight, charge)
     ideal_polys = ideal_piece(tag, weight, charge)
-    ideal_vecs, n_ideal = _ideal_coordinates(ideal_polys, monos, floor)
+    ideal_vecs, n_ideal = _ideal_coordinates(ideal_polys, monos)
 
     witness: str | None = None
     for p, vec in zip(ideal_polys, ideal_vecs):

@@ -131,6 +131,17 @@ def test_enumerate_monomials_examples():
     assert enumerate_monomials(2, 2, -2) == []
     assert enumerate_monomials(0, 0, -1) == [Monomial(())]
     assert enumerate_monomials(0, 0, -5) == [Monomial(())]
+    # every call returns a fresh list, so a caller that changes its list
+    # cannot poison the shared table behind the enumeration
+    expected = [Monomial((-3, -1)), Monomial((-2, -2))]
+    first = enumerate_monomials(4, 2, -1)
+    first.append(Monomial((-4,)))
+    assert enumerate_monomials(4, 2, -1) == expected
+    enumerate_monomials(4, 2, -1).clear()
+    assert enumerate_monomials(4, 2, -1) == expected
+    a, b = enumerate_monomials(4, 2, -1), enumerate_monomials(4, 2, -1)
+    assert a == b
+    assert a is not b
 
 
 def test_enumerate_monomials_rejects_bad_floor():

@@ -1,15 +1,16 @@
 """Evaluation matrices, kernel-ideal comparison and the partition oracle."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
-from principal_subspaces import linalg, verify
+from principal_subspaces import linalg, relations, verify
 from principal_subspaces.fock import FockState, apply_monomial, basis_states
-from principal_subspaces.linalg import kernel_basis, rank_mod_p, span_equal
-from principal_subspaces.poly import coordinates, enumerate_monomials
-from principal_subspaces.relations import IDEALS, quadratic_relation
+from principal_subspaces.linalg import integer_form, kernel_basis, rank_mod_p, span_equal
+from principal_subspaces.poly import PolyQ, coordinates, enumerate_monomials
+from principal_subspaces.relations import IDEALS, ideal_piece, quadratic_relation
 from principal_subspaces.verify import (
     TAGS,
     charge_range,
@@ -147,6 +148,74 @@ def test_sandwich_closes_on_every_piece_to_weight_14(monkeypatch):
     for tag in TAGS:
         assert verify_presentation(tag, 14).all_pass
     assert verify.fallbacks == 0
+
+
+def rows_by_coordinates(polys, monos):
+    """The integer ideal rows by the general route, as {Monomial: int}
+    maps: ``coordinates`` over the domain and then the sorted monomials
+    outside it, and ``integer_form`` on each vector."""
+    outside = sorted({mono for p in polys for mono in p.terms} - set(monos))
+    basis = monos + outside
+    return [
+        {basis[j]: c for j, c in integer_form(vec)[1].items()}
+        for vec in coordinates(polys, basis)
+    ]
+
+
+def rows_in_one_pass(polys, monos):
+    """The rows of ``_ideal_coordinates`` as {Monomial: int} maps, with the
+    outside columns read in order of first appearance."""
+    vecs, n_cols = verify._ideal_coordinates(polys, monos)
+    domain = set(monos)
+    outside = list(dict.fromkeys(m for p in polys for m in p.terms if m not in domain))
+    basis = monos + outside
+    assert n_cols == len(basis)
+    return [{basis[j]: c for j, c in vec.items()} for vec in vecs]
+
+
+def halved_weight_four(original, scale):
+    """quadratic_relation with every weight-4 coefficient c replaced by
+    scale(c)."""
+    def mutant(t, floor=-1):
+        rel = original(t, floor)
+        if t != 4:
+            return rel
+        return PolyQ({m: scale(c) for m, c in rel.terms.items()})
+    return mutant
+
+
+@pytest.mark.parametrize("mutant", ["none", "unit", "half", "floor-1"])
+def test_one_pass_ideal_rows_equal_the_coordinates_route(monkeypatch, mutant):
+    """On every piece to weight 12, for all tags, ``_ideal_coordinates``
+    gives the rows of ``coordinates`` and ``integer_form``.  The mutants
+    reach its other paths: weight-4 coefficients halved to 1 (the one
+    ``test_cli`` builds) or to c/2 (a denominator), and lambda1prime with
+    floor -1 relations (columns outside the domain)."""
+    scales = {"unit": lambda c: 1, "half": lambda c: c / 2}
+    if mutant in scales:
+        monkeypatch.setattr(
+            relations, "quadratic_relation",
+            halved_weight_four(relations.quadratic_relation, scales[mutant]),
+        )
+    elif mutant == "floor-1":
+        spec = dataclasses.replace(
+            IDEALS["lambda1prime"], relation_floor=-1, relation_weight_min=2
+        )
+        monkeypatch.setitem(IDEALS, "lambda1prime", spec)
+    fractions = outside = 0
+    for tag in TAGS:
+        for weight in range(13):
+            for charge in charge_range(tag, weight):
+                monos = enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor)
+                polys = ideal_piece(tag, weight, charge)
+                rows = rows_in_one_pass(polys, monos)
+                assert rows == rows_by_coordinates(polys, monos)
+                fractions += any(c.denominator > 1 for p in polys for c in p.terms.values())
+                domain = set(monos)
+                outside += any(row.keys() - domain for row in rows)
+    # each mutant reaches the path it is here for
+    assert (fractions > 0) == (mutant == "half")
+    assert (outside > 0) == (mutant == "floor-1")
 
 
 def test_piece_report_weight_four_charge_two():
