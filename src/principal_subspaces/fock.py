@@ -32,14 +32,18 @@ kills a state once m > |mu| - 1 - 2r, so every action is a finite exact
 sum, and all the component operators commute.
 
 Vectors are ``FockVector``s, the exact linear combinations of ``poly``
-over Fock states.  Each x(m) on a basis state is computed once and
-tabulated as integer numerators over their least common denominator.
-Monomial actions and the square-zero check both sum such images through
-one accumulator, ``_x_sum``, which brings them to a common denominator
-and cancels terms by integer arithmetic; ``Fraction`` coefficients appear
-only in the returned vectors.  The tables (x(m) images, partitions, interned
-states) are ``functools.cache`` functions: unbounded, kept for the life of
-the process, and each reports ``cache_info()``.
+over Fock states.  Each x(m) on a basis state (mu; r) is computed once and
+tabulated, keyed by the plain tuple (m, mu, 2r), as integer numerators over
+their least common denominator: a dense tuple with one numerator for each
+partition of the target size, in ``partitions`` order.  No ``FockState`` is
+built inside the tables.  Monomial actions and the square-zero check both
+sum such images through one accumulator, ``_x_sum``, which brings them to a
+common denominator and adds them position by position in one dense list
+per (coset, size); ``FockState`` keys and ``Fraction`` coefficients appear
+only in the returned vectors.  The tables (x(m) images, partitions with
+their z-factors, and ``_insert_part``, the positions a created part moves a
+partition to) are ``functools.cache`` functions: unbounded, kept for the
+life of the process, and each reports ``cache_info()``.
 """
 
 from __future__ import annotations
@@ -166,11 +170,6 @@ def _partitions_with_z(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple((lam, _z_factor(lam)) for lam in partitions(n, 1))
 
 
-@functools.cache
-def _interned_state(mu_sorted: tuple[int, ...], two_r: int) -> FockState:
-    return FockState(mu_sorted, _two_r=two_r)
-
-
 def heis_act(n: int, v: FockVector | FockState) -> FockVector:
     """Heisenberg mode a(n): creation for n < 0 (adds the part |n|),
     annihilation for n > 0 with a(n) a(-n) - a(-n) a(n) = 2n.  n = 0 is
@@ -198,76 +197,97 @@ def heis_act(n: int, v: FockVector | FockState) -> FockVector:
     return FockVector(out)
 
 
-# x(m) on a basis state, as integer numerators over their least common
-# denominator: (denominator, ((target state, numerator), ...))
-_XImage = tuple[int, tuple[tuple[FockState, int], ...]]
+# x(m) on a basis state (mu; r), as integer numerators over their least
+# common denominator: (denominator, numerators), one numerator for each
+# partition lambda of the target size |mu| - m - 1 - 2r, in partitions(size, 1)
+# order, on the states (lambda; r + 1).  A zero image is (1, ()).
+_XImage = tuple[int, tuple[int, ...]]
 
 
 @functools.cache
-def _x_on_state(m: int, s: FockState) -> _XImage:
-    """x(m) on a basis state by the recursion of the module docstring."""
-    mu, two_r = s.mu, s.two_r
-    if sum(mu) - m - 1 - two_r < 0:
+def _x_on_state(m: int, mu: tuple[int, ...], two_r: int) -> _XImage:
+    """x(m) on (mu; two_r/2) by the recursion of the module docstring."""
+    size = sum(mu) - m - 1 - two_r
+    if size < 0:
         return (1, ())
     if not mu:
-        degree = -m - 1 - two_r
-        # numerators over degree!, which every z-factor divides
-        scale = math.factorial(degree)
-        return _reduced(
-            scale, {lam: scale // z for lam, z in _partitions_with_z(degree)}, two_r + 2
-        )
+        # numerators over size!, which every z-factor divides
+        scale = math.factorial(size)
+        return _reduced(scale, [scale // z for _, z in _partitions_with_z(size)])
     n = mu[-1]
-    rest = _interned_state(mu[:-1], two_r)
-    den_created, created = _x_on_state(m, rest)
-    den_shifted, shifted = _x_on_state(m - n, rest)
+    rest = mu[:-1]
+    den_created, created = _x_on_state(m, rest, two_r)
+    den_shifted, shifted = _x_on_state(m - n, rest, two_r)
     den = math.lcm(den_created, den_shifted)
-    acc: dict[tuple[int, ...], int] = {}
-    # a(-n) adds the part n, which maps distinct states to distinct states
-    scale = den // den_created
-    for target, num in created:
-        parts = target.mu
-        i = bisect.bisect_right(parts, n)
-        acc[parts[:i] + (n,) + parts[i:]] = scale * num
+    # the shifted image has the target size; the created one has size - n
     scale = _PAIRING * (den // den_shifted)
-    for target, num in shifted:
-        new = acc.get(target.mu, 0) - scale * num
-        if new:
-            acc[target.mu] = new
-        else:
-            del acc[target.mu]
-    return _reduced(den, acc, two_r + 2)
+    acc = [-scale * num for num in shifted] or [0] * len(partitions(size, 1))
+    scale = den // den_created
+    for i, num in zip(_insert_part(size - n, n), created):
+        acc[i] += scale * num
+    return _reduced(den, acc)
 
 
-def _reduced(den: int, nums: dict[tuple[int, ...], int], two_r: int) -> _XImage:
-    """nums/den on the states (mu; two_r/2), with the common factor removed."""
-    if not nums:
+@functools.cache
+def _insert_part(size: int, n: int) -> tuple[int, ...]:
+    """For each partition of size, in partitions(size, 1) order, the position
+    in partitions(size + n, 1) of the partition with the part n added; a(-n)
+    maps distinct states to distinct states, so the positions are distinct."""
+    index = {lam: i for i, lam in enumerate(partitions(size + n, 1))}
+    positions = []
+    for lam in partitions(size, 1):
+        i = bisect.bisect_right(lam, n)
+        positions.append(index[lam[:i] + (n,) + lam[i:]])
+    return tuple(positions)
+
+
+def _reduced(den: int, nums: list[int]) -> _XImage:
+    """nums/den with the common factor removed."""
+    if not any(nums):
         return (1, ())
-    g = math.gcd(den, *nums.values())
-    return (den // g, tuple((_interned_state(mu, two_r), n // g) for mu, n in nums.items()))
+    g = math.gcd(den, *nums)
+    return (den // g, tuple([n // g for n in nums]))
+
+
+# a sum of x(m) images: {(two_r, size): numerators}, one dense list over
+# partitions(size, 1) for the states (lambda; two_r/2) with |lambda| = size
+_XSum = dict[tuple[int, int], list[int]]
 
 
 def _x_sum(
-    den: int, terms: Iterable[tuple[int, FockState, int]]
-) -> tuple[int, dict[FockState, int]]:
-    """The sum of n x(m) s over the (m, s, n) in terms, divided by den, in
-    integer form: (common denominator, {state: integer numerator})."""
-    images = [(n, _x_on_state(m, s)) for m, s, n in terms]
-    step = math.lcm(*(d for _, (d, _) in images))
-    out: dict[FockState, int] = {}
-    for n, (d, targets) in images:
+    den: int, terms: Iterable[tuple[int, tuple[int, ...], int, int]]
+) -> tuple[int, _XSum]:
+    """The sum of n x(m) (mu; two_r/2) over the (m, mu, two_r, n) in terms,
+    divided by den, in integer form: (common denominator, dense numerators).
+    The lists are keyed by size, not by length: p(0) = p(1) = 1."""
+    images = [
+        (two_r + 2, sum(mu) - m - 1 - two_r, n, _x_on_state(m, mu, two_r))
+        for m, mu, two_r, n in terms
+    ]
+    step = math.lcm(*(d for _, _, _, (d, _) in images))
+    out: _XSum = {}
+    for two_r, size, n, (d, nums) in images:
+        if not nums:
+            continue
         scale = n * (step // d)
-        for target, t in targets:
-            new = out.get(target, 0) + scale * t
-            if new:
-                out[target] = new
-            else:
-                del out[target]
+        acc = out.get((two_r, size))
+        out[(two_r, size)] = (
+            [scale * t for t in nums]
+            if acc is None
+            else [a + scale * t for a, t in zip(acc, nums)]
+        )
     return den * step, out
 
 
 def _x_step(m: int, den: int, nums: dict[FockState, int]) -> tuple[int, dict[FockState, int]]:
     """x(m) on the vector nums/den, in the same integer form."""
-    return _x_sum(den, ((m, s, n) for s, n in nums.items()))
+    den, out = _x_sum(den, ((m, s.mu, s.two_r, n) for s, n in nums.items()))
+    return den, {
+        FockState(lam, _two_r=two_r): t
+        for (two_r, size), acc in out.items()
+        for lam, t in zip(partitions(size, 1), acc)
+        if t
+    }
 
 
 def _fraction_vector(den: int, nums: dict[FockState, int]) -> FockVector:
@@ -358,9 +378,8 @@ def _brute_sweep(weight_bound: int) -> bool:
         size_limit = (4 * weight_bound - two_r * two_r) // 4
         for size in range(size_limit + 1):
             for mu in partitions(size, 1):
-                state = _interned_state(mu, two_r)
                 for t in range(-2 * weight_bound, 2 * weight_bound + 1):
-                    if not _component_kills(t, state):
+                    if not _component_kills(t, mu, two_r):
                         return False
     return True
 
@@ -370,29 +389,30 @@ def _vacuum_check(weight_bound: int) -> bool:
     -2*weight_bound <= t <= 3*weight_bound - r^2."""
     two_r_limit = math.isqrt(4 * weight_bound)
     for two_r in range(-two_r_limit, two_r_limit + 1):
-        vacuum = _interned_state((), two_r)
         t_max = (12 * weight_bound - two_r * two_r) // 4
         for t in range(-2 * weight_bound, t_max + 1):
-            if not _component_kills(t, vacuum):
+            if not _component_kills(t, (), two_r):
                 return False
     return True
 
 
-def _component_kills(t: int, state: FockState) -> bool:
-    """S_t state == 0, with the pairs truncated and folded as described in
-    check_square_zero."""
-    m_top = sum(state.mu) - 1 - state.two_r
+def _component_kills(t: int, mu: tuple[int, ...], two_r: int) -> bool:
+    """S_t (mu; two_r/2) == 0, with the pairs truncated and folded as
+    described in check_square_zero."""
+    m_top = sum(mu) - 1 - two_r
     firsts = []
     for m2 in range(-t - m_top, (-t) // 2 + 1):
         m1 = -t - m2
         pair_factor = 1 if m1 == m2 else 2
-        firsts.append((m2, pair_factor, _x_on_state(m1, state)))
+        # the first image has size m_top - m1
+        firsts.append((m2, m_top - m1, pair_factor, _x_on_state(m1, mu, two_r)))
     # the first images over one common denominator; the zero test is then
     # literal integer cancellation
-    common = math.lcm(*(den for _, _, (den, _) in firsts))
+    common = math.lcm(*(den for _, _, _, (den, _) in firsts))
     terms = [
-        (m2, mid, pair_factor * (common // den) * n1)
-        for m2, pair_factor, (den, first) in firsts
-        for mid, n1 in first
+        (m2, mid, two_r + 2, pair_factor * (common // den) * n1)
+        for m2, size, pair_factor, (den, first) in firsts
+        for mid, n1 in zip(partitions(size, 1), first)
+        if n1
     ]
-    return not _x_sum(common, terms)[1]
+    return not any(any(acc) for acc in _x_sum(common, terms)[1].values())

@@ -75,24 +75,6 @@ class SparseMatQ:
                 if v:
                     self.entries[(i, j)] = v
 
-    @classmethod
-    def from_rows(
-        cls, rows: Sequence[Mapping[int, Scalar]], n_cols: int
-    ) -> "SparseMatQ":
-        """Stack sparse rows ``{col: value}`` into a len(rows) x n_cols matrix."""
-        return cls(
-            len(rows),
-            n_cols,
-            {(i, j): v for i, row in enumerate(rows) for j, v in row.items()},
-        )
-
-    def transpose(self) -> "SparseMatQ":
-        return SparseMatQ(
-            self.n_cols,
-            self.n_rows,
-            {(j, i): v for (i, j), v in self.entries.items()},
-        )
-
     def columns(self) -> dict[int, Vector]:
         """The nonzero columns as ``{col: {row: value}}``, built on the first
         call and kept; the matrix is not to be mutated after that."""

@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from principal_subspaces import fock
@@ -121,6 +121,35 @@ def test_components_commute():
 def test_components_commute_random(m, n, mu, two_r):
     state = FockState(mu, Fraction(two_r, 2))
     assert x_act(m, x_act(n, state)) == x_act(n, x_act(m, state))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(-6, 3),
+    st.lists(st.integers(1, 4), max_size=3),
+    st.integers(-2, 2),
+    st.lists(st.integers(1, 4), max_size=3),
+    st.integers(-2, 2),
+)
+# x(-1) sends e^0 and a(-1) e^0 to images of sizes 0 and 1, both one slot long
+@example(-1, [], 0, [1], 0)
+def test_x_action_is_additive_across_sizes_and_cosets(m, mu_v, two_r_v, mu_w, two_r_w):
+    if sum(mu_v) == sum(mu_w):
+        mu_w = mu_w + [1]
+    v = FockState(mu_v, Fraction(two_r_v, 2))
+    w = FockState(mu_w, Fraction(two_r_w, 2))
+    assert x_act(m, vec((v, 1), (w, 1))) == x_act(m, v) + x_act(m, w)
+
+
+def test_insert_part_positions():
+    for size in range(13):
+        for n in range(1, 13):
+            positions = fock._insert_part(size, n)
+            targets = partitions(size + n, 1)
+            assert len(set(positions)) == len(positions) == len(partitions(size, 1))
+            assert set(positions) == {i for i, lam in enumerate(targets) if n in lam}
+            for lam, i in zip(partitions(size, 1), positions):
+                assert targets[i] == tuple(sorted(lam + (n,)))
 
 
 def test_half_shift_examples():
@@ -276,13 +305,13 @@ def recursion_mismatches(size_max, two_r_range, m_min, m_over):
             for mu in partitions(size, 1):
                 state = FockState(mu, _two_r=two_r)
                 for m in range(m_min, size + m_over + 1):
-                    den, terms = fock._x_on_state(m, state)
-                    image = (den, {target.mu: n for target, n in terms})
+                    den, nums = fock._x_on_state(m, mu, two_r)
+                    # one numerator per partition of the target size, or none
+                    targets = partitions(size - m - 1 - two_r, 1) if nums else ()
+                    image = (den, {lam: n for lam, n in zip(targets, nums, strict=True) if n})
                     compared += 1
                     if image != x_by_exponential(m, state):
                         bad.append((m, state))
-                    if terms:
-                        assert {target.two_r for target, _ in terms} == {two_r + 2}
     return bad, compared
 
 
@@ -313,12 +342,13 @@ def perturb_one_image(monkeypatch):
     the perturbed image through the module name."""
 
     @functools.cache
-    def perturbed(m, state):
-        den, terms = REAL_X_ON_STATE(m, state)
-        if m == -3 and state.mu == (1,) and state.two_r == 0:
-            (target, n), *rest = terms
-            return den, ((target, n + 1), *rest)
-        return den, terms
+    def perturbed(m, mu, two_r):
+        den, nums = REAL_X_ON_STATE(m, mu, two_r)
+        if m == -3 and mu == (1,) and two_r == 0:
+            # the first numerator is that of partitions(3, 1)[0] = (1, 1, 1)
+            first, *rest = nums
+            return den, (first + 1, *rest)
+        return den, nums
 
     monkeypatch.setattr(fock, "_x_on_state", perturbed)
 
