@@ -23,24 +23,44 @@ the row space of the Fock matrix: the same kernel, rank and reduced kernel
 basis, from p_{<=k}(d) rows instead of p(d).  phi is injective, since
 multiplying by z^{2r} Delta^2 is and every exponent of z^{2r} Delta^2 g,
 sorted, is that of a domain monomial, so the rows are independent and the
-rank is the row count.  ``graded_dims`` certifies that count by
-rank_p = n_rows, as rank_p <= rank_Q <= n_rows, and ranks over Q only when
-the certificate falls short.
+rank is the row count.
+
+That count is proved on each matrix by a unitriangular minor
+(``_full_row_rank``).  Sort nu decreasingly, pad it with zeros to length k
+and add the staircase 2 delta = (2(k-1), ..., 2, 0): the exponent e = nu +
+2 delta belongs to the column x(m_1)...x(m_k), m_i = -e_i - 1 - 2r, whose
+adjacent indices differ by at least two, the difference-two (DT) column of
+nu.  Delta^2 leads with z^{2 delta}, coefficient 1, and Delta^2 m_nu has no
+monomial above 2 delta + nu, so with the rows in lexicographic order of the
+padded nu the minor on the DT columns is lower triangular with +-1 on the
+diagonal.  Its determinant is +-1, so rank E = n_rows and dim ker E = n -
+n_rows.  The check reads every entry it relies on from the matrix, so a
+wrong matrix makes it decline, never pass.
 
 Per piece (``piece_report``), the domain monomials come from the table
 behind ``enumerate_monomials``, shared with ``eval_matrix``, ``fock_matrix``
 and every cofactor enumeration of ``ideal_piece``, so each domain is
 enumerated once per process.  Each ideal polynomial becomes an integer row
-in one pass over its terms (``_ideal_coordinates``).  The ideal is checked
-to lie in the kernel exactly over Z, the kernel is exact (``kernel_basis``
-finds it mod p and proves it), and the dimension of the ideal span is its
-rank over F_p, a lower bound that is exact whenever it reaches the kernel
-dimension.  When it does not, the ideal span is ranked again by exact
-rational elimination, which also finds the witness.  Up to weight ``FOCK_CHECK_WEIGHT`` the
-kernel is also proved equal to that of the Fock matrix, the direct
-evaluation by the vertex operators (``_fock_check``).  ``fallbacks`` counts
-the pieces that needed rational elimination in this process and is read by
-tests only, never by a report.  Failures are data (a report with a
+in one pass over its terms (``_ideal_coordinates``), and the ideal is
+checked to lie in the kernel exactly over Z.  The rank of the ideal rows I
+is then bounded by leading terms (``_distinct_leads``): the lead of a
+nonzero row is its least term under the total order (sum of m_i^2, index
+tuple), and rows with distinct leads are independent.  With the minor,
+
+    #distinct leads <= rank I <= dim ker E = n - n_rows,
+
+the second step by containment, so #distinct leads >= n - n_rows makes
+every number of the report exact with no elimination at all.  It closes
+because every non-DT monomial u is a lead: if u has adjacent indices a, b
+with |a - b| <= 1 and u' is the rest of u, u is the unique term of least
+sum m_i^2 in u' times the relation of weight -a - b (for lambda1, a u that
+contains x(-1) is itself a spanning element).  The leads are read from the
+rows, never assumed.  When either half declines, the piece falls back to
+exact rational elimination, which also finds the witness.  Up to weight ``FOCK_CHECK_WEIGHT`` the kernel basis is found in
+any case and proved equal to the kernel of the Fock matrix, the direct
+evaluation by the vertex operators (``_fock_check``).  ``fallbacks``
+counts the pieces the certificate did not decide in this process and is
+read by tests only, never by a report.  Failures are data (a report with a
 witness), never exceptions.
 """
 
@@ -58,8 +78,6 @@ from .linalg import (
     integer_form,
     kernel_basis,
     rank,
-    rank_mod_p,
-    rref_kernel,
     span_dim,
     subspace_leq,
 )
@@ -68,7 +86,7 @@ from .relations import IDEALS, ideal_piece
 
 TAGS = tuple(IDEALS)
 
-# pieces that piece_report decided by rational elimination, in this process
+# pieces that the certificate of piece_report did not decide, in this process
 fallbacks = 0
 
 # pieces up to this weight also check the kernel of eval_matrix against
@@ -181,12 +199,23 @@ def _orbit(exponents: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(set(itertools.permutations(exponents))))
 
 
+def _row_partitions(size: int, charge: int) -> list[tuple[int, ...]]:
+    """The partitions of size into at most charge parts, each sorted
+    decreasingly and padded with zeros to length charge, in lexicographic
+    order: the rows of ``eval_matrix``."""
+    return sorted(
+        nu[::-1] + (0,) * (charge - len(nu))
+        for nu in partitions(size, 1)
+        if len(nu) <= charge
+    )
+
+
 def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
     """Matrix of the evaluation map on one bidegree in the functional
     realization: columns are the domain monomials in canonical order, and
     there is one row per partition nu of d = ``heisenberg_size`` with at
-    most k = charge parts.  The entry of row nu and column x(m_1)...x(m_k)
-    is the integer
+    most k = charge parts, in the order of ``_row_partitions``.  The entry
+    of row nu and column x(m_1)...x(m_k) is the integer
 
         [z^e] z^{2r} Delta^2 m_nu(z_1, ..., z_k),   e_i = -m_i - 1,
 
@@ -196,18 +225,15 @@ def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
     padded to length k.
 
     It has the row space of ``fock_matrix``, and so the same kernel, rank
-    and reduced kernel basis (see the module docstring).  Its rows are
-    independent, so its rank is the row count."""
+    and reduced kernel basis.  Its rows are independent, so its rank is the
+    row count, which ``_full_row_rank`` proves by a unitriangular minor
+    (see the module docstring)."""
     spec = IDEALS[tag]
     monos = enumerate_monomials(weight, charge, spec.ambient_floor)
     size = heisenberg_size(tag, weight, charge)
     # no partition of a negative size: the rows are empty and Delta^2, of
     # degree k(k-1) with k up to the weight, is never expanded
-    orbits = [
-        _orbit(nu + (0,) * (charge - len(nu)))
-        for nu in partitions(size, 1)
-        if len(nu) <= charge
-    ]
+    orbits = [_orbit(nu) for nu in _row_partitions(size, charge)]
     entries: dict[tuple[int, int], int] = {}
     if orbits:
         delta2 = _vandermonde_squared(charge)
@@ -252,28 +278,59 @@ def _ideal_coordinates(
     return vecs, len(index)
 
 
+def _full_row_rank(
+    tag: str, weight: int, charge: int, matrix: SparseMatQ, monos: list[Monomial]
+) -> bool:
+    """Whether ``matrix`` E, from ``eval_matrix`` with columns ``monos``,
+    has a unitriangular minor on the difference-two columns of its rows, so
+    that rank E is its row count (see the module docstring).
+
+    Row i, for the i-th padded partition nu of ``_row_partitions``, has the
+    DT column with indices -(nu + 2 delta) - 1 - 2r.  The check is that
+    this column is in the domain, that its entry in row i is +-1, and that
+    it has no nonzero entry in a row before i."""
+    index = {mono.indices: j for j, mono in enumerate(monos)}
+    shift = 1 + int(2 * IDEALS[tag].vacuum_r)
+    staircase = range(2 * charge - 2, -1, -2)
+    columns = matrix.columns()
+    for i, nu in enumerate(_row_partitions(heisenberg_size(tag, weight, charge), charge)):
+        j = index.get(tuple(-a - s - shift for a, s in zip(nu, staircase)))
+        column = columns.get(j)
+        if not column or min(column) != i or column[i] not in (1, -1):
+            return False
+    return True
+
+
+def _distinct_leads(vecs: list[dict[int, int]], monos: list[Monomial]) -> int:
+    """The number of distinct leads among the nonzero rows ``vecs``, all in
+    the domain ``monos``.  The lead of a row is its least term under the
+    total order (sum of m_i^2, index tuple); as ``monos`` is in ascending
+    index order, the key sum(m_i^2) * n + j orders the columns j the same
+    way.  Rows with distinct leads are independent."""
+    n = len(monos)
+    keys = [sum(m * m for m in mono.indices) * n + j for j, mono in enumerate(monos)]
+    return len({min([keys[j] for j in vec]) for vec in vecs if vec})
+
+
 def _fock_check(
     tag: str, weight: int, charge: int, matrix: SparseMatQ, kernel: list[Vector]
-) -> tuple[bool, Vector | None, bool]:
+) -> tuple[bool, Vector | None]:
     """Whether ``matrix`` E, from ``eval_matrix``, has the kernel of the
     Fock matrix F, given the exact kernel basis of E.  Also returns a vector
-    in one kernel and not the other, if there is one, and whether F was
-    eliminated over Q.
+    in one kernel and not the other, if there is one.
 
     Every basis vector is multiplied by F exactly, which proves ker E in
-    ker F.  Then rank_p(F) <= rank_Q(F) <= rank E, so rank_p(F) = rank E
-    proves the two kernels have one dimension and are equal.  If rank_p(F)
-    falls short, the kernels are equal exactly when E kills every vector of
-    the reduced kernel basis of F, taken by rational elimination."""
+    ker F, and then equal ranks prove the two kernels equal.  If the rank
+    of F is smaller, the kernels are equal exactly when E kills every
+    vector of the kernel basis of F, and one it does not kill is returned."""
     fock = fock_matrix(tag, weight, charge)
     for vec in kernel:
         if fock.matvec(vec):
-            return False, vec, False
-    rank_eval = matrix.n_cols - len(kernel)
-    if rank_mod_p(fock.columns().values(), fock.n_rows) == rank_eval:
-        return True, None, False
-    wider = next((vec for vec in rref_kernel(fock) if matrix.matvec(vec)), None)
-    return wider is None, wider, True
+            return False, vec
+    if rank(fock) == matrix.n_cols - len(kernel):
+        return True, None
+    wider = next((vec for vec in kernel_basis(fock) if matrix.matvec(vec)), None)
+    return wider is None, wider
 
 
 def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
@@ -281,22 +338,16 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
 
     Containment is checked first, exactly over Z, each ideal polynomial in
     turn, and the first one with a nonzero image, or with a monomial
-    outside the domain, is the witness.  The kernel basis is exact
-    (``kernel_basis``).  Up to weight ``FOCK_CHECK_WEIGHT`` it is checked
-    against the Fock matrix (``_fock_check``), and a vector in one of the
-    two kernels and not the other is the witness.  Given containment,
-    with I the ideal coordinates with each vector scaled to integers, the
-    rank of I over F_p (``rank_mod_p``) bounds the rational one from below,
-    so
-
-        rank_p(I) <= rank_Q(I) <= dim ker E.
-
-    The second step is containment.  If rank_p(I) = dim ker E the two ends
-    meet, both steps are equalities, and the report's numbers and
-    ``equality_ok`` are exact.  A real failure (rank_Q(I) < dim ker E) keeps
-    the second step strict, so it can never close the sandwich.  Otherwise
-    (a failure, or a prime dividing every maximal minor of I) the ideal is
-    ranked again by rational elimination, which also finds the witness."""
+    outside the domain, is the witness.  Up to weight ``FOCK_CHECK_WEIGHT``
+    the kernel basis (``kernel_basis``) is checked against the Fock matrix
+    (``_fock_check``), and a vector in one of the two kernels and not the
+    other is the witness.  Given both, the certificate of the module
+    docstring decides the piece: the minor gives dim ker E = n - n_rows,
+    and the distinct leads of the ideal rows reach it.  It cannot close on
+    a real failure, where rank I < dim ker E.  Otherwise the piece falls
+    back to exact rational elimination: the kernel basis gives dim ker E
+    unless the minor did, ``span_dim`` gives rank I, and a kernel vector
+    outside the ideal span is the witness."""
     global fallbacks
     monos = enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor)
     n = len(monos)
@@ -310,34 +361,39 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
             witness = str(p)
             break
     containment_ok = witness is None
-    kernel = kernel_basis(matrix)
-    fock_ok, disagreement, eliminated = True, None, False
+    full_rank = _full_row_rank(tag, weight, charge, matrix, monos)
+    kernel = None
+    if weight <= FOCK_CHECK_WEIGHT or not full_rank:
+        kernel = kernel_basis(matrix)
+    dim_kernel = n - matrix.n_rows if kernel is None else len(kernel)
+    fock_ok = True
     if weight <= FOCK_CHECK_WEIGHT:
-        fock_ok, disagreement, eliminated = _fock_check(tag, weight, charge, matrix, kernel)
+        fock_ok, disagreement = _fock_check(tag, weight, charge, matrix, kernel)
         if disagreement is not None and witness is None:
             witness = _as_poly(disagreement, monos)
     kernel_ok = containment_ok and fock_ok
-    equality_ok = kernel_ok and rank_mod_p(ideal_vecs, n_ideal) == len(kernel)
-    dim_ideal = len(kernel)
+    equality_ok = (
+        kernel_ok and full_rank and _distinct_leads(ideal_vecs, monos) >= dim_kernel
+    )
+    dim_ideal = dim_kernel
     if not equality_ok:
-        eliminated = True
+        fallbacks += 1
         dim_ideal = span_dim(ideal_vecs, n_ideal)
-        equality_ok = kernel_ok and dim_ideal == len(kernel)
+        equality_ok = kernel_ok and dim_ideal == dim_kernel
         if kernel_ok and not equality_ok:
             # containment makes the ideal span a subspace of the kernel, so
             # a mismatch means some kernel vector escapes the ideal span
-            for vec in kernel:
+            for vec in kernel_basis(matrix) if kernel is None else kernel:
                 if span_dim([*ideal_vecs, vec], n_ideal) > dim_ideal:
                     witness = _as_poly(vec, monos)
                     break
-    fallbacks += eliminated
     return PieceReport(
         module_tag=tag,
         weight=weight,
         charge=charge,
         dim_domain=n,
-        rank_eval=n - len(kernel),
-        dim_kernel=len(kernel),
+        rank_eval=n - dim_kernel,
+        dim_kernel=dim_kernel,
         dim_ideal_piece=dim_ideal,
         containment_ok=containment_ok,
         equality_ok=equality_ok,
@@ -386,7 +442,8 @@ def kernel_containment_L0_in_L1(max_weight: int) -> bool:
 
 def graded_dims(tag: str, max_weight: int) -> dict[tuple[int, int], int]:
     """Rank of the evaluation map per bidegree, i.e. the graded dimensions
-    of the image module."""
+    of the image module: the row count of ``eval_matrix`` where
+    ``_full_row_rank`` proves it, and its rational ``rank`` otherwise."""
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
     _require_tag(tag)
@@ -394,8 +451,8 @@ def graded_dims(tag: str, max_weight: int) -> dict[tuple[int, int], int]:
     for weight in range(max_weight + 1):
         for charge in charge_range(tag, weight):
             m = eval_matrix(tag, weight, charge)
-            # the rows are independent, and rank_p <= rank_Q <= n_rows
-            full = rank_mod_p(m.columns().values(), m.n_rows) == m.n_rows
+            monos = enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor)
+            full = _full_row_rank(tag, weight, charge, m, monos)
             dims[(weight, charge)] = m.n_rows if full else rank(m)
     return dims
 

@@ -150,6 +150,22 @@ def test_verify_fails_on_mutated_ideal(
     assert image.is_zero() is killed
 
 
+def force_certificate_off(monkeypatch):
+    """Make both halves of the certificate of ``piece_report`` decline."""
+    monkeypatch.setattr(verify, "_full_row_rank", lambda *args: False)
+    monkeypatch.setattr(verify, "_distinct_leads", lambda *args: 0)
+
+
+CUBE = x(-3) * x(-3) * x(-3)
+
+# the witnesses on (9,3) and (12,4) once the weight-6 relation is dropped
+LATER_WITNESSES = {
+    "lambda0": [6 * (x(-5) * x(-3) * x(-1)) + CUBE, CUBE * x(-3)],
+    "lambda1": [CUBE, CUBE * x(-3)],
+    "lambda1prime": [CUBE, CUBE * x(-3)],
+}
+
+
 @pytest.mark.parametrize(
     "tag, witness",
     [
@@ -159,8 +175,10 @@ def test_verify_fails_on_mutated_ideal(
     ],
 )
 def test_verify_fails_without_one_relation_weight(capsys, monkeypatch, tag, witness):
-    """Dropping the weight-6 relation leaves a kernel vector of (6,2) outside
-    the ideal: a multi-term witness with non-unit coefficients."""
+    """Dropping the weight-6 relation leaves a kernel vector outside the
+    ideal on (6,2), (9,3) and (12,4): at (6,2) a multi-term witness with
+    non-unit coefficients.  The certificate declines on each of them, and
+    the report is the one the rational path gives with it forced off."""
     original = relations.quadratic_relation
     monkeypatch.setattr(
         relations,
@@ -168,24 +186,30 @@ def test_verify_fails_without_one_relation_weight(capsys, monkeypatch, tag, witn
         lambda t, floor=-1: PolyQ() if t == 6 else original(t, floor),
     )
     monkeypatch.setattr(verify, "fallbacks", 0)
-    code, out, _ = run(
-        capsys, "verify", "--module", tag, "--max-weight", "6", "--format", "json"
-    )
+    args = ["verify", "--module", tag, "--max-weight", "12", "--format", "json"]
+    code, out, _ = run(capsys, *args)
     assert code == 1
-    assert verify.fallbacks >= 1
     failed = [p for p in json.loads(out)["pieces"] if not p["equality_ok"]]
-    assert [(p["idx"]["weight"], p["idx"]["charge"]) for p in failed] == [(6, 2)]
-    assert failed[0]["containment_ok"] is True
-    assert failed[0]["witness"] == str(witness)
+    assert [(p["idx"]["weight"], p["idx"]["charge"]) for p in failed] == [
+        (6, 2), (9, 3), (12, 4)
+    ]
+    assert verify.fallbacks >= len(failed)
     spec = relations.IDEALS[tag]
     vacuum = FockState((), spec.vacuum_r)
-    image = FockVector()
-    for mono, c in witness.terms.items():
-        image = image + c * apply_monomial(mono, vacuum)
-    assert image.is_zero()
-    monos = enumerate_monomials(6, 2, spec.ambient_floor)
-    ideal = coordinates(relations.ideal_piece(tag, 6, 2), monos)
-    assert not subspace_leq(coordinates([witness], monos), ideal, len(monos))
+    for piece, witness in zip(failed, [witness, *LATER_WITNESSES[tag]]):
+        assert piece["containment_ok"] is True
+        assert piece["witness"] == str(witness)
+        image = FockVector()
+        for mono, c in witness.terms.items():
+            image = image + c * apply_monomial(mono, vacuum)
+        assert image.is_zero()
+        weight, charge = piece["idx"]["weight"], piece["idx"]["charge"]
+        monos = enumerate_monomials(weight, charge, spec.ambient_floor)
+        ideal = coordinates(relations.ideal_piece(tag, weight, charge), monos)
+        assert not subspace_leq(coordinates([witness], monos), ideal, len(monos))
+    force_certificate_off(monkeypatch)
+    code_off, out_off, _ = run(capsys, *args)
+    assert (code_off, out_off) == (code, out)
 
 
 def test_verify_fails_with_a_halved_relation_coefficient(capsys, monkeypatch):
@@ -289,7 +313,7 @@ def test_verify_fails_with_delta_in_place_of_delta_squared(
     weight, charge = idx
     matrix = verify.eval_matrix(tag, weight, charge)
     kernel = linalg.kernel_basis(matrix)
-    agree, escaped, _ = verify._fock_check(tag, weight, charge, matrix, kernel)
+    agree, escaped = verify._fock_check(tag, weight, charge, matrix, kernel)
     assert not agree
     mono = witness_monomial(witness)
     monos = enumerate_monomials(weight, charge, relations.IDEALS[tag].ambient_floor)
@@ -347,28 +371,16 @@ def test_verify_reports_a_kernel_the_fock_matrix_disputes(
 
 
 def test_fraction_fallback_gives_the_same_report(capsys, monkeypatch):
-    """With every modular rank one short the sandwich never closes, so each
-    piece is decided by rational elimination, and the report is unchanged."""
-    args = ["verify", "--max-weight", "8", "--format", "json"]
+    """With the certificate forced off, each piece is decided by rational
+    elimination, and the report is unchanged."""
+    args = ["verify", "--max-weight", "12", "--format", "json"]
     code, certified, _ = run(capsys, *args)
-    real = verify.rank_mod_p
-    monkeypatch.setattr(verify, "rank_mod_p", lambda rows, n_cols: real(rows, n_cols) - 1)
+    force_certificate_off(monkeypatch)
     monkeypatch.setattr(verify, "fallbacks", 0)
     code_fallback, eliminated, _ = run(capsys, *args)
     assert code == code_fallback == 0
     assert eliminated == certified
     assert verify.fallbacks == len(json.loads(eliminated)["pieces"])
-
-
-def test_rref_kernel_gives_the_same_report(capsys, monkeypatch):
-    """With the kernel never found mod p, every kernel comes from rational
-    elimination, and the report is unchanged."""
-    args = ["verify", "--max-weight", "8", "--format", "json"]
-    code, modular, _ = run(capsys, *args)
-    monkeypatch.setattr(linalg, "_kernel_mod_p", lambda m: None)
-    code_rref, eliminated, _ = run(capsys, *args)
-    assert code == code_rref == 0
-    assert eliminated == modular
 
 
 def test_qseries_matches_oracle(capsys):

@@ -8,8 +8,8 @@ import pytest
 
 from principal_subspaces import linalg, relations, verify
 from principal_subspaces.fock import FockState, apply_monomial, basis_states
-from principal_subspaces.linalg import integer_form, kernel_basis, rank_mod_p, span_equal
-from principal_subspaces.poly import PolyQ, coordinates, enumerate_monomials
+from principal_subspaces.linalg import integer_form, kernel_basis, span_equal
+from principal_subspaces.poly import Monomial, PolyQ, coordinates, enumerate_monomials
 from principal_subspaces.relations import IDEALS, ideal_piece, quadratic_relation
 from principal_subspaces.verify import (
     TAGS,
@@ -106,25 +106,33 @@ def test_eval_matrix_expands_no_delta_squared_without_rows(monkeypatch):
 
 def test_functional_and_fock_kernels_agree_to_weight_16():
     """The functional matrix has the reduced kernel basis of the Fock
-    matrix on every piece to weight 16, and its rows are independent mod p."""
+    matrix on every piece to weight 16, and its rows are independent by the
+    unitriangular minor."""
     for tag in TAGS:
         for weight in range(17):
             for charge in charge_range(tag, weight):
                 m = eval_matrix(tag, weight, charge)
                 fock = fock_matrix(tag, weight, charge)
                 assert kernel_basis(m) == kernel_basis(fock), (tag, weight, charge)
-                assert rank_mod_p(m.columns().values(), m.n_rows) == m.n_rows
+                monos = enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor)
+                assert verify._full_row_rank(tag, weight, charge, m, monos)
 
 
-def no_rref(m):
+def no_elimination(*args):
     raise AssertionError("rational elimination on a passing piece")
 
 
+def force_certificate_off(monkeypatch):
+    """Make both halves of the certificate decline on every piece."""
+    monkeypatch.setattr(verify, "_full_row_rank", lambda *args: False)
+    monkeypatch.setattr(verify, "_distinct_leads", lambda *args: 0)
+
+
 def test_graded_dims_certified_by_the_row_count(monkeypatch):
-    """The ranks come from rank_mod_p = n_rows without any elimination, and
-    agree with the difference-two partition counts."""
-    monkeypatch.setattr(linalg, "rref", no_rref)
-    monkeypatch.setattr(verify, "rank", no_rref)
+    """The ranks are the row counts, proved by the unitriangular minor
+    without any elimination, and agree with the difference-two partition
+    counts."""
+    monkeypatch.setattr(linalg, "_echelon", no_elimination)
     dims0 = graded_dims("lambda0", 14)
     dims1 = graded_dims("lambda1prime", 14)
     assert dims0 == {(w, k): partition_oracle(w, k, 1) for (w, k) in dims0}
@@ -132,22 +140,104 @@ def test_graded_dims_certified_by_the_row_count(monkeypatch):
 
 
 def test_graded_dims_fall_back_to_the_rational_rank(monkeypatch):
-    """With rank_mod_p always short the certificate never closes, every
-    rank comes from rational elimination, and the dimensions are unchanged."""
+    """With the minor check always declining, every rank comes from
+    rational elimination, and the dimensions are unchanged."""
     certified = {tag: graded_dims(tag, 10) for tag in TAGS}
     real_rank, calls = linalg.rank, []
-    monkeypatch.setattr(verify, "rank_mod_p", lambda rows, n_cols: -1)
+    force_certificate_off(monkeypatch)
     monkeypatch.setattr(verify, "rank", lambda m: calls.append(m) or real_rank(m))
     assert {tag: graded_dims(tag, 10) for tag in TAGS} == certified
     assert len(calls) == sum(len(dims) for dims in certified.values())
 
 
 def test_sandwich_closes_on_every_piece_to_weight_14(monkeypatch):
-    monkeypatch.setattr(linalg, "rref", no_rref)
+    """The certificate decides every piece to weight 14, and above
+    ``FOCK_CHECK_WEIGHT`` no piece runs any elimination."""
     monkeypatch.setattr(verify, "fallbacks", 0)
     for tag in TAGS:
-        assert verify_presentation(tag, 14).all_pass
+        assert verify_presentation(tag, verify.FOCK_CHECK_WEIGHT).all_pass
+    monkeypatch.setattr(linalg, "_echelon", no_elimination)
+    for tag in TAGS:
+        for weight in range(verify.FOCK_CHECK_WEIGHT + 1, 15):
+            for charge in charge_range(tag, weight):
+                assert piece_report(tag, weight, charge).equality_ok
     assert verify.fallbacks == 0
+
+
+def dt_column(tag, weight, charge, i):
+    """The column of the difference-two monomial of row i of eval_matrix:
+    the row's padded partition plus the staircase (2(k-1), ..., 2, 0) is the
+    exponent e, and m_j = -e_j - 1 - 2r."""
+    spec = IDEALS[tag]
+    size = heisenberg_size(tag, weight, charge)
+    nu = verify._row_partitions(size, charge)[i]
+    assert sum(nu) == size and list(nu) == sorted(nu, reverse=True)
+    e = [a + 2 * (charge - 1 - j) for j, a in enumerate(nu)]
+    mono = Monomial(tuple(-ej - 1 - int(2 * spec.vacuum_r) for ej in e))
+    return enumerate_monomials(weight, charge, spec.ambient_floor).index(mono)
+
+
+def zero_diagonal(tag, weight, charge, m):
+    j = dt_column(tag, weight, charge, 1)
+    assert m.entries[(1, j)] in (1, -1)
+    return {k: v for k, v in m.entries.items() if k != (1, j)}
+
+
+def entry_above_diagonal(tag, weight, charge, m):
+    j = dt_column(tag, weight, charge, 1)
+    assert (0, j) not in m.entries
+    return {**m.entries, (0, j): 1}
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("mutate", [zero_diagonal, entry_above_diagonal])
+def test_certificate_declines_on_a_broken_minor(monkeypatch, tag, mutate):
+    """An evaluation matrix with one diagonal entry of the DT minor set to
+    0, or with one entry added in a row before the diagonal, makes the
+    minor check decline, and the report is the one the rational path gives
+    with the certificate forced off."""
+    weight, charge = 12, 2
+    monos = enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor)
+    real = eval_matrix(tag, weight, charge)
+    assert real.n_rows >= 2
+    assert verify._full_row_rank(tag, weight, charge, real, monos)
+    mutant = linalg.SparseMatQ(real.n_rows, real.n_cols, mutate(tag, weight, charge, real))
+    assert not verify._full_row_rank(tag, weight, charge, mutant, monos)
+    monkeypatch.setattr(verify, "eval_matrix", lambda *piece: mutant)
+    monkeypatch.setattr(verify, "fallbacks", 0)
+    report = piece_report(tag, weight, charge)
+    assert verify.fallbacks == 1
+    force_certificate_off(monkeypatch)
+    assert piece_report(tag, weight, charge) == report
+
+
+def lead(poly):
+    """The least term of a polynomial under (sum of m_i^2, index tuple)."""
+    return min(poly.terms, key=lambda mono: (sum(m * m for m in mono.indices), mono.indices))
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_certificate_declines_without_one_cofactor_multiple(monkeypatch, tag):
+    """Dropping the one spanning element with a given lead from the ideal
+    piece (12, 3) leaves fewer distinct leads than the kernel dimension, so
+    the lead count declines, and the report is the one the rational path
+    gives with the certificate forced off."""
+    weight, charge = 12, 3
+    polys = ideal_piece(tag, weight, charge)
+    leads = [lead(p) for p in polys]
+    drop = next(i for i, mono in enumerate(leads) if leads.count(mono) == 1)
+    kept = polys[:drop] + polys[drop + 1 :]
+    monos = enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor)
+    dim_kernel = len(monos) - eval_matrix(tag, weight, charge).n_rows
+    assert len(set(leads)) == dim_kernel
+    rows, _ = verify._ideal_coordinates(kept, monos)
+    assert verify._distinct_leads(rows, monos) == dim_kernel - 1
+    monkeypatch.setattr(verify, "ideal_piece", lambda *piece: kept)
+    monkeypatch.setattr(verify, "fallbacks", 0)
+    report = piece_report(tag, weight, charge)
+    assert verify.fallbacks == 1
+    force_certificate_off(monkeypatch)
+    assert piece_report(tag, weight, charge) == report
 
 
 def rows_by_coordinates(polys, monos):
