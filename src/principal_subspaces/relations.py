@@ -2,18 +2,19 @@
 generate, plus the polynomial identities the inductive kernel argument
 rests on.
 
-The relation of weight t sums x(m1)x(m2) over ordered pairs m1 + m2 = -t
-with both indices bounded by a floor (-1 or -2), so as a commutative
+The relation R_t of weight t sums x(m1)x(m2) over ordered pairs m1 + m2 =
+-t with both indices bounded by a floor (-1 or -2), so as a commutative
 polynomial a distinct pair carries coefficient 2 and a repeated index
-coefficient 1.  Ideal pieces are returned as spanning sets, never
-pre-reduced; rank reduction is the caller's job.
+coefficient 1.  Each ideal is generated by the R_t at the floor of its
+subalgebra, for t >= -2 * floor, and for lambda1 also by x(-1).  Ideal
+pieces are returned as spanning sets, never pre-reduced; rank reduction is
+the caller's job.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import subspace_leq
 from .poly import (
@@ -50,22 +51,19 @@ def quadratic_relation(t: int, floor: int = -1) -> PolyQ:
 
 @dataclass(frozen=True)
 class IdealSpec:
-    """Which relations generate the ideal, inside which subalgebra, and the
-    lattice coordinate r of the highest weight vector e^{r alpha} that the
-    evaluation map acts on."""
+    """What tells the presentations apart: the floor of the subalgebra, at
+    which the R_t with t >= -2 * floor generate the ideal; whether x(-1)
+    does too; and 2r for the vacuum e^{r alpha} of the evaluation map."""
 
-    tag: str
     ambient_floor: int
-    relation_floor: int
-    relation_weight_min: int
     includes_degree_one_generator: bool
-    vacuum_r: Fraction
+    two_r: int
 
 
 IDEALS: dict[str, IdealSpec] = {
-    "lambda0": IdealSpec("lambda0", -1, -1, 2, False, Fraction(0)),
-    "lambda1": IdealSpec("lambda1", -1, -1, 2, True, Fraction(1, 2)),
-    "lambda1prime": IdealSpec("lambda1prime", -2, -2, 4, False, Fraction(1, 2)),
+    "lambda0": IdealSpec(-1, False, 0),
+    "lambda1": IdealSpec(-1, True, 1),
+    "lambda1prime": IdealSpec(-2, False, 1),
 }
 
 
@@ -81,8 +79,8 @@ def ideal_piece(tag: str, weight: int, charge: int) -> list[PolyQ]:
     if weight < 0 or charge < 1:
         return out
     if charge >= 2:
-        for t in range(spec.relation_weight_min, weight + 1):
-            rel = quadratic_relation(t, spec.relation_floor)
+        for t in range(-2 * spec.ambient_floor, weight + 1):
+            rel = quadratic_relation(t, spec.ambient_floor)
             for u in enumerate_monomials(weight - t, charge - 2, spec.ambient_floor):
                 out.append(_monomial_times(u, rel))
     if spec.includes_degree_one_generator:

@@ -3,8 +3,9 @@ spans, with an independent partition-count cross-check.
 
 For each module tag the evaluation map sends a monomial in the generators to
 its action on the highest weight vector e^{r alpha} of the lattice
-realization.  With the cocycle taken to be 1, the exponential formula of
-``fock`` composes to the functional realization
+realization; ``IdealSpec.two_r`` holds 2r, an integer like every exponent
+below.  With the cocycle taken to be 1, the exponential formula of ``fock``
+composes to the functional realization
 
     Y(e^alpha, z_1) ... Y(e^alpha, z_k) e^{r alpha}
         = prod_{i<j} (z_i - z_j)^2 prod_i z_i^{2r} Omega(z) e^{(r+k) alpha},
@@ -37,15 +38,17 @@ diagonal.  Its determinant is +-1, so rank E = n_rows and dim ker E = n -
 n_rows.  The check reads every entry it relies on from the matrix, so a
 wrong matrix makes it decline, never pass.
 
-Per piece (``piece_report``), the domain monomials come from the table
-behind ``enumerate_monomials``, shared with ``eval_matrix``, ``fock_matrix``
-and every cofactor enumeration of ``ideal_piece``, so each domain is
-enumerated once per process.  Each ideal polynomial becomes an integer row
-in one pass over its terms (``_ideal_coordinates``), and the ideal is
-checked to lie in the kernel exactly over Z.  The rank of the ideal rows I
-is then bounded by leading terms (``_distinct_leads``): the lead of a
-nonzero row is its least term under the total order (sum of m_i^2, index
-tuple), and rows with distinct leads are independent.  With the minor,
+Per piece, ``_evaluation``, shared by ``piece_report`` and ``graded_dims``,
+gives the matrix, the domain index and the verdict of the minor.  The
+domain monomials come from the table behind ``enumerate_monomials``, shared
+with ``eval_matrix``, ``fock_matrix`` and every cofactor enumeration of
+``ideal_piece``, so each domain is enumerated once per process.  Each ideal
+polynomial becomes an integer row in one pass over its terms
+(``_ideal_coordinates``), and the ideal is checked to lie in the kernel
+exactly over Z.  The rank of the ideal rows I is then bounded by leading
+terms (``_distinct_leads``): the lead of a nonzero row is its least term
+under the total order (sum of m_i^2, index tuple), and rows with distinct
+leads are independent.  With the minor,
 
     #distinct leads <= rank I <= dim ker E = n - n_rows,
 
@@ -71,7 +74,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .fock import FockState, apply_monomial, basis_states, partitions
+from .fock import FockState, apply_monomial, partitions
 from .linalg import (
     SparseMatQ,
     Vector,
@@ -93,6 +96,9 @@ fallbacks = 0
 # fock_matrix, the direct evaluation that it replaces
 FOCK_CHECK_WEIGHT = 8
 
+# the domain index of a piece: {indices: column} over its monomials
+Domain = dict[tuple[int, ...], int]
+
 
 @dataclass(frozen=True)
 class PieceReport:
@@ -110,17 +116,10 @@ class PieceReport:
     witness: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "idx": {"weight": self.weight, "charge": self.charge},
-            "module_tag": self.module_tag,
-            "dim_domain": self.dim_domain,
-            "rank_eval": self.rank_eval,
-            "dim_kernel": self.dim_kernel,
-            "dim_ideal_piece": self.dim_ideal_piece,
-            "containment_ok": self.containment_ok,
-            "equality_ok": self.equality_ok,
-            "witness": self.witness,
-        }
+        """The fields in order, with weight and charge first, under idx."""
+        fields = dict(vars(self))
+        idx = {"weight": fields.pop("weight"), "charge": fields.pop("charge")}
+        return {"idx": idx, **fields}
 
 
 @dataclass
@@ -135,17 +134,13 @@ class VerificationRun:
 
 
 def charge_range(tag: str, weight: int) -> range:
-    """Charges addressing potentially nonzero domain pieces at this weight."""
-    if IDEALS[tag].ambient_floor == -2:
-        return range(0, weight // 2 + 1)
-    return range(0, weight + 1)
+    """The charges k <= weight / -floor: every factor has weight >= -floor."""
+    return range(weight // -IDEALS[tag].ambient_floor + 1)
 
 
 def heisenberg_size(tag: str, weight: int, charge: int) -> int:
-    """|mu| of the target bidegree: weight + wt(vacuum) - (r0 + charge)^2."""
-    r0 = IDEALS[tag].vacuum_r
-    size = weight + r0 * r0 - (r0 + charge) ** 2
-    return int(size)
+    """|mu| of the target bidegree: weight + r^2 - (r + charge)^2."""
+    return weight - charge * (charge + IDEALS[tag].two_r)
 
 
 def fock_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
@@ -158,10 +153,10 @@ def fock_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
     and the RREF are those of the unscaled matrix."""
     spec = IDEALS[tag]
     monos = enumerate_monomials(weight, charge, spec.ambient_floor)
-    size = heisenberg_size(tag, weight, charge)
-    rows = basis_states(size, spec.vacuum_r + charge)
-    row_index = {s: i for i, s in enumerate(rows)}
-    vacuum = FockState((), spec.vacuum_r)
+    rows = partitions(heisenberg_size(tag, weight, charge), 1)
+    target_two_r = spec.two_r + 2 * charge
+    row_index = {FockState(mu, _two_r=target_two_r): i for i, mu in enumerate(rows)}
+    vacuum = FockState(_two_r=spec.two_r)
     columns = [integer_form(apply_monomial(mono, vacuum).terms) for mono in monos]
     scale = math.lcm(*(den for den, _ in columns))
     entries: dict[tuple[int, int], int] = {}
@@ -219,10 +214,10 @@ def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
 
         [z^e] z^{2r} Delta^2 m_nu(z_1, ..., z_k),   e_i = -m_i - 1,
 
-    with r the vacuum coordinate, Delta^2 = prod_{i<j} (z_i - z_j)^2 and
-    m_nu the monomial symmetric polynomial: the sum of the Delta^2
-    coefficients at e - 2r - a over the distinct permutations a of nu
-    padded to length k.
+    with 2r = two_r the doubled vacuum coordinate, Delta^2 = prod_{i<j}
+    (z_i - z_j)^2 and m_nu the monomial symmetric polynomial: the sum of the
+    Delta^2 coefficients at e - 2r - a over the distinct permutations a of
+    nu padded to length k.
 
     It has the row space of ``fock_matrix``, and so the same kernel, rank
     and reduced kernel basis.  Its rows are independent, so its rank is the
@@ -237,7 +232,7 @@ def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
     entries: dict[tuple[int, int], int] = {}
     if orbits:
         delta2 = _vandermonde_squared(charge)
-        shift = 1 + int(2 * spec.vacuum_r)
+        shift = 1 + spec.two_r
         for j, mono in enumerate(monos):
             e = [-m - shift for m in mono.indices]
             for i, orbit in enumerate(orbits):
@@ -251,64 +246,65 @@ def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
 
 
 def _ideal_coordinates(
-    polys: list[PolyQ], monos: list[Monomial]
+    polys: list[PolyQ], domain: Domain
 ) -> tuple[list[dict[int, int]], int]:
     """Integer coordinate vectors of the ideal polynomials, each scaled by
     the least common denominator of its coefficients, and their column
-    count.  The columns are the domain monomials and then every other
-    monomial of the polynomials, in order of first appearance, so a
-    polynomial outside the domain has a column at or past len(monos).
+    count.  The columns are those of ``domain`` and then, numbered in a dict
+    of their own, every other monomial of the polynomials, in order of first
+    appearance, so a polynomial outside the domain has a column at or past
+    len(domain).
 
     The order of the outside columns changes no report: the containment
     witness is the first polynomial with such a column or a nonzero image,
     whatever the column's number, and a rank does not depend on the order of
     the columns.  The index is keyed by index tuples, whose hash and
     equality run in C, not by ``Monomial``."""
-    index = {mono.indices: j for j, mono in enumerate(monos)}
+    n = len(domain)
+    outside: dict[tuple[int, ...], int] = {}
     vecs = []
     for p in polys:
         scale = math.lcm(*(c.denominator for c in p.terms.values()))
         vec = {}
         for mono, c in p.terms.items():
-            j = index.get(mono.indices)
+            j = domain.get(mono.indices)
             if j is None:
-                j = index[mono.indices] = len(index)
+                j = outside.setdefault(mono.indices, n + len(outside))
             vec[j] = c.numerator * (scale // c.denominator)
         vecs.append(vec)
-    return vecs, len(index)
+    return vecs, n + len(outside)
 
 
 def _full_row_rank(
-    tag: str, weight: int, charge: int, matrix: SparseMatQ, monos: list[Monomial]
+    tag: str, weight: int, charge: int, matrix: SparseMatQ, domain: Domain
 ) -> bool:
-    """Whether ``matrix`` E, from ``eval_matrix`` with columns ``monos``,
-    has a unitriangular minor on the difference-two columns of its rows, so
-    that rank E is its row count (see the module docstring).
+    """Whether ``matrix`` E, from ``eval_matrix`` with the columns of
+    ``domain``, has a unitriangular minor on the difference-two columns of
+    its rows, so that rank E is its row count (see the module docstring).
 
     Row i, for the i-th padded partition nu of ``_row_partitions``, has the
-    DT column with indices -(nu + 2 delta) - 1 - 2r.  The check is that
+    DT column with indices -(nu + 2 delta) - 1 - two_r.  The check is that
     this column is in the domain, that its entry in row i is +-1, and that
     it has no nonzero entry in a row before i."""
-    index = {mono.indices: j for j, mono in enumerate(monos)}
-    shift = 1 + int(2 * IDEALS[tag].vacuum_r)
+    shift = 1 + IDEALS[tag].two_r
     staircase = range(2 * charge - 2, -1, -2)
     columns = matrix.columns()
     for i, nu in enumerate(_row_partitions(heisenberg_size(tag, weight, charge), charge)):
-        j = index.get(tuple(-a - s - shift for a, s in zip(nu, staircase)))
+        j = domain.get(tuple(-a - s - shift for a, s in zip(nu, staircase)))
         column = columns.get(j)
         if not column or min(column) != i or column[i] not in (1, -1):
             return False
     return True
 
 
-def _distinct_leads(vecs: list[dict[int, int]], monos: list[Monomial]) -> int:
+def _distinct_leads(vecs: list[dict[int, int]], domain: Domain) -> int:
     """The number of distinct leads among the nonzero rows ``vecs``, all in
-    the domain ``monos``.  The lead of a row is its least term under the
-    total order (sum of m_i^2, index tuple); as ``monos`` is in ascending
-    index order, the key sum(m_i^2) * n + j orders the columns j the same
-    way.  Rows with distinct leads are independent."""
-    n = len(monos)
-    keys = [sum(m * m for m in mono.indices) * n + j for j, mono in enumerate(monos)]
+    ``domain``.  The lead of a row is its least term under the total order
+    (sum of m_i^2, index tuple); as the columns are in ascending index
+    order, the key sum(m_i^2) * n + j orders them the same way.  Rows with
+    distinct leads are independent."""
+    n = len(domain)
+    keys = [sum(m * m for m in indices) * n + j for indices, j in domain.items()]
     return len({min([keys[j] for j in vec]) for vec in vecs if vec})
 
 
@@ -333,6 +329,15 @@ def _fock_check(
     return wider is None, wider
 
 
+def _evaluation(tag: str, weight: int, charge: int) -> tuple[SparseMatQ, Domain, bool]:
+    """The E side of one piece: the matrix E of ``eval_matrix``, the domain
+    index, and whether ``_full_row_rank`` proves rank E = n_rows."""
+    monos = enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor)
+    domain = {mono.indices: j for j, mono in enumerate(monos)}
+    matrix = eval_matrix(tag, weight, charge)
+    return matrix, domain, _full_row_rank(tag, weight, charge, matrix, domain)
+
+
 def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
     """Compare the kernel of the evaluation map with the ideal piece.
 
@@ -349,11 +354,10 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
     unless the minor did, ``span_dim`` gives rank I, and a kernel vector
     outside the ideal span is the witness."""
     global fallbacks
-    monos = enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor)
-    n = len(monos)
-    matrix = eval_matrix(tag, weight, charge)
+    matrix, domain, full_rank = _evaluation(tag, weight, charge)
+    n = len(domain)
     ideal_polys = ideal_piece(tag, weight, charge)
-    ideal_vecs, n_ideal = _ideal_coordinates(ideal_polys, monos)
+    ideal_vecs, n_ideal = _ideal_coordinates(ideal_polys, domain)
 
     witness: str | None = None
     for p, vec in zip(ideal_polys, ideal_vecs):
@@ -361,7 +365,6 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
             witness = str(p)
             break
     containment_ok = witness is None
-    full_rank = _full_row_rank(tag, weight, charge, matrix, monos)
     kernel = None
     if weight <= FOCK_CHECK_WEIGHT or not full_rank:
         kernel = kernel_basis(matrix)
@@ -370,10 +373,10 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
     if weight <= FOCK_CHECK_WEIGHT:
         fock_ok, disagreement = _fock_check(tag, weight, charge, matrix, kernel)
         if disagreement is not None and witness is None:
-            witness = _as_poly(disagreement, monos)
+            witness = _as_poly(disagreement, domain)
     kernel_ok = containment_ok and fock_ok
     equality_ok = (
-        kernel_ok and full_rank and _distinct_leads(ideal_vecs, monos) >= dim_kernel
+        kernel_ok and full_rank and _distinct_leads(ideal_vecs, domain) >= dim_kernel
     )
     dim_ideal = dim_kernel
     if not equality_ok:
@@ -385,7 +388,7 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
             # a mismatch means some kernel vector escapes the ideal span
             for vec in kernel_basis(matrix) if kernel is None else kernel:
                 if span_dim([*ideal_vecs, vec], n_ideal) > dim_ideal:
-                    witness = _as_poly(vec, monos)
+                    witness = _as_poly(vec, domain)
                     break
     return PieceReport(
         module_tag=tag,
@@ -401,8 +404,9 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
     )
 
 
-def _as_poly(vec: Vector, monos: list[Monomial]) -> str:
-    return str(PolyQ({monos[j]: c for j, c in vec.items()}))
+def _as_poly(vec: Vector, domain: Domain) -> str:
+    indices = list(domain)
+    return str(PolyQ({Monomial(indices[j]): c for j, c in vec.items()}))
 
 
 def _require_tag(tag: str) -> None:
@@ -425,17 +429,14 @@ def verify_presentation(tag: str, max_weight: int) -> VerificationRun:
 
 def kernel_containment_L0_in_L1(max_weight: int) -> bool:
     """Kernel of the lambda0 evaluation sits inside the lambda1 kernel,
-    bidegree by bidegree."""
+    bidegree by bidegree: on their shared floor -1 domain, E1 kills every
+    vector of the kernel basis of E0."""
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
     for weight in range(max_weight + 1):
         for charge in range(weight + 1):
-            m0 = eval_matrix("lambda0", weight, charge)
-            k0 = kernel_basis(m0)
-            if not k0:
-                continue
-            k1 = kernel_basis(eval_matrix("lambda1", weight, charge))
-            if not subspace_leq(k0, k1, m0.n_cols):
+            kernel = kernel_basis(eval_matrix("lambda0", weight, charge))
+            if kernel and any(map(eval_matrix("lambda1", weight, charge).matvec, kernel)):
                 return False
     return True
 
@@ -450,10 +451,8 @@ def graded_dims(tag: str, max_weight: int) -> dict[tuple[int, int], int]:
     dims: dict[tuple[int, int], int] = {}
     for weight in range(max_weight + 1):
         for charge in charge_range(tag, weight):
-            m = eval_matrix(tag, weight, charge)
-            monos = enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor)
-            full = _full_row_rank(tag, weight, charge, m, monos)
-            dims[(weight, charge)] = m.n_rows if full else rank(m)
+            matrix, _, full = _evaluation(tag, weight, charge)
+            dims[(weight, charge)] = matrix.n_rows if full else rank(matrix)
     return dims
 
 

@@ -5,7 +5,6 @@ import functools
 import itertools
 import json
 import re
-from fractions import Fraction
 
 import pytest
 
@@ -117,13 +116,13 @@ def witness_monomial(witness):
         # an ideal holding x(-1) is not inside the kernel
         ("lambda0", {"includes_degree_one_generator": True}, (1, 1), False, "x(-1)", False),
         # without the weight-2 relation the kernel escapes the ideal
-        ("lambda0", {"relation_weight_min": 3}, (2, 2), True, "x(-1)^2", True),
+        ("lambda0", {"zero_relation": 2}, (2, 2), True, "x(-1)^2", True),
         # wrong vacuum: on e^{alpha/2} x(-1) acts as zero, outside the lambda0 ideal
-        ("lambda0", {"vacuum_r": Fraction(1, 2)}, (1, 1), True, "x(-1)", True),
+        ("lambda0", {"two_r": 1}, (1, 1), True, "x(-1)", True),
         # wrong vacuum: on e^0 the generator x(-1) of the lambda1 ideal survives
-        ("lambda1", {"vacuum_r": Fraction(0)}, (1, 1), False, "x(-1)", False),
+        ("lambda1", {"two_r": 0}, (1, 1), False, "x(-1)", False),
         # wrong vacuum: on e^0 the weight-4 relation x(-2)^2 survives
-        ("lambda1prime", {"vacuum_r": Fraction(0)}, (4, 2), False, "x(-2)^2", False),
+        ("lambda1prime", {"two_r": 0}, (4, 2), False, "x(-2)^2", False),
         # without its degree-one generator the lambda1 ideal misses x(-1)
         ("lambda1", {"includes_degree_one_generator": False}, (1, 1), True, "x(-1)", True),
     ],
@@ -131,8 +130,14 @@ def witness_monomial(witness):
 def test_verify_fails_on_mutated_ideal(
     capsys, monkeypatch, tag, change, idx, containment_ok, witness, killed
 ):
-    spec = dataclasses.replace(relations.IDEALS[tag], **change)
-    monkeypatch.setitem(relations.IDEALS, tag, spec)
+    """Each change is to the fields of the module's ``IdealSpec``, or, for
+    ``zero_relation`` t, the relation of weight t replaced by zero."""
+    if "zero_relation" in change:
+        zero_relation(monkeypatch, change["zero_relation"])
+    else:
+        spec = dataclasses.replace(relations.IDEALS[tag], **change)
+        monkeypatch.setitem(relations.IDEALS, tag, spec)
+    spec = relations.IDEALS[tag]
     monkeypatch.setattr(verify, "fallbacks", 0)
     code, out, _ = run(
         capsys, "verify", "--module", tag, "--max-weight", "4", "--format", "json"
@@ -146,8 +151,18 @@ def test_verify_fails_on_mutated_ideal(
     assert piece["containment_ok"] is containment_ok
     assert piece["equality_ok"] is False
     assert piece["witness"] == witness
-    image = apply_monomial(witness_monomial(witness), FockState((), spec.vacuum_r))
+    image = apply_monomial(witness_monomial(witness), FockState(_two_r=spec.two_r))
     assert image.is_zero() is killed
+
+
+def zero_relation(monkeypatch, weight):
+    """Replace the relation of the given weight, at either floor, by zero."""
+    original = relations.quadratic_relation
+    monkeypatch.setattr(
+        relations,
+        "quadratic_relation",
+        lambda t, floor=-1: PolyQ() if t == weight else original(t, floor),
+    )
 
 
 def force_certificate_off(monkeypatch):
@@ -179,12 +194,7 @@ def test_verify_fails_without_one_relation_weight(capsys, monkeypatch, tag, witn
     ideal on (6,2), (9,3) and (12,4): at (6,2) a multi-term witness with
     non-unit coefficients.  The certificate declines on each of them, and
     the report is the one the rational path gives with it forced off."""
-    original = relations.quadratic_relation
-    monkeypatch.setattr(
-        relations,
-        "quadratic_relation",
-        lambda t, floor=-1: PolyQ() if t == 6 else original(t, floor),
-    )
+    zero_relation(monkeypatch, 6)
     monkeypatch.setattr(verify, "fallbacks", 0)
     args = ["verify", "--module", tag, "--max-weight", "12", "--format", "json"]
     code, out, _ = run(capsys, *args)
@@ -195,7 +205,7 @@ def test_verify_fails_without_one_relation_weight(capsys, monkeypatch, tag, witn
     ]
     assert verify.fallbacks >= len(failed)
     spec = relations.IDEALS[tag]
-    vacuum = FockState((), spec.vacuum_r)
+    vacuum = FockState(_two_r=spec.two_r)
     for piece, witness in zip(failed, [witness, *LATER_WITNESSES[tag]]):
         assert piece["containment_ok"] is True
         assert piece["witness"] == str(witness)
@@ -244,16 +254,26 @@ def test_verify_fails_with_a_halved_relation_coefficient(capsys, monkeypatch):
     assert not image.is_zero()
 
 
+def floor_minus_one_piece(tag, weight, charge):
+    """The lambda1prime ideal piece with the floor -1 relations: floor -2
+    cofactors times R_t at floor -1, for t from 2, in the order of
+    ``ideal_piece``.  Other tags keep their own pieces."""
+    if tag != "lambda1prime":
+        return relations.ideal_piece(tag, weight, charge)
+    return [
+        PolyQ({u: 1}) * relations.quadratic_relation(t, -1)
+        for t in range(2, weight + 1)
+        for u in enumerate_monomials(weight - t, charge - 2, -2)
+    ]
+
+
 def test_verify_fails_on_relations_outside_the_domain(capsys, monkeypatch):
     """lambda1prime with the floor -1 relations: its ideal leaves the
     subalgebra on indices <= -2 that the evaluation map is defined on.  The
     first ideal polynomial with an x(-1) term fails containment and is the
     witness; nothing raises."""
     tag = "lambda1prime"
-    spec = dataclasses.replace(
-        relations.IDEALS[tag], relation_floor=-1, relation_weight_min=2
-    )
-    monkeypatch.setitem(relations.IDEALS, tag, spec)
+    monkeypatch.setattr(verify, "ideal_piece", floor_minus_one_piece)
     monkeypatch.setattr(verify, "fallbacks", 0)
     code, out, _ = run(
         capsys, "verify", "--module", tag, "--max-weight", "6", "--format", "json"
@@ -266,8 +286,8 @@ def test_verify_fails_on_relations_outside_the_domain(capsys, monkeypatch):
     assert piece["containment_ok"] is False
     witness = relations.quadratic_relation(4, -1)
     assert piece["witness"] == str(witness)
-    assert witness in relations.ideal_piece(tag, 4, 2)
-    domain = enumerate_monomials(4, 2, spec.ambient_floor)
+    assert witness in floor_minus_one_piece(tag, 4, 2)
+    domain = enumerate_monomials(4, 2, relations.IDEALS[tag].ambient_floor)
     assert any(mono not in domain for mono in witness.terms)
 
 
@@ -319,7 +339,7 @@ def test_verify_fails_with_delta_in_place_of_delta_squared(
     monos = enumerate_monomials(weight, charge, relations.IDEALS[tag].ambient_floor)
     assert escaped == {monos.index(mono): 1}
     assert not matrix.matvec(escaped)
-    vacuum = FockState((), relations.IDEALS[tag].vacuum_r)
+    vacuum = FockState(_two_r=relations.IDEALS[tag].two_r)
     assert not apply_monomial(mono, vacuum).is_zero()
 
 
@@ -381,6 +401,36 @@ def test_fraction_fallback_gives_the_same_report(capsys, monkeypatch):
     assert code == code_fallback == 0
     assert eliminated == certified
     assert verify.fallbacks == len(json.loads(eliminated)["pieces"])
+
+
+def test_lemmas_fail_only_on_the_inclusion_without_x_minus_one(capsys, monkeypatch):
+    """A lambda1 ideal without its generator x(-1) breaks the translated
+    ideal inclusion and no other identity, and lemmas exits 1."""
+    spec = dataclasses.replace(
+        relations.IDEALS["lambda1"], includes_degree_one_generator=False
+    )
+    monkeypatch.setitem(relations.IDEALS, "lambda1", spec)
+    code, out, _ = run(
+        capsys, "lemmas", "--t-max", "6", "--max-weight", "2", "--format", "json"
+    )
+    assert code == 1
+    lemmas = json.loads(out)["lemmas"]
+    assert [name for name, ok in lemmas.items() if not ok] == ["translate_ideal_inclusion"]
+
+
+@pytest.mark.parametrize("command, payload", [("lemmas", "lemmas"), ("qseries", "dims")])
+def test_lemmas_and_qseries_ignore_the_module(capsys, command, payload):
+    """lemmas and qseries never read --module: lambda1 gives the exit code
+    and the payload of all."""
+    results = []
+    for module in ("lambda1", "all"):
+        code, out, _ = run(
+            capsys, command, "--module", module, "--t-max", "6", "--max-weight", "4",
+            "--format", "json",
+        )
+        results.append((code, json.loads(out)[payload]))
+    assert results[0] == results[1]
+    assert results[0][0] == 0
 
 
 def test_qseries_matches_oracle(capsys):

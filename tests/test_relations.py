@@ -1,7 +1,10 @@
 """Relation families, ideal pieces and the supporting identities."""
 
+import dataclasses
+
 import pytest
 
+from principal_subspaces import relations
 from principal_subspaces.linalg import span_equal, subspace_leq
 from principal_subspaces.poly import (
     Monomial,
@@ -134,6 +137,19 @@ def test_translate_ideal_inclusion_sweep():
     for weight in range(0, 9):
         for charge in range(0, weight + 1):
             assert check_translate_ideal_inclusion(weight, charge)
+
+
+def test_translate_ideal_inclusion_needs_the_degree_one_generator(monkeypatch):
+    """translate(R_t) = R_{t+2} - 2 x(-t-1) x(-1) lies in the lambda1 ideal
+    only through its generator x(-1).  Without it the inclusion fails at
+    (2, 2), where translate(x(-1)^2) = x(-2)^2 is no multiple of R_4, and at
+    (3, 2)."""
+    spec = dataclasses.replace(
+        relations.IDEALS["lambda1"], includes_degree_one_generator=False
+    )
+    monkeypatch.setitem(relations.IDEALS, "lambda1", spec)
+    assert not check_translate_ideal_inclusion(2, 2)
+    assert not check_translate_ideal_inclusion(3, 2)
 
 
 def test_translated_lambda0_piece_spans_lambda1prime_piece():

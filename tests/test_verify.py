@@ -1,6 +1,5 @@
 """Evaluation matrices, kernel-ideal comparison and the partition oracle."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,7 +8,7 @@ import pytest
 from principal_subspaces import linalg, relations, verify
 from principal_subspaces.fock import FockState, apply_monomial, basis_states
 from principal_subspaces.linalg import integer_form, kernel_basis, span_equal
-from principal_subspaces.poly import Monomial, PolyQ, coordinates, enumerate_monomials
+from principal_subspaces.poly import Monomial, PolyQ, coordinates, enumerate_monomials, x
 from principal_subspaces.relations import IDEALS, ideal_piece, quadratic_relation
 from principal_subspaces.verify import (
     TAGS,
@@ -50,14 +49,13 @@ def test_eval_matrix_is_one_integer_multiple_of_the_action():
     for one positive integer L: the lcm of the column denominators."""
     for tag in TAGS:
         spec = IDEALS[tag]
-        vacuum = FockState((), spec.vacuum_r)
+        r = Fraction(spec.two_r, 2)
+        vacuum = FockState((), r)
         for weight in range(11):
             for charge in charge_range(tag, weight):
                 m = fock_matrix(tag, weight, charge)
                 monos = enumerate_monomials(weight, charge, spec.ambient_floor)
-                rows = basis_states(
-                    heisenberg_size(tag, weight, charge), spec.vacuum_r + charge
-                )
+                rows = basis_states(heisenberg_size(tag, weight, charge), r + charge)
                 row_index = {s: i for i, s in enumerate(rows)}
                 exact = {
                     (row_index[s], j): c
@@ -104,6 +102,26 @@ def test_eval_matrix_expands_no_delta_squared_without_rows(monkeypatch):
     assert (m.n_rows, m.n_cols, m.entries) == (0, 1, {})
 
 
+def domain_index(tag, weight, charge):
+    """The index {indices: column} of the domain monomials of a piece."""
+    monos = enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor)
+    return {mono.indices: j for j, mono in enumerate(monos)}
+
+
+def test_heisenberg_size_and_charge_range_in_integers():
+    """The integer forms equal weight + r^2 - (r + charge)^2, with r =
+    two_r / 2, and the charges k with k factors of weight at least -floor."""
+    for tag in TAGS:
+        r = Fraction(IDEALS[tag].two_r, 2)
+        floor = IDEALS[tag].ambient_floor
+        for weight in range(13):
+            charges = [k for k in range(weight + 1) if -floor * k <= weight]
+            assert list(charge_range(tag, weight)) == charges
+            for charge in range(weight + 1):
+                size = weight + r * r - (r + charge) ** 2
+                assert heisenberg_size(tag, weight, charge) == size
+
+
 def test_functional_and_fock_kernels_agree_to_weight_16():
     """The functional matrix has the reduced kernel basis of the Fock
     matrix on every piece to weight 16, and its rows are independent by the
@@ -114,8 +132,8 @@ def test_functional_and_fock_kernels_agree_to_weight_16():
                 m = eval_matrix(tag, weight, charge)
                 fock = fock_matrix(tag, weight, charge)
                 assert kernel_basis(m) == kernel_basis(fock), (tag, weight, charge)
-                monos = enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor)
-                assert verify._full_row_rank(tag, weight, charge, m, monos)
+                domain = domain_index(tag, weight, charge)
+                assert verify._full_row_rank(tag, weight, charge, m, domain)
 
 
 def no_elimination(*args):
@@ -150,15 +168,15 @@ def test_graded_dims_fall_back_to_the_rational_rank(monkeypatch):
     assert len(calls) == sum(len(dims) for dims in certified.values())
 
 
-def test_sandwich_closes_on_every_piece_to_weight_14(monkeypatch):
-    """The certificate decides every piece to weight 14, and above
+def test_sandwich_closes_on_every_piece_to_weight_24(monkeypatch):
+    """The certificate decides every piece to weight 24, and above
     ``FOCK_CHECK_WEIGHT`` no piece runs any elimination."""
     monkeypatch.setattr(verify, "fallbacks", 0)
     for tag in TAGS:
         assert verify_presentation(tag, verify.FOCK_CHECK_WEIGHT).all_pass
     monkeypatch.setattr(linalg, "_echelon", no_elimination)
     for tag in TAGS:
-        for weight in range(verify.FOCK_CHECK_WEIGHT + 1, 15):
+        for weight in range(verify.FOCK_CHECK_WEIGHT + 1, 25):
             for charge in charge_range(tag, weight):
                 assert piece_report(tag, weight, charge).equality_ok
     assert verify.fallbacks == 0
@@ -173,7 +191,7 @@ def dt_column(tag, weight, charge, i):
     nu = verify._row_partitions(size, charge)[i]
     assert sum(nu) == size and list(nu) == sorted(nu, reverse=True)
     e = [a + 2 * (charge - 1 - j) for j, a in enumerate(nu)]
-    mono = Monomial(tuple(-ej - 1 - int(2 * spec.vacuum_r) for ej in e))
+    mono = Monomial(tuple(-ej - 1 - spec.two_r for ej in e))
     return enumerate_monomials(weight, charge, spec.ambient_floor).index(mono)
 
 
@@ -197,12 +215,12 @@ def test_certificate_declines_on_a_broken_minor(monkeypatch, tag, mutate):
     minor check decline, and the report is the one the rational path gives
     with the certificate forced off."""
     weight, charge = 12, 2
-    monos = enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor)
+    domain = domain_index(tag, weight, charge)
     real = eval_matrix(tag, weight, charge)
     assert real.n_rows >= 2
-    assert verify._full_row_rank(tag, weight, charge, real, monos)
+    assert verify._full_row_rank(tag, weight, charge, real, domain)
     mutant = linalg.SparseMatQ(real.n_rows, real.n_cols, mutate(tag, weight, charge, real))
-    assert not verify._full_row_rank(tag, weight, charge, mutant, monos)
+    assert not verify._full_row_rank(tag, weight, charge, mutant, domain)
     monkeypatch.setattr(verify, "eval_matrix", lambda *piece: mutant)
     monkeypatch.setattr(verify, "fallbacks", 0)
     report = piece_report(tag, weight, charge)
@@ -227,11 +245,11 @@ def test_certificate_declines_without_one_cofactor_multiple(monkeypatch, tag):
     leads = [lead(p) for p in polys]
     drop = next(i for i, mono in enumerate(leads) if leads.count(mono) == 1)
     kept = polys[:drop] + polys[drop + 1 :]
-    monos = enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor)
-    dim_kernel = len(monos) - eval_matrix(tag, weight, charge).n_rows
+    domain = domain_index(tag, weight, charge)
+    dim_kernel = len(domain) - eval_matrix(tag, weight, charge).n_rows
     assert len(set(leads)) == dim_kernel
-    rows, _ = verify._ideal_coordinates(kept, monos)
-    assert verify._distinct_leads(rows, monos) == dim_kernel - 1
+    rows, _ = verify._ideal_coordinates(kept, domain)
+    assert verify._distinct_leads(rows, domain) == dim_kernel - 1
     monkeypatch.setattr(verify, "ideal_piece", lambda *piece: kept)
     monkeypatch.setattr(verify, "fallbacks", 0)
     report = piece_report(tag, weight, charge)
@@ -254,8 +272,11 @@ def rows_by_coordinates(polys, monos):
 
 def rows_in_one_pass(polys, monos):
     """The rows of ``_ideal_coordinates`` as {Monomial: int} maps, with the
-    outside columns read in order of first appearance."""
-    vecs, n_cols = verify._ideal_coordinates(polys, monos)
+    outside columns read in order of first appearance.  The domain index it
+    is given comes back unchanged."""
+    index = {mono.indices: j for j, mono in enumerate(monos)}
+    vecs, n_cols = verify._ideal_coordinates(polys, index)
+    assert index == {mono.indices: j for j, mono in enumerate(monos)}
     domain = set(monos)
     outside = list(dict.fromkeys(m for p in polys for m in p.terms if m not in domain))
     basis = monos + outside
@@ -274,6 +295,19 @@ def halved_weight_four(original, scale):
     return mutant
 
 
+def floor_minus_one_piece(tag, weight, charge):
+    """The lambda1prime ideal piece with the floor -1 relations: floor -2
+    cofactors times R_t at floor -1, for t from 2, in the order of
+    ``ideal_piece``.  Other tags keep their own pieces."""
+    if tag != "lambda1prime":
+        return ideal_piece(tag, weight, charge)
+    return [
+        PolyQ({u: 1}) * quadratic_relation(t, -1)
+        for t in range(2, weight + 1)
+        for u in enumerate_monomials(weight - t, charge - 2, -2)
+    ]
+
+
 @pytest.mark.parametrize("mutant", ["none", "unit", "half", "floor-1"])
 def test_one_pass_ideal_rows_equal_the_coordinates_route(monkeypatch, mutant):
     """On every piece to weight 12, for all tags, ``_ideal_coordinates``
@@ -282,22 +316,18 @@ def test_one_pass_ideal_rows_equal_the_coordinates_route(monkeypatch, mutant):
     ``test_cli`` builds) or to c/2 (a denominator), and lambda1prime with
     floor -1 relations (columns outside the domain)."""
     scales = {"unit": lambda c: 1, "half": lambda c: c / 2}
+    piece = floor_minus_one_piece if mutant == "floor-1" else ideal_piece
     if mutant in scales:
         monkeypatch.setattr(
             relations, "quadratic_relation",
             halved_weight_four(relations.quadratic_relation, scales[mutant]),
         )
-    elif mutant == "floor-1":
-        spec = dataclasses.replace(
-            IDEALS["lambda1prime"], relation_floor=-1, relation_weight_min=2
-        )
-        monkeypatch.setitem(IDEALS, "lambda1prime", spec)
     fractions = outside = 0
     for tag in TAGS:
         for weight in range(13):
             for charge in charge_range(tag, weight):
                 monos = enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor)
-                polys = ideal_piece(tag, weight, charge)
+                polys = piece(tag, weight, charge)
                 rows = rows_in_one_pass(polys, monos)
                 assert rows == rows_by_coordinates(polys, monos)
                 fractions += any(c.denominator > 1 for p in polys for c in p.terms.values())
@@ -351,6 +381,17 @@ def test_kernel_containment_small():
     assert kernel_containment_L0_in_L1(6)
 
 
+def test_kernel_containment_fails_with_the_matrices_swapped(monkeypatch):
+    """With the lambda0 and lambda1 matrices swapped the check asks whether
+    ker E1 lies in ker E0, which fails at once: E1 kills x(-1), E0 does
+    not."""
+    real = verify.eval_matrix
+    swap = {"lambda0": "lambda1", "lambda1": "lambda0"}
+    monkeypatch.setattr(verify, "eval_matrix", lambda tag, *bidegree: real(swap[tag], *bidegree))
+    assert not kernel_containment_L0_in_L1(1)
+    assert not kernel_containment_L0_in_L1(6)
+
+
 def test_rank_matches_partition_oracle():
     for weight in range(0, 9):
         for charge in range(0, weight + 1):
@@ -399,6 +440,27 @@ def test_ideal_derivation_stability_small():
     assert check_ideal_D_stability(6)
     with pytest.raises(ValueError):
         check_ideal_D_stability(1)
+
+
+def derive_without_the_index_factor(p):
+    """The derivation with x(m) -> x(m-1), in place of -m * x(m-1)."""
+    out = PolyQ()
+    for mono, c in p.terms.items():
+        for i, m in enumerate(mono.indices):
+            rest = mono.indices[:i] + (m - 1,) + mono.indices[i + 1 :]
+            out = out + PolyQ({Monomial(rest): c})
+    return out
+
+
+def test_ideal_derivation_stability_fails_without_the_index_factor(monkeypatch):
+    """Without the factor -m the derivation sends R_3 = 2 x(-2) x(-1) to
+    2 x(-3) x(-1) + 2 x(-2)^2, which is not a multiple of R_4."""
+    monkeypatch.setattr(verify, "derive", derive_without_the_index_factor)
+    assert derive_without_the_index_factor(quadratic_relation(3, -1)) == 2 * (
+        x(-3) * x(-1) + x(-2) * x(-2)
+    )
+    assert check_ideal_D_stability(2)
+    assert not check_ideal_D_stability(3)
 
 
 def test_runs_are_deterministic():
