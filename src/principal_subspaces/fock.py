@@ -39,8 +39,10 @@ partition of the target size, in ``partitions`` order.  No ``FockState`` is
 built inside the tables.  Monomial actions and the square-zero check both
 sum such images through one accumulator, ``_x_sum``, which brings them to a
 common denominator and adds them position by position in one dense list
-per (coset, size); ``FockState`` keys and ``Fraction`` coefficients appear
-only in the returned vectors.  The tables (x(m) images, partitions with
+per (coset, size).  ``apply_monomial``, which ``x_act`` calls with one
+generator, carries plain (mu, 2r, numerator) triples from one x(m) to the
+next and builds the ``FockState`` keys and ``Fraction`` coefficients of its
+result once, at the end.  The tables (x(m) images, partitions with
 their z-factors, and ``_insert_part``, the positions a created part moves a
 partition to) are ``functools.cache`` functions: unbounded, kept for the
 life of the process, and each reports ``cache_info()``.
@@ -55,10 +57,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable
 
-from .linalg import integer_form
 from .poly import LinearCombination, Monomial, Scalar
-
-HALF = Fraction(1, 2)
 
 # <alpha, alpha>: a(n) a(-n) - a(-n) a(n) = _PAIRING * n and
 # [a(-n), x(m)] = _PAIRING * x(m-n)
@@ -131,7 +130,7 @@ class FockState:
 
 
 class FockVector(LinearCombination):
-    """Finite rational combination of Fock states."""
+    """Finite exact combination of Fock states, with ``Scalar`` coefficients."""
 
     __slots__ = ()
 
@@ -176,7 +175,7 @@ def heis_act(n: int, v: FockVector | FockState) -> FockVector:
     rejected; its eigenvalue is available through weight_charge."""
     if n == 0:
         raise ValueError("a(0) is diagonal; use weight_charge for its eigenvalue")
-    out: dict[FockState, Fraction] = {}
+    out: dict[FockState, Scalar] = {}
     for s, c in _as_vector(v).terms.items():
         if n < 0:
             target = FockState(s.mu + (-n,), _two_r=s.two_r)
@@ -279,25 +278,10 @@ def _x_sum(
     return den * step, out
 
 
-def _x_step(m: int, den: int, nums: dict[FockState, int]) -> tuple[int, dict[FockState, int]]:
-    """x(m) on the vector nums/den, in the same integer form."""
-    den, out = _x_sum(den, ((m, s.mu, s.two_r, n) for s, n in nums.items()))
-    return den, {
-        FockState(lam, _two_r=two_r): t
-        for (two_r, size), acc in out.items()
-        for lam, t in zip(partitions(size, 1), acc)
-        if t
-    }
-
-
-def _fraction_vector(den: int, nums: dict[FockState, int]) -> FockVector:
-    return FockVector._from_terms({s: Fraction(n, den) for s, n in nums.items()})
-
-
 def x_act(m: int, v: FockVector | FockState) -> FockVector:
     """Vertex operator component x(m): raises charge by 1 and weight by -m;
     annihilates any state once m exceeds |mu| - 1 - 2r."""
-    return _fraction_vector(*_x_step(m, *integer_form(_as_vector(v).terms)))
+    return apply_monomial(Monomial((m,)), v)
 
 
 def half_shift(v: FockVector | FockState) -> FockVector:
@@ -320,12 +304,23 @@ def weight_charge(v: FockVector | FockState) -> tuple[Fraction, Fraction]:
 def apply_monomial(mono: Monomial, v: FockVector | FockState) -> FockVector:
     """Act by the monomial x(m1)...x(mk), rightmost (largest) index first.
     The components commute, so the order is a convention, not a choice."""
-    den, nums = integer_form(_as_vector(v).terms)
+    # v as integer numerators over the least common denominator den
+    terms = _as_vector(v).terms
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    states = [(s.mu, s.two_r, c.numerator * (den // c.denominator)) for s, c in terms.items()]
     for m in reversed(mono.indices):
-        if not nums:
+        if not states:
             break
-        den, nums = _x_step(m, den, nums)
-    return _fraction_vector(den, nums)
+        den, out = _x_sum(den, ((m, mu, two_r, n) for mu, two_r, n in states))
+        states = [
+            (lam, two_r, t)
+            for (two_r, size), acc in out.items()
+            for lam, t in zip(partitions(size, 1), acc)
+            if t
+        ]
+    return FockVector._from_terms(
+        {FockState(mu, _two_r=two_r): Fraction(n, den) for mu, two_r, n in states}
+    )
 
 
 def basis_states(n: int, r: Scalar) -> list[FockState]:

@@ -19,22 +19,15 @@ outside it raises ``ValueError``.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
+# the exact scalars of the package: a value stays the int or Fraction it
+# was computed as
 Scalar = int | Fraction
 Vector = dict[int, Scalar]
-K = TypeVar("K", bound=Hashable)
 
 ONE = Fraction(1)
-
-
-def integer_form(vec: Mapping[K, Fraction]) -> tuple[int, dict[K, int]]:
-    """A sparse rational vector as (d, {key: integer numerator}), where d is
-    the least common denominator of its entries, so vec = numerators / d."""
-    den = math.lcm(*(c.denominator for c in vec.values()))
-    return den, {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
 
 
 class SparseMatQ:

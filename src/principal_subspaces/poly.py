@@ -2,10 +2,13 @@
 weight/charge bigrading.
 
 A generator x(m) has weight -m and charge 1.  A monomial is the multiset of
-its generator indices, stored as a non-decreasing tuple; coefficients are
-exact rationals.  Term and basis orderings are graded-lexicographic on the
-index tuple, so every matrix built downstream has a reproducible column
-order.  Indices range over all of Z: membership in the subalgebras with
+its generator indices, stored as a non-decreasing tuple.  A coefficient is
+an ``int`` or a ``Fraction`` and stays the one it was computed as, so the
+relations and the ideal pieces built from them hold ints; any other type,
+float included, raises ``TypeError``.  Term and basis orderings are
+graded-lexicographic on the index tuple, so every matrix built downstream
+has a reproducible column order.  Domains (``enumerate_monomials``) are
+tuples shared by every caller.  Indices range over all of Z: membership in the subalgebras with
 indices <= -1 or <= -2 is a property of an element, not a separate type,
 because the translation map genuinely produces indices >= 0.
 
@@ -21,7 +24,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
-Scalar = int | Fraction
+from .linalg import Scalar
 
 
 class Monomial:
@@ -73,8 +76,8 @@ UNIT = Monomial(())
 
 
 class LinearCombination:
-    """Finite linear combination of basis elements with rational
-    coefficients.
+    """Finite linear combination of basis elements with ``Scalar``
+    coefficients, each kept as the int or Fraction it was given as.
 
     A basis element is hashable and has ``sort_key()``, ``weight`` and
     ``charge``.  Each subclass fixes one basis type, and combinations of
@@ -88,11 +91,12 @@ class LinearCombination:
         if terms is not None:
             items = terms.items() if isinstance(terms, dict) else terms
             for basis, c in items:
-                f = c if isinstance(c, Fraction) else Fraction(c)
-                if not f:
+                if not isinstance(c, (int, Fraction)):
+                    raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+                if not c:
                     continue
                 prev = acc.get(basis)
-                new = f if prev is None else prev + f
+                new = c if prev is None else prev + c
                 if new:
                     acc[basis] = new
                 elif prev is not None:
@@ -122,7 +126,7 @@ class LinearCombination:
             raise ValueError(f"{type(self).__name__} mixes bidegrees")
         return degrees.pop()
 
-    def sorted_terms(self) -> list[tuple[Hashable, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Hashable, Scalar]]:
         return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
 
     def __add__(self, other: "LinearCombination") -> "LinearCombination":
@@ -160,7 +164,7 @@ class LinearCombination:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({str(self)!r})"
 
-    def _term_body(self, basis: Hashable, mag: Fraction) -> str:
+    def _term_body(self, basis: Hashable, mag: Scalar) -> str:
         return str(basis) if mag == 1 else f"{mag}*{basis}"
 
     def __str__(self) -> str:
@@ -177,7 +181,7 @@ class LinearCombination:
 
 
 class PolyQ(LinearCombination):
-    """Finite linear combination of monomials with rational coefficients."""
+    """Finite linear combination of monomials."""
 
     __slots__ = ()
 
@@ -188,7 +192,7 @@ class PolyQ(LinearCombination):
     def __mul__(self, other: "PolyQ | Scalar") -> "PolyQ":
         if type(other) is not PolyQ:
             return super().__mul__(other)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = m1 * m2
@@ -199,7 +203,7 @@ class PolyQ(LinearCombination):
                     out.pop(mono, None)
         return PolyQ._from_terms(out)
 
-    def _term_body(self, mono: Monomial, mag: Fraction) -> str:
+    def _term_body(self, mono: Monomial, mag: Scalar) -> str:
         # the constant term renders as its coefficient alone
         return super()._term_body(mono, mag) if mono.indices else str(mag)
 
@@ -225,7 +229,7 @@ def translate(p: PolyQ, s: int = 1) -> PolyQ:
 def drop_minus_one_terms(p: PolyQ) -> PolyQ:
     """Project onto the subalgebra with indices <= -2 by deleting every term
     containing x(-1).  Defined only on input supported on indices <= -1."""
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Scalar] = {}
     for mono, c in p.terms.items():
         if mono.indices and mono.indices[-1] >= 0:
             raise ValueError("projection requires all generator indices <= -1")
@@ -240,7 +244,7 @@ def derive(p: PolyQ) -> PolyQ:
     Linear, satisfies the Leibniz rule, raises weight by one and preserves
     charge.
     """
-    acc: list[tuple[Monomial, Fraction]] = []
+    acc: list[tuple[Monomial, Scalar]] = []
     for mono, c in p.terms.items():
         counts = Counter(mono.indices)
         for m, mult in counts.items():
@@ -253,21 +257,20 @@ def derive(p: PolyQ) -> PolyQ:
     return PolyQ(acc)
 
 
-def enumerate_monomials(weight: int, charge: int, floor: int = -1) -> list[Monomial]:
+def enumerate_monomials(weight: int, charge: int, floor: int = -1) -> tuple[Monomial, ...]:
     """All monomials of the given weight and charge with every index <= floor,
     in graded-lexicographic (index-tuple ascending) order.
 
     Equivalently: partitions of ``weight`` into exactly ``charge`` parts, each
-    part at least ``-floor``.  Returns [] when no such monomial exists.  The
-    monomials come from one shared table, ``_monomials``, so each domain is
-    enumerated once per process; the list returned is a fresh copy that the
-    caller may change.
+    part at least ``-floor``.  Returns () when no such monomial exists.  The
+    tuple is the one held by the shared table ``_monomials``, so each domain
+    is enumerated once per process and every caller gets the same tuple.
     """
     if floor > -1:
         raise ValueError("floor must be <= -1")
     if weight < 0 or charge < 0:
-        return []
-    return list(_monomials(weight, charge, -floor))
+        return ()
+    return _monomials(weight, charge, -floor)
 
 
 @functools.cache
@@ -292,7 +295,7 @@ def _monomials(weight: int, charge: int, min_part: int) -> tuple[Monomial, ...]:
 
 def coordinates(
     polys: Iterable[PolyQ], basis: Sequence[Monomial]
-) -> list[dict[int, Fraction]]:
+) -> list[dict[int, Scalar]]:
     """Sparse coordinate vectors ``{basis position: coefficient}`` of the
     given polynomials over an ordered monomial basis, one per polynomial."""
     index = {mono: i for i, mono in enumerate(basis)}

@@ -43,9 +43,9 @@ gives the matrix, the domain index and the verdict of the minor.  The
 domain monomials come from the table behind ``enumerate_monomials``, shared
 with ``eval_matrix``, ``fock_matrix`` and every cofactor enumeration of
 ``ideal_piece``, so each domain is enumerated once per process.  Each ideal
-polynomial becomes an integer row in one pass over its terms
-(``_ideal_coordinates``), and the ideal is checked to lie in the kernel
-exactly over Z.  The rank of the ideal rows I is then bounded by leading
+polynomial becomes a row in one pass over its terms, its coefficients
+copied as they are (``_ideal_coordinates``), and the ideal is checked to
+lie in the kernel exactly.  The rank of the ideal rows I is then bounded by leading
 terms (``_distinct_leads``): the lead of a nonzero row is its least term
 under the total order (sum of m_i^2, index tuple), and rows with distinct
 leads are independent.  With the minor,
@@ -71,14 +71,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 from .fock import FockState, apply_monomial, partitions
 from .linalg import (
     SparseMatQ,
     Vector,
-    integer_form,
     kernel_basis,
     rank,
     span_dim,
@@ -147,23 +145,18 @@ def fock_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
     """Matrix of the evaluation map on one bidegree in the Fock basis:
     columns are the domain monomials in canonical order, rows the Fock
     states of the target bidegree, entries the exact coefficients of each
-    monomial's action on the highest weight vector, all multiplied by one
-    positive integer L, the least common multiple of the column
-    denominators.  Every entry is then an integer, and the kernel, the rank
-    and the RREF are those of the unscaled matrix."""
+    monomial's action on the highest weight vector."""
     spec = IDEALS[tag]
     monos = enumerate_monomials(weight, charge, spec.ambient_floor)
     rows = partitions(heisenberg_size(tag, weight, charge), 1)
     target_two_r = spec.two_r + 2 * charge
     row_index = {FockState(mu, _two_r=target_two_r): i for i, mu in enumerate(rows)}
     vacuum = FockState(_two_r=spec.two_r)
-    columns = [integer_form(apply_monomial(mono, vacuum).terms) for mono in monos]
-    scale = math.lcm(*(den for den, _ in columns))
-    entries: dict[tuple[int, int], int] = {}
-    for j, (den, nums) in enumerate(columns):
-        factor = scale // den
-        for state, n in nums.items():
-            entries[(row_index[state], j)] = n * factor
+    entries = {
+        (row_index[state], j): c
+        for j, mono in enumerate(monos)
+        for state, c in apply_monomial(mono, vacuum).terms.items()
+    }
     return SparseMatQ(len(rows), len(monos), entries)
 
 
@@ -245,15 +238,12 @@ def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
     return SparseMatQ(len(orbits), len(monos), entries)
 
 
-def _ideal_coordinates(
-    polys: list[PolyQ], domain: Domain
-) -> tuple[list[dict[int, int]], int]:
-    """Integer coordinate vectors of the ideal polynomials, each scaled by
-    the least common denominator of its coefficients, and their column
-    count.  The columns are those of ``domain`` and then, numbered in a dict
-    of their own, every other monomial of the polynomials, in order of first
-    appearance, so a polynomial outside the domain has a column at or past
-    len(domain).
+def _ideal_coordinates(polys: list[PolyQ], domain: Domain) -> tuple[list[Vector], int]:
+    """Coordinate vectors of the ideal polynomials, with each coefficient
+    as it is, and their column count.  The columns are those of ``domain``
+    and then, numbered in a dict of their own, every other monomial of the
+    polynomials, in order of first appearance, so a polynomial outside the
+    domain has a column at or past len(domain).
 
     The order of the outside columns changes no report: the containment
     witness is the first polynomial with such a column or a nonzero image,
@@ -264,13 +254,12 @@ def _ideal_coordinates(
     outside: dict[tuple[int, ...], int] = {}
     vecs = []
     for p in polys:
-        scale = math.lcm(*(c.denominator for c in p.terms.values()))
         vec = {}
         for mono, c in p.terms.items():
             j = domain.get(mono.indices)
             if j is None:
                 j = outside.setdefault(mono.indices, n + len(outside))
-            vec[j] = c.numerator * (scale // c.denominator)
+            vec[j] = c
         vecs.append(vec)
     return vecs, n + len(outside)
 
@@ -297,7 +286,7 @@ def _full_row_rank(
     return True
 
 
-def _distinct_leads(vecs: list[dict[int, int]], domain: Domain) -> int:
+def _distinct_leads(vecs: list[Vector], domain: Domain) -> int:
     """The number of distinct leads among the nonzero rows ``vecs``, all in
     ``domain``.  The lead of a row is its least term under the total order
     (sum of m_i^2, index tuple); as the columns are in ascending index
@@ -341,7 +330,7 @@ def _evaluation(tag: str, weight: int, charge: int) -> tuple[SparseMatQ, Domain,
 def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
     """Compare the kernel of the evaluation map with the ideal piece.
 
-    Containment is checked first, exactly over Z, each ideal polynomial in
+    Containment is checked first, exactly, each ideal polynomial in
     turn, and the first one with a nonzero image, or with a monomial
     outside the domain, is the witness.  Up to weight ``FOCK_CHECK_WEIGHT``
     the kernel basis (``kernel_basis``) is checked against the Fock matrix

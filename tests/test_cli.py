@@ -165,12 +165,6 @@ def zero_relation(monkeypatch, weight):
     )
 
 
-def force_certificate_off(monkeypatch):
-    """Make both halves of the certificate of ``piece_report`` decline."""
-    monkeypatch.setattr(verify, "_full_row_rank", lambda *args: False)
-    monkeypatch.setattr(verify, "_distinct_leads", lambda *args: 0)
-
-
 CUBE = x(-3) * x(-3) * x(-3)
 
 # the witnesses on (9,3) and (12,4) once the weight-6 relation is dropped
@@ -189,7 +183,9 @@ LATER_WITNESSES = {
         ("lambda1prime", 2 * (x(-4) * x(-2)) + x(-3) * x(-3)),
     ],
 )
-def test_verify_fails_without_one_relation_weight(capsys, monkeypatch, tag, witness):
+def test_verify_fails_without_one_relation_weight(
+    capsys, monkeypatch, force_certificate_off, tag, witness
+):
     """Dropping the weight-6 relation leaves a kernel vector outside the
     ideal on (6,2), (9,3) and (12,4): at (6,2) a multi-term witness with
     non-unit coefficients.  The certificate declines on each of them, and
@@ -217,7 +213,7 @@ def test_verify_fails_without_one_relation_weight(capsys, monkeypatch, tag, witn
         monos = enumerate_monomials(weight, charge, spec.ambient_floor)
         ideal = coordinates(relations.ideal_piece(tag, weight, charge), monos)
         assert not subspace_leq(coordinates([witness], monos), ideal, len(monos))
-    force_certificate_off(monkeypatch)
+    force_certificate_off()
     code_off, out_off, _ = run(capsys, *args)
     assert (code_off, out_off) == (code, out)
 
@@ -254,20 +250,9 @@ def test_verify_fails_with_a_halved_relation_coefficient(capsys, monkeypatch):
     assert not image.is_zero()
 
 
-def floor_minus_one_piece(tag, weight, charge):
-    """The lambda1prime ideal piece with the floor -1 relations: floor -2
-    cofactors times R_t at floor -1, for t from 2, in the order of
-    ``ideal_piece``.  Other tags keep their own pieces."""
-    if tag != "lambda1prime":
-        return relations.ideal_piece(tag, weight, charge)
-    return [
-        PolyQ({u: 1}) * relations.quadratic_relation(t, -1)
-        for t in range(2, weight + 1)
-        for u in enumerate_monomials(weight - t, charge - 2, -2)
-    ]
-
-
-def test_verify_fails_on_relations_outside_the_domain(capsys, monkeypatch):
+def test_verify_fails_on_relations_outside_the_domain(
+    capsys, monkeypatch, floor_minus_one_piece
+):
     """lambda1prime with the floor -1 relations: its ideal leaves the
     subalgebra on indices <= -2 that the evaluation map is defined on.  The
     first ideal polynomial with an x(-1) term fails containment and is the
@@ -390,12 +375,12 @@ def test_verify_reports_a_kernel_the_fock_matrix_disputes(
         assert p["witness"] in map(str, candidates)
 
 
-def test_fraction_fallback_gives_the_same_report(capsys, monkeypatch):
+def test_fraction_fallback_gives_the_same_report(capsys, monkeypatch, force_certificate_off):
     """With the certificate forced off, each piece is decided by rational
     elimination, and the report is unchanged."""
     args = ["verify", "--max-weight", "12", "--format", "json"]
     code, certified, _ = run(capsys, *args)
-    force_certificate_off(monkeypatch)
+    force_certificate_off()
     monkeypatch.setattr(verify, "fallbacks", 0)
     code_fallback, eliminated, _ = run(capsys, *args)
     assert code == code_fallback == 0

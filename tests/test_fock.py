@@ -4,6 +4,7 @@ import functools
 import json
 import math
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,14 @@ def test_weight_charge_errors():
     mixed = vec((VAC0, 1), (FockState((1,), 0), 1))
     with pytest.raises(ValueError):
         weight_charge(mixed)
+
+
+@pytest.mark.parametrize("bad", [0.5, "1", Decimal("0.5")])
+def test_fock_vector_rejects_inexact_coefficients(bad):
+    with pytest.raises(TypeError):
+        FockVector({VAC0: bad})
+    with pytest.raises(TypeError):
+        vec((VAC0, 1), (VAC1, bad))
 
 
 def test_state_validation():

@@ -1,5 +1,6 @@
 """Polynomial algebra, bigrading and the structural maps."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -127,21 +128,13 @@ def test_derive_raises_weight_preserves_charge(mono):
 
 
 def test_enumerate_monomials_examples():
-    assert enumerate_monomials(4, 2, -1) == [Monomial((-3, -1)), Monomial((-2, -2))]
-    assert enumerate_monomials(2, 2, -2) == []
-    assert enumerate_monomials(0, 0, -1) == [Monomial(())]
-    assert enumerate_monomials(0, 0, -5) == [Monomial(())]
-    # every call returns a fresh list, so a caller that changes its list
-    # cannot poison the shared table behind the enumeration
-    expected = [Monomial((-3, -1)), Monomial((-2, -2))]
-    first = enumerate_monomials(4, 2, -1)
-    first.append(Monomial((-4,)))
-    assert enumerate_monomials(4, 2, -1) == expected
-    enumerate_monomials(4, 2, -1).clear()
-    assert enumerate_monomials(4, 2, -1) == expected
-    a, b = enumerate_monomials(4, 2, -1), enumerate_monomials(4, 2, -1)
-    assert a == b
-    assert a is not b
+    assert enumerate_monomials(4, 2, -1) == (Monomial((-3, -1)), Monomial((-2, -2)))
+    assert enumerate_monomials(2, 2, -2) == ()
+    assert enumerate_monomials(0, 0, -1) == (Monomial(()),)
+    assert enumerate_monomials(0, 0, -5) == (Monomial(()),)
+    # every call returns the one immutable tuple of the table behind the
+    # enumeration, so no call copies it and no caller can change it
+    assert enumerate_monomials(4, 2, -1) is enumerate_monomials(4, 2, -1)
 
 
 def test_enumerate_monomials_rejects_bad_floor():
@@ -174,7 +167,7 @@ def test_enumeration_is_canonically_ordered_and_on_degree():
     for weight in range(0, 10):
         for charge in range(0, 5):
             monos = enumerate_monomials(weight, charge, -1)
-            assert monos == sorted(monos)
+            assert list(monos) == sorted(monos)
             for mono in monos:
                 assert mono.weight == weight
                 assert mono.charge == charge
@@ -188,6 +181,35 @@ def test_rendering():
     assert str(x(-2) * x(-2) - 2 * (x(-3) * x(-1))) == "-2*x(-3)*x(-1) + x(-2)^2"
     assert str(Fraction(1, 2) * x(-1)) == "1/2*x(-1)"
     assert str(PolyQ.one() * 3) == "3"
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1", Decimal("0.5")])
+def test_coefficients_must_be_int_or_fraction(bad):
+    mono = Monomial((-1,))
+    with pytest.raises(TypeError):
+        PolyQ({mono: bad})
+    with pytest.raises(TypeError):
+        PolyQ([(mono, 1), (mono, bad)])
+    with pytest.raises(TypeError):
+        bad * x(-1)
+
+
+def test_int_coefficients_stay_int():
+    p = 2 * (x(-3) * x(-1)) + x(-2) * x(-2)
+    q = x(-4) - 3 * x(-1)
+    for r in (p, p + x(-2) * x(-2), p - 2 * (x(-3) * x(-1)), -p, 3 * p, p * 5, p * q):
+        assert r.terms
+        assert all(type(c) is int for c in r.terms.values())
+    half = Fraction(1, 2) * p
+    assert all(type(c) is Fraction for c in half.terms.values())
+
+
+def test_int_and_fraction_twins_are_equal_and_render_alike():
+    for c in (1, -1, 2, -3):
+        ints = PolyQ({Monomial((-3, -1)): c, Monomial(()): c})
+        fractions = PolyQ({Monomial((-3, -1)): Fraction(c), Monomial(()): Fraction(c)})
+        assert ints == fractions
+        assert str(ints) == str(fractions)
 
 
 def test_coordinates_roundtrip():

@@ -52,6 +52,8 @@ def test_relation_frozen_weight_four():
         Monomial((-3, -1)): 2,
         Monomial((-2, -2)): 1,
     }
+    # the coefficients stay the ints they were built as
+    assert all(type(c) is int for c in rel.terms.values())
 
 
 def test_relation_rejects_bad_arguments():

@@ -1,13 +1,12 @@
 """Evaluation matrices, kernel-ideal comparison and the partition oracle."""
 
-import math
 from fractions import Fraction
 
 import pytest
 
 from principal_subspaces import linalg, relations, verify
 from principal_subspaces.fock import FockState, apply_monomial, basis_states
-from principal_subspaces.linalg import integer_form, kernel_basis, span_equal
+from principal_subspaces.linalg import kernel_basis, span_equal
 from principal_subspaces.poly import Monomial, PolyQ, coordinates, enumerate_monomials, x
 from principal_subspaces.relations import IDEALS, ideal_piece, quadratic_relation
 from principal_subspaces.verify import (
@@ -44,9 +43,8 @@ def test_eval_matrix_weight_two_charge_two():
     assert m.entries == {}
 
 
-def test_eval_matrix_is_one_integer_multiple_of_the_action():
-    """Each Fock matrix is L times the exact coefficients of apply_monomial,
-    for one positive integer L: the lcm of the column denominators."""
+def test_fock_matrix_is_the_exact_action():
+    """Each Fock matrix holds the exact coefficients of apply_monomial."""
     for tag in TAGS:
         spec = IDEALS[tag]
         r = Fraction(spec.two_r, 2)
@@ -62,10 +60,8 @@ def test_eval_matrix_is_one_integer_multiple_of_the_action():
                     for j, mono in enumerate(monos)
                     for s, c in apply_monomial(mono, vacuum).terms.items()
                 }
-                scale = math.lcm(*(c.denominator for c in exact.values()))
                 assert (m.n_rows, m.n_cols) == (len(rows), len(monos))
-                assert all(type(v) is int for v in m.entries.values())
-                assert m.entries == {k: scale * c for k, c in exact.items()}
+                assert m.entries == exact
 
 
 def test_eval_matrix_weight_four_charge_two():
@@ -140,12 +136,6 @@ def no_elimination(*args):
     raise AssertionError("rational elimination on a passing piece")
 
 
-def force_certificate_off(monkeypatch):
-    """Make both halves of the certificate decline on every piece."""
-    monkeypatch.setattr(verify, "_full_row_rank", lambda *args: False)
-    monkeypatch.setattr(verify, "_distinct_leads", lambda *args: 0)
-
-
 def test_graded_dims_certified_by_the_row_count(monkeypatch):
     """The ranks are the row counts, proved by the unitriangular minor
     without any elimination, and agree with the difference-two partition
@@ -157,12 +147,12 @@ def test_graded_dims_certified_by_the_row_count(monkeypatch):
     assert dims1 == {(w, k): partition_oracle(w, k, 2) for (w, k) in dims1}
 
 
-def test_graded_dims_fall_back_to_the_rational_rank(monkeypatch):
+def test_graded_dims_fall_back_to_the_rational_rank(monkeypatch, force_certificate_off):
     """With the minor check always declining, every rank comes from
     rational elimination, and the dimensions are unchanged."""
     certified = {tag: graded_dims(tag, 10) for tag in TAGS}
     real_rank, calls = linalg.rank, []
-    force_certificate_off(monkeypatch)
+    force_certificate_off()
     monkeypatch.setattr(verify, "rank", lambda m: calls.append(m) or real_rank(m))
     assert {tag: graded_dims(tag, 10) for tag in TAGS} == certified
     assert len(calls) == sum(len(dims) for dims in certified.values())
@@ -209,7 +199,9 @@ def entry_above_diagonal(tag, weight, charge, m):
 
 @pytest.mark.parametrize("tag", TAGS)
 @pytest.mark.parametrize("mutate", [zero_diagonal, entry_above_diagonal])
-def test_certificate_declines_on_a_broken_minor(monkeypatch, tag, mutate):
+def test_certificate_declines_on_a_broken_minor(
+    monkeypatch, force_certificate_off, tag, mutate
+):
     """An evaluation matrix with one diagonal entry of the DT minor set to
     0, or with one entry added in a row before the diagonal, makes the
     minor check decline, and the report is the one the rational path gives
@@ -225,7 +217,7 @@ def test_certificate_declines_on_a_broken_minor(monkeypatch, tag, mutate):
     monkeypatch.setattr(verify, "fallbacks", 0)
     report = piece_report(tag, weight, charge)
     assert verify.fallbacks == 1
-    force_certificate_off(monkeypatch)
+    force_certificate_off()
     assert piece_report(tag, weight, charge) == report
 
 
@@ -235,7 +227,9 @@ def lead(poly):
 
 
 @pytest.mark.parametrize("tag", TAGS)
-def test_certificate_declines_without_one_cofactor_multiple(monkeypatch, tag):
+def test_certificate_declines_without_one_cofactor_multiple(
+    monkeypatch, force_certificate_off, tag
+):
     """Dropping the one spanning element with a given lead from the ideal
     piece (12, 3) leaves fewer distinct leads than the kernel dimension, so
     the lead count declines, and the report is the one the rational path
@@ -254,32 +248,29 @@ def test_certificate_declines_without_one_cofactor_multiple(monkeypatch, tag):
     monkeypatch.setattr(verify, "fallbacks", 0)
     report = piece_report(tag, weight, charge)
     assert verify.fallbacks == 1
-    force_certificate_off(monkeypatch)
+    force_certificate_off()
     assert piece_report(tag, weight, charge) == report
 
 
 def rows_by_coordinates(polys, monos):
-    """The integer ideal rows by the general route, as {Monomial: int}
+    """The ideal rows by the general route, as {Monomial: coefficient}
     maps: ``coordinates`` over the domain and then the sorted monomials
-    outside it, and ``integer_form`` on each vector."""
+    outside it."""
     outside = sorted({mono for p in polys for mono in p.terms} - set(monos))
-    basis = monos + outside
-    return [
-        {basis[j]: c for j, c in integer_form(vec)[1].items()}
-        for vec in coordinates(polys, basis)
-    ]
+    basis = [*monos, *outside]
+    return [{basis[j]: c for j, c in vec.items()} for vec in coordinates(polys, basis)]
 
 
 def rows_in_one_pass(polys, monos):
-    """The rows of ``_ideal_coordinates`` as {Monomial: int} maps, with the
-    outside columns read in order of first appearance.  The domain index it
-    is given comes back unchanged."""
+    """The rows of ``_ideal_coordinates`` as {Monomial: coefficient} maps,
+    with the outside columns read in order of first appearance.  The domain
+    index it is given comes back unchanged."""
     index = {mono.indices: j for j, mono in enumerate(monos)}
     vecs, n_cols = verify._ideal_coordinates(polys, index)
     assert index == {mono.indices: j for j, mono in enumerate(monos)}
     domain = set(monos)
     outside = list(dict.fromkeys(m for p in polys for m in p.terms if m not in domain))
-    basis = monos + outside
+    basis = [*monos, *outside]
     assert n_cols == len(basis)
     return [{basis[j]: c for j, c in vec.items()} for vec in vecs]
 
@@ -295,27 +286,16 @@ def halved_weight_four(original, scale):
     return mutant
 
 
-def floor_minus_one_piece(tag, weight, charge):
-    """The lambda1prime ideal piece with the floor -1 relations: floor -2
-    cofactors times R_t at floor -1, for t from 2, in the order of
-    ``ideal_piece``.  Other tags keep their own pieces."""
-    if tag != "lambda1prime":
-        return ideal_piece(tag, weight, charge)
-    return [
-        PolyQ({u: 1}) * quadratic_relation(t, -1)
-        for t in range(2, weight + 1)
-        for u in enumerate_monomials(weight - t, charge - 2, -2)
-    ]
-
-
 @pytest.mark.parametrize("mutant", ["none", "unit", "half", "floor-1"])
-def test_one_pass_ideal_rows_equal_the_coordinates_route(monkeypatch, mutant):
+def test_one_pass_ideal_rows_equal_the_coordinates_route(
+    monkeypatch, floor_minus_one_piece, mutant
+):
     """On every piece to weight 12, for all tags, ``_ideal_coordinates``
-    gives the rows of ``coordinates`` and ``integer_form``.  The mutants
-    reach its other paths: weight-4 coefficients halved to 1 (the one
-    ``test_cli`` builds) or to c/2 (a denominator), and lambda1prime with
-    floor -1 relations (columns outside the domain)."""
-    scales = {"unit": lambda c: 1, "half": lambda c: c / 2}
+    gives the rows of ``coordinates``.  The mutants reach its other inputs:
+    weight-4 coefficients halved to 1 (the one ``test_cli`` builds) or to
+    c/2 (Fraction coefficients), and lambda1prime with floor -1 relations
+    (columns outside the domain)."""
+    scales = {"unit": lambda c: 1, "half": lambda c: Fraction(c, 2)}
     piece = floor_minus_one_piece if mutant == "floor-1" else ideal_piece
     if mutant in scales:
         monkeypatch.setattr(
