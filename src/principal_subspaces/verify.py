@@ -26,6 +26,16 @@ multiplying by z^{2r} Delta^2 is and every exponent of z^{2r} Delta^2 g,
 sorted, is that of a domain monomial, so the rows are independent and the
 rank is the row count.
 
+Each entry sums Delta^2 coefficients at the exponents f - a, for f = e -
+2r the column's exponent and a running over the orbit of nu, and
+``eval_matrix`` reads each as one integer lookup.  A tuple t is keyed by
+sum_i (t_i + offset) B^i, with radix B = 2(weight + d + 4) and offset d +
+1: f with the offset, each orbit element once per call without it, and the
+Delta^2 table, expanded by ``_vandermonde_squared``, re-keyed with it on
+each call that has rows.  Then key(f) - key(a) is one subtraction with the
+digits f_i - a_i + d + 1, and these and the Delta^2 digits all lie in
+[0, B), so two keys are equal only when their tuples are: no key aliases.
+
 That count is proved on each matrix by a unitriangular minor
 (``_full_row_rank``).  Sort nu decreasingly, pad it with zeros to length k
 and add the staircase 2 delta = (2(k-1), ..., 2, 0): the exponent e = nu +
@@ -187,15 +197,32 @@ def _orbit(exponents: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(set(itertools.permutations(exponents))))
 
 
-def _row_partitions(size: int, charge: int) -> list[tuple[int, ...]]:
+@functools.cache
+def _row_partitions(size: int, charge: int) -> tuple[tuple[int, ...], ...]:
     """The partitions of size into at most charge parts, each sorted
     decreasingly and padded with zeros to length charge, in lexicographic
     order: the rows of ``eval_matrix``."""
-    return sorted(
-        nu[::-1] + (0,) * (charge - len(nu))
-        for nu in partitions(size, 1)
-        if len(nu) <= charge
+    return tuple(
+        sorted(
+            nu[::-1] + (0,) * (charge - len(nu))
+            for nu in partitions(size, 1)
+            if len(nu) <= charge
+        )
     )
+
+
+def _key_layout(weight: int, size: int) -> tuple[int, int]:
+    """The radix B = 2(weight + d + 4) and the digit offset d + 1 of the
+    exponent keys of a piece of Heisenberg size d (see ``eval_matrix``)."""
+    return 2 * (weight + size + 4), size + 1
+
+
+def _key(exponents: tuple[int, ...] | list[int], radix: int, offset: int) -> int:
+    """The integer sum_i (t_i + offset) radix^i of an exponent tuple t."""
+    key = 0
+    for t in reversed(exponents):
+        key = key * radix + t + offset
+    return key
 
 
 def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
@@ -212,6 +239,16 @@ def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
     Delta^2 coefficients at e - 2r - a over the distinct permutations a of
     nu padded to length k.
 
+    Each lookup is one integer (``_key``): radix B = 2(weight + d + 4),
+    digit i the i-th exponent plus the offset d + 1.  The column exponent
+    f = e - 2r and the Delta^2 table are keyed with the offset, each orbit
+    element a once per call without it, so key(f) - key(a) has the digits
+    f_i - a_i + d + 1.  These lie in [0, B), as f_i is in [-1, weight] and
+    a_i in [0, d], and so do the Delta^2 digits, in [0, 2(k - 1)] plus d +
+    1 with k <= weight.  Digits in [0, B) fix the integer's tuple, so no
+    two tuples share a key.  Delta^2 comes from ``_vandermonde_squared``
+    and is re-keyed on every call with rows, never cached in this form.
+
     It has the row space of ``fock_matrix``, and so the same kernel, rank
     and reduced kernel basis.  Its rows are independent, so its rank is the
     row count, which ``_full_row_rank`` proves by a unitriangular minor
@@ -221,21 +258,24 @@ def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
     size = heisenberg_size(tag, weight, charge)
     # no partition of a negative size: the rows are empty and Delta^2, of
     # degree k(k-1) with k up to the weight, is never expanded
-    orbits = [_orbit(nu) for nu in _row_partitions(size, charge)]
+    rows = _row_partitions(size, charge)
     entries: dict[tuple[int, int], int] = {}
-    if orbits:
-        delta2 = _vandermonde_squared(charge)
+    if rows:
+        radix, offset = _key_layout(weight, size)
+        delta2 = {
+            _key(f, radix, offset): c
+            for f, c in _vandermonde_squared(charge).items()
+        }
+        get = delta2.get
+        orbits = [[_key(a, radix, 0) for a in _orbit(nu)] for nu in rows]
         shift = 1 + spec.two_r
         for j, mono in enumerate(monos):
-            e = [-m - shift for m in mono.indices]
+            key = _key([-m - shift for m in mono.indices], radix, offset)
             for i, orbit in enumerate(orbits):
-                v = sum(
-                    delta2.get(tuple(ei - ai for ei, ai in zip(e, a)), 0)
-                    for a in orbit
-                )
+                v = sum([get(key - a, 0) for a in orbit])
                 if v:
                     entries[(i, j)] = v
-    return SparseMatQ(len(orbits), len(monos), entries)
+    return SparseMatQ(len(rows), len(monos), entries)
 
 
 def _ideal_coordinates(polys: list[PolyQ], domain: Domain) -> tuple[list[Vector], int]:

@@ -4,6 +4,7 @@ test can call it partway through."""
 import pytest
 
 from principal_subspaces import relations, verify
+from principal_subspaces.linalg import SparseMatQ
 from principal_subspaces.poly import PolyQ, enumerate_monomials
 
 
@@ -35,3 +36,33 @@ def floor_minus_one_piece():
         ]
 
     return piece
+
+
+@pytest.fixture
+def eval_matrix_by_tuples():
+    """The functional matrix of ``verify.eval_matrix`` with each entry
+    summed over the orbit by tuple lookups: the Delta^2 coefficient at e -
+    2r - a for every orbit element a, from the table that
+    ``verify._vandermonde_squared`` returns at call time."""
+
+    def build(tag, weight, charge):
+        spec = relations.IDEALS[tag]
+        monos = enumerate_monomials(weight, charge, spec.ambient_floor)
+        size = verify.heisenberg_size(tag, weight, charge)
+        orbits = [verify._orbit(nu) for nu in verify._row_partitions(size, charge)]
+        entries = {}
+        if orbits:
+            delta2 = verify._vandermonde_squared(charge)
+            shift = 1 + spec.two_r
+            for j, mono in enumerate(monos):
+                e = [-m - shift for m in mono.indices]
+                for i, orbit in enumerate(orbits):
+                    v = sum(
+                        delta2.get(tuple(ei - ai for ei, ai in zip(e, a)), 0)
+                        for a in orbit
+                    )
+                    if v:
+                        entries[(i, j)] = v
+        return SparseMatQ(len(orbits), len(monos), entries)
+
+    return build

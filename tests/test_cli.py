@@ -328,6 +328,20 @@ def test_verify_fails_with_delta_in_place_of_delta_squared(
     assert not apply_monomial(mono, vacuum).is_zero()
 
 
+def test_delta_in_place_of_delta_squared_keys_like_the_tuple_route(
+    monkeypatch, eval_matrix_by_tuples
+):
+    """With Delta patched in, the integer-keyed matrix is still the one the
+    tuple lookups build from the same table, on every piece to weight 16,
+    so the mutant above fails for its table and not for its keys."""
+    monkeypatch.setattr(verify, "_vandermonde_squared", vandermonde)
+    for tag in verify.TAGS:
+        for weight in range(17):
+            for charge in verify.charge_range(tag, weight):
+                piece = (tag, weight, charge)
+                assert verify.eval_matrix(*piece) == eval_matrix_by_tuples(*piece), piece
+
+
 def fock_killing_nothing(m):
     n = m.n_cols
     return linalg.SparseMatQ(n, n, {(j, j): 1 for j in range(n)})

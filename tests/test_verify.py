@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from principal_subspaces import linalg, relations, verify
 from principal_subspaces.fock import FockState, apply_monomial, basis_states
@@ -96,6 +98,101 @@ def test_eval_matrix_expands_no_delta_squared_without_rows(monkeypatch):
     monkeypatch.setattr(verify, "_vandermonde_squared", refuse)
     m = eval_matrix("lambda0", 22, 22)
     assert (m.n_rows, m.n_cols, m.entries) == (0, 1, {})
+
+
+def pieces_to(max_weight):
+    return [
+        (tag, weight, charge)
+        for tag in TAGS
+        for weight in range(max_weight + 1)
+        for charge in charge_range(tag, weight)
+    ]
+
+
+def test_eval_matrix_equals_the_tuple_route_to_weight_16(eval_matrix_by_tuples):
+    """The integer-keyed lookups give the matrix of the tuple lookups, entry
+    for entry, on every piece to weight 16."""
+    for piece in pieces_to(16):
+        assert eval_matrix(*piece) == eval_matrix_by_tuples(*piece), piece
+
+
+def test_exponent_keys_never_alias_to_weight_16():
+    """Every digit of e - 2r - a + (d + 1), over the columns e and orbit
+    elements a of every piece to weight 16, and of every Delta^2 exponent
+    plus d + 1, lies in [0, B).  This covers lambda1, whose exponents reach
+    -1, and the rows with a part equal to d."""
+    reached_minus_one = reached_part_d = False
+    for tag, weight, charge in pieces_to(16):
+        size = heisenberg_size(tag, weight, charge)
+        rows = verify._row_partitions(size, charge)
+        if not rows:
+            continue
+        radix, offset = verify._key_layout(weight, size)
+        shift = 1 + IDEALS[tag].two_r
+        for mono in enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor):
+            f = [-m - shift for m in mono.indices]
+            reached_minus_one |= -1 in f
+            for nu in rows:
+                reached_part_d |= size > 0 and nu[0] == size
+                for a in verify._orbit(nu):
+                    digits = [fi - ai + offset for fi, ai in zip(f, a)]
+                    assert all(0 <= g < radix for g in digits), (tag, weight, charge)
+        for exponents in verify._vandermonde_squared(charge):
+            assert all(0 <= t + offset < radix for t in exponents)
+    assert reached_minus_one and reached_part_d
+
+
+@st.composite
+def keyed_tuples(draw):
+    """A radix, an offset below it, two tuples e and other of one length
+    whose digits plus the offset lie in [0, radix), and a tuple a with the
+    digits of e - a plus the offset in [0, radix)."""
+    radix = draw(st.integers(min_value=2, max_value=40))
+    offset = draw(st.integers(min_value=0, max_value=radix - 1))
+    length = draw(st.integers(min_value=0, max_value=6))
+    digits = st.lists(
+        st.integers(min_value=-offset, max_value=radix - 1 - offset),
+        min_size=length,
+        max_size=length,
+    )
+    e, other = draw(digits), draw(digits)
+    a = [draw(st.integers(min_value=ei + offset - radix + 1, max_value=ei + offset)) for ei in e]
+    return radix, offset, e, other, a
+
+
+@settings(deadline=None, max_examples=200)
+@given(keyed_tuples())
+def test_key_is_injective_and_subtracts_digit_by_digit(keyed):
+    """Distinct tuples with offset digits in [0, B) get distinct keys, and
+    key(e) - key(a), a keyed without the offset, decodes base B digit by
+    digit to e - a plus the offset."""
+    radix, offset, e, other, a = keyed
+    key = verify._key(e, radix, offset)
+    assert (key == verify._key(other, radix, offset)) == (e == other)
+    diff = key - verify._key(a, radix, 0)
+    digits = []
+    for _ in e:
+        diff, g = divmod(diff, radix)
+        digits.append(g - offset)
+    assert diff == 0
+    assert digits == [ei - ai for ei, ai in zip(e, a)]
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_eval_matrix_reads_delta_squared_on_every_call(monkeypatch, tag):
+    """After the piece is built once, a patched ``_vandermonde_squared``
+    still reaches the matrix: twice the table gives twice every entry.  A
+    cache of the re-keyed table would hide the patch, and with it the Delta
+    mutant of the command-line tests."""
+    weight, charge = 12, 3
+    real = verify._vandermonde_squared
+    warm = eval_matrix(tag, weight, charge)
+    assert warm.entries
+    monkeypatch.setattr(
+        verify, "_vandermonde_squared", lambda k: {f: 2 * c for f, c in real(k).items()}
+    )
+    doubled = eval_matrix(tag, weight, charge)
+    assert doubled.entries == {ij: 2 * v for ij, v in warm.entries.items()}
 
 
 def domain_index(tag, weight, charge):
