@@ -8,7 +8,9 @@ polynomial a distinct pair carries coefficient 2 and a repeated index
 coefficient 1.  Each ideal is generated by the R_t at the floor of its
 subalgebra, for t >= -2 * floor, and for lambda1 also by x(-1).  Ideal
 pieces are returned as spanning sets, never pre-reduced; rank reduction is
-the caller's job.
+the caller's job.  The polynomials of a piece share the monomials of its
+domain, the tuple of ``enumerate_monomials``, so callers must not change
+their terms or monomials.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .linalg import subspace_leq
+from .linalg import Scalar, subspace_leq
 from .poly import (
     Monomial,
     PolyQ,
@@ -72,28 +74,40 @@ def ideal_piece(tag: str, weight: int, charge: int) -> list[PolyQ]:
 
     Every returned element is bihomogeneous of the requested bidegree; the
     list is deterministic (relation weight ascending, then cofactor order)
-    and may be linearly dependent.  Empty pieces give [].
+    and may be linearly dependent.  Empty pieces give [].  Each product u *
+    x(a)x(b) or u * x(-1) is looked up in the target domain by its index
+    tuple, and a product found there is the domain's own ``Monomial``; a
+    product outside it, which only a changed spec or relation makes, gets
+    one of its own.
     """
     spec = IDEALS[tag]
     out: list[PolyQ] = []
     if weight < 0 or charge < 1:
         return out
+    floor = spec.ambient_floor
+    shared = {mono.indices: mono for mono in enumerate_monomials(weight, charge, floor)}
     if charge >= 2:
-        for t in range(-2 * spec.ambient_floor, weight + 1):
-            rel = quadratic_relation(t, spec.ambient_floor)
-            for u in enumerate_monomials(weight - t, charge - 2, spec.ambient_floor):
-                out.append(_monomial_times(u, rel))
+        for t in range(-2 * floor, weight + 1):
+            rel = quadratic_relation(t, floor)
+            for u in enumerate_monomials(weight - t, charge - 2, floor):
+                out.append(_times(u, rel, shared))
     if spec.includes_degree_one_generator:
         gen = x(-1)
-        for u in enumerate_monomials(weight - 1, charge - 1, spec.ambient_floor):
-            out.append(_monomial_times(u, gen))
+        for u in enumerate_monomials(weight - 1, charge - 1, floor):
+            out.append(_times(u, gen, shared))
     return out
 
 
-def _monomial_times(u: Monomial, p: PolyQ) -> PolyQ:
+def _times(u: Monomial, p: PolyQ, shared: dict[tuple[int, ...], Monomial]) -> PolyQ:
     """u * p without the general product: multiplying distinct monomials by
-    one monomial gives distinct monomials, so no coefficients combine."""
-    return PolyQ._from_terms({u * m: c for m, c in p.terms.items()})
+    one monomial gives distinct monomials, so no coefficients combine.  A
+    product in ``shared`` is its ``Monomial`` there."""
+    out: dict[Monomial, Scalar] = {}
+    for mono, c in p.terms.items():
+        product = tuple(sorted(u.indices + mono.indices))
+        found = shared.get(product)
+        out[Monomial(product) if found is None else found] = c
+    return PolyQ._from_terms(out)
 
 
 def check_translate_relation(t: int) -> bool:

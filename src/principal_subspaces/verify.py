@@ -52,13 +52,14 @@ Per piece, ``_evaluation``, shared by ``piece_report`` and ``graded_dims``,
 gives the matrix, the domain index and the verdict of the minor.  The
 domain monomials come from the table behind ``enumerate_monomials``, shared
 with ``eval_matrix``, ``fock_matrix`` and every cofactor enumeration of
-``ideal_piece``, so each domain is enumerated once per process.  Each ideal
-polynomial becomes a row in one pass over its terms, its coefficients
-copied as they are (``_ideal_coordinates``), and the ideal is checked to
-lie in the kernel exactly.  The rank of the ideal rows I is then bounded by leading
-terms (``_distinct_leads``): the lead of a nonzero row is its least term
-under the total order (sum of m_i^2, index tuple), and rows with distinct
-leads are independent.  With the minor,
+``ideal_piece``, so each domain is enumerated once per process, and the
+ideal polynomials hold the domain's own monomials.  Each ideal polynomial
+is read once, by ``_ideal_rows``.  One pass over its terms builds its
+row, with the coefficients copied as they are, adds up its image under E
+and takes its lead, so the ideal is checked to lie in the kernel exactly.
+The rank of the ideal rows I is bounded by the leads: the lead of a
+nonzero row is its least term under the total order (sum of m_i^2, index
+tuple), and rows with distinct leads are independent.  With the minor,
 
     #distinct leads <= rank I <= dim ker E = n - n_rows,
 
@@ -82,6 +83,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fock import FockState, apply_monomial, partitions
 from .linalg import (
@@ -278,30 +280,65 @@ def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
     return SparseMatQ(len(rows), len(monos), entries)
 
 
-def _ideal_coordinates(polys: list[PolyQ], domain: Domain) -> tuple[list[Vector], int]:
-    """Coordinate vectors of the ideal polynomials, with each coefficient
-    as it is, and their column count.  The columns are those of ``domain``
-    and then, numbered in a dict of their own, every other monomial of the
-    polynomials, in order of first appearance, so a polynomial outside the
-    domain has a column at or past len(domain).
+class IdealRows(NamedTuple):
+    """The ideal polynomials of a piece read in one pass (``_ideal_rows``)."""
 
-    The order of the outside columns changes no report: the containment
+    vecs: list[Vector]  # the coordinate rows, coefficients as they are
+    n_cols: int  # the domain's columns, then those outside it
+    witness: int | None  # the index of the first one outside the kernel
+    leads: int  # the distinct leads of the nonzero rows
+
+
+def _ideal_rows(polys: list[PolyQ], domain: Domain, matrix: SparseMatQ) -> IdealRows:
+    """Each ideal polynomial's coordinate row, its image under ``matrix`` E
+    and its lead, taken in one pass over its terms.
+
+    The columns are those of ``domain`` and then, numbered in a dict of
+    their own, every other monomial of the polynomials, in order of first
+    appearance.  The order of the outside columns changes no report: the
     witness is the first polynomial with such a column or a nonzero image,
     whatever the column's number, and a rank does not depend on the order of
     the columns.  The index is keyed by index tuples, whose hash and
-    equality run in C, not by ``Monomial``."""
+    equality run in C, not by ``Monomial``.  Images are summed through
+    ``matrix.columns()`` until the witness is found.
+
+    The lead of a row is its least term under the total order (sum of
+    m_i^2, index tuple); as the columns are in ascending index order, the
+    key sum(m_i^2) * n + j orders them the same way.  Rows with distinct
+    leads are independent.  ``leads`` is read only when there is no
+    witness, so every row lies in the domain."""
     n = len(domain)
+    keys = [sum([m * m for m in indices]) * n + j for indices, j in domain.items()]
+    columns = matrix.columns()
+    n_rows = matrix.n_rows
     outside: dict[tuple[int, ...], int] = {}
-    vecs = []
-    for p in polys:
-        vec = {}
+    vecs: list[Vector] = []
+    leads: set[int] = set()
+    witness = None
+    for index, p in enumerate(polys):
+        vec: Vector = {}
+        image = [0] * n_rows
+        lead = None
         for mono, c in p.terms.items():
             j = domain.get(mono.indices)
             if j is None:
                 j = outside.setdefault(mono.indices, n + len(outside))
+                if witness is None:
+                    witness = index
+            else:
+                key = keys[j]
+                if lead is None or key < lead:
+                    lead = key
+                if witness is None and j in columns:
+                    for i, v in columns[j].items():
+                        image[i] += v * c
             vec[j] = c
+        if lead is not None:
+            leads.add(lead)
+        if witness is None and any(image):
+            witness = index
         vecs.append(vec)
-    return vecs, n + len(outside)
+    return IdealRows(vecs, n + len(outside), witness, len(leads))
 
 
 def _full_row_rank(
@@ -324,17 +361,6 @@ def _full_row_rank(
         if not column or min(column) != i or column[i] not in (1, -1):
             return False
     return True
-
-
-def _distinct_leads(vecs: list[Vector], domain: Domain) -> int:
-    """The number of distinct leads among the nonzero rows ``vecs``, all in
-    ``domain``.  The lead of a row is its least term under the total order
-    (sum of m_i^2, index tuple); as the columns are in ascending index
-    order, the key sum(m_i^2) * n + j orders them the same way.  Rows with
-    distinct leads are independent."""
-    n = len(domain)
-    keys = [sum(m * m for m in indices) * n + j for indices, j in domain.items()]
-    return len({min([keys[j] for j in vec]) for vec in vecs if vec})
 
 
 def _fock_check(
@@ -386,13 +412,8 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
     matrix, domain, full_rank = _evaluation(tag, weight, charge)
     n = len(domain)
     ideal_polys = ideal_piece(tag, weight, charge)
-    ideal_vecs, n_ideal = _ideal_coordinates(ideal_polys, domain)
-
-    witness: str | None = None
-    for p, vec in zip(ideal_polys, ideal_vecs):
-        if max(vec, default=-1) >= n or matrix.matvec(vec):
-            witness = str(p)
-            break
+    rows = _ideal_rows(ideal_polys, domain, matrix)
+    witness = None if rows.witness is None else str(ideal_polys[rows.witness])
     containment_ok = witness is None
     kernel = None
     if weight <= FOCK_CHECK_WEIGHT or not full_rank:
@@ -404,19 +425,17 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
         if disagreement is not None and witness is None:
             witness = _as_poly(disagreement, domain)
     kernel_ok = containment_ok and fock_ok
-    equality_ok = (
-        kernel_ok and full_rank and _distinct_leads(ideal_vecs, domain) >= dim_kernel
-    )
+    equality_ok = kernel_ok and full_rank and rows.leads >= dim_kernel
     dim_ideal = dim_kernel
     if not equality_ok:
         fallbacks += 1
-        dim_ideal = span_dim(ideal_vecs, n_ideal)
+        dim_ideal = span_dim(rows.vecs, rows.n_cols)
         equality_ok = kernel_ok and dim_ideal == dim_kernel
         if kernel_ok and not equality_ok:
             # containment makes the ideal span a subspace of the kernel, so
             # a mismatch means some kernel vector escapes the ideal span
             for vec in kernel_basis(matrix) if kernel is None else kernel:
-                if span_dim([*ideal_vecs, vec], n_ideal) > dim_ideal:
+                if span_dim([*rows.vecs, vec], rows.n_cols) > dim_ideal:
                     witness = _as_poly(vec, domain)
                     break
     return PieceReport(

@@ -10,12 +10,20 @@ from principal_subspaces.poly import PolyQ, enumerate_monomials
 
 @pytest.fixture
 def force_certificate_off(monkeypatch):
-    """Make both halves of the certificate of ``piece_report`` decline on
-    every piece, from the call on."""
+    """Make the halves of the certificate of ``piece_report`` decline on
+    every piece, from the call on: the minor check, and the lead count that
+    ``verify._ideal_rows`` takes, set to -1, below every kernel dimension
+    (each row is still built and its image still checked).  Each half can
+    be left on with ``minor=False`` or ``leads=False``."""
 
-    def force():
-        monkeypatch.setattr(verify, "_full_row_rank", lambda *args: False)
-        monkeypatch.setattr(verify, "_distinct_leads", lambda *args: 0)
+    def force(minor=True, leads=True):
+        if minor:
+            monkeypatch.setattr(verify, "_full_row_rank", lambda *args: False)
+        if leads:
+            rows = verify._ideal_rows
+            monkeypatch.setattr(
+                verify, "_ideal_rows", lambda *args: rows(*args)._replace(leads=-1)
+            )
 
     return force
 
@@ -66,3 +74,39 @@ def eval_matrix_by_tuples():
         return SparseMatQ(len(orbits), len(monos), entries)
 
     return build
+
+
+@pytest.fixture
+def ideal_rows_by_three_passes():
+    """The ideal rows of ``verify._ideal_rows`` by three separate passes:
+    each polynomial's coordinate row, with its outside columns numbered in
+    order of first appearance; then ``SparseMatQ.matvec`` on each row until
+    the first one with an outside column or a nonzero image, the witness;
+    then a scan of every row for its least key sum(m_i^2) * n + j.  The
+    lead count is None when a row leaves the domain, where the scan has no
+    key for the column."""
+
+    def rows(polys, domain, matrix):
+        n = len(domain)
+        outside = {}
+        vecs = []
+        for p in polys:
+            vec = {}
+            for mono, c in p.terms.items():
+                j = domain.get(mono.indices)
+                if j is None:
+                    j = outside.setdefault(mono.indices, n + len(outside))
+                vec[j] = c
+            vecs.append(vec)
+        witness = None
+        for i, vec in enumerate(vecs):
+            if max(vec, default=-1) >= n or matrix.matvec(vec):
+                witness = i
+                break
+        leads = None
+        if not outside:
+            keys = [sum(m * m for m in indices) * n + j for indices, j in domain.items()]
+            leads = len({min(keys[j] for j in vec) for vec in vecs if vec})
+        return vecs, n + len(outside), witness, leads
+
+    return rows

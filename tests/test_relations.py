@@ -104,6 +104,89 @@ def test_ideal_pieces_are_bihomogeneous():
                     assert element.bidegree() == (weight, charge)
 
 
+def spanning_set_by_products(tag, weight, charge):
+    """The spanning set of ``ideal_piece`` by the general ``PolyQ``
+    product: each cofactor times each R_t at the floor, t ascending, then
+    each cofactor times x(-1) if it is a generator.  The relations are read
+    through ``relations``, so a patched one reaches it."""
+    spec = relations.IDEALS[tag]
+    floor = spec.ambient_floor
+    generators = []
+    if charge >= 2:
+        generators += [
+            (t, 2, relations.quadratic_relation(t, floor))
+            for t in range(-2 * floor, weight + 1)
+        ]
+    if spec.includes_degree_one_generator:
+        generators.append((1, 1, x(-1)))
+    return [
+        PolyQ({u: 1}) * gen
+        for t, k, gen in generators
+        for u in enumerate_monomials(weight - t, charge - k, floor)
+    ]
+
+
+def shared_and_own(tag, weight, charge):
+    """The numbers of terms of ``ideal_piece`` whose monomial is the
+    domain's own object and of those outside the domain, after checking
+    that no term holds a copy of a domain monomial."""
+    monos = enumerate_monomials(weight, charge, relations.IDEALS[tag].ambient_floor)
+    by_indices = {mono.indices: mono for mono in monos}
+    shared = own = 0
+    for p in ideal_piece(tag, weight, charge):
+        for mono in p.terms:
+            if mono.indices in by_indices:
+                assert mono is by_indices[mono.indices]
+                shared += 1
+            else:
+                own += 1
+    return shared, own
+
+
+def test_ideal_piece_products_are_the_domain_monomials(monkeypatch):
+    """On every piece to weight 12, ``ideal_piece`` equals the spanning set
+    built by ``PolyQ`` products, and every product in the domain is the
+    domain's own ``Monomial``.  With x(-1) a generator at floor -2 the
+    products u * x(-1) leave the domain and get monomials of their own."""
+    for tag in relations.IDEALS:
+        for weight in range(13):
+            for charge in range(weight + 1):
+                piece = ideal_piece(tag, weight, charge)
+                assert piece == spanning_set_by_products(tag, weight, charge)
+                assert shared_and_own(tag, weight, charge)[1] == 0
+    spec = dataclasses.replace(
+        relations.IDEALS["lambda1prime"], includes_degree_one_generator=True
+    )
+    monkeypatch.setitem(relations.IDEALS, "lambda1prime", spec)
+    outside = 0
+    for weight in range(13):
+        for charge in range(weight + 1):
+            piece = ideal_piece("lambda1prime", weight, charge)
+            assert piece == spanning_set_by_products("lambda1prime", weight, charge)
+            outside += shared_and_own("lambda1prime", weight, charge)[1]
+    assert outside > 0
+    assert ideal_piece("lambda1prime", 3, 2) == [x(-2) * x(-1)]
+
+
+def test_ideal_piece_reads_the_relation_on_every_call(monkeypatch):
+    """A ``quadratic_relation`` patched after a piece was built reaches
+    that piece on the next call."""
+    before = ideal_piece("lambda0", 8, 3)
+    assert before == spanning_set_by_products("lambda0", 8, 3)
+    original = relations.quadratic_relation
+    monkeypatch.setattr(
+        relations,
+        "quadratic_relation",
+        lambda t, floor=-1: 3 * original(t, floor) if t == 5 else original(t, floor),
+    )
+    after = ideal_piece("lambda0", 8, 3)
+    assert after == spanning_set_by_products("lambda0", 8, 3)
+    assert after != before
+    assert [p == q for p, q in zip(after, before)].count(False) == len(
+        enumerate_monomials(3, 1, -1)
+    )
+
+
 def test_translate_relation_identity():
     # t = 2: the shift of x(-1)^2 is x(-2)^2, and the identity rearranges it
     assert translate(quadratic_relation(2, -1), 1) == x(-2) * x(-2)

@@ -339,8 +339,9 @@ def test_certificate_declines_without_one_cofactor_multiple(
     domain = domain_index(tag, weight, charge)
     dim_kernel = len(domain) - eval_matrix(tag, weight, charge).n_rows
     assert len(set(leads)) == dim_kernel
-    rows, _ = verify._ideal_coordinates(kept, domain)
-    assert verify._distinct_leads(rows, domain) == dim_kernel - 1
+    matrix = eval_matrix(tag, weight, charge)
+    assert verify._ideal_rows(polys, domain, matrix).leads == dim_kernel
+    assert verify._ideal_rows(kept, domain, matrix).leads == dim_kernel - 1
     monkeypatch.setattr(verify, "ideal_piece", lambda *piece: kept)
     monkeypatch.setattr(verify, "fallbacks", 0)
     report = piece_report(tag, weight, charge)
@@ -358,61 +359,96 @@ def rows_by_coordinates(polys, monos):
     return [{basis[j]: c for j, c in vec.items()} for vec in coordinates(polys, basis)]
 
 
-def rows_in_one_pass(polys, monos):
-    """The rows of ``_ideal_coordinates`` as {Monomial: coefficient} maps,
-    with the outside columns read in order of first appearance.  The domain
-    index it is given comes back unchanged."""
-    index = {mono.indices: j for j, mono in enumerate(monos)}
-    vecs, n_cols = verify._ideal_coordinates(polys, index)
-    assert index == {mono.indices: j for j, mono in enumerate(monos)}
+def rows_in_one_pass(rows, polys, monos):
+    """The rows of ``_ideal_rows`` as {Monomial: coefficient} maps, with
+    the outside columns read in order of first appearance."""
     domain = set(monos)
     outside = list(dict.fromkeys(m for p in polys for m in p.terms if m not in domain))
     basis = [*monos, *outside]
-    assert n_cols == len(basis)
-    return [{basis[j]: c for j, c in vec.items()} for vec in vecs]
+    assert rows.n_cols == len(basis)
+    return [{basis[j]: c for j, c in vec.items()} for vec in rows.vecs]
 
 
-def halved_weight_four(original, scale):
-    """quadratic_relation with every weight-4 coefficient c replaced by
-    scale(c)."""
+def scaled_relation(original, weight, scale):
+    """quadratic_relation with every coefficient c of the relation of the
+    given weight replaced by scale(c)."""
     def mutant(t, floor=-1):
         rel = original(t, floor)
-        if t != 4:
+        if t != weight:
             return rel
         return PolyQ({m: scale(c) for m, c in rel.terms.items()})
     return mutant
 
 
-@pytest.mark.parametrize("mutant", ["none", "unit", "half", "floor-1"])
+@pytest.mark.parametrize("mutant", ["none", "unit", "half", "floor-1", "zero-6"])
 def test_one_pass_ideal_rows_equal_the_coordinates_route(
-    monkeypatch, floor_minus_one_piece, mutant
+    monkeypatch, floor_minus_one_piece, ideal_rows_by_three_passes, mutant
 ):
-    """On every piece to weight 12, for all tags, ``_ideal_coordinates``
-    gives the rows of ``coordinates``.  The mutants reach its other inputs:
-    weight-4 coefficients halved to 1 (the one ``test_cli`` builds) or to
-    c/2 (Fraction coefficients), and lambda1prime with floor -1 relations
-    (columns outside the domain)."""
-    scales = {"unit": lambda c: 1, "half": lambda c: Fraction(c, 2)}
+    """On every piece to weight 16, for all tags, ``_ideal_rows`` gives
+    the rows, column count, witness and lead count of three separate
+    passes (``ideal_rows_by_three_passes``), and to weight 12 the rows of
+    ``coordinates``.  The domain index it is given comes back unchanged.
+    The mutants reach its other inputs: weight-4 coefficients set to 1 (the
+    one ``test_cli`` builds; witnesses) or halved to c/2 (Fraction
+    coefficients), lambda1prime with floor -1 relations (columns outside
+    the domain) and the weight-6 relation set to zero (empty rows, and
+    fewer leads than the kernel dimension)."""
+    scales = {
+        "unit": (4, lambda c: 1),
+        "half": (4, lambda c: Fraction(c, 2)),
+        "zero-6": (6, lambda c: 0),
+    }
     piece = floor_minus_one_piece if mutant == "floor-1" else ideal_piece
     if mutant in scales:
         monkeypatch.setattr(
             relations, "quadratic_relation",
-            halved_weight_four(relations.quadratic_relation, scales[mutant]),
+            scaled_relation(relations.quadratic_relation, *scales[mutant]),
         )
-    fractions = outside = 0
+    fractions = outside = witnesses = empty = short = 0
     for tag in TAGS:
-        for weight in range(13):
+        for weight in range(17):
             for charge in charge_range(tag, weight):
                 monos = enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor)
+                domain = domain_index(tag, weight, charge)
+                matrix = eval_matrix(tag, weight, charge)
                 polys = piece(tag, weight, charge)
-                rows = rows_in_one_pass(polys, monos)
-                assert rows == rows_by_coordinates(polys, monos)
+                rows = verify._ideal_rows(polys, domain, matrix)
+                assert domain == domain_index(tag, weight, charge)
+                vecs, n_cols, witness, leads = ideal_rows_by_three_passes(
+                    polys, domain, matrix
+                )
+                assert (rows.vecs, rows.n_cols, rows.witness) == (vecs, n_cols, witness)
+                if leads is not None:
+                    assert rows.leads == leads
+                    short += leads < len(monos) - matrix.n_rows
+                if weight <= 12:
+                    named = rows_in_one_pass(rows, polys, monos)
+                    assert named == rows_by_coordinates(polys, monos)
                 fractions += any(c.denominator > 1 for p in polys for c in p.terms.values())
-                domain = set(monos)
-                outside += any(row.keys() - domain for row in rows)
+                outside += n_cols > len(monos)
+                witnesses += witness is not None
+                empty += not all(vecs)
     # each mutant reaches the path it is here for
     assert (fractions > 0) == (mutant == "half")
     assert (outside > 0) == (mutant == "floor-1")
+    assert (witnesses > 0) == (mutant in ("unit", "floor-1"))
+    assert (empty > 0) == (mutant == "zero-6")
+    assert (short > 0) == (mutant == "zero-6")
+
+
+@pytest.mark.parametrize("half", ["minor", "leads"])
+def test_each_half_of_the_certificate_declines_alone(
+    monkeypatch, force_certificate_off, half
+):
+    """With only the minor check, or only the lead count, forced to
+    decline, every piece of a weight-8 verify falls back to rational
+    elimination, and every report is unchanged."""
+    certified = [verify_presentation(tag, 8) for tag in TAGS]
+    force_certificate_off(minor=half == "minor", leads=half == "leads")
+    monkeypatch.setattr(verify, "fallbacks", 0)
+    runs = [verify_presentation(tag, 8) for tag in TAGS]
+    assert runs == certified
+    assert verify.fallbacks == sum(len(run.pieces) for run in runs)
 
 
 def test_piece_report_weight_four_charge_two():
