@@ -126,21 +126,19 @@ def spanning_set_by_products(tag, weight, charge):
     ]
 
 
-def shared_and_own(tag, weight, charge):
-    """The numbers of terms of ``ideal_piece`` whose monomial is the
-    domain's own object and of those outside the domain, after checking
-    that no term holds a copy of a domain monomial."""
+def terms_outside_the_domain(tag, weight, charge):
+    """The number of terms of ``ideal_piece`` outside the domain, after
+    checking that every other term is the domain's own ``Monomial``."""
     monos = enumerate_monomials(weight, charge, relations.IDEALS[tag].ambient_floor)
     by_indices = {mono.indices: mono for mono in monos}
-    shared = own = 0
+    outside = 0
     for p in ideal_piece(tag, weight, charge):
         for mono in p.terms:
             if mono.indices in by_indices:
                 assert mono is by_indices[mono.indices]
-                shared += 1
             else:
-                own += 1
-    return shared, own
+                outside += 1
+    return outside
 
 
 def test_ideal_piece_products_are_the_domain_monomials(monkeypatch):
@@ -153,7 +151,7 @@ def test_ideal_piece_products_are_the_domain_monomials(monkeypatch):
             for charge in range(weight + 1):
                 piece = ideal_piece(tag, weight, charge)
                 assert piece == spanning_set_by_products(tag, weight, charge)
-                assert shared_and_own(tag, weight, charge)[1] == 0
+                assert terms_outside_the_domain(tag, weight, charge) == 0
     spec = dataclasses.replace(
         relations.IDEALS["lambda1prime"], includes_degree_one_generator=True
     )
@@ -163,7 +161,7 @@ def test_ideal_piece_products_are_the_domain_monomials(monkeypatch):
         for charge in range(weight + 1):
             piece = ideal_piece("lambda1prime", weight, charge)
             assert piece == spanning_set_by_products("lambda1prime", weight, charge)
-            outside += shared_and_own("lambda1prime", weight, charge)[1]
+            outside += terms_outside_the_domain("lambda1prime", weight, charge)
     assert outside > 0
     assert ideal_piece("lambda1prime", 3, 2) == [x(-2) * x(-1)]
 

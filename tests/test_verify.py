@@ -337,9 +337,9 @@ def test_certificate_declines_without_one_cofactor_multiple(
     drop = next(i for i, mono in enumerate(leads) if leads.count(mono) == 1)
     kept = polys[:drop] + polys[drop + 1 :]
     domain = domain_index(tag, weight, charge)
-    dim_kernel = len(domain) - eval_matrix(tag, weight, charge).n_rows
-    assert len(set(leads)) == dim_kernel
     matrix = eval_matrix(tag, weight, charge)
+    dim_kernel = len(domain) - matrix.n_rows
+    assert len(set(leads)) == dim_kernel
     assert verify._ideal_rows(polys, domain, matrix).leads == dim_kernel
     assert verify._ideal_rows(kept, domain, matrix).leads == dim_kernel - 1
     monkeypatch.setattr(verify, "ideal_piece", lambda *piece: kept)
