@@ -39,6 +39,7 @@ from .poly import (
 )
 from .relations import (
     IDEALS,
+    IdealPiece,
     IdealSpec,
     check_derive_relation,
     check_lift_identity,
@@ -66,6 +67,7 @@ __all__ = [
     "FockState",
     "FockVector",
     "IDEALS",
+    "IdealPiece",
     "IdealSpec",
     "Monomial",
     "PieceReport",

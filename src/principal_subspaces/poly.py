@@ -263,8 +263,11 @@ def enumerate_monomials(weight: int, charge: int, floor: int = -1) -> tuple[Mono
 
     Equivalently: partitions of ``weight`` into exactly ``charge`` parts, each
     part at least ``-floor``.  Returns () when no such monomial exists.  The
-    tuple is the one held by the shared table ``_monomials``, so each domain
-    is enumerated once per process and every caller gets the same tuple.
+    tuple holds every such monomial once, which the ideal rows of ``verify``
+    rely on: a product of the right bidegree with indices <= floor is a
+    domain monomial, with no lookup to confirm it.  It is the one held by
+    the shared table ``_monomials``, so each domain is enumerated once per
+    process and every caller gets the same tuple.
     """
     if floor > -1:
         raise ValueError("floor must be <= -1")

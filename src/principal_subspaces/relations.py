@@ -7,8 +7,10 @@ The relation R_t of weight t sums x(m1)x(m2) over ordered pairs m1 + m2 =
 polynomial a distinct pair carries coefficient 2 and a repeated index
 coefficient 1.  Each ideal is generated by the R_t at the floor of its
 subalgebra, for t >= -2 * floor, and for lambda1 also by x(-1).  Ideal
-pieces are returned as spanning sets, never pre-reduced; rank reduction is
-the caller's job.  The polynomials of a piece share the monomials of its
+pieces are spanning sets, never pre-reduced; rank reduction is the
+caller's job.  A piece (``IdealPiece``) is held as blocks of one generator
+and a tuple of cofactor monomials, and each polynomial u * g is built only
+when it is read.  The polynomials share the monomials of the piece's
 domain, the tuple of ``enumerate_monomials``, so callers must not change
 their terms or monomials.
 """
@@ -16,6 +18,7 @@ their terms or monomials.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .linalg import Scalar, subspace_leq
@@ -69,33 +72,90 @@ IDEALS: dict[str, IdealSpec] = {
 }
 
 
-def ideal_piece(tag: str, weight: int, charge: int) -> list[PolyQ]:
+class IdealPiece(Sequence):
+    """The spanning set of one (weight, charge) ideal piece, read-only.
+
+    ``blocks`` holds, in order, pairs (g, cofactors): a generator g (an R_t
+    or x(-1)) and a tuple of the monomials u, all of one bidegree with
+    every index <= ``floor``, whose products u * g are the piece's
+    elements, in cofactor order.  A pair without cofactors is left out.
+    ``floor`` is that of the domain the piece lies in when its generators
+    are right, and ``len`` is the size of the spanning set.
+
+    An element is a ``PolyQ`` built when it is read, by index, slice or
+    iteration.  Every product found in the domain is the domain's own
+    ``Monomial``; a product outside it, which only a changed spec or
+    relation makes, gets one of its own.  Iteration and each slice index
+    the domain once, and so does each read of a single element.
+    """
+
+    def __init__(
+        self,
+        weight: int,
+        charge: int,
+        floor: int,
+        blocks: list[tuple[PolyQ, tuple[Monomial, ...]]],
+    ):
+        self.weight = weight
+        self.charge = charge
+        self.floor = floor
+        self.blocks = tuple((g, cofactors) for g, cofactors in blocks if cofactors)
+        self._len = sum(len(cofactors) for _, cofactors in self.blocks)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            shared = self._shared()
+            return [self._item(j, shared) for j in range(*i.indices(self._len))]
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("ideal piece index out of range")
+        return self._item(i, self._shared())
+
+    def __iter__(self):
+        shared = self._shared()
+        for g, cofactors in self.blocks:
+            for u in cofactors:
+                yield _times(u, g, shared)
+
+    def _item(self, i: int, shared: dict[tuple[int, ...], Monomial]) -> PolyQ:
+        for g, cofactors in self.blocks:
+            if i < len(cofactors):
+                return _times(cofactors[i], g, shared)
+            i -= len(cofactors)
+        raise IndexError("ideal piece index out of range")
+
+    def _shared(self) -> dict[tuple[int, ...], Monomial]:
+        monos = enumerate_monomials(self.weight, self.charge, self.floor)
+        return {mono.indices: mono for mono in monos}
+
+
+def ideal_piece(tag: str, weight: int, charge: int) -> IdealPiece:
     """Spanning set of the (weight, charge) piece of the ideal.
 
-    Every returned element is bihomogeneous of the requested bidegree; the
-    list is deterministic (relation weight ascending, then cofactor order)
-    and may be linearly dependent.  Empty pieces give [].  Each product u *
-    x(a)x(b) or u * x(-1) is looked up in the target domain by its index
-    tuple, and a product found there is the domain's own ``Monomial``; a
-    product outside it, which only a changed spec or relation makes, gets
-    one of its own.
+    Every element is bihomogeneous of the requested bidegree; the sequence
+    is deterministic (relation weight ascending, then cofactor order) and
+    may be linearly dependent.  Empty pieces have no elements.  The blocks
+    are the R_t at the floor, t ascending, each with the cofactors of
+    bidegree (weight - t, charge - 2), then x(-1) with those of (weight -
+    1, charge - 1) if it is a generator.  The spec and the relations are
+    read on every call, and the elements are built only when read (see
+    ``IdealPiece``).
     """
     spec = IDEALS[tag]
-    out: list[PolyQ] = []
-    if weight < 0 or charge < 1:
-        return out
     floor = spec.ambient_floor
-    shared = {mono.indices: mono for mono in enumerate_monomials(weight, charge, floor)}
+    blocks = []
     if charge >= 2:
-        for t in range(-2 * floor, weight + 1):
-            rel = quadratic_relation(t, floor)
-            for u in enumerate_monomials(weight - t, charge - 2, floor):
-                out.append(_times(u, rel, shared))
+        blocks += [
+            (quadratic_relation(t, floor), enumerate_monomials(weight - t, charge - 2, floor))
+            for t in range(-2 * floor, weight + 1)
+        ]
     if spec.includes_degree_one_generator:
-        gen = x(-1)
-        for u in enumerate_monomials(weight - 1, charge - 1, floor):
-            out.append(_times(u, gen, shared))
-    return out
+        blocks.append((x(-1), enumerate_monomials(weight - 1, charge - 1, floor)))
+    return IdealPiece(weight, charge, floor, blocks)
 
 
 def _times(u: Monomial, p: PolyQ, shared: dict[tuple[int, ...], Monomial]) -> PolyQ:

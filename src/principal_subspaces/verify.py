@@ -52,11 +52,27 @@ Per piece, ``_evaluation``, shared by ``piece_report`` and ``graded_dims``,
 gives the matrix, the domain index and the verdict of the minor.  The
 domain monomials come from the table behind ``enumerate_monomials``, shared
 with ``eval_matrix``, ``fock_matrix`` and every cofactor enumeration of
-``ideal_piece``, so each domain is enumerated once per process, and the
-ideal polynomials hold the domain's own monomials.  Each ideal polynomial
-is read once, by ``_ideal_rows``.  One pass over its terms builds its
-row, with the coefficients copied as they are, adds up its image under E
-and takes its lead, so the ideal is checked to lie in the kernel exactly.
+``ideal_piece``, so each domain is enumerated once per process.
+
+The ideal side is read by ``_ideal_rows`` from the blocks of the
+``IdealPiece``, a generator g (R_t at the floor, or x(-1)) with its
+cofactors u, and no ideal ``PolyQ`` is built on a passing piece.  Each
+monomial with indices <= floor gets the integer code sum_i C^(floor -
+m_i), C = charge + 1, which is injective on the monomials of charge at
+most the piece's, so the code of u * v is code(u) + code(v).  Each term
+of g is checked once for the bidegree the block needs and for indices <=
+floor.  If every term passes, every product is a domain monomial, since a
+domain holds every monomial of its bidegree with indices <= floor (the
+contract of ``enumerate_monomials``); if one fails, every product with it
+lies outside the domain, and the block's first element is the witness.
+The lead of u * g is u * lead(g), one addition of codes.  Images under E
+are summed, each product looked up by its code, only over the columns
+where E is nonzero, so the ideal is checked to lie in the kernel exactly,
+and a piece where E has no rows needs no lookup.  Coordinate rows are
+built from the polynomials only when the certificate declines, for the
+rational fallback, and the witness string is the one element built when
+there is a witness.
+
 The rank of the ideal rows I is bounded by the leads: the lead of a
 nonzero row is its least term under the total order (sum of m_i^2, index
 tuple), and rows with distinct leads are independent.  With the minor,
@@ -69,8 +85,9 @@ because every non-DT monomial u is a lead: if u has adjacent indices a, b
 with |a - b| <= 1 and u' is the rest of u, u is the unique term of least
 sum m_i^2 in u' times the relation of weight -a - b (for lambda1, a u that
 contains x(-1) is itself a spanning element).  The leads are read from the
-rows, never assumed.  When either half declines, the piece falls back to
-exact rational elimination, which also finds the witness.  Up to weight ``FOCK_CHECK_WEIGHT`` the kernel basis is found in
+generators as they are, never assumed.  When either half declines, the
+piece falls back to exact rational elimination, which also finds the
+witness.  Up to weight ``FOCK_CHECK_WEIGHT`` the kernel basis is found in
 any case and proved equal to the kernel of the Fock matrix, the direct
 evaluation by the vertex operators (``_fock_check``).  ``fallbacks``
 counts the pieces the certificate did not decide in this process and is
@@ -83,7 +100,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .fock import FockState, apply_monomial, partitions
 from .linalg import (
@@ -95,7 +112,7 @@ from .linalg import (
     subspace_leq,
 )
 from .poly import Monomial, PolyQ, coordinates, derive, enumerate_monomials
-from .relations import IDEALS, ideal_piece
+from .relations import IDEALS, IdealPiece, ideal_piece
 
 TAGS = tuple(IDEALS)
 
@@ -281,64 +298,111 @@ def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
 
 
 class IdealRows(NamedTuple):
-    """The ideal polynomials of a piece read in one pass (``_ideal_rows``)."""
+    """What ``_ideal_rows`` reads from the blocks of an ideal piece."""
 
-    vecs: list[Vector]  # the coordinate rows, coefficients as they are
-    n_cols: int  # the domain's columns, then those outside it
-    witness: int | None  # the index of the first one outside the kernel
-    leads: int  # the distinct leads of the nonzero rows
+    witness: int | None  # the index of the first element outside the kernel
+    leads: int  # the distinct leads of the nonzero elements
 
 
-def _ideal_rows(polys: list[PolyQ], domain: Domain, matrix: SparseMatQ) -> IdealRows:
-    """Each ideal polynomial's coordinate row, its image under ``matrix`` E
-    and its lead, taken in one pass over its terms.
+def _lead_order(mono: Monomial) -> tuple[int, tuple[int, ...]]:
+    """The total order (sum of m_i^2, index tuple) whose least term of a
+    row is its lead."""
+    return sum([m * m for m in mono.indices]), mono.indices
+
+
+def _ideal_rows(piece: IdealPiece, matrix: SparseMatQ) -> IdealRows:
+    """The witness and the lead count of an ideal piece, read from its
+    blocks (g, cofactors) with no ``PolyQ`` built (see the module
+    docstring).  ``matrix`` is E on the piece's domain, the monomials of
+    ``enumerate_monomials(weight, charge, floor)``.
+
+    A monomial with indices m_i <= floor has the code sum_i C^(floor -
+    m_i), C = charge + 1.  On charge-k monomials, k <= charge, its digits
+    base C are the multiplicities of the indices, so the code is injective,
+    and code(u * v) = code(u) + code(v).  A block passes when every term of
+    g has the bidegree that the block's cofactors complete to the piece's
+    and every index <= floor; then each product u * v is a domain
+    monomial, as every domain holds all monomials of its bidegree.  If a
+    term fails, every product u * v with it lies outside the domain, so the
+    block's first element is outside the kernel.
+
+    The lead of u * g is u * lead(g): multiplying by u keeps the order, as
+    sum m_i^2 adds up and two sorted index tuples of one length compare by
+    the least index whose multiplicity differs.  On a passing piece the
+    distinct leads are distinct codes.  Images under E are summed, by
+    code, only while there is no witness and only on columns where E is
+    nonzero, so a piece where E has no rows needs no lookup at all.  The
+    leads are read only when there is no witness."""
+    weight, charge, floor = piece.weight, piece.charge, piece.floor
+    # digit[m] = C^(floor - m), read with negative indices: every index m
+    # of a passing product has floor - m in [0, weight]
+    digit = [(charge + 1) ** e for e in range(weight, -1, -1)] + [0] * (-floor - 1)
+    powers = functools.partial(map, digit.__getitem__)
+    monos = enumerate_monomials(weight, charge, floor)
+    columns = {
+        sum(powers(monos[j].indices)): column for j, column in matrix.columns().items()
+    }
+    n_rows = matrix.n_rows
+    leads: set[int] = set()
+    witness = None
+    start = 0
+    for g, cofactors in piece.blocks:
+        first = cofactors[0].indices
+        k, t = charge - len(first), weight + sum(first)
+        if not all(_fits(mono.indices, k, t, floor) for mono in g.terms):
+            if witness is None:
+                witness = start
+            start += len(cofactors)
+            continue
+        codes = [sum(powers(u.indices)) for u in cofactors]
+        if g.terms:
+            lead = sum(powers(min(g.terms, key=_lead_order).indices))
+            leads.update([u + lead for u in codes])
+        if witness is None and columns:
+            terms = [(sum(powers(mono.indices)), c) for mono, c in g.terms.items()]
+            for offset, u in enumerate(codes):
+                image = [0] * n_rows
+                for term, c in terms:
+                    column = columns.get(u + term)
+                    if column is not None:
+                        for i, v in column.items():
+                            image[i] += v * c
+                if any(image):
+                    witness = start + offset
+                    break
+        start += len(cofactors)
+    return IdealRows(witness, len(leads))
+
+
+def _fits(indices: tuple[int, ...], charge: int, weight: int, floor: int) -> bool:
+    """Whether a monomial, its indices sorted, has the bidegree and every
+    index <= floor."""
+    return (
+        len(indices) == charge
+        and -sum(indices) == weight
+        and (not indices or indices[-1] <= floor)
+    )
+
+
+def _coordinate_rows(polys: Iterable[PolyQ], domain: Domain) -> tuple[list[Vector], int]:
+    """The coordinate rows of the ideal polynomials, coefficients as they
+    are, and their column count, for the rational fallback.
 
     The columns are those of ``domain`` and then, numbered in a dict of
     their own, every other monomial of the polynomials, in order of first
-    appearance.  The order of the outside columns changes no report: the
-    witness is the first polynomial with such a column or a nonzero image,
-    whatever the column's number, and a rank does not depend on the order of
-    the columns.  The index is keyed by index tuples, whose hash and
-    equality run in C, not by ``Monomial``.  Images are summed through
-    ``matrix.columns()`` until the witness is found.
-
-    The lead of a row is its least term under the total order (sum of
-    m_i^2, index tuple); as the columns are in ascending index order, the
-    key sum(m_i^2) * n + j orders them the same way.  Rows with distinct
-    leads are independent.  ``leads`` is read only when there is no
-    witness, so every row lies in the domain."""
+    appearance.  A rank does not depend on the order of the columns."""
     n = len(domain)
-    keys = [sum([m * m for m in indices]) * n + j for indices, j in domain.items()]
-    columns = matrix.columns()
-    n_rows = matrix.n_rows
     outside: dict[tuple[int, ...], int] = {}
     vecs: list[Vector] = []
-    leads: set[int] = set()
-    witness = None
-    for index, p in enumerate(polys):
+    for p in polys:
         vec: Vector = {}
-        image = [0] * n_rows
-        lead = None
         for mono, c in p.terms.items():
             j = domain.get(mono.indices)
             if j is None:
                 j = outside.setdefault(mono.indices, n + len(outside))
-                if witness is None:
-                    witness = index
-            else:
-                key = keys[j]
-                if lead is None or key < lead:
-                    lead = key
-                if witness is None and j in columns:
-                    for i, v in columns[j].items():
-                        image[i] += v * c
             vec[j] = c
-        if lead is not None:
-            leads.add(lead)
-        if witness is None and any(image):
-            witness = index
         vecs.append(vec)
-    return IdealRows(vecs, n + len(outside), witness, len(leads))
+    return vecs, n + len(outside)
 
 
 def _full_row_rank(
@@ -396,9 +460,9 @@ def _evaluation(tag: str, weight: int, charge: int) -> tuple[SparseMatQ, Domain,
 def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
     """Compare the kernel of the evaluation map with the ideal piece.
 
-    Containment is checked first, exactly, each ideal polynomial in
-    turn, and the first one with a nonzero image, or with a monomial
-    outside the domain, is the witness.  Up to weight ``FOCK_CHECK_WEIGHT``
+    Containment is checked first, exactly, by ``_ideal_rows`` on the
+    blocks of the piece, and the first element with a nonzero image, or
+    with a monomial outside the domain, is the witness.  Up to weight ``FOCK_CHECK_WEIGHT``
     the kernel basis (``kernel_basis``) is checked against the Fock matrix
     (``_fock_check``), and a vector in one of the two kernels and not the
     other is the witness.  Given both, the certificate of the module
@@ -411,9 +475,9 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
     global fallbacks
     matrix, domain, full_rank = _evaluation(tag, weight, charge)
     n = len(domain)
-    ideal_polys = ideal_piece(tag, weight, charge)
-    rows = _ideal_rows(ideal_polys, domain, matrix)
-    witness = None if rows.witness is None else str(ideal_polys[rows.witness])
+    ideal = ideal_piece(tag, weight, charge)
+    rows = _ideal_rows(ideal, matrix)
+    witness = None if rows.witness is None else str(ideal[rows.witness])
     containment_ok = witness is None
     kernel = None
     if weight <= FOCK_CHECK_WEIGHT or not full_rank:
@@ -429,13 +493,14 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
     dim_ideal = dim_kernel
     if not equality_ok:
         fallbacks += 1
-        dim_ideal = span_dim(rows.vecs, rows.n_cols)
+        vecs, n_cols = _coordinate_rows(ideal, domain)
+        dim_ideal = span_dim(vecs, n_cols)
         equality_ok = kernel_ok and dim_ideal == dim_kernel
         if kernel_ok and not equality_ok:
             # containment makes the ideal span a subspace of the kernel, so
             # a mismatch means some kernel vector escapes the ideal span
             for vec in kernel_basis(matrix) if kernel is None else kernel:
-                if span_dim([*rows.vecs, vec], rows.n_cols) > dim_ideal:
+                if span_dim([*vecs, vec], n_cols) > dim_ideal:
                     witness = _as_poly(vec, domain)
                     break
     return PieceReport(

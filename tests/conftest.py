@@ -5,7 +5,7 @@ import pytest
 
 from principal_subspaces import relations, verify
 from principal_subspaces.linalg import SparseMatQ
-from principal_subspaces.poly import PolyQ, enumerate_monomials
+from principal_subspaces.poly import PolyQ, enumerate_monomials, x
 
 
 @pytest.fixture
@@ -13,8 +13,8 @@ def force_certificate_off(monkeypatch):
     """Make the halves of the certificate of ``piece_report`` decline on
     every piece, from the call on: the minor check, and the lead count that
     ``verify._ideal_rows`` takes, set to -1, below every kernel dimension
-    (each row is still built and its image still checked).  Each half can
-    be left on with ``minor=False`` or ``leads=False``."""
+    (the witness is still found).  Each half can be left on with
+    ``minor=False`` or ``leads=False``."""
 
     def force(minor=True, leads=True):
         if minor:
@@ -30,18 +30,18 @@ def force_certificate_off(monkeypatch):
 
 @pytest.fixture
 def floor_minus_one_piece():
-    """The lambda1prime ideal piece with the floor -1 relations: floor -2
-    cofactors times R_t at floor -1, for t from 2, in the order of
-    ``ideal_piece``.  Other tags keep their own pieces."""
+    """The lambda1prime ideal piece with the floor -1 relations: blocks of
+    R_t at floor -1, for t from 2, with the floor -2 cofactors, in the
+    order of ``ideal_piece``.  Other tags keep their own pieces."""
 
     def piece(tag, weight, charge):
         if tag != "lambda1prime":
             return relations.ideal_piece(tag, weight, charge)
-        return [
-            PolyQ({u: 1}) * relations.quadratic_relation(t, -1)
+        blocks = [
+            (relations.quadratic_relation(t, -1), enumerate_monomials(weight - t, charge - 2, -2))
             for t in range(2, weight + 1)
-            for u in enumerate_monomials(weight - t, charge - 2, -2)
         ]
+        return relations.IdealPiece(weight, charge, -2, blocks)
 
     return piece
 
@@ -78,13 +78,14 @@ def eval_matrix_by_tuples():
 
 @pytest.fixture
 def ideal_rows_by_three_passes():
-    """The ideal rows of ``verify._ideal_rows`` by three separate passes:
-    each polynomial's coordinate row, with its outside columns numbered in
-    order of first appearance; then ``SparseMatQ.matvec`` on each row until
-    the first one with an outside column or a nonzero image, the witness;
-    then a scan of every row for its least key sum(m_i^2) * n + j.  The
-    lead count is None when a row leaves the domain, where the scan has no
-    key for the column."""
+    """The ideal rows of ``verify._coordinate_rows`` and the witness and
+    lead count of ``verify._ideal_rows`` by three separate passes over the
+    polynomials: each one's coordinate row, with its outside columns
+    numbered in order of first appearance; then ``SparseMatQ.matvec`` on
+    each row until the first one with an outside column or a nonzero
+    image, the witness; then a scan of every row for its least key
+    sum(m_i^2) * n + j.  The lead count is None when a row leaves the
+    domain, where the scan has no key for the column."""
 
     def rows(polys, domain, matrix):
         n = len(domain)
@@ -110,3 +111,47 @@ def ideal_rows_by_three_passes():
         return vecs, n + len(outside), witness, leads
 
     return rows
+
+
+@pytest.fixture
+def patch_relation(monkeypatch):
+    """Replace the relation of one weight, at either floor, by change(R_t)
+    in ``relations.quadratic_relation``, from the call on."""
+
+    def patch(weight, change):
+        original = relations.quadratic_relation
+        monkeypatch.setattr(
+            relations,
+            "quadratic_relation",
+            lambda t, floor=-1: change(original(t, floor)) if t == weight else original(t, floor),
+        )
+
+    return patch
+
+
+@pytest.fixture
+def ideal_piece_by_products():
+    """The spanning set of ``ideal_piece`` as a list, by the general
+    ``PolyQ`` product: each cofactor times each R_t at the floor, t
+    ascending, then each cofactor times x(-1) if it is a generator.  The
+    spec and the relations are read through ``relations``, so a patched
+    one reaches it."""
+
+    def piece(tag, weight, charge):
+        spec = relations.IDEALS[tag]
+        floor = spec.ambient_floor
+        generators = []
+        if charge >= 2:
+            generators += [
+                (t, 2, relations.quadratic_relation(t, floor))
+                for t in range(-2 * floor, weight + 1)
+            ]
+        if spec.includes_degree_one_generator:
+            generators.append((1, 1, x(-1)))
+        return [
+            PolyQ({u: 1}) * gen
+            for t, k, gen in generators
+            for u in enumerate_monomials(weight - t, charge - k, floor)
+        ]
+
+    return piece

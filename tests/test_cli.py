@@ -276,6 +276,87 @@ def test_verify_fails_on_relations_outside_the_domain(
     assert any(mono not in domain for mono in witness.terms)
 
 
+# one term added to R_6, at either floor, that no product of its blocks
+# can carry into the domain
+EXTRA_TERMS = {
+    "wrong-weight": x(-4) * x(-3),
+    "wrong-charge": x(-2) * x(-2) * x(-2),
+    "above-floor": x(-6) * x(0),
+}
+
+
+@pytest.mark.parametrize("extra", EXTRA_TERMS)
+def test_verify_fails_on_a_relation_term_off_its_bidegree(
+    capsys, monkeypatch, patch_relation, ideal_piece_by_products, ideal_rows_by_three_passes,
+    extra,
+):
+    """R_6 with an extra term of the wrong weight, of the wrong charge or
+    with an index above the floor: the generator check of ``_ideal_rows``
+    fails on every block of R_6, and verify exits 1.  On every piece to
+    weight 10 the report's witness is the one the ``PolyQ`` route gives,
+    general products read in three passes, and a piece passes exactly
+    where that route finds no witness."""
+    patch_relation(6, lambda rel: rel + EXTRA_TERMS[extra])
+    monkeypatch.setattr(verify, "fallbacks", 0)
+    code, out, _ = run(capsys, "verify", "--max-weight", "10", "--format", "json")
+    assert code == 1
+    failed = 0
+    for p in json.loads(out)["pieces"]:
+        tag, weight, charge = p["module_tag"], p["idx"]["weight"], p["idx"]["charge"]
+        polys = ideal_piece_by_products(tag, weight, charge)
+        monos = enumerate_monomials(weight, charge, relations.IDEALS[tag].ambient_floor)
+        domain = {mono.indices: j for j, mono in enumerate(monos)}
+        matrix = verify.eval_matrix(tag, weight, charge)
+        witness = ideal_rows_by_three_passes(polys, domain, matrix)[2]
+        if witness is None:
+            assert p["equality_ok"] and p["witness"] is None
+        else:
+            assert not p["containment_ok"] and not p["equality_ok"]
+            assert p["witness"] == str(polys[witness])
+            failed += 1
+    assert failed == verify.fallbacks > 0
+
+
+def test_a_passing_verify_builds_no_ideal_polynomial(capsys, monkeypatch):
+    """No ``PolyQ`` of an ideal piece is built on a passing run of every
+    module to weight 12: the certificate reads the blocks only."""
+    builds = []
+    times = relations._times
+    monkeypatch.setattr(relations, "_times", lambda *args: builds.append(args) or times(*args))
+    code, _, _ = run(capsys, "verify", "--max-weight", "12", "--format", "json")
+    assert code == 0
+    assert builds == []
+
+
+def test_a_failing_piece_builds_the_witness_first(monkeypatch, patch_relation):
+    """On a piece that fails containment, ``_ideal_rows`` builds no
+    ``PolyQ``, the report builds the witness element alone, and then the
+    rational fallback builds each element once for its coordinate rows."""
+    patch_relation(6, lambda rel: rel + EXTRA_TERMS["wrong-weight"])
+    tag, weight, charge = "lambda0", 9, 3
+    piece = relations.ideal_piece(tag, weight, charge)
+    polys = list(piece)
+    builds = []
+    times = relations._times
+    monkeypatch.setattr(relations, "_times", lambda *args: builds.append(args) or times(*args))
+    rows = verify._ideal_rows(piece, verify.eval_matrix(tag, weight, charge))
+    assert rows.witness is not None and builds == []
+    witness = str(polys[rows.witness])
+    assert str(piece[rows.witness]) == witness and len(builds) == 1
+    builds.clear()
+    coordinate_rows = verify._coordinate_rows
+    monkeypatch.setattr(
+        verify,
+        "_coordinate_rows",
+        lambda *args: builds.append("fallback") or coordinate_rows(*args),
+    )
+    report = verify.piece_report(tag, weight, charge)
+    assert report.witness == witness
+    assert builds[1] == "fallback" and len(builds) == 2 + len(piece)
+    u, g, _ = builds[0]
+    assert str(times(u, g, {})) == witness
+
+
 @functools.cache
 def vandermonde(k):
     """prod_{i<j} (z_i - z_j) in k variables: Delta, not Delta^2."""

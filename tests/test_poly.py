@@ -164,14 +164,19 @@ def test_enumeration_count_matches_recursive_counter():
 
 
 def test_enumeration_is_canonically_ordered_and_on_degree():
-    for weight in range(0, 10):
-        for charge in range(0, 5):
-            monos = enumerate_monomials(weight, charge, -1)
-            assert list(monos) == sorted(monos)
-            for mono in monos:
-                assert mono.weight == weight
-                assert mono.charge == charge
-                assert all(idx <= -1 for idx in mono.indices)
+    """Strictly increasing, so no monomial repeats, and every monomial of
+    the bidegree with indices <= floor.  With the count test this proves
+    that each domain holds every monomial of its bidegree with indices <=
+    floor, which the ideal rows of ``verify`` rely on."""
+    for floor in (-1, -2):
+        for weight in range(0, 13):
+            for charge in range(0, 7):
+                monos = enumerate_monomials(weight, charge, floor)
+                assert all(a < b for a, b in zip(monos, monos[1:]))
+                for mono in monos:
+                    assert mono.weight == weight
+                    assert mono.charge == charge
+                    assert all(idx <= floor for idx in mono.indices)
 
 
 def test_rendering():

@@ -81,19 +81,20 @@ def test_projection_sends_floor1_family_to_floor2_family():
 
 
 def test_ideal_piece_examples():
-    assert ideal_piece("lambda0", 2, 2) == [x(-1) * x(-1)]
-    assert ideal_piece("lambda0", 4, 2) == [quadratic_relation(4, -1)]
-    assert ideal_piece("lambda1prime", 4, 2) == [x(-2) * x(-2)]
+    assert list(ideal_piece("lambda0", 2, 2)) == [x(-1) * x(-1)]
+    assert list(ideal_piece("lambda0", 4, 2)) == [quadratic_relation(4, -1)]
+    assert list(ideal_piece("lambda1prime", 4, 2)) == [x(-2) * x(-2)]
 
 
 def test_ideal_piece_charge_zero_or_negative_weight_empty():
-    assert ideal_piece("lambda0", 5, 0) == []
-    assert ideal_piece("lambda1", 0, 0) == []
+    assert list(ideal_piece("lambda0", 5, 0)) == []
+    assert list(ideal_piece("lambda1", 0, 0)) == []
+    assert list(ideal_piece("lambda1", -1, 1)) == []
 
 
 def test_lambda1_piece_includes_degree_one_generator():
     piece = ideal_piece("lambda1", 1, 1)
-    assert piece == [x(-1)]
+    assert list(piece) == [x(-1)]
 
 
 def test_ideal_pieces_are_bihomogeneous():
@@ -102,28 +103,6 @@ def test_ideal_pieces_are_bihomogeneous():
             for charge in range(1, weight + 1):
                 for element in ideal_piece(tag, weight, charge):
                     assert element.bidegree() == (weight, charge)
-
-
-def spanning_set_by_products(tag, weight, charge):
-    """The spanning set of ``ideal_piece`` by the general ``PolyQ``
-    product: each cofactor times each R_t at the floor, t ascending, then
-    each cofactor times x(-1) if it is a generator.  The relations are read
-    through ``relations``, so a patched one reaches it."""
-    spec = relations.IDEALS[tag]
-    floor = spec.ambient_floor
-    generators = []
-    if charge >= 2:
-        generators += [
-            (t, 2, relations.quadratic_relation(t, floor))
-            for t in range(-2 * floor, weight + 1)
-        ]
-    if spec.includes_degree_one_generator:
-        generators.append((1, 1, x(-1)))
-    return [
-        PolyQ({u: 1}) * gen
-        for t, k, gen in generators
-        for u in enumerate_monomials(weight - t, charge - k, floor)
-    ]
 
 
 def terms_outside_the_domain(tag, weight, charge):
@@ -141,7 +120,7 @@ def terms_outside_the_domain(tag, weight, charge):
     return outside
 
 
-def test_ideal_piece_products_are_the_domain_monomials(monkeypatch):
+def test_ideal_piece_products_are_the_domain_monomials(monkeypatch, ideal_piece_by_products):
     """On every piece to weight 12, ``ideal_piece`` equals the spanning set
     built by ``PolyQ`` products, and every product in the domain is the
     domain's own ``Monomial``.  With x(-1) a generator at floor -2 the
@@ -150,7 +129,7 @@ def test_ideal_piece_products_are_the_domain_monomials(monkeypatch):
         for weight in range(13):
             for charge in range(weight + 1):
                 piece = ideal_piece(tag, weight, charge)
-                assert piece == spanning_set_by_products(tag, weight, charge)
+                assert list(piece) == ideal_piece_by_products(tag, weight, charge)
                 assert terms_outside_the_domain(tag, weight, charge) == 0
     spec = dataclasses.replace(
         relations.IDEALS["lambda1prime"], includes_degree_one_generator=True
@@ -160,25 +139,62 @@ def test_ideal_piece_products_are_the_domain_monomials(monkeypatch):
     for weight in range(13):
         for charge in range(weight + 1):
             piece = ideal_piece("lambda1prime", weight, charge)
-            assert piece == spanning_set_by_products("lambda1prime", weight, charge)
+            assert list(piece) == ideal_piece_by_products("lambda1prime", weight, charge)
             outside += terms_outside_the_domain("lambda1prime", weight, charge)
     assert outside > 0
-    assert ideal_piece("lambda1prime", 3, 2) == [x(-2) * x(-1)]
+    assert list(ideal_piece("lambda1prime", 3, 2)) == [x(-2) * x(-1)]
 
 
-def test_ideal_piece_reads_the_relation_on_every_call(monkeypatch):
+def test_ideal_piece_is_a_lazy_sequence(monkeypatch, ideal_piece_by_products):
+    """On every piece to weight 12, an ``IdealPiece`` is the list of the
+    product route as a sequence: its length, every item by a nonnegative
+    and by a negative index, slices, and the range errors.  An item is
+    built only when read, iteration indexes the domain once, and so does
+    each read of one item."""
+    builds, indexings = [], []
+    times, shared = relations._times, relations.IdealPiece._shared
+    monkeypatch.setattr(relations, "_times", lambda *args: builds.append(args) or times(*args))
+    monkeypatch.setattr(
+        relations.IdealPiece, "_shared", lambda self: indexings.append(self) or shared(self)
+    )
+    for tag in relations.IDEALS:
+        for weight in range(13):
+            for charge in range(weight + 1):
+                builds.clear()
+                indexings.clear()
+                piece = ideal_piece(tag, weight, charge)
+                want = ideal_piece_by_products(tag, weight, charge)
+                n = len(want)
+                assert len(piece) == n and builds == indexings == []
+                assert list(piece) == want
+                assert (len(builds), len(indexings)) == (n, 1)
+                for i in range(n):
+                    assert piece[i] == want[i] and piece[i - n] == want[i - n]
+                for cut in (slice(None), slice(1, None, 2), slice(-2, None), slice(None, None, -1)):
+                    assert piece[cut] == want[cut]
+                for i in (n, -n - 1):
+                    with pytest.raises(IndexError):
+                        piece[i]
+                builds.clear()
+                indexings.clear()
+                if n:
+                    assert piece[n // 2] == want[n // 2]
+                    assert (len(builds), len(indexings)) == (1, 1)
+
+
+def test_ideal_piece_reads_the_relation_on_every_call(monkeypatch, ideal_piece_by_products):
     """A ``quadratic_relation`` patched after a piece was built reaches
     that piece on the next call."""
-    before = ideal_piece("lambda0", 8, 3)
-    assert before == spanning_set_by_products("lambda0", 8, 3)
+    before = list(ideal_piece("lambda0", 8, 3))
+    assert before == ideal_piece_by_products("lambda0", 8, 3)
     original = relations.quadratic_relation
     monkeypatch.setattr(
         relations,
         "quadratic_relation",
         lambda t, floor=-1: 3 * original(t, floor) if t == 5 else original(t, floor),
     )
-    after = ideal_piece("lambda0", 8, 3)
-    assert after == spanning_set_by_products("lambda0", 8, 3)
+    after = list(ideal_piece("lambda0", 8, 3))
+    assert after == ideal_piece_by_products("lambda0", 8, 3)
     assert after != before
     assert [p == q for p, q in zip(after, before)].count(False) == len(
         enumerate_monomials(3, 1, -1)

@@ -327,21 +327,30 @@ def lead(poly):
 def test_certificate_declines_without_one_cofactor_multiple(
     monkeypatch, force_certificate_off, tag
 ):
-    """Dropping the one spanning element with a given lead from the ideal
-    piece (12, 3) leaves fewer distinct leads than the kernel dimension, so
-    the lead count declines, and the report is the one the rational path
-    gives with the certificate forced off."""
+    """Dropping from its block the cofactor of the one spanning element
+    with a given lead of the ideal piece (12, 3) leaves fewer distinct
+    leads than the kernel dimension, so the lead count declines, and the
+    report is the one the rational path gives with the certificate forced
+    off."""
     weight, charge = 12, 3
-    polys = ideal_piece(tag, weight, charge)
+    piece = ideal_piece(tag, weight, charge)
+    polys = list(piece)
     leads = [lead(p) for p in polys]
     drop = next(i for i, mono in enumerate(leads) if leads.count(mono) == 1)
-    kept = polys[:drop] + polys[drop + 1 :]
-    domain = domain_index(tag, weight, charge)
+    blocks, start = [], 0
+    for g, cofactors in piece.blocks:
+        i = drop - start
+        start += len(cofactors)
+        if 0 <= i < len(cofactors):
+            cofactors = cofactors[:i] + cofactors[i + 1 :]
+        blocks.append((g, cofactors))
+    kept = relations.IdealPiece(weight, charge, piece.floor, blocks)
+    assert list(kept) == polys[:drop] + polys[drop + 1 :]
     matrix = eval_matrix(tag, weight, charge)
-    dim_kernel = len(domain) - matrix.n_rows
+    dim_kernel = len(domain_index(tag, weight, charge)) - matrix.n_rows
     assert len(set(leads)) == dim_kernel
-    assert verify._ideal_rows(polys, domain, matrix).leads == dim_kernel
-    assert verify._ideal_rows(kept, domain, matrix).leads == dim_kernel - 1
+    assert verify._ideal_rows(piece, matrix) == (None, dim_kernel)
+    assert verify._ideal_rows(kept, matrix) == (None, dim_kernel - 1)
     monkeypatch.setattr(verify, "ideal_piece", lambda *piece: kept)
     monkeypatch.setattr(verify, "fallbacks", 0)
     report = piece_report(tag, weight, charge)
@@ -359,51 +368,48 @@ def rows_by_coordinates(polys, monos):
     return [{basis[j]: c for j, c in vec.items()} for vec in coordinates(polys, basis)]
 
 
-def rows_in_one_pass(rows, polys, monos):
-    """The rows of ``_ideal_rows`` as {Monomial: coefficient} maps, with
-    the outside columns read in order of first appearance."""
+def named_rows(vecs, n_cols, polys, monos):
+    """The rows of ``_coordinate_rows`` as {Monomial: coefficient} maps,
+    with the outside columns read in order of first appearance."""
     domain = set(monos)
     outside = list(dict.fromkeys(m for p in polys for m in p.terms if m not in domain))
     basis = [*monos, *outside]
-    assert rows.n_cols == len(basis)
-    return [{basis[j]: c for j, c in vec.items()} for vec in rows.vecs]
+    assert n_cols == len(basis)
+    return [{basis[j]: c for j, c in vec.items()} for vec in vecs]
 
 
-def scaled_relation(original, weight, scale):
-    """quadratic_relation with every coefficient c of the relation of the
-    given weight replaced by scale(c)."""
-    def mutant(t, floor=-1):
-        rel = original(t, floor)
-        if t != weight:
-            return rel
-        return PolyQ({m: scale(c) for m, c in rel.terms.items()})
-    return mutant
+# the relation mutants: the weight of the relation changed, at either
+# floor, and what it is changed into
+RELATION_MUTANTS = {
+    "unit": (4, lambda rel: PolyQ({m: 1 for m in rel.terms})),
+    "half": (4, lambda rel: PolyQ({m: Fraction(c, 2) for m, c in rel.terms.items()})),
+    "zero-6": (6, lambda rel: PolyQ()),
+    "wrong-weight": (6, lambda rel: rel + x(-4) * x(-3)),
+    "wrong-charge": (6, lambda rel: rel + x(-2) * x(-2) * x(-2)),
+    "above-floor": (6, lambda rel: rel + x(-6) * x(0)),
+}
+TERM_MUTANTS = ("wrong-weight", "wrong-charge", "above-floor")
 
 
-@pytest.mark.parametrize("mutant", ["none", "unit", "half", "floor-1", "zero-6"])
+@pytest.mark.parametrize("mutant", ["none", "floor-1", *RELATION_MUTANTS])
 def test_one_pass_ideal_rows_equal_the_coordinates_route(
-    monkeypatch, floor_minus_one_piece, ideal_rows_by_three_passes, mutant
+    floor_minus_one_piece, ideal_rows_by_three_passes, patch_relation, mutant
 ):
     """On every piece to weight 16, for all tags, ``_ideal_rows`` gives
-    the rows, column count, witness and lead count of three separate
-    passes (``ideal_rows_by_three_passes``), and to weight 12 the rows of
-    ``coordinates``.  The domain index it is given comes back unchanged.
-    The mutants reach its other inputs: weight-4 coefficients set to 1 (the
+    the witness and lead count, and ``_coordinate_rows`` the rows and
+    column count, of three separate passes over the polynomials
+    (``ideal_rows_by_three_passes``), and to weight 12 the rows are those
+    of ``coordinates``.  The domain index comes back unchanged.  The
+    mutants reach the other inputs: weight-4 coefficients set to 1 (the
     one ``test_cli`` builds; witnesses) or halved to c/2 (Fraction
     coefficients), lambda1prime with floor -1 relations (columns outside
-    the domain) and the weight-6 relation set to zero (empty rows, and
-    fewer leads than the kernel dimension)."""
-    scales = {
-        "unit": (4, lambda c: 1),
-        "half": (4, lambda c: Fraction(c, 2)),
-        "zero-6": (6, lambda c: 0),
-    }
+    the domain), the weight-6 relation set to zero (empty rows, and fewer
+    leads than the kernel dimension), and one term added to it that fails
+    the generator check: of weight 7, of charge 3, or with the index 0
+    above the floor (columns outside the domain)."""
     piece = floor_minus_one_piece if mutant == "floor-1" else ideal_piece
-    if mutant in scales:
-        monkeypatch.setattr(
-            relations, "quadratic_relation",
-            scaled_relation(relations.quadratic_relation, *scales[mutant]),
-        )
+    if mutant in RELATION_MUTANTS:
+        patch_relation(*RELATION_MUTANTS[mutant])
     fractions = outside = witnesses = empty = short = 0
     for tag in TAGS:
         for weight in range(17):
@@ -411,18 +417,20 @@ def test_one_pass_ideal_rows_equal_the_coordinates_route(
                 monos = enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor)
                 domain = domain_index(tag, weight, charge)
                 matrix = eval_matrix(tag, weight, charge)
-                polys = piece(tag, weight, charge)
-                rows = verify._ideal_rows(polys, domain, matrix)
+                ideal = piece(tag, weight, charge)
+                rows = verify._ideal_rows(ideal, matrix)
+                vecs, n_cols = verify._coordinate_rows(ideal, domain)
                 assert domain == domain_index(tag, weight, charge)
-                vecs, n_cols, witness, leads = ideal_rows_by_three_passes(
+                polys = list(ideal)
+                want_vecs, want_cols, witness, leads = ideal_rows_by_three_passes(
                     polys, domain, matrix
                 )
-                assert (rows.vecs, rows.n_cols, rows.witness) == (vecs, n_cols, witness)
+                assert (vecs, n_cols, rows.witness) == (want_vecs, want_cols, witness)
                 if leads is not None:
                     assert rows.leads == leads
                     short += leads < len(monos) - matrix.n_rows
                 if weight <= 12:
-                    named = rows_in_one_pass(rows, polys, monos)
+                    named = named_rows(vecs, n_cols, polys, monos)
                     assert named == rows_by_coordinates(polys, monos)
                 fractions += any(c.denominator > 1 for p in polys for c in p.terms.values())
                 outside += n_cols > len(monos)
@@ -430,8 +438,8 @@ def test_one_pass_ideal_rows_equal_the_coordinates_route(
                 empty += not all(vecs)
     # each mutant reaches the path it is here for
     assert (fractions > 0) == (mutant == "half")
-    assert (outside > 0) == (mutant == "floor-1")
-    assert (witnesses > 0) == (mutant in ("unit", "floor-1"))
+    assert (outside > 0) == (mutant in ("floor-1", *TERM_MUTANTS))
+    assert (witnesses > 0) == (mutant in ("unit", "floor-1", *TERM_MUTANTS))
     assert (empty > 0) == (mutant == "zero-6")
     assert (short > 0) == (mutant == "zero-6")
 
