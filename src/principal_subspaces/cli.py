@@ -5,7 +5,8 @@ piece, ``dims`` emits the graded dimension table, ``lemmas`` sweeps the
 supporting identities, and ``qseries`` compares weight totals against the
 independent difference-two partition counts.  Reports go to stdout (or
 ``--out``) as text, JSON or CSV; exit code 0 means every check passed,
-1 means some mathematical check was falsified, 2 means a usage error.
+1 means some mathematical check was falsified, 2 means a usage error or a
+report that ``--out`` cannot write.
 """
 
 from __future__ import annotations
@@ -268,7 +269,14 @@ def main(argv: list[str] | None = None) -> int:
     if cfg.command == "lemmas" and cfg.t_max < 4:
         print("error: --t-max must be >= 4 (floor -2 relations start there)", file=sys.stderr)
         return 2
-    return _DISPATCH[cfg.command](cfg)
+    try:
+        return _DISPATCH[cfg.command](cfg)
+    except OSError as exc:
+        # the commands do no I/O but the report's write to --out
+        if not cfg.output_path:
+            raise
+        print(f"error: cannot write {cfg.output_path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,18 +10,15 @@ subalgebra, for t >= -2 * floor, and for lambda1 also by x(-1).  Ideal
 pieces are spanning sets, never pre-reduced; rank reduction is the
 caller's job.  A piece (``IdealPiece``) is held as blocks of one generator
 and a tuple of cofactor monomials, and each polynomial u * g is built only
-when it is read.  The polynomials share the monomials of the piece's
-domain, the tuple of ``enumerate_monomials``, so callers must not change
-their terms or monomials.
+when the piece is iterated.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .linalg import Scalar, subspace_leq
+from .linalg import subspace_leq
 from .poly import (
     Monomial,
     PolyQ,
@@ -72,21 +69,16 @@ IDEALS: dict[str, IdealSpec] = {
 }
 
 
-class IdealPiece(Sequence):
-    """The spanning set of one (weight, charge) ideal piece, read-only.
+class IdealPiece:
+    """The spanning set of one (weight, charge) ideal piece, as blocks.
 
     ``blocks`` holds, in order, pairs (g, cofactors): a generator g (an R_t
     or x(-1)) and a tuple of the monomials u, all of one bidegree with
     every index <= ``floor``, whose products u * g are the piece's
     elements, in cofactor order.  A pair without cofactors is left out.
     ``floor`` is that of the domain the piece lies in when its generators
-    are right, and ``len`` is the size of the spanning set.
-
-    An element is a ``PolyQ`` built when it is read, by index, slice or
-    iteration.  Every product found in the domain is the domain's own
-    ``Monomial``; a product outside it, which only a changed spec or
-    relation makes, gets one of its own.  Iteration and each slice index
-    the domain once, and so does each read of a single element.
+    are right, and ``len`` is the size of the spanning set.  Iteration
+    builds each element as the ``PolyQ`` product u * g.
     """
 
     def __init__(
@@ -105,45 +97,23 @@ class IdealPiece(Sequence):
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            shared = self._shared()
-            return [self._item(j, shared) for j in range(*i.indices(self._len))]
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("ideal piece index out of range")
-        return self._item(i, self._shared())
-
     def __iter__(self):
-        shared = self._shared()
         for g, cofactors in self.blocks:
             for u in cofactors:
-                yield _times(u, g, shared)
-
-    def _item(self, i: int, shared: dict[tuple[int, ...], Monomial]) -> PolyQ:
-        for g, cofactors in self.blocks:
-            if i < len(cofactors):
-                return _times(cofactors[i], g, shared)
-            i -= len(cofactors)
-        raise IndexError("ideal piece index out of range")
-
-    def _shared(self) -> dict[tuple[int, ...], Monomial]:
-        monos = enumerate_monomials(self.weight, self.charge, self.floor)
-        return {mono.indices: mono for mono in monos}
+                yield PolyQ({u: 1}) * g
 
 
 def ideal_piece(tag: str, weight: int, charge: int) -> IdealPiece:
     """Spanning set of the (weight, charge) piece of the ideal.
 
-    Every element is bihomogeneous of the requested bidegree; the sequence
-    is deterministic (relation weight ascending, then cofactor order) and
+    Every element is bihomogeneous of the requested bidegree; the spanning
+    set is deterministic (relation weight ascending, then cofactor order) and
     may be linearly dependent.  Empty pieces have no elements.  The blocks
     are the R_t at the floor, t ascending, each with the cofactors of
     bidegree (weight - t, charge - 2), then x(-1) with those of (weight -
     1, charge - 1) if it is a generator.  The spec and the relations are
-    read on every call, and the elements are built only when read (see
-    ``IdealPiece``).
+    read on every call, and the elements are built only when the piece is
+    iterated (see ``IdealPiece``).
     """
     spec = IDEALS[tag]
     floor = spec.ambient_floor
@@ -156,18 +126,6 @@ def ideal_piece(tag: str, weight: int, charge: int) -> IdealPiece:
     if spec.includes_degree_one_generator:
         blocks.append((x(-1), enumerate_monomials(weight - 1, charge - 1, floor)))
     return IdealPiece(weight, charge, floor, blocks)
-
-
-def _times(u: Monomial, p: PolyQ, shared: dict[tuple[int, ...], Monomial]) -> PolyQ:
-    """u * p without the general product: multiplying distinct monomials by
-    one monomial gives distinct monomials, so no coefficients combine.  A
-    product in ``shared`` is its ``Monomial`` there."""
-    out: dict[Monomial, Scalar] = {}
-    for mono, c in p.terms.items():
-        product = tuple(sorted(u.indices + mono.indices))
-        found = shared.get(product)
-        out[Monomial(product) if found is None else found] = c
-    return PolyQ._from_terms(out)
 
 
 def check_translate_relation(t: int) -> bool:

@@ -68,10 +68,11 @@ lies outside the domain, and the block's first element is the witness.
 The lead of u * g is u * lead(g), one addition of codes.  Images under E
 are summed, each product looked up by its code, only over the columns
 where E is nonzero, so the ideal is checked to lie in the kernel exactly,
-and a piece where E has no rows needs no lookup.  Coordinate rows are
-built from the polynomials only when the certificate declines, for the
-rational fallback, and the witness string is the one element built when
-there is a witness.
+and a piece where E has no rows needs no lookup.  The witness is the one
+element ``_ideal_rows`` builds, by the ``PolyQ`` product u * g of the
+pair where the scan stopped.  Coordinate rows are built from the
+polynomials only when the certificate declines, for the rational
+fallback.
 
 The rank of the ideal rows I is bounded by the leads: the lead of a
 nonzero row is its least term under the total order (sum of m_i^2, index
@@ -300,7 +301,7 @@ def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
 class IdealRows(NamedTuple):
     """What ``_ideal_rows`` reads from the blocks of an ideal piece."""
 
-    witness: int | None  # the index of the first element outside the kernel
+    witness: PolyQ | None  # the first element outside the kernel
     leads: int  # the distinct leads of the nonzero elements
 
 
@@ -312,9 +313,10 @@ def _lead_order(mono: Monomial) -> tuple[int, tuple[int, ...]]:
 
 def _ideal_rows(piece: IdealPiece, matrix: SparseMatQ) -> IdealRows:
     """The witness and the lead count of an ideal piece, read from its
-    blocks (g, cofactors) with no ``PolyQ`` built (see the module
-    docstring).  ``matrix`` is E on the piece's domain, the monomials of
-    ``enumerate_monomials(weight, charge, floor)``.
+    blocks (g, cofactors) with no ``PolyQ`` built but the witness, the
+    product u * g of its pair (see the module docstring).  ``matrix`` is E
+    on the piece's domain, the monomials of ``enumerate_monomials(weight,
+    charge, floor)``.
 
     A monomial with indices m_i <= floor has the code sum_i C^(floor -
     m_i), C = charge + 1.  On charge-k monomials, k <= charge, its digits
@@ -331,8 +333,7 @@ def _ideal_rows(piece: IdealPiece, matrix: SparseMatQ) -> IdealRows:
     the least index whose multiplicity differs.  On a passing piece the
     distinct leads are distinct codes.  Images under E are summed, by
     code, only while there is no witness and only on columns where E is
-    nonzero, so a piece where E has no rows needs no lookup at all.  The
-    leads are read only when there is no witness."""
+    nonzero, so a piece where E has no rows needs no lookup at all."""
     weight, charge, floor = piece.weight, piece.charge, piece.floor
     # digit[m] = C^(floor - m), read with negative indices: every index m
     # of a passing product has floor - m in [0, weight]
@@ -345,32 +346,29 @@ def _ideal_rows(piece: IdealPiece, matrix: SparseMatQ) -> IdealRows:
     n_rows = matrix.n_rows
     leads: set[int] = set()
     witness = None
-    start = 0
     for g, cofactors in piece.blocks:
         first = cofactors[0].indices
         k, t = charge - len(first), weight + sum(first)
         if not all(_fits(mono.indices, k, t, floor) for mono in g.terms):
             if witness is None:
-                witness = start
-            start += len(cofactors)
+                witness = PolyQ({cofactors[0]: 1}) * g
             continue
         codes = [sum(powers(u.indices)) for u in cofactors]
         if g.terms:
             lead = sum(powers(min(g.terms, key=_lead_order).indices))
-            leads.update([u + lead for u in codes])
+            leads.update([code + lead for code in codes])
         if witness is None and columns:
             terms = [(sum(powers(mono.indices)), c) for mono, c in g.terms.items()]
-            for offset, u in enumerate(codes):
+            for u, code in zip(cofactors, codes):
                 image = [0] * n_rows
                 for term, c in terms:
-                    column = columns.get(u + term)
+                    column = columns.get(code + term)
                     if column is not None:
                         for i, v in column.items():
                             image[i] += v * c
                 if any(image):
-                    witness = start + offset
+                    witness = PolyQ({u: 1}) * g
                     break
-        start += len(cofactors)
     return IdealRows(witness, len(leads))
 
 
@@ -477,7 +475,7 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
     n = len(domain)
     ideal = ideal_piece(tag, weight, charge)
     rows = _ideal_rows(ideal, matrix)
-    witness = None if rows.witness is None else str(ideal[rows.witness])
+    witness = None if rows.witness is None else str(rows.witness)
     containment_ok = witness is None
     kernel = None
     if weight <= FOCK_CHECK_WEIGHT or not full_rank:

@@ -318,43 +318,59 @@ def test_verify_fails_on_a_relation_term_off_its_bidegree(
 
 
 def test_a_passing_verify_builds_no_ideal_polynomial(capsys, monkeypatch):
-    """No ``PolyQ`` of an ideal piece is built on a passing run of every
-    module to weight 12: the certificate reads the blocks only."""
+    """No ``PolyQ`` product is taken on a passing run of every module to
+    weight 12: the certificate reads the blocks of the ideal pieces only."""
     builds = []
-    times = relations._times
-    monkeypatch.setattr(relations, "_times", lambda *args: builds.append(args) or times(*args))
+    mul = PolyQ.__mul__
+    monkeypatch.setattr(
+        PolyQ, "__mul__", lambda self, other: builds.append(other) or mul(self, other)
+    )
     code, _, _ = run(capsys, "verify", "--max-weight", "12", "--format", "json")
     assert code == 0
     assert builds == []
 
 
-def test_a_failing_piece_builds_the_witness_first(monkeypatch, patch_relation):
-    """On a piece that fails containment, ``_ideal_rows`` builds no
-    ``PolyQ``, the report builds the witness element alone, and then the
-    rational fallback builds each element once for its coordinate rows."""
-    patch_relation(6, lambda rel: rel + EXTRA_TERMS["wrong-weight"])
-    tag, weight, charge = "lambda0", 9, 3
-    piece = relations.ideal_piece(tag, weight, charge)
-    polys = list(piece)
+def test_a_failing_piece_builds_the_witness_first(
+    monkeypatch, patch_relation, ideal_piece_by_products, ideal_rows_by_three_passes
+):
+    """On a piece that fails containment, ``_ideal_rows`` builds one
+    ``PolyQ`` product, the witness element of the three-pass oracle, and
+    then the rational fallback builds each element once for its
+    coordinate rows.  The lambda0 piece (9, 3) fails by a term of R_6 off
+    its bidegree, and (4, 2) by the nonzero image of R_4 with its
+    coefficients set to 1."""
     builds = []
-    times = relations._times
-    monkeypatch.setattr(relations, "_times", lambda *args: builds.append(args) or times(*args))
-    rows = verify._ideal_rows(piece, verify.eval_matrix(tag, weight, charge))
-    assert rows.witness is not None and builds == []
-    witness = str(polys[rows.witness])
-    assert str(piece[rows.witness]) == witness and len(builds) == 1
-    builds.clear()
+    mul = PolyQ.__mul__
+    monkeypatch.setattr(
+        PolyQ, "__mul__", lambda self, other: builds.append(other) or mul(self, other)
+    )
     coordinate_rows = verify._coordinate_rows
     monkeypatch.setattr(
         verify,
         "_coordinate_rows",
         lambda *args: builds.append("fallback") or coordinate_rows(*args),
     )
-    report = verify.piece_report(tag, weight, charge)
-    assert report.witness == witness
-    assert builds[1] == "fallback" and len(builds) == 2 + len(piece)
-    u, g, _ = builds[0]
-    assert str(times(u, g, {})) == witness
+    tag = "lambda0"
+    for relation, change, weight, charge in (
+        (6, lambda rel: rel + EXTRA_TERMS["wrong-weight"], 9, 3),
+        (4, lambda rel: PolyQ({m: 1 for m in rel.terms}), 4, 2),
+    ):
+        patch_relation(relation, change)
+        polys = ideal_piece_by_products(tag, weight, charge)
+        monos = enumerate_monomials(weight, charge, relations.IDEALS[tag].ambient_floor)
+        domain = {mono.indices: j for j, mono in enumerate(monos)}
+        matrix = verify.eval_matrix(tag, weight, charge)
+        witness = ideal_rows_by_three_passes(polys, domain, matrix)[2]
+        assert witness is not None
+        piece = relations.ideal_piece(tag, weight, charge)
+        builds.clear()
+        rows = verify._ideal_rows(piece, matrix)
+        assert rows.witness == polys[witness] and len(builds) == 1
+        builds.clear()
+        report = verify.piece_report(tag, weight, charge)
+        assert report.witness == str(polys[witness])
+        assert builds[1] == "fallback" and len(builds) == 2 + len(piece)
+        assert "fallback" not in builds[2:]
 
 
 @functools.cache
@@ -568,6 +584,18 @@ def test_out_writes_file(tmp_path, capsys):
     assert out == ""
     report = json.loads(path.read_text())
     assert report["run"]["output_path"] == str(path)
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_out_that_cannot_be_written_exits_two(tmp_path, capsys, target):
+    """An --out path in a directory that does not exist, or naming a
+    directory, ends the run with one error line and exit 2, not a
+    traceback."""
+    path = tmp_path / "missing" / "report.json" if target == "missing-directory" else tmp_path
+    code, out, err = run(capsys, "verify", "--max-weight", "2", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
 
 def test_unknown_flag_exits_two(capsys):

@@ -2,10 +2,13 @@
 
 Any change to a verdict, a number, the row order or the rendering of a
 report changes its digest.  A deliberate change to the report layout has to
-update these digests in the same change.
+update these digests in the same change.  The reports that the benchmark
+gate pins, in ``perfbench/gate.py``, are checked here too, from that file.
 """
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -42,3 +45,25 @@ def test_report_bytes_are_pinned(capsys, argv, fmt):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[argv][fmt]
+
+
+def _gate_pins():
+    """``PINNED_SHA256`` of ``perfbench/gate.py``, read from that file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gate.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gate", path)
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    return gate.PINNED_SHA256
+
+
+GATE_PINS = _gate_pins()
+
+
+@pytest.mark.parametrize("line", list(GATE_PINS))
+def test_benchmark_reports_are_pinned(capsys, line):
+    """Each command line of the benchmark gate, run through ``main`` in
+    this process, prints the report with the gate's digest."""
+    code = main(line.split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GATE_PINS[line]

@@ -396,7 +396,7 @@ def test_one_pass_ideal_rows_equal_the_coordinates_route(
     floor_minus_one_piece, ideal_rows_by_three_passes, patch_relation, mutant
 ):
     """On every piece to weight 16, for all tags, ``_ideal_rows`` gives
-    the witness and lead count, and ``_coordinate_rows`` the rows and
+    the witness element and lead count, and ``_coordinate_rows`` the rows and
     column count, of three separate passes over the polynomials
     (``ideal_rows_by_three_passes``), and to weight 12 the rows are those
     of ``coordinates``.  The domain index comes back unchanged.  The
@@ -425,7 +425,8 @@ def test_one_pass_ideal_rows_equal_the_coordinates_route(
                 want_vecs, want_cols, witness, leads = ideal_rows_by_three_passes(
                     polys, domain, matrix
                 )
-                assert (vecs, n_cols, rows.witness) == (want_vecs, want_cols, witness)
+                want_witness = None if witness is None else polys[witness]
+                assert (vecs, n_cols, rows.witness) == (want_vecs, want_cols, want_witness)
                 if leads is not None:
                     assert rows.leads == leads
                     short += leads < len(monos) - matrix.n_rows
