@@ -31,15 +31,22 @@ operators; the tests keep it as an exact oracle for the tables.  x(m)
 kills a state once m > |mu| - 1 - 2r, so every action is a finite exact
 sum, and all the component operators commute.
 
+Both lines of the recursion see m and r only through s = m + 2r: the base
+case sums over the partitions of -s-1, and the step keeps s in its first
+term and lowers it to s - n in its second.  This is the half-lattice
+translation h = ``half_shift``, (mu; r) -> (mu; r + 1/2), which intertwines
+x(m) h = h x(m+1).  So x(m) (mu; r) = h^{2r} x(m + 2r) (mu; 0): the images on
+every lattice point, in both cosets, are one image relabelled.
+
 Vectors are ``FockVector``s, the exact linear combinations of ``poly``
-over Fock states.  Each x(m) on a basis state (mu; r) is computed once and
-tabulated, keyed by the plain tuple (m, mu, 2r), as integer numerators over
-their least common denominator: a dense tuple with one numerator for each
-partition of the target size, in ``partitions`` order.  No ``FockState`` is
-built inside the tables.  Monomial actions and the square-zero check both
-sum such images through one accumulator, ``_x_sum``, which brings them to a
-common denominator and adds them position by position in one dense list
-per (coset, size).  ``apply_monomial``, which ``x_act`` calls with one
+over Fock states.  x(m) on the basis states (mu; r) is computed once for
+each value of m + 2r and tabulated, keyed by the plain tuple (m + 2r, mu),
+as integer numerators over their least common denominator: a dense tuple
+with one numerator for each partition of the target size, in
+``partitions`` order.  No ``FockState`` is built inside the tables.
+Monomial actions and the square-zero check both sum such images through
+one accumulator, ``_x_sum``, which brings them to a common denominator and
+adds them position by position in one dense list per (coset, size).  ``apply_monomial``, which ``x_act`` calls with one
 generator, carries plain (mu, 2r, numerator) triples from one x(m) to the
 next and builds the ``FockState`` keys and ``Fraction`` coefficients of its
 result once, at the end.  The tables (x(m) images, partitions with
@@ -204,9 +211,10 @@ _XImage = tuple[int, tuple[int, ...]]
 
 
 @functools.cache
-def _x_on_state(m: int, mu: tuple[int, ...], two_r: int) -> _XImage:
-    """x(m) on (mu; two_r/2) by the recursion of the module docstring."""
-    size = sum(mu) - m - 1 - two_r
+def _x_on_state(s: int, mu: tuple[int, ...]) -> _XImage:
+    """x(m) on (mu; r) for every m + 2r = s, by the recursion of the module
+    docstring."""
+    size = sum(mu) - s - 1
     if size < 0:
         return (1, ())
     if not mu:
@@ -215,8 +223,8 @@ def _x_on_state(m: int, mu: tuple[int, ...], two_r: int) -> _XImage:
         return _reduced(scale, [scale // z for _, z in _partitions_with_z(size)])
     n = mu[-1]
     rest = mu[:-1]
-    den_created, created = _x_on_state(m, rest, two_r)
-    den_shifted, shifted = _x_on_state(m - n, rest, two_r)
+    den_created, created = _x_on_state(s, rest)
+    den_shifted, shifted = _x_on_state(s - n, rest)
     den = math.lcm(den_created, den_shifted)
     # the shifted image has the target size; the created one has size - n
     scale = _PAIRING * (den // den_shifted)
@@ -256,12 +264,12 @@ _XSum = dict[tuple[int, int], list[int]]
 def _x_sum(
     den: int, terms: Iterable[tuple[int, tuple[int, ...], int, int]]
 ) -> tuple[int, _XSum]:
-    """The sum of n x(m) (mu; two_r/2) over the (m, mu, two_r, n) in terms,
-    divided by den, in integer form: (common denominator, dense numerators).
-    The lists are keyed by size, not by length: p(0) = p(1) = 1."""
+    """The sum of n x(m) (mu; two_r/2) over the (m + two_r, mu, two_r, n) in
+    terms, divided by den, in integer form: (common denominator, dense
+    numerators).  The lists are keyed by size, not by length: p(0) = p(1) = 1."""
     images = [
-        (two_r + 2, sum(mu) - m - 1 - two_r, n, _x_on_state(m, mu, two_r))
-        for m, mu, two_r, n in terms
+        (two_r + 2, sum(mu) - s - 1, n, _x_on_state(s, mu))
+        for s, mu, two_r, n in terms
     ]
     step = math.lcm(*(d for _, _, _, (d, _) in images))
     out: _XSum = {}
@@ -311,7 +319,7 @@ def apply_monomial(mono: Monomial, v: FockVector | FockState) -> FockVector:
     for m in reversed(mono.indices):
         if not states:
             break
-        den, out = _x_sum(den, ((m, mu, two_r, n) for mu, two_r, n in states))
+        den, out = _x_sum(den, ((m + two_r, mu, two_r, n) for mu, two_r, n in states))
         states = [
             (lam, two_r, t)
             for (two_r, size), acc in out.items()
@@ -358,6 +366,20 @@ def check_square_zero(weight_bound: int) -> bool:
     to evaluate each composite with the more annihilating index applied
     first and to fold the two orderings of a distinct pair into a factor 2,
     which keeps the intermediate vectors small.
+
+    Both checks decide each lattice point through the integral one.  The
+    half-lattice translation h = ``half_shift`` intertwines x(m) h =
+    h x(m+1) (module docstring), so x(m1) x(m2) h^{2r} = h^{2r} x(m1 + 2r)
+    x(m2 + 2r), and with m1 + m2 = -t
+
+        S_t (mu; r) = h^{2r} S_{t - 4r} (mu; 0).
+
+    h is bijective, so S_t kills (mu; r) exactly when S_{t-4r} kills
+    (mu; 0).  The annihilation bound of (mu; r) is that of (mu; 0) lowered
+    by 2r, so the truncated pairs, and which of them fold, correspond one
+    to one.  Each check therefore decides every distinct (t - 4r, mu) of its
+    range once, with ``_component_kills``; the keys are collected afresh on
+    every call, and no verdict is kept between calls.
     """
     if weight_bound < 1:
         raise ValueError("weight_bound must be >= 1")
@@ -369,43 +391,44 @@ def check_square_zero(weight_bound: int) -> bool:
 def _brute_sweep(weight_bound: int) -> bool:
     """S_t kills every basis state of weight <= weight_bound, |t| <= 2*weight_bound."""
     two_r_limit = math.isqrt(4 * weight_bound)
-    for two_r in range(-two_r_limit, two_r_limit + 1):
-        size_limit = (4 * weight_bound - two_r * two_r) // 4
-        for size in range(size_limit + 1):
-            for mu in partitions(size, 1):
-                for t in range(-2 * weight_bound, 2 * weight_bound + 1):
-                    if not _component_kills(t, mu, two_r):
-                        return False
-    return True
+    keys = dict.fromkeys(
+        (t - 2 * two_r, mu)
+        for two_r in range(-two_r_limit, two_r_limit + 1)
+        for size in range((4 * weight_bound - two_r * two_r) // 4 + 1)
+        for mu in partitions(size, 1)
+        for t in range(-2 * weight_bound, 2 * weight_bound + 1)
+    )
+    return all(_component_kills(u, mu) for u, mu in keys)
 
 
 def _vacuum_check(weight_bound: int) -> bool:
     """S_t kills e^{r alpha} for r^2 <= weight_bound and
     -2*weight_bound <= t <= 3*weight_bound - r^2."""
     two_r_limit = math.isqrt(4 * weight_bound)
-    for two_r in range(-two_r_limit, two_r_limit + 1):
-        t_max = (12 * weight_bound - two_r * two_r) // 4
-        for t in range(-2 * weight_bound, t_max + 1):
-            if not _component_kills(t, (), two_r):
-                return False
-    return True
+    keys = dict.fromkeys(
+        t - 2 * two_r
+        for two_r in range(-two_r_limit, two_r_limit + 1)
+        for t in range(-2 * weight_bound, (12 * weight_bound - two_r * two_r) // 4 + 1)
+    )
+    return all(_component_kills(u, ()) for u in keys)
 
 
-def _component_kills(t: int, mu: tuple[int, ...], two_r: int) -> bool:
-    """S_t (mu; two_r/2) == 0, with the pairs truncated and folded as
-    described in check_square_zero."""
-    m_top = sum(mu) - 1 - two_r
+def _component_kills(u: int, mu: tuple[int, ...]) -> bool:
+    """S_u (mu; 0) == 0, with the pairs truncated and folded as described in
+    check_square_zero; it decides S_t (mu; r) for every t - 4r = u."""
+    m_top = sum(mu) - 1
     firsts = []
-    for m2 in range(-t - m_top, (-t) // 2 + 1):
-        m1 = -t - m2
+    for m2 in range(-u - m_top, (-u) // 2 + 1):
+        m1 = -u - m2
         pair_factor = 1 if m1 == m2 else 2
         # the first image has size m_top - m1
-        firsts.append((m2, m_top - m1, pair_factor, _x_on_state(m1, mu, two_r)))
+        firsts.append((m2, m_top - m1, pair_factor, _x_on_state(m1, mu)))
     # the first images over one common denominator; the zero test is then
     # literal integer cancellation
     common = math.lcm(*(den for _, _, _, (den, _) in firsts))
+    # the second x(m2) acts on the charge-1 states (mid; 1)
     terms = [
-        (m2, mid, two_r + 2, pair_factor * (common // den) * n1)
+        (m2 + 2, mid, 2, pair_factor * (common // den) * n1)
         for m2, size, pair_factor, (den, first) in firsts
         for mid, n1 in zip(partitions(size, 1), first)
         if n1

@@ -307,14 +307,16 @@ def x_by_exponential(m, state):
 def recursion_mismatches(size_max, two_r_range, m_min, m_over):
     """(m, state) pairs where the table differs from the exponential formula,
     over |mu| <= size_max, 2r in two_r_range, m_min <= m <= |mu| + m_over;
-    and the number of pairs compared."""
+    and the number of pairs compared.  The table is keyed by m + 2r and the
+    formula is evaluated at each 2r as given, so this compares every lattice
+    point of the range with the one image it shares."""
     bad, compared = [], 0
     for two_r in two_r_range:
         for size in range(size_max + 1):
             for mu in partitions(size, 1):
                 state = FockState(mu, _two_r=two_r)
                 for m in range(m_min, size + m_over + 1):
-                    den, nums = fock._x_on_state(m, mu, two_r)
+                    den, nums = fock._x_on_state(m + two_r, mu)
                     # one numerator per partition of the target size, or none
                     targets = partitions(size - m - 1 - two_r, 1) if nums else ()
                     image = (den, {lam: n for lam, n in zip(targets, nums, strict=True) if n})
@@ -325,8 +327,9 @@ def recursion_mismatches(size_max, two_r_range, m_min, m_over):
 
 
 def test_recursion_equals_exponential_formula():
-    # the same integer images, denominators included, on 9774 pairs; the
-    # zero images past the annihilation bound are compared too
+    # the same integer images, denominators included, on 9774 pairs, one 2r
+    # at a time over both cosets; the zero images past the annihilation
+    # bound are compared too
     bad, compared = recursion_mismatches(8, range(-4, 5), -4, 5)
     assert compared == 9774
     assert bad == []
@@ -338,22 +341,27 @@ REAL_X_ON_STATE = fock._x_on_state
 @pytest.fixture
 def fresh_tables():
     """Empty x(m) tables before and after, so a mutant neither reads real
-    images nor leaves its own behind."""
-    REAL_X_ON_STATE.cache_clear()
-    fock._partitions_with_z.cache_clear()
-    yield
-    REAL_X_ON_STATE.cache_clear()
-    fock._partitions_with_z.cache_clear()
+    images nor leaves its own behind.  Returns the function that empties
+    them, so a test can also reset warm tables partway through."""
+
+    def clear():
+        REAL_X_ON_STATE.cache_clear()
+        fock._partitions_with_z.cache_clear()
+
+    clear()
+    yield clear
+    clear()
 
 
 def perturb_one_image(monkeypatch):
-    """x(-3) on a(-1) e^0 with one numerator off by one; the recursion reads
-    the perturbed image through the module name."""
+    """x(m) on a(-1) e^{r alpha} for m + 2r = -3, x(-3) on a(-1) e^0 among
+    them, with one numerator off by one; the recursion reads the perturbed
+    image through the module name."""
 
     @functools.cache
-    def perturbed(m, mu, two_r):
-        den, nums = REAL_X_ON_STATE(m, mu, two_r)
-        if m == -3 and mu == (1,) and two_r == 0:
+    def perturbed(s, mu):
+        den, nums = REAL_X_ON_STATE(s, mu)
+        if s == -3 and mu == (1,):
             # the first numerator is that of partitions(3, 1)[0] = (1, 1, 1)
             first, *rest = nums
             return den, (first + 1, *rest)
@@ -379,6 +387,18 @@ def test_recursion_mutants_fail_lemmas(capsys, monkeypatch, fresh_tables, mutant
     assert code == 1
     assert lemmas["square_zero"] is False
     assert [name for name, ok in lemmas.items() if not ok] == ["square_zero"]
+
+
+@pytest.mark.parametrize("mutant", list(RECURSION_MUTANTS))
+def test_recursion_mutants_reach_warm_tables_once_reset(
+    capsys, monkeypatch, fresh_tables, mutant
+):
+    # the real images are in the tables, then the reset empties them
+    assert check_square_zero(4)
+    fresh_tables()
+    RECURSION_MUTANTS[mutant](monkeypatch)
+    assert main(["lemmas", "--max-weight", "4", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["lemmas"]["square_zero"] is False
 
 
 @pytest.mark.parametrize("half", ["_brute_sweep", "_vacuum_check"])
@@ -408,3 +428,105 @@ def test_square_zero_halves_and_bounds(monkeypatch):
 def test_square_zero_fails_when_either_half_fails(monkeypatch, half):
     monkeypatch.setattr(fock, half, lambda weight_bound: False)
     assert check_square_zero(3) is False
+
+
+# The ranges each half of check_square_zero documents, as (t, state) pairs,
+# for the bound the half is given: every basis state of weight <= w with
+# |t| <= 2w; the vacua with r^2 <= w and -2w <= t <= 3w - r^2.
+
+
+def brute_sweep_range(w):
+    states = all_states(w, half_lattice=False) + all_states(w, half_lattice=True)
+    return [(t, state) for state in states for t in range(-2 * w, 2 * w + 1)]
+
+
+def vacuum_check_range(w):
+    vacua = [FockState((), Fraction(two_r, 2)) for two_r in range(-2 * w, 2 * w + 1)]
+    return [
+        (t, vacuum)
+        for vacuum in vacua
+        if vacuum.weight <= w
+        for t in range(-2 * w, 3 * w + 1)
+        if t <= 3 * w - vacuum.weight
+    ]
+
+
+def spy_on_component_kills(monkeypatch):
+    """{half: [(u, mu) for each _component_kills call]}, filled from the
+    call on, with the calls filed under the half that made them."""
+    decided = {}
+    for half in ("_brute_sweep", "_vacuum_check"):
+        real = getattr(fock, half)
+
+        def run(w, half=half, real=real):
+            decided[half] = []
+            return real(w)
+
+        monkeypatch.setattr(fock, half, run)
+    real_kills = fock._component_kills
+
+    def kills(u, mu):
+        decided[list(decided)[-1]].append((u, mu))
+        return real_kills(u, mu)
+
+    monkeypatch.setattr(fock, "_component_kills", kills)
+    return decided
+
+
+def test_square_zero_decides_each_translated_key_once_per_half(monkeypatch):
+    # S_t (mu; r) = h^{2r} S_{t-4r} (mu; 0): each half decides the distinct
+    # keys (t - 2 * two_r, mu) of its range, each one once
+    decided = spy_on_component_kills(monkeypatch)
+    for w in range(1, 7):
+        decided.clear()
+        assert check_square_zero(w)
+        expected = {
+            "_brute_sweep": brute_sweep_range(min(w, fock.BRUTE_SWEEP_WEIGHT)),
+            "_vacuum_check": vacuum_check_range(w),
+        }
+        assert list(decided) == list(expected)
+        for half, pairs in expected.items():
+            keys = {(t - 2 * state.two_r, state.mu) for t, state in pairs}
+            assert len(decided[half]) == len(set(decided[half]))
+            assert set(decided[half]) == keys
+
+
+def test_square_zero_counts_from_cold_tables(monkeypatch, fresh_tables):
+    # one table per lattice point built 3385 images and decided 1043 sums
+    decided = spy_on_component_kills(monkeypatch)
+    assert check_square_zero(6)
+    assert fock._x_on_state.cache_info().currsize == 920
+    assert sum(len(keys) for keys in decided.values()) == 315
+
+
+def square_by_exponential(t, state):
+    """S_t on a basis state as {partition: Fraction} on the states of charge
+    r + 2, with every x(m) from the exponential formula and 2r as given:
+    x(m1) x(m2) in both orders for each pair m1 >= m2, m1 + m2 = -t, with
+    m1 within the annihilation bound of the state.  Also whether any one
+    composite was nonzero."""
+    two_r = state.two_r
+    m_top = sum(state.mu) - 1 - two_r
+    total = {}
+    any_nonzero = False
+    for m1 in range(-(t // 2), m_top + 1):
+        m2 = -t - m1
+        for first, second in {(m1, m2), (m2, m1)}:
+            den, mids = x_by_exponential(first, state)
+            for mid, n in mids.items():
+                den2, ends = x_by_exponential(second, FockState(mid, _two_r=two_r + 2))
+                for end, n2 in ends.items():
+                    any_nonzero = True
+                    total[end] = total.get(end, 0) + Fraction(n * n2, den * den2)
+    return {end: c for end, c in total.items() if c}, any_nonzero
+
+
+def test_square_zero_ranges_by_exponential_formula_on_every_lattice_point():
+    # no table and no translation: S_t on every (t, 2r, mu) of both halves
+    # at bound 2, with r as given, cancels to zero
+    pairs = brute_sweep_range(2) + vacuum_check_range(2)
+    assert len(pairs) == 108 + 51
+    results = [square_by_exponential(t, state) for t, state in pairs]
+    assert all(total == {} for total, _ in results)
+    # the cancellation is not vacuous: on 40 of them some composite is not zero
+    assert sum(any_nonzero for _, any_nonzero in results) == 40
