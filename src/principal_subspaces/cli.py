@@ -16,8 +16,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, astuple, dataclass, fields
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import fock, relations, verify
 
@@ -25,8 +24,7 @@ MODULE_CHOICES = (*verify.TAGS, "all")
 FORMAT_CHOICES = ("json", "csv", "text")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     module_tag: str
     max_weight: int
@@ -35,7 +33,7 @@ class RunConfig:
     output_path: str | None
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,8 +160,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
             f"  {'yes' if p.equality_ok else 'NO'}"
         )
     lines.append(f"pieces: {len(pieces)}, all equal: {'yes' if ok else 'NO'}")
-    header = [f.name for f in fields(verify.PieceReport)]
-    _emit(cfg, report, "\n".join(lines) + "\n", header, map(astuple, pieces))
+    _emit(cfg, report, "\n".join(lines) + "\n", list(verify.PieceReport._fields), pieces)
     return 0 if ok else 1
 
 

@@ -7,10 +7,20 @@ an ``int`` or a ``Fraction`` and stays the one it was computed as, so the
 relations and the ideal pieces built from them hold ints; any other type,
 float included, raises ``TypeError``.  Term and basis orderings are
 graded-lexicographic on the index tuple, so every matrix built downstream
-has a reproducible column order.  Domains (``enumerate_monomials``) are
-tuples shared by every caller.  Indices range over all of Z: membership in the subalgebras with
-indices <= -1 or <= -2 is a property of an element, not a separate type,
-because the translation map genuinely produces indices >= 0.
+has a reproducible column order.  Indices range over all of Z: membership
+in the subalgebras with indices <= -1 or <= -2 is a property of an
+element, not a separate type, because the translation map genuinely
+produces indices >= 0.
+
+Domains (``enumerate_monomials``) are tuples shared by every caller, one
+per (weight, charge, floor), each built once per process from two smaller
+ones.  A domain D(w, k, p) is the partitions of w into exactly k parts, each
+at least p = -floor, and p(w, k) = p(w - k, k) + p(w - 1, k - 1) splits it:
+for p > 1 it is D(w - k, k, p - 1) with every index lowered by one, and
+D(w, k, 1) is D(w, k, 2), the monomials without x(-1), merged with the
+monomials u * x(-1), u in D(w - 1, k - 1, 1).  The two halves are disjoint
+and each is sorted by index tuple, so merging them by index tuple gives the
+canonical order.
 
 ``LinearCombination`` is the finite exact linear combination over any
 bigraded basis; ``PolyQ`` is the one over monomials and adds the product,
@@ -20,6 +30,8 @@ and ``fock.FockVector`` is the one over Fock states.
 from __future__ import annotations
 
 import functools
+import heapq
+import operator
 from collections import Counter
 from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
@@ -266,8 +278,8 @@ def enumerate_monomials(weight: int, charge: int, floor: int = -1) -> tuple[Mono
     tuple holds every such monomial once, which the ideal rows of ``verify``
     rely on: a product of the right bidegree with indices <= floor is a
     domain monomial, with no lookup to confirm it.  It is the one held by
-    the shared table ``_monomials``, so each domain is enumerated once per
-    process and every caller gets the same tuple.
+    the shared table ``_monomials``, so each domain is built once per
+    process, from two smaller domains, and every caller gets the same tuple.
     """
     if floor > -1:
         raise ValueError("floor must be <= -1")
@@ -276,24 +288,49 @@ def enumerate_monomials(weight: int, charge: int, floor: int = -1) -> tuple[Mono
     return _monomials(weight, charge, -floor)
 
 
+_INDICES = operator.attrgetter("indices")
+
+
+def _from_sorted(indices: tuple[int, ...]) -> Monomial:
+    """The monomial of an index tuple that is already non-decreasing."""
+    mono = Monomial.__new__(Monomial)
+    mono.indices = indices
+    return mono
+
+
 @functools.cache
 def _monomials(weight: int, charge: int, min_part: int) -> tuple[Monomial, ...]:
-    """The table behind ``enumerate_monomials``: unbounded, kept for the life
-    of the process, and it reports ``cache_info()``."""
-    out: list[Monomial] = []
+    """The table behind ``enumerate_monomials``, D(w, k, p) for weight w,
+    charge k and parts >= p: unbounded, kept for the life of the process,
+    and it reports ``cache_info()``.
 
-    def descend(remaining: int, parts_left: int, cap: int, prefix: list[int]) -> None:
-        if parts_left == 0:
-            if remaining == 0:
-                out.append(Monomial(prefix))
-            return
-        hi = min(cap, remaining - (parts_left - 1) * min_part)
-        lo = max(min_part, -(-remaining // parts_left))
-        for part in range(hi, lo - 1, -1):
-            descend(remaining - part, parts_left - 1, part, prefix + [-part])
+    Each domain is built from two smaller ones, by the recursion on parts
+    p(w, k) = p(w - k, k) + p(w - 1, k - 1):
 
-    descend(weight, charge, weight, [])
-    return tuple(out)
+    - for p > 1, D(w, k, p) is D(w - k, k, p - 1) with every index lowered
+      by one (every part raised by one), which keeps the order of the index
+      tuples;
+    - D(w, k, 1) is D(w, k, 2), the monomials without x(-1), merged with
+      u * x(-1) for u in D(w - 1, k - 1, 1), the monomials with it.  Both
+      are sorted by index tuple, -1 is the largest index so u * x(-1) is
+      u's tuple with -1 appended, and no monomial lies in both, so merging
+      by index tuple gives the canonical order with each monomial once.
+    """
+    if charge == 0:
+        return (UNIT,) if weight == 0 else ()
+    if weight < charge * min_part:
+        return ()
+    if min_part > 1:
+        return tuple(
+            [
+                _from_sorted(tuple([m - 1 for m in u.indices]))
+                for u in _monomials(weight - charge, charge, min_part - 1)
+            ]
+        )
+    with_minus_one = [
+        _from_sorted(u.indices + (-1,)) for u in _monomials(weight - 1, charge - 1, 1)
+    ]
+    return tuple(heapq.merge(_monomials(weight, charge, 2), with_minus_one, key=_INDICES))
 
 
 def coordinates(

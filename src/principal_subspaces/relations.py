@@ -16,7 +16,7 @@ when the piece is iterated.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import subspace_leq
 from .poly import (
@@ -51,8 +51,7 @@ def quadratic_relation(t: int, floor: int = -1) -> PolyQ:
     return PolyQ(terms)
 
 
-@dataclass(frozen=True)
-class IdealSpec:
+class IdealSpec(NamedTuple):
     """What tells the presentations apart: the floor of the subalgebra, at
     which the R_t with t >= -2 * floor generate the ideal; whether x(-1)
     does too; and 2r for the vacuum e^{r alpha} of the evaluation map."""
@@ -61,6 +60,9 @@ class IdealSpec:
     includes_degree_one_generator: bool
     two_r: int
 
+
+# the degree-one generator of lambda1, one object shared by every piece
+X_MINUS_ONE = x(-1)
 
 IDEALS: dict[str, IdealSpec] = {
     "lambda0": IdealSpec(-1, False, 0),
@@ -124,7 +126,7 @@ def ideal_piece(tag: str, weight: int, charge: int) -> IdealPiece:
             for t in range(-2 * floor, weight + 1)
         ]
     if spec.includes_degree_one_generator:
-        blocks.append((x(-1), enumerate_monomials(weight - 1, charge - 1, floor)))
+        blocks.append((X_MINUS_ONE, enumerate_monomials(weight - 1, charge - 1, floor)))
     return IdealPiece(weight, charge, floor, blocks)
 
 

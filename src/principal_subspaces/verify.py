@@ -52,7 +52,7 @@ Per piece, ``_evaluation``, shared by ``piece_report`` and ``graded_dims``,
 gives the matrix, the domain index and the verdict of the minor.  The
 domain monomials come from the table behind ``enumerate_monomials``, shared
 with ``eval_matrix``, ``fock_matrix`` and every cofactor enumeration of
-``ideal_piece``, so each domain is enumerated once per process.
+``ideal_piece``, so each domain is built once per process.
 
 The ideal side is read by ``_ideal_rows`` from the blocks of the
 ``IdealPiece``, a generator g (R_t at the floor, or x(-1)) with its
@@ -68,7 +68,13 @@ lies outside the domain, and the block's first element is the witness.
 The lead of u * g is u * lead(g), one addition of codes.  Images under E
 are summed, each product looked up by its code, only over the columns
 where E is nonzero, so the ideal is checked to lie in the kernel exactly,
-and a piece where E has no rows needs no lookup.  The witness is the one
+and a piece where E has no rows needs no lookup.  The same cofactor
+domains and relations recur in every piece of one charge, so the codes of
+a cofactor tuple, and a generator's verdict, lead code and term codes,
+are read once per process for each (C, floor) and kept in two tables.
+Their keys are the identities of the tuple and of the generator, and each
+entry holds its object, so an id is never reused: a patched relation or a
+doctored cofactor tuple is a new key, never a stale hit.  The witness is the one
 element ``_ideal_rows`` builds, by the ``PolyQ`` product u * g of the
 pair where the scan stopped.  Coordinate rows are built from the
 polynomials only when the certificate declines, for the rational
@@ -100,11 +106,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .fock import FockState, apply_monomial, partitions
 from .linalg import (
+    Scalar,
     SparseMatQ,
     Vector,
     kernel_basis,
@@ -128,8 +134,7 @@ FOCK_CHECK_WEIGHT = 8
 Domain = dict[tuple[int, ...], int]
 
 
-@dataclass(frozen=True)
-class PieceReport:
+class PieceReport(NamedTuple):
     """One bidegree of the kernel-equals-ideal statement."""
 
     module_tag: str
@@ -145,13 +150,12 @@ class PieceReport:
 
     def to_json(self) -> dict:
         """The fields in order, with weight and charge first, under idx."""
-        fields = dict(vars(self))
+        fields = self._asdict()
         idx = {"weight": fields.pop("weight"), "charge": fields.pop("charge")}
         return {"idx": idx, **fields}
 
 
-@dataclass
-class VerificationRun:
+class VerificationRun(NamedTuple):
     module_tag: str
     max_weight: int
     pieces: list[PieceReport]
@@ -311,6 +315,56 @@ def _lead_order(mono: Monomial) -> tuple[int, tuple[int, ...]]:
     return sum([m * m for m in mono.indices]), mono.indices
 
 
+class GeneratorCodes(NamedTuple):
+    """The codes of a generator whose terms fit its block."""
+
+    lead: int | None  # the code of its lead, None for the zero generator
+    terms: list[tuple[int, Scalar]]  # (code, coefficient) of each term
+
+
+# a function from the index tuple of a monomial to its code
+Code = Callable[[tuple[int, ...]], int]
+
+# The code tables of ``_ideal_rows``, kept for the life of the process.
+# Each entry is keyed by the id of the object it reads, with the numbers
+# its codes depend on, and holds that object, so the id is never reused: a
+# patched relation or another cofactor tuple is a new key, never a stale hit.
+_MONOMIAL_CODES: dict[tuple, tuple[tuple[Monomial, ...], tuple[int, ...]]] = {}
+_GENERATOR_CODES: dict[tuple, tuple[PolyQ, GeneratorCodes | None]] = {}
+
+
+def _monomial_codes(
+    monos: tuple[Monomial, ...], base: int, floor: int, code_of: Code
+) -> tuple[int, ...]:
+    """The codes of a tuple of monomials, in its order, from the table;
+    ``code_of`` is the code function of (base, floor)."""
+    key = (id(monos), base, floor)
+    entry = _MONOMIAL_CODES.get(key)
+    if entry is None:
+        entry = _MONOMIAL_CODES[key] = (monos, tuple([code_of(u.indices) for u in monos]))
+    return entry[1]
+
+
+def _generator_codes(
+    g: PolyQ, charge: int, weight: int, base: int, floor: int, code_of: Code
+) -> GeneratorCodes | None:
+    """The codes of g, from the table, or None if a term of g does not have
+    the bidegree (weight, charge) or has an index above floor; ``code_of``
+    is the code function of (base, floor)."""
+    key = (id(g), charge, weight, base, floor)
+    entry = _GENERATOR_CODES.get(key)
+    if entry is None:
+        codes = None
+        if all(_fits(mono.indices, charge, weight, floor) for mono in g.terms):
+            lead = min(g.terms, key=_lead_order, default=None)
+            codes = GeneratorCodes(
+                None if lead is None else code_of(lead.indices),
+                [(code_of(mono.indices), c) for mono, c in g.terms.items()],
+            )
+        entry = _GENERATOR_CODES[key] = (g, codes)
+    return entry[1]
+
+
 def _ideal_rows(piece: IdealPiece, matrix: SparseMatQ) -> IdealRows:
     """The witness and the lead count of an ideal piece, read from its
     blocks (g, cofactors) with no ``PolyQ`` built but the witness, the
@@ -328,6 +382,15 @@ def _ideal_rows(piece: IdealPiece, matrix: SparseMatQ) -> IdealRows:
     term fails, every product u * v with it lies outside the domain, so the
     block's first element is outside the kernel.
 
+    The codes of a cofactor tuple are read once per process for each (C,
+    floor), and so are a generator's verdict for its block bidegree, its
+    lead code and its term codes: the same cofactor domains and relations
+    recur in every piece of one charge.  The tables are keyed by the
+    identity of the tuple or the generator and hold it, so an object built
+    anew, such as a patched relation or a doctored tuple, is read anew.
+    The domain's codes are read on each call, only for the nonzero columns
+    of E.
+
     The lead of u * g is u * lead(g): multiplying by u keeps the order, as
     sum m_i^2 adds up and two sorted index tuples of one length compare by
     the least index whose multiplicity differs.  On a passing piece the
@@ -335,33 +398,32 @@ def _ideal_rows(piece: IdealPiece, matrix: SparseMatQ) -> IdealRows:
     code, only while there is no witness and only on columns where E is
     nonzero, so a piece where E has no rows needs no lookup at all."""
     weight, charge, floor = piece.weight, piece.charge, piece.floor
+    base = charge + 1
     # digit[m] = C^(floor - m), read with negative indices: every index m
     # of a passing product has floor - m in [0, weight]
-    digit = [(charge + 1) ** e for e in range(weight, -1, -1)] + [0] * (-floor - 1)
-    powers = functools.partial(map, digit.__getitem__)
+    digit = [base**e for e in range(weight, -1, -1)] + [0] * (-floor - 1)
+    code_of = functools.partial(_code, digit)
     monos = enumerate_monomials(weight, charge, floor)
-    columns = {
-        sum(powers(monos[j].indices)): column for j, column in matrix.columns().items()
-    }
+    columns = {code_of(monos[j].indices): column for j, column in matrix.columns().items()}
     n_rows = matrix.n_rows
     leads: set[int] = set()
     witness = None
     for g, cofactors in piece.blocks:
         first = cofactors[0].indices
-        k, t = charge - len(first), weight + sum(first)
-        if not all(_fits(mono.indices, k, t, floor) for mono in g.terms):
+        generator = _generator_codes(
+            g, charge - len(first), weight + sum(first), base, floor, code_of
+        )
+        if generator is None:
             if witness is None:
                 witness = PolyQ({cofactors[0]: 1}) * g
             continue
-        codes = [sum(powers(u.indices)) for u in cofactors]
-        if g.terms:
-            lead = sum(powers(min(g.terms, key=_lead_order).indices))
-            leads.update([code + lead for code in codes])
+        codes = _monomial_codes(cofactors, base, floor, code_of)
+        if generator.lead is not None:
+            leads.update(map(generator.lead.__add__, codes))
         if witness is None and columns:
-            terms = [(sum(powers(mono.indices)), c) for mono, c in g.terms.items()]
             for u, code in zip(cofactors, codes):
                 image = [0] * n_rows
-                for term, c in terms:
+                for term, c in generator.terms:
                     column = columns.get(code + term)
                     if column is not None:
                         for i, v in column.items():
@@ -370,6 +432,11 @@ def _ideal_rows(piece: IdealPiece, matrix: SparseMatQ) -> IdealRows:
                     witness = PolyQ({u: 1}) * g
                     break
     return IdealRows(witness, len(leads))
+
+
+def _code(digit: list[int], indices: tuple[int, ...]) -> int:
+    """The code of a monomial: the sum of the digits of its indices."""
+    return sum(map(digit.__getitem__, indices))
 
 
 def _fits(indices: tuple[int, ...], charge: int, weight: int, floor: int) -> bool:

@@ -77,6 +77,33 @@ def eval_matrix_by_tuples():
 
 
 @pytest.fixture
+def monomials_by_descent():
+    """The index tuples of the monomials of ``poly.enumerate_monomials``
+    by a recursive descent over the parts, largest first: each part from
+    the largest that the parts before it and the parts still to come allow
+    down to the smallest, so the tuples come in ascending order."""
+
+    def monomials(weight, charge, floor):
+        min_part = -floor
+        out = []
+
+        def descend(remaining, parts_left, cap, prefix):
+            if parts_left == 0:
+                if remaining == 0:
+                    out.append(tuple(prefix))
+                return
+            hi = min(cap, remaining - (parts_left - 1) * min_part)
+            lo = max(min_part, -(-remaining // parts_left))
+            for part in range(hi, lo - 1, -1):
+                descend(remaining - part, parts_left - 1, part, prefix + [-part])
+
+        descend(weight, charge, weight, [])
+        return out
+
+    return monomials
+
+
+@pytest.fixture
 def ideal_rows_by_three_passes():
     """The ideal rows of ``verify._coordinate_rows`` and the witness and
     lead count of ``verify._ideal_rows`` by three separate passes over the

@@ -1,6 +1,5 @@
 """Command line behaviour: exit codes, formats, determinism."""
 
-import dataclasses
 import functools
 import itertools
 import json
@@ -135,7 +134,7 @@ def test_verify_fails_on_mutated_ideal(
     if "zero_relation" in change:
         zero_relation(monkeypatch, change["zero_relation"])
     else:
-        spec = dataclasses.replace(relations.IDEALS[tag], **change)
+        spec = relations.IDEALS[tag]._replace(**change)
         monkeypatch.setitem(relations.IDEALS, tag, spec)
     spec = relations.IDEALS[tag]
     monkeypatch.setattr(verify, "fallbacks", 0)
@@ -315,6 +314,25 @@ def test_verify_fails_on_a_relation_term_off_its_bidegree(
             assert p["witness"] == str(polys[witness])
             failed += 1
     assert failed == verify.fallbacks > 0
+
+
+@pytest.mark.parametrize("extra", EXTRA_TERMS)
+def test_warm_code_tables_give_the_cold_report_of_a_patched_relation(
+    capsys, monkeypatch, patch_relation, extra
+):
+    """A passing verify to weight 10 fills the code tables of
+    ``_ideal_rows``.  R_6 patched afterwards with a term off its bidegree
+    gives the exit 1 and the witnesses that it gives from empty tables:
+    the patched relation is a new key, never a hit on the real one."""
+    args = ["verify", "--max-weight", "10", "--format", "json"]
+    assert run(capsys, *args)[0] == 0
+    patch_relation(6, lambda rel: rel + EXTRA_TERMS[extra])
+    warm = run(capsys, *args)
+    monkeypatch.setattr(verify, "_MONOMIAL_CODES", {})
+    monkeypatch.setattr(verify, "_GENERATOR_CODES", {})
+    cold = run(capsys, *args)
+    assert warm == cold and warm[0] == 1
+    assert any(p["witness"] for p in json.loads(warm[1])["pieces"])
 
 
 def test_a_passing_verify_builds_no_ideal_polynomial(capsys, monkeypatch):
@@ -502,9 +520,7 @@ def test_fraction_fallback_gives_the_same_report(capsys, monkeypatch, force_cert
 def test_lemmas_fail_only_on_the_inclusion_without_x_minus_one(capsys, monkeypatch):
     """A lambda1 ideal without its generator x(-1) breaks the translated
     ideal inclusion and no other identity, and lemmas exits 1."""
-    spec = dataclasses.replace(
-        relations.IDEALS["lambda1"], includes_degree_one_generator=False
-    )
+    spec = relations.IDEALS["lambda1"]._replace(includes_degree_one_generator=False)
     monkeypatch.setitem(relations.IDEALS, "lambda1", spec)
     code, out, _ = run(
         capsys, "lemmas", "--t-max", "6", "--max-weight", "2", "--format", "json"

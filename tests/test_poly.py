@@ -137,6 +137,20 @@ def test_enumerate_monomials_examples():
     assert enumerate_monomials(4, 2, -1) is enumerate_monomials(4, 2, -1)
 
 
+def test_enumeration_equals_the_descent_in_order(monomials_by_descent):
+    """The domains built from smaller ones hold the monomials of the
+    recursive descent, one by one and in its order, and every call returns
+    the one tuple of the table."""
+    for floor in (-1, -2, -3):
+        for weight in range(21):
+            for charge in range(weight + 1):
+                monos = enumerate_monomials(weight, charge, floor)
+                assert [mono.indices for mono in monos] == monomials_by_descent(
+                    weight, charge, floor
+                )
+                assert enumerate_monomials(weight, charge, floor) is monos
+
+
 def test_enumerate_monomials_rejects_bad_floor():
     with pytest.raises(ValueError):
         enumerate_monomials(3, 1, 0)

@@ -1,7 +1,5 @@
 """Relation families, ideal pieces and the supporting identities."""
 
-import dataclasses
-
 import pytest
 
 from principal_subspaces import relations
@@ -122,9 +120,7 @@ def test_ideal_piece_equals_the_products(monkeypatch, ideal_piece_by_products):
                 piece = ideal_piece(tag, weight, charge)
                 assert list(piece) == ideal_piece_by_products(tag, weight, charge)
                 assert terms_outside_the_domain(tag, weight, charge) == 0
-    spec = dataclasses.replace(
-        relations.IDEALS["lambda1prime"], includes_degree_one_generator=True
-    )
+    spec = relations.IDEALS["lambda1prime"]._replace(includes_degree_one_generator=True)
     monkeypatch.setitem(relations.IDEALS, "lambda1prime", spec)
     outside = 0
     for weight in range(13):
@@ -219,9 +215,7 @@ def test_translate_ideal_inclusion_needs_the_degree_one_generator(monkeypatch):
     only through its generator x(-1).  Without it the inclusion fails at
     (2, 2), where translate(x(-1)^2) = x(-2)^2 is no multiple of R_4, and at
     (3, 2)."""
-    spec = dataclasses.replace(
-        relations.IDEALS["lambda1"], includes_degree_one_generator=False
-    )
+    spec = relations.IDEALS["lambda1"]._replace(includes_degree_one_generator=False)
     monkeypatch.setitem(relations.IDEALS, "lambda1", spec)
     assert not check_translate_ideal_inclusion(2, 2)
     assert not check_translate_ideal_inclusion(3, 2)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from principal_subspaces import linalg, relations, verify
+from principal_subspaces.cli import main
 from principal_subspaces.fock import FockState, apply_monomial, basis_states
 from principal_subspaces.linalg import kernel_basis, span_equal
 from principal_subspaces.poly import Monomial, PolyQ, coordinates, enumerate_monomials, x
@@ -323,6 +324,36 @@ def lead(poly):
     return min(poly.terms, key=lambda mono: (sum(m * m for m in mono.indices), mono.indices))
 
 
+def without_one_lead(tag, weight, charge, inner=False):
+    """The ideal piece, the piece with the cofactor of the first spanning
+    element with a lead of its own dropped from its block, and the number
+    of distinct leads.  The block gets a new cofactor tuple, or is left out
+    if that was its one cofactor, and the other blocks are kept as they
+    are.  With ``inner``, the element is the first one that is not the
+    first of its block, so the new tuple starts as the old one did."""
+    piece = ideal_piece(tag, weight, charge)
+    polys = list(piece)
+    leads = [lead(p) for p in polys]
+    firsts, start = set(), 0
+    for _, cofactors in piece.blocks:
+        firsts.add(start)
+        start += len(cofactors)
+    drop = next(
+        i for i, mono in enumerate(leads)
+        if leads.count(mono) == 1 and not (inner and i in firsts)
+    )
+    blocks, start = [], 0
+    for g, cofactors in piece.blocks:
+        i = drop - start
+        start += len(cofactors)
+        if 0 <= i < len(cofactors):
+            cofactors = cofactors[:i] + cofactors[i + 1 :]
+        blocks.append((g, cofactors))
+    kept = relations.IdealPiece(weight, charge, piece.floor, blocks)
+    assert list(kept) == polys[:drop] + polys[drop + 1 :]
+    return piece, kept, len(set(leads))
+
+
 @pytest.mark.parametrize("tag", TAGS)
 def test_certificate_declines_without_one_cofactor_multiple(
     monkeypatch, force_certificate_off, tag
@@ -333,22 +364,10 @@ def test_certificate_declines_without_one_cofactor_multiple(
     report is the one the rational path gives with the certificate forced
     off."""
     weight, charge = 12, 3
-    piece = ideal_piece(tag, weight, charge)
-    polys = list(piece)
-    leads = [lead(p) for p in polys]
-    drop = next(i for i, mono in enumerate(leads) if leads.count(mono) == 1)
-    blocks, start = [], 0
-    for g, cofactors in piece.blocks:
-        i = drop - start
-        start += len(cofactors)
-        if 0 <= i < len(cofactors):
-            cofactors = cofactors[:i] + cofactors[i + 1 :]
-        blocks.append((g, cofactors))
-    kept = relations.IdealPiece(weight, charge, piece.floor, blocks)
-    assert list(kept) == polys[:drop] + polys[drop + 1 :]
+    piece, kept, distinct = without_one_lead(tag, weight, charge)
     matrix = eval_matrix(tag, weight, charge)
     dim_kernel = len(domain_index(tag, weight, charge)) - matrix.n_rows
-    assert len(set(leads)) == dim_kernel
+    assert distinct == dim_kernel
     assert verify._ideal_rows(piece, matrix) == (None, dim_kernel)
     assert verify._ideal_rows(kept, matrix) == (None, dim_kernel - 1)
     monkeypatch.setattr(verify, "ideal_piece", lambda *piece: kept)
@@ -357,6 +376,29 @@ def test_certificate_declines_without_one_cofactor_multiple(
     assert verify.fallbacks == 1
     force_certificate_off()
     assert piece_report(tag, weight, charge) == report
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("weight, charge, inner", [(12, 3, False), (12, 4, True)])
+def test_warm_code_tables_read_a_dropped_cofactor_anew(
+    capsys, monkeypatch, tag, weight, charge, inner
+):
+    """After a passing verify to weight 10 and the real piece have filled
+    the code tables of ``_ideal_rows``, the piece with one cofactor dropped
+    still has one distinct lead fewer than the kernel dimension, and the
+    certificate still declines: a shorter tuple is a new key.  On (12, 3)
+    the cofactor is the one of the test above, on (12, 4) it is inside a
+    block of R_t, whose new tuple starts with the cofactor of the old."""
+    assert main(["verify", "--max-weight", "10", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert piece_report(tag, weight, charge).equality_ok
+    _, kept, distinct = without_one_lead(tag, weight, charge, inner)
+    matrix = eval_matrix(tag, weight, charge)
+    assert verify._ideal_rows(kept, matrix) == (None, distinct - 1)
+    monkeypatch.setattr(verify, "ideal_piece", lambda *piece: kept)
+    monkeypatch.setattr(verify, "fallbacks", 0)
+    piece_report(tag, weight, charge)
+    assert verify.fallbacks == 1
 
 
 def rows_by_coordinates(polys, monos):
