@@ -36,23 +36,20 @@ each call that has rows.  Then key(f) - key(a) is one subtraction with the
 digits f_i - a_i + d + 1, and these and the Delta^2 digits all lie in
 [0, B), so two keys are equal only when their tuples are: no key aliases.
 
-That count is proved on each matrix by a unitriangular minor
-(``_full_row_rank``).  Sort nu decreasingly, pad it with zeros to length k
-and add the staircase 2 delta = (2(k-1), ..., 2, 0): the exponent e = nu +
-2 delta belongs to the column x(m_1)...x(m_k), m_i = -e_i - 1 - 2r, whose
-adjacent indices differ by at least two, the difference-two (DT) column of
-nu.  Delta^2 leads with z^{2 delta}, coefficient 1, and Delta^2 m_nu has no
-monomial above 2 delta + nu, so with the rows in lexicographic order of the
-padded nu the minor on the DT columns is lower triangular with +-1 on the
-diagonal.  Its determinant is +-1, so rank E = n_rows and dim ker E = n -
-n_rows.  The check reads every entry it relies on from the matrix, so a
-wrong matrix makes it decline, never pass.
-
-Per piece, ``_evaluation``, shared by ``piece_report`` and ``graded_dims``,
-gives the matrix, the domain index and the verdict of the minor.  The
-domain monomials come from the table behind ``enumerate_monomials``, shared
-with ``eval_matrix``, ``fock_matrix`` and every cofactor enumeration of
-``ideal_piece``, so each domain is built once per process.
+That count is proved on each matrix by ``_full_row_rank``, from the
+matrix alone: every row is the least nonzero row of some column.  Pick one
+such column c_i for each row i.  Column c_i is zero above row i, so the
+minor on c_0, ..., c_{n-1} is lower triangular with a nonzero diagonal,
+hence invertible over Q, and rank E = n_rows, dim ker E = n - n_rows.  A
+wrong matrix makes the check decline, never pass.  It always closes on
+``eval_matrix`` because of the difference-two (DT) columns.  Sort nu
+decreasingly, pad it with zeros to length k and add the staircase 2 delta
+= (2(k-1), ..., 2, 0): the exponent e = nu + 2 delta belongs to the column
+x(m_1)...x(m_k), m_i = -e_i - 1 - 2r, whose adjacent indices differ by at
+least two, the DT column of nu.  Delta^2 leads with z^{2 delta},
+coefficient 1, and Delta^2 m_nu has no monomial above 2 delta + nu, so with
+the rows in lexicographic order of the padded nu the DT column of row i
+has +-1 in row i and nothing above it.
 
 The ideal side is read by ``_ideal_rows`` from the blocks of the
 ``IdealPiece``, a generator g (R_t at the floor, or x(-1)) with its
@@ -82,7 +79,7 @@ fallback.
 
 The rank of the ideal rows I is bounded by the leads: the lead of a
 nonzero row is its least term under the total order (sum of m_i^2, index
-tuple), and rows with distinct leads are independent.  With the minor,
+tuple), and rows with distinct leads are independent.  With rank E = n_rows,
 
     #distinct leads <= rank I <= dim ker E = n - n_rows,
 
@@ -129,10 +126,6 @@ fallbacks = 0
 # pieces up to this weight also check the kernel of eval_matrix against
 # fock_matrix, the direct evaluation that it replaces
 FOCK_CHECK_WEIGHT = 8
-
-# the domain index of a piece: {indices: column} over its monomials
-Domain = dict[tuple[int, ...], int]
-
 
 class PieceReport(NamedTuple):
     """One bidegree of the kernel-equals-ideal statement."""
@@ -225,7 +218,8 @@ def _orbit(exponents: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 def _row_partitions(size: int, charge: int) -> tuple[tuple[int, ...], ...]:
     """The partitions of size into at most charge parts, each sorted
     decreasingly and padded with zeros to length charge, in lexicographic
-    order: the rows of ``eval_matrix``."""
+    order: the rows of ``eval_matrix``, in which the DT column of each row
+    has no nonzero entry above it (see the module docstring)."""
     return tuple(
         sorted(
             nu[::-1] + (0,) * (charge - len(nu))
@@ -275,8 +269,8 @@ def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
 
     It has the row space of ``fock_matrix``, and so the same kernel, rank
     and reduced kernel basis.  Its rows are independent, so its rank is the
-    row count, which ``_full_row_rank`` proves by a unitriangular minor
-    (see the module docstring)."""
+    row count, which ``_full_row_rank`` proves from the matrix (see the
+    module docstring)."""
     spec = IDEALS[tag]
     monos = enumerate_monomials(weight, charge, spec.ambient_floor)
     size = heisenberg_size(tag, weight, charge)
@@ -449,47 +443,30 @@ def _fits(indices: tuple[int, ...], charge: int, weight: int, floor: int) -> boo
     )
 
 
-def _coordinate_rows(polys: Iterable[PolyQ], domain: Domain) -> tuple[list[Vector], int]:
+def _coordinate_rows(
+    polys: Iterable[PolyQ], monos: tuple[Monomial, ...]
+) -> tuple[list[Vector], int]:
     """The coordinate rows of the ideal polynomials, coefficients as they
     are, and their column count, for the rational fallback.
 
-    The columns are those of ``domain`` and then, numbered in a dict of
-    their own, every other monomial of the polynomials, in order of first
-    appearance.  A rank does not depend on the order of the columns."""
-    n = len(domain)
-    outside: dict[tuple[int, ...], int] = {}
-    vecs: list[Vector] = []
-    for p in polys:
-        vec: Vector = {}
-        for mono, c in p.terms.items():
-            j = domain.get(mono.indices)
-            if j is None:
-                j = outside.setdefault(mono.indices, n + len(outside))
-            vec[j] = c
-        vecs.append(vec)
-    return vecs, n + len(outside)
+    The columns are the domain monomials ``monos`` and then, numbered in
+    order of first appearance, every other monomial of the polynomials.  A
+    rank does not depend on the order of the columns."""
+    columns = {mono.indices: j for j, mono in enumerate(monos)}
+    vecs: list[Vector] = [
+        {columns.setdefault(mono.indices, len(columns)): c for mono, c in p.terms.items()}
+        for p in polys
+    ]
+    return vecs, len(columns)
 
 
-def _full_row_rank(
-    tag: str, weight: int, charge: int, matrix: SparseMatQ, domain: Domain
-) -> bool:
-    """Whether ``matrix`` E, from ``eval_matrix`` with the columns of
-    ``domain``, has a unitriangular minor on the difference-two columns of
-    its rows, so that rank E is its row count (see the module docstring).
-
-    Row i, for the i-th padded partition nu of ``_row_partitions``, has the
-    DT column with indices -(nu + 2 delta) - 1 - two_r.  The check is that
-    this column is in the domain, that its entry in row i is +-1, and that
-    it has no nonzero entry in a row before i."""
-    shift = 1 + IDEALS[tag].two_r
-    staircase = range(2 * charge - 2, -1, -2)
-    columns = matrix.columns()
-    for i, nu in enumerate(_row_partitions(heisenberg_size(tag, weight, charge), charge)):
-        j = domain.get(tuple(-a - s - shift for a, s in zip(nu, staircase)))
-        column = columns.get(j)
-        if not column or min(column) != i or column[i] not in (1, -1):
-            return False
-    return True
+def _full_row_rank(matrix: SparseMatQ) -> bool:
+    """Whether every row of ``matrix`` is the least nonzero row of some
+    column, which proves that its rank is its row count: one such column
+    per row gives a lower triangular minor with a nonzero diagonal.  On
+    ``eval_matrix`` the DT columns are such columns, so the check closes on
+    every piece (see the module docstring)."""
+    return len({min(column) for column in matrix.columns().values()}) == matrix.n_rows
 
 
 def _fock_check(
@@ -513,15 +490,6 @@ def _fock_check(
     return wider is None, wider
 
 
-def _evaluation(tag: str, weight: int, charge: int) -> tuple[SparseMatQ, Domain, bool]:
-    """The E side of one piece: the matrix E of ``eval_matrix``, the domain
-    index, and whether ``_full_row_rank`` proves rank E = n_rows."""
-    monos = enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor)
-    domain = {mono.indices: j for j, mono in enumerate(monos)}
-    matrix = eval_matrix(tag, weight, charge)
-    return matrix, domain, _full_row_rank(tag, weight, charge, matrix, domain)
-
-
 def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
     """Compare the kernel of the evaluation map with the ideal piece.
 
@@ -531,15 +499,17 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
     the kernel basis (``kernel_basis``) is checked against the Fock matrix
     (``_fock_check``), and a vector in one of the two kernels and not the
     other is the witness.  Given both, the certificate of the module
-    docstring decides the piece: the minor gives dim ker E = n - n_rows,
-    and the distinct leads of the ideal rows reach it.  It cannot close on
-    a real failure, where rank I < dim ker E.  Otherwise the piece falls
-    back to exact rational elimination: the kernel basis gives dim ker E
-    unless the minor did, ``span_dim`` gives rank I, and a kernel vector
-    outside the ideal span is the witness."""
+    docstring decides the piece: ``_full_row_rank`` gives dim ker E = n -
+    n_rows, and the distinct leads of the ideal rows reach it.  It cannot
+    close on a real failure, where rank I < dim ker E.  Otherwise the piece
+    falls back to exact rational elimination: the kernel basis gives dim
+    ker E unless ``_full_row_rank`` did, ``span_dim`` gives rank I, and a
+    kernel vector outside the ideal span is the witness."""
     global fallbacks
-    matrix, domain, full_rank = _evaluation(tag, weight, charge)
-    n = len(domain)
+    monos = enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor)
+    n = len(monos)
+    matrix = eval_matrix(tag, weight, charge)
+    full_rank = _full_row_rank(matrix)
     ideal = ideal_piece(tag, weight, charge)
     rows = _ideal_rows(ideal, matrix)
     witness = None if rows.witness is None else str(rows.witness)
@@ -552,13 +522,13 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
     if weight <= FOCK_CHECK_WEIGHT:
         fock_ok, disagreement = _fock_check(tag, weight, charge, matrix, kernel)
         if disagreement is not None and witness is None:
-            witness = _as_poly(disagreement, domain)
+            witness = _as_poly(disagreement, monos)
     kernel_ok = containment_ok and fock_ok
     equality_ok = kernel_ok and full_rank and rows.leads >= dim_kernel
     dim_ideal = dim_kernel
     if not equality_ok:
         fallbacks += 1
-        vecs, n_cols = _coordinate_rows(ideal, domain)
+        vecs, n_cols = _coordinate_rows(ideal, monos)
         dim_ideal = span_dim(vecs, n_cols)
         equality_ok = kernel_ok and dim_ideal == dim_kernel
         if kernel_ok and not equality_ok:
@@ -566,7 +536,7 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
             # a mismatch means some kernel vector escapes the ideal span
             for vec in kernel_basis(matrix) if kernel is None else kernel:
                 if span_dim([*vecs, vec], n_cols) > dim_ideal:
-                    witness = _as_poly(vec, domain)
+                    witness = _as_poly(vec, monos)
                     break
     return PieceReport(
         module_tag=tag,
@@ -582,9 +552,8 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
     )
 
 
-def _as_poly(vec: Vector, domain: Domain) -> str:
-    indices = list(domain)
-    return str(PolyQ({Monomial(indices[j]): c for j, c in vec.items()}))
+def _as_poly(vec: Vector, monos: tuple[Monomial, ...]) -> str:
+    return str(PolyQ({monos[j]: c for j, c in vec.items()}))
 
 
 def _require_tag(tag: str) -> None:
@@ -629,8 +598,8 @@ def graded_dims(tag: str, max_weight: int) -> dict[tuple[int, int], int]:
     dims: dict[tuple[int, int], int] = {}
     for weight in range(max_weight + 1):
         for charge in charge_range(tag, weight):
-            matrix, _, full = _evaluation(tag, weight, charge)
-            dims[(weight, charge)] = matrix.n_rows if full else rank(matrix)
+            m = eval_matrix(tag, weight, charge)
+            dims[(weight, charge)] = m.n_rows if _full_row_rank(m) else rank(m)
     return dims
 
 

@@ -11,7 +11,8 @@ from principal_subspaces.poly import PolyQ, enumerate_monomials, x
 @pytest.fixture
 def force_certificate_off(monkeypatch):
     """Make the halves of the certificate of ``piece_report`` decline on
-    every piece, from the call on: the minor check, and the lead count that
+    every piece, from the call on: the row-rank check
+    ``verify._full_row_rank``, and the lead count that
     ``verify._ideal_rows`` takes, set to -1, below every kernel dimension
     (the witness is still found).  Each half can be left on with
     ``minor=False`` or ``leads=False``."""

@@ -1,5 +1,6 @@
 """Evaluation matrices, kernel-ideal comparison and the partition oracle."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -218,16 +219,17 @@ def test_heisenberg_size_and_charge_range_in_integers():
 
 def test_functional_and_fock_kernels_agree_to_weight_16():
     """The functional matrix has the reduced kernel basis of the Fock
-    matrix on every piece to weight 16, and its rows are independent by the
-    unitriangular minor."""
+    matrix on every piece to weight 16, and its rows are independent: every
+    row tops a column (``_full_row_rank``), and the minor on the DT columns
+    is unitriangular (``dt_minor``)."""
     for tag in TAGS:
         for weight in range(17):
             for charge in charge_range(tag, weight):
                 m = eval_matrix(tag, weight, charge)
                 fock = fock_matrix(tag, weight, charge)
                 assert kernel_basis(m) == kernel_basis(fock), (tag, weight, charge)
-                domain = domain_index(tag, weight, charge)
-                assert verify._full_row_rank(tag, weight, charge, m, domain)
+                assert verify._full_row_rank(m)
+                assert dt_minor(tag, weight, charge, m), (tag, weight, charge)
 
 
 def no_elimination(*args):
@@ -235,8 +237,8 @@ def no_elimination(*args):
 
 
 def test_graded_dims_certified_by_the_row_count(monkeypatch):
-    """The ranks are the row counts, proved by the unitriangular minor
-    without any elimination, and agree with the difference-two partition
+    """The ranks are the row counts, proved by ``_full_row_rank`` without
+    any elimination, and agree with the difference-two partition
     counts."""
     monkeypatch.setattr(linalg, "_echelon", no_elimination)
     dims0 = graded_dims("lambda0", 14)
@@ -246,7 +248,7 @@ def test_graded_dims_certified_by_the_row_count(monkeypatch):
 
 
 def test_graded_dims_fall_back_to_the_rational_rank(monkeypatch, force_certificate_off):
-    """With the minor check always declining, every rank comes from
+    """With the row-rank check always declining, every rank comes from
     rational elimination, and the dimensions are unchanged."""
     certified = {tag: graded_dims(tag, 10) for tag in TAGS}
     real_rank, calls = linalg.rank, []
@@ -270,17 +272,34 @@ def test_sandwich_closes_on_every_piece_to_weight_24(monkeypatch):
     assert verify.fallbacks == 0
 
 
-def dt_column(tag, weight, charge, i):
-    """The column of the difference-two monomial of row i of eval_matrix:
+def dt_columns(tag, weight, charge):
+    """The column of the difference-two monomial of each row of eval_matrix:
     the row's padded partition plus the staircase (2(k-1), ..., 2, 0) is the
     exponent e, and m_j = -e_j - 1 - 2r."""
-    spec = IDEALS[tag]
+    two_r = IDEALS[tag].two_r
     size = heisenberg_size(tag, weight, charge)
-    nu = verify._row_partitions(size, charge)[i]
-    assert sum(nu) == size and list(nu) == sorted(nu, reverse=True)
-    e = [a + 2 * (charge - 1 - j) for j, a in enumerate(nu)]
-    mono = Monomial(tuple(-ej - 1 - spec.two_r for ej in e))
-    return enumerate_monomials(weight, charge, spec.ambient_floor).index(mono)
+    domain = domain_index(tag, weight, charge)
+    columns = []
+    for nu in verify._row_partitions(size, charge):
+        assert sum(nu) == size and list(nu) == sorted(nu, reverse=True)
+        e = [a + 2 * (charge - 1 - j) for j, a in enumerate(nu)]
+        columns.append(domain[tuple(sorted(-ej - 1 - two_r for ej in e))])
+    return columns
+
+
+def dt_column(tag, weight, charge, i):
+    return dt_columns(tag, weight, charge)[i]
+
+
+def dt_minor(tag, weight, charge, m):
+    """The DT statement: the DT column of each row i has its least nonzero
+    row at i, with the entry +-1, so the minor on the DT columns is lower
+    triangular with +-1 on the diagonal."""
+    columns = m.columns()
+    return all(
+        j in columns and min(columns[j]) == i and columns[j][i] in (1, -1)
+        for i, j in enumerate(dt_columns(tag, weight, charge))
+    )
 
 
 def zero_diagonal(tag, weight, charge, m):
@@ -301,22 +320,102 @@ def test_certificate_declines_on_a_broken_minor(
     monkeypatch, force_certificate_off, tag, mutate
 ):
     """An evaluation matrix with one diagonal entry of the DT minor set to
-    0, or with one entry added in a row before the diagonal, makes the
-    minor check decline, and the report is the one the rational path gives
-    with the certificate forced off."""
+    0, or with one entry added in a row before the diagonal, leaves a row
+    that tops no column, so ``_full_row_rank`` declines, and the report is
+    the one the rational path gives with the certificate forced off."""
     weight, charge = 12, 2
-    domain = domain_index(tag, weight, charge)
     real = eval_matrix(tag, weight, charge)
     assert real.n_rows >= 2
-    assert verify._full_row_rank(tag, weight, charge, real, domain)
+    assert verify._full_row_rank(real)
     mutant = linalg.SparseMatQ(real.n_rows, real.n_cols, mutate(tag, weight, charge, real))
-    assert not verify._full_row_rank(tag, weight, charge, mutant, domain)
+    assert not verify._full_row_rank(mutant)
     monkeypatch.setattr(verify, "eval_matrix", lambda *piece: mutant)
     monkeypatch.setattr(verify, "fallbacks", 0)
     report = piece_report(tag, weight, charge)
     assert verify.fallbacks == 1
     force_certificate_off()
     assert piece_report(tag, weight, charge) == report
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_row_rank_accepts_a_doubled_row_that_the_dt_statement_declines(
+    monkeypatch, force_certificate_off, tag
+):
+    """Row 0 of E on (12, 2) doubled keeps the kernel, but the entry of its
+    DT column becomes +-2, so the DT statement no longer holds.  Row 0 still
+    tops that column, so ``_full_row_rank`` accepts, the certificate
+    decides the piece, and the report is the unmutated one and the one of
+    the rational path."""
+    weight, charge = 12, 2
+    real = eval_matrix(tag, weight, charge)
+    doubled = linalg.SparseMatQ(
+        real.n_rows,
+        real.n_cols,
+        {(i, j): 2 * v if i == 0 else v for (i, j), v in real.entries.items()},
+    )
+    assert kernel_basis(doubled) == kernel_basis(real)
+    assert dt_minor(tag, weight, charge, real)
+    assert not dt_minor(tag, weight, charge, doubled)
+    assert verify._full_row_rank(doubled)
+    report = piece_report(tag, weight, charge)
+    monkeypatch.setattr(verify, "eval_matrix", lambda *piece: doubled)
+    monkeypatch.setattr(verify, "fallbacks", 0)
+    assert piece_report(tag, weight, charge) == report
+    assert verify.fallbacks == 0
+    force_certificate_off()
+    assert piece_report(tag, weight, charge) == report
+
+
+def determinant(rows):
+    """The determinant of a square integer matrix, by the Leibniz formula."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        product = sign
+        for i, j in enumerate(perm):
+            product *= rows[i][j]
+        total += product
+    return total
+
+
+def test_row_rank_check_is_sound_on_every_small_matrix():
+    """On every 2x2, 2x3 and 3x2 matrix with entries in {-1, 0, 1, 2},
+    ``_full_row_rank`` holds only where some n_rows x n_rows minor has a
+    nonzero determinant, and it holds wherever the columns can be chosen
+    and ordered to make a lower triangular minor with a nonzero diagonal,
+    pivots of 2 included.  A matrix with no rows has full row rank."""
+    assert verify._full_row_rank(linalg.SparseMatQ(0, 0))
+    assert verify._full_row_rank(linalg.SparseMatQ(0, 3))
+    accepted = declined_at_full_rank = pivot_two = 0
+    for n_rows, n_cols in ((2, 2), (2, 3), (3, 2)):
+        cells = [(i, j) for i in range(n_rows) for j in range(n_cols)]
+        for values in itertools.product((-1, 0, 1, 2), repeat=len(cells)):
+            entries = dict(zip(cells, values))
+            rows = [[entries[(i, j)] for j in range(n_cols)] for i in range(n_rows)]
+            full = any(
+                determinant([[row[j] for j in chosen] for row in rows])
+                for chosen in itertools.combinations(range(n_cols), n_rows)
+            )
+            triangular = [
+                chosen
+                for chosen in itertools.permutations(range(n_cols), n_rows)
+                if all(
+                    rows[i][j] and not any(rows[r][j] for r in range(i))
+                    for i, j in enumerate(chosen)
+                )
+            ]
+            verdict = verify._full_row_rank(linalg.SparseMatQ(n_rows, n_cols, entries))
+            assert not verdict or full, rows
+            assert verdict or not triangular, rows
+            accepted += verdict
+            declined_at_full_rank += full and not verdict
+            pivot_two += any(
+                2 in (rows[i][j] for i, j in enumerate(chosen)) for chosen in triangular
+            )
+    assert accepted and declined_at_full_rank and pivot_two
+    # a pivot of -2
+    pivot = linalg.SparseMatQ(2, 2, {(0, 1): -2, (1, 0): -2, (1, 1): 1})
+    assert verify._full_row_rank(pivot)
 
 
 def lead(poly):
@@ -437,18 +536,17 @@ TERM_MUTANTS = ("wrong-weight", "wrong-charge", "above-floor")
 def test_one_pass_ideal_rows_equal_the_coordinates_route(
     floor_minus_one_piece, ideal_rows_by_three_passes, patch_relation, mutant
 ):
-    """On every piece to weight 16, for all tags, ``_ideal_rows`` gives
-    the witness element and lead count, and ``_coordinate_rows`` the rows and
+    """On every piece to weight 16, for all tags, ``_ideal_rows`` gives the
+    witness element and lead count, and ``_coordinate_rows`` the rows and
     column count, of three separate passes over the polynomials
-    (``ideal_rows_by_three_passes``), and to weight 12 the rows are those
-    of ``coordinates``.  The domain index comes back unchanged.  The
-    mutants reach the other inputs: weight-4 coefficients set to 1 (the
-    one ``test_cli`` builds; witnesses) or halved to c/2 (Fraction
-    coefficients), lambda1prime with floor -1 relations (columns outside
-    the domain), the weight-6 relation set to zero (empty rows, and fewer
-    leads than the kernel dimension), and one term added to it that fails
-    the generator check: of weight 7, of charge 3, or with the index 0
-    above the floor (columns outside the domain)."""
+    (``ideal_rows_by_three_passes``), and to weight 12 the rows are those of
+    ``coordinates``.  The mutants reach the other inputs: weight-4
+    coefficients set to 1 (the one ``test_cli`` builds; witnesses) or halved
+    to c/2 (Fraction coefficients), lambda1prime with floor -1 relations
+    (columns outside the domain), the weight-6 relation set to zero (empty
+    rows, and fewer leads than the kernel dimension), and one term added to
+    it that fails the generator check: of weight 7, of charge 3, or with the
+    index 0 above the floor (columns outside the domain)."""
     piece = floor_minus_one_piece if mutant == "floor-1" else ideal_piece
     if mutant in RELATION_MUTANTS:
         patch_relation(*RELATION_MUTANTS[mutant])
@@ -461,8 +559,7 @@ def test_one_pass_ideal_rows_equal_the_coordinates_route(
                 matrix = eval_matrix(tag, weight, charge)
                 ideal = piece(tag, weight, charge)
                 rows = verify._ideal_rows(ideal, matrix)
-                vecs, n_cols = verify._coordinate_rows(ideal, domain)
-                assert domain == domain_index(tag, weight, charge)
+                vecs, n_cols = verify._coordinate_rows(ideal, monos)
                 polys = list(ideal)
                 want_vecs, want_cols, witness, leads = ideal_rows_by_three_passes(
                     polys, domain, matrix
@@ -491,7 +588,7 @@ def test_one_pass_ideal_rows_equal_the_coordinates_route(
 def test_each_half_of_the_certificate_declines_alone(
     monkeypatch, force_certificate_off, half
 ):
-    """With only the minor check, or only the lead count, forced to
+    """With only the row-rank check, or only the lead count, forced to
     decline, every piece of a weight-8 verify falls back to rational
     elimination, and every report is unchanged."""
     certified = [verify_presentation(tag, 8) for tag in TAGS]
