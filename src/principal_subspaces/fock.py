@@ -41,18 +41,27 @@ every lattice point, in both cosets, are one image relabelled.
 Vectors are ``FockVector``s, the exact linear combinations of ``poly``
 over Fock states.  x(m) on the basis states (mu; r) is computed once for
 each value of m + 2r and tabulated, keyed by the plain tuple (m + 2r, mu),
-as integer numerators over their least common denominator: a dense tuple
-with one numerator for each partition of the target size, in
-``partitions`` order.  No ``FockState`` is built inside the tables.
-Monomial actions and the square-zero check both sum such images through
-one accumulator, ``_x_sum``, which brings them to a common denominator and
-adds them position by position in one dense list per (coset, size).  ``apply_monomial``, which ``x_act`` calls with one
-generator, carries plain (mu, 2r, numerator) triples from one x(m) to the
-next and builds the ``FockState`` keys and ``Fraction`` coefficients of its
-result once, at the end.  The tables (x(m) images, partitions with
-their z-factors, and ``_insert_part``, the positions a created part moves a
-partition to) are ``functools.cache`` functions: unbounded, kept for the
-life of the process, and each reports ``cache_info()``.
+in the basis a(-lambda)/z_lambda: a dense tuple with one integer for each
+partition lambda of the target size, in ``partitions`` order.  In that
+basis the base case is all ones (Macdonald I.2: h_n = sum p_lambda /
+z_lambda), and a(-n) moves the coordinate of lambda to lambda + n with the
+weight z_{lambda+n} / z_lambda = n (mult_n(lambda) + 1), so every image is
+an integer tuple with no denominator.  No ``FockState`` is built inside the
+tables.  Monomial actions and the square-zero check both sum such images
+through one accumulator, ``_x_sum``, which adds them position by position
+in one dense list per (coset, size).  The tables are keyed by the states
+(lambda; r) of the basis a(-lambda), so between two x(m) a sum goes back to
+that basis through ``_unscaled``: each coordinate over its z_lambda, all
+times one common multiple, the lcm of the z_lambda present.  Every z_lambda
+is read from ``_partitions_with_z``.  ``apply_monomial``, which ``x_act``
+calls with one generator, carries plain (2r, mu, numerator) triples from
+one x(m) to the next over one common denominator, and builds the
+``FockState`` keys and ``Fraction`` coefficients of its result once, at the
+end, each coordinate over the denominator times its z_lambda.  The tables
+(x(m) images, partitions with their z-factors, and ``_insert_part``, the
+positions and weights of a(-n) in the basis a(-lambda)/z_lambda) are
+``functools.cache`` functions: unbounded, kept for the life of the process,
+and each reports ``cache_info()``.
 """
 
 from __future__ import annotations
@@ -62,7 +71,7 @@ import functools
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .poly import LinearCombination, Monomial, Scalar
 
@@ -203,87 +212,95 @@ def heis_act(n: int, v: FockVector | FockState) -> FockVector:
     return FockVector(out)
 
 
-# x(m) on a basis state (mu; r), as integer numerators over their least
-# common denominator: (denominator, numerators), one numerator for each
-# partition lambda of the target size |mu| - m - 1 - 2r, in partitions(size, 1)
-# order, on the states (lambda; r + 1).  A zero image is (1, ()).
-_XImage = tuple[int, tuple[int, ...]]
+# x(m) on a basis state (mu; r) in the basis a(-lambda)/z_lambda: one integer
+# coordinate for each partition lambda of the target size |mu| - m - 1 - 2r,
+# in partitions(size, 1) order, on the states (lambda; r + 1).  A zero image
+# is ().
+_XImage = tuple[int, ...]
 
 
 @functools.cache
 def _x_on_state(s: int, mu: tuple[int, ...]) -> _XImage:
     """x(m) on (mu; r) for every m + 2r = s, by the recursion of the module
-    docstring."""
+    docstring, in the basis a(-lambda)/z_lambda.  The base case
+    sum_lambda a(-lambda)/z_lambda is all ones (Macdonald I.2: h_n =
+    sum_lambda p_lambda/z_lambda), and a(-n) moves each coordinate by
+    ``_insert_part``, so every image is an integer tuple."""
     size = sum(mu) - s - 1
     if size < 0:
-        return (1, ())
+        return ()
     if not mu:
-        # numerators over size!, which every z-factor divides
-        scale = math.factorial(size)
-        return _reduced(scale, [scale // z for _, z in _partitions_with_z(size)])
+        return (1,) * len(partitions(size, 1))
     n = mu[-1]
     rest = mu[:-1]
-    den_created, created = _x_on_state(s, rest)
-    den_shifted, shifted = _x_on_state(s - n, rest)
-    den = math.lcm(den_created, den_shifted)
+    created = _x_on_state(s, rest)
+    shifted = _x_on_state(s - n, rest)
     # the shifted image has the target size; the created one has size - n
-    scale = _PAIRING * (den // den_shifted)
-    acc = [-scale * num for num in shifted] or [0] * len(partitions(size, 1))
-    scale = den // den_created
-    for i, num in zip(_insert_part(size - n, n), created):
-        acc[i] += scale * num
-    return _reduced(den, acc)
+    acc = [-_PAIRING * c for c in shifted] or [0] * len(partitions(size, 1))
+    positions, weights = _insert_part(size - n, n)
+    for i, w, c in zip(positions, weights, created):
+        acc[i] += w * c
+    return tuple(acc) if any(acc) else ()
 
 
 @functools.cache
-def _insert_part(size: int, n: int) -> tuple[int, ...]:
-    """For each partition of size, in partitions(size, 1) order, the position
-    in partitions(size + n, 1) of the partition with the part n added; a(-n)
-    maps distinct states to distinct states, so the positions are distinct."""
+def _insert_part(size: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """a(-n) in the basis a(-lambda)/z_lambda, for each partition lambda of
+    size in partitions(size, 1) order: (positions, weights).  The position is
+    that of lambda + n in partitions(size + n, 1); a(-n) maps distinct states
+    to distinct states, so the positions are distinct.  The weight is
+    z_{lambda+n} / z_lambda = n (mult_n(lambda) + 1), since a(-n) a(-lambda) /
+    z_lambda = (z_{lambda+n} / z_lambda) a(-lambda-n) / z_{lambda+n}."""
     index = {lam: i for i, lam in enumerate(partitions(size + n, 1))}
-    positions = []
+    positions, weights = [], []
     for lam in partitions(size, 1):
         i = bisect.bisect_right(lam, n)
         positions.append(index[lam[:i] + (n,) + lam[i:]])
-    return tuple(positions)
+        weights.append(n * (i - bisect.bisect_left(lam, n, 0, i) + 1))
+    return tuple(positions), tuple(weights)
 
 
-def _reduced(den: int, nums: list[int]) -> _XImage:
-    """nums/den with the common factor removed."""
-    if not any(nums):
-        return (1, ())
-    g = math.gcd(den, *nums)
-    return (den // g, tuple([n // g for n in nums]))
-
-
-# a sum of x(m) images: {(two_r, size): numerators}, one dense list over
-# partitions(size, 1) for the states (lambda; two_r/2) with |lambda| = size
+# a sum of x(m) images in the basis a(-lambda)/z_lambda: {(two_r, size):
+# coordinates}, one dense list over partitions(size, 1) for the states
+# (lambda; two_r/2) with |lambda| = size
 _XSum = dict[tuple[int, int], list[int]]
 
 
-def _x_sum(
-    den: int, terms: Iterable[tuple[int, tuple[int, ...], int, int]]
-) -> tuple[int, _XSum]:
+def _x_sum(terms: Iterable[tuple[int, tuple[int, ...], int, int]]) -> _XSum:
     """The sum of n x(m) (mu; two_r/2) over the (m + two_r, mu, two_r, n) in
-    terms, divided by den, in integer form: (common denominator, dense
-    numerators).  The lists are keyed by size, not by length: p(0) = p(1) = 1."""
-    images = [
-        (two_r + 2, sum(mu) - s - 1, n, _x_on_state(s, mu))
-        for s, mu, two_r, n in terms
-    ]
-    step = math.lcm(*(d for _, _, _, (d, _) in images))
+    terms, in the basis a(-lambda)/z_lambda.  The lists are keyed by size,
+    not by length: p(0) = p(1) = 1."""
     out: _XSum = {}
-    for two_r, size, n, (d, nums) in images:
-        if not nums:
+    for s, mu, two_r, n in terms:
+        image = _x_on_state(s, mu)
+        if not image:
             continue
-        scale = n * (step // d)
-        acc = out.get((two_r, size))
-        out[(two_r, size)] = (
-            [scale * t for t in nums]
+        key = (two_r + 2, sum(mu) - s - 1)
+        acc = out.get(key)
+        out[key] = (
+            [n * c for c in image]
             if acc is None
-            else [a + scale * t for a, t in zip(acc, nums)]
+            else [a + n * c for a, c in zip(acc, image)]
         )
-    return den * step, out
+    return out
+
+
+def _unscaled(
+    blocks: Iterable[tuple[object, int, Sequence[int]]],
+) -> tuple[int, list[tuple[object, tuple[int, ...], int]]]:
+    """Blocks (key, size, coordinates in the basis a(-lambda)/z_lambda) in
+    the basis a(-lambda), times one common multiple of the z_lambda present:
+    (that multiple Z, [(key, lambda, c_lambda Z / z_lambda)] over the nonzero
+    c_lambda).  Z is the lcm of those z_lambda, read from
+    ``_partitions_with_z``."""
+    entries = [
+        (key, lam, z, c)
+        for key, size, coords in blocks
+        for (lam, z), c in zip(_partitions_with_z(size), coords)
+        if c
+    ]
+    common = math.lcm(*(z for _, _, z, _ in entries))
+    return common, [(key, lam, c * (common // z)) for key, lam, z, c in entries]
 
 
 def x_act(m: int, v: FockVector | FockState) -> FockVector:
@@ -312,22 +329,27 @@ def weight_charge(v: FockVector | FockState) -> tuple[Fraction, Fraction]:
 def apply_monomial(mono: Monomial, v: FockVector | FockState) -> FockVector:
     """Act by the monomial x(m1)...x(mk), rightmost (largest) index first.
     The components commute, so the order is a convention, not a choice."""
-    # v as integer numerators over the least common denominator den
     terms = _as_vector(v).terms
+    if not mono.indices:
+        return FockVector._from_terms({s: Fraction(c) for s, c in terms.items()})
+    # v as integer numerators over the least common denominator den
     den = math.lcm(*(c.denominator for c in terms.values()))
-    states = [(s.mu, s.two_r, c.numerator * (den // c.denominator)) for s, c in terms.items()]
-    for m in reversed(mono.indices):
-        if not states:
+    states = [(s.two_r, s.mu, c.numerator * (den // c.denominator)) for s, c in terms.items()]
+    for step, m in enumerate(reversed(mono.indices)):
+        if step:
+            # the image in the basis a(-lambda), for the next x(m)
+            scale, states = _unscaled((two_r, size, acc) for (two_r, size), acc in out.items())
+            den *= scale
+        out = _x_sum((m + two_r, mu, two_r, n) for two_r, mu, n in states)
+        if not out:
             break
-        den, out = _x_sum(den, ((m + two_r, mu, two_r, n) for mu, two_r, n in states))
-        states = [
-            (lam, two_r, t)
-            for (two_r, size), acc in out.items()
-            for lam, t in zip(partitions(size, 1), acc)
-            if t
-        ]
     return FockVector._from_terms(
-        {FockState(mu, _two_r=two_r): Fraction(n, den) for mu, two_r, n in states}
+        {
+            FockState(lam, _two_r=two_r): Fraction(c, den * z)
+            for (two_r, size), acc in out.items()
+            for (lam, z), c in zip(_partitions_with_z(size), acc)
+            if c
+        }
     )
 
 
@@ -380,6 +402,16 @@ def check_square_zero(weight_bound: int) -> bool:
     to one.  Each check therefore decides every distinct (t - 4r, mu) of its
     range once, with ``_component_kills``; the keys are collected afresh on
     every call, and no verdict is kept between calls.
+
+    The zero test is exact although no image carries a denominator.
+    ``_component_kills`` takes the first images in the basis
+    a(-mid)/z_mid, multiplies each coordinate by Z / z_mid, with Z one
+    common positive multiple of the z_mid present, and sums the second
+    images in the basis a(-lambda)/z_lambda.  So it holds Z S_u (mu; 0)
+    with the coefficient of each a(-lambda) multiplied by z_lambda.
+    Multiplying every term by the same positive integer Z, and every
+    coordinate by z_lambda > 0, cannot turn a nonzero vector into zero, so
+    the integer lists are zero exactly when S_u (mu; 0) is.
     """
     if weight_bound < 1:
         raise ValueError("weight_bound must be >= 1")
@@ -417,20 +449,15 @@ def _component_kills(u: int, mu: tuple[int, ...]) -> bool:
     """S_u (mu; 0) == 0, with the pairs truncated and folded as described in
     check_square_zero; it decides S_t (mu; r) for every t - 4r = u."""
     m_top = sum(mu) - 1
-    firsts = []
-    for m2 in range(-u - m_top, (-u) // 2 + 1):
-        m1 = -u - m2
-        pair_factor = 1 if m1 == m2 else 2
-        # the first image has size m_top - m1
-        firsts.append((m2, m_top - m1, pair_factor, _x_on_state(m1, mu)))
-    # the first images over one common denominator; the zero test is then
-    # literal integer cancellation
-    common = math.lcm(*(den for _, _, _, (den, _) in firsts))
-    # the second x(m2) acts on the charge-1 states (mid; 1)
+    # the first images, with the size of each and the pair factor
+    firsts = (
+        ((m2, 1 if -u - m2 == m2 else 2), m_top + u + m2, _x_on_state(-u - m2, mu))
+        for m2 in range(-u - m_top, (-u) // 2 + 1)
+    )
+    # the second x(m2) acts on the charge-1 states (mid; 1) of the basis
+    # a(-mid), so the first images leave the basis a(-mid)/z_mid
+    _, mids = _unscaled(firsts)
     terms = [
-        (m2 + 2, mid, 2, pair_factor * (common // den) * n1)
-        for m2, size, pair_factor, (den, first) in firsts
-        for mid, n1 in zip(partitions(size, 1), first)
-        if n1
+        (m2 + 2, mid, 2, pair_factor * n1) for (m2, pair_factor), mid, n1 in mids
     ]
-    return not any(any(acc) for acc in _x_sum(common, terms)[1].values())
+    return not any(any(acc) for acc in _x_sum(terms).values())

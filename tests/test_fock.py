@@ -145,12 +145,24 @@ def test_x_action_is_additive_across_sizes_and_cosets(m, mu_v, two_r_v, mu_w, tw
 def test_insert_part_positions():
     for size in range(13):
         for n in range(1, 13):
-            positions = fock._insert_part(size, n)
+            positions, _ = fock._insert_part(size, n)
             targets = partitions(size + n, 1)
             assert len(set(positions)) == len(positions) == len(partitions(size, 1))
             assert set(positions) == {i for i, lam in enumerate(targets) if n in lam}
             for lam, i in zip(partitions(size, 1), positions):
                 assert targets[i] == tuple(sorted(lam + (n,)))
+
+
+def test_insert_part_weights_are_z_ratios():
+    # a(-n) a(-lambda) / z_lambda = (z_{lambda+n} / z_lambda) a(-lambda-n) / z_{lambda+n}
+    for size in range(13):
+        for n in range(1, 13):
+            _, weights = fock._insert_part(size, n)
+            assert len(weights) == len(partitions(size, 1))
+            for lam, weight in zip(partitions(size, 1), weights):
+                z_after = fock._z_factor(tuple(sorted(lam + (n,))))
+                assert z_after % fock._z_factor(lam) == 0
+                assert weight == z_after // fock._z_factor(lam)
 
 
 def test_half_shift_examples():
@@ -202,6 +214,24 @@ def test_apply_monomial_matches_composition():
     mono = Monomial((-3, -1))
     assert apply_monomial(mono, VAC0) == x_act(-3, x_act(-1, VAC0))
     assert apply_monomial(Monomial(()), VAC0) == vec((VAC0, 1))
+    # both cosets, sizes 0 to 6, coefficients with unlike denominators
+    v = vec(
+        (VAC0, Fraction(1, 3)),
+        (FockState((1, 1), 0), Fraction(-5, 6)),
+        (FockState((2,), HALF), Fraction(7, 4)),
+        (FockState((1, 2, 3), -1), Fraction(2, 9)),
+        (FockState((1, 1, 2), -HALF), Fraction(-3, 10)),
+        (FockState((3, 3), 1), Fraction(11, 12)),
+    )
+    for indices in ((-3, -1), (-4, -2, -2), (-2, 0, 1)):
+        image = apply_monomial(Monomial(indices), v)
+        composed = v
+        by_formula = v
+        for m in reversed(indices):
+            composed = x_act(m, composed)
+            by_formula = x_act_by_exponential(m, by_formula)
+        assert not image.is_zero()
+        assert image == composed == by_formula
 
 
 def test_basis_states_order():
@@ -283,12 +313,12 @@ def partitions_with_z(n):
 
 
 def x_by_exponential(m, state):
-    """x(m) on a basis state as (denominator, {partition: numerator}),
-    reduced like the tables."""
+    """x(m) on a basis state as {partition: Fraction}, the coefficients of
+    the states (lambda; r + 1) in the basis a(-lambda)."""
     two_r = state.two_r
     degree_max = -m - 1 - two_r + sum(state.mu)
     if degree_max < 0:
-        return 1, {}
+        return {}
     # every z-factor of a created partition divides degree_max!
     scale = math.factorial(degree_max)
     acc = {}
@@ -297,11 +327,19 @@ def x_by_exponential(m, state):
         for lam, z in partitions_with_z(degree):
             target = tuple(sorted(kept + lam))
             acc[target] = acc.get(target, 0) + ann_coeff * (scale // z)
-    acc = {mu: n for mu, n in acc.items() if n}
-    if not acc:
-        return 1, {}
-    g = math.gcd(scale, *acc.values())
-    return scale // g, {mu: n // g for mu, n in acc.items()}
+    return {mu: Fraction(n, scale) for mu, n in acc.items() if n}
+
+
+def x_act_by_exponential(m, v):
+    """x(m) on a vector, every image from the exponential formula."""
+    return sum(
+        (
+            c * vec(*((FockState(lam, _two_r=state.two_r + 2), q) for lam, q in image.items()))
+            for state, c in v.terms.items()
+            if (image := x_by_exponential(m, state))
+        ),
+        FockVector(),
+    )
 
 
 def recursion_mismatches(size_max, two_r_range, m_min, m_over):
@@ -316,10 +354,15 @@ def recursion_mismatches(size_max, two_r_range, m_min, m_over):
             for mu in partitions(size, 1):
                 state = FockState(mu, _two_r=two_r)
                 for m in range(m_min, size + m_over + 1):
-                    den, nums = fock._x_on_state(m + two_r, mu)
-                    # one numerator per partition of the target size, or none
-                    targets = partitions(size - m - 1 - two_r, 1) if nums else ()
-                    image = (den, {lam: n for lam, n in zip(targets, nums, strict=True) if n})
+                    coords = fock._x_on_state(m + two_r, mu)
+                    # one coordinate per partition lambda of the target size,
+                    # or none, in the basis a(-lambda)/z_lambda
+                    targets = partitions_with_z(size - m - 1 - two_r) if coords else ()
+                    image = {
+                        lam: Fraction(c, z)
+                        for (lam, z), c in zip(targets, coords, strict=True)
+                        if c
+                    }
                     compared += 1
                     if image != x_by_exponential(m, state):
                         bad.append((m, state))
@@ -327,8 +370,8 @@ def recursion_mismatches(size_max, two_r_range, m_min, m_over):
 
 
 def test_recursion_equals_exponential_formula():
-    # the same integer images, denominators included, on 9774 pairs, one 2r
-    # at a time over both cosets; the zero images past the annihilation
+    # the same images, each coordinate over its z_lambda, on 9774 pairs, one
+    # 2r at a time over both cosets; the zero images past the annihilation
     # bound are compared too
     bad, compared = recursion_mismatches(8, range(-4, 5), -4, 5)
     assert compared == 9774
@@ -336,38 +379,66 @@ def test_recursion_equals_exponential_formula():
 
 
 REAL_X_ON_STATE = fock._x_on_state
+REAL_INSERT_PART = fock._insert_part
+# every functools.cache table of fock, as the module defines them
+FOCK_TABLES = {
+    name: table for name, table in vars(fock).items() if hasattr(table, "cache_clear")
+}
 
 
 @pytest.fixture
 def fresh_tables():
-    """Empty x(m) tables before and after, so a mutant neither reads real
-    images nor leaves its own behind.  Returns the function that empties
-    them, so a test can also reset warm tables partway through."""
+    """Empty every fock table before and after, so a mutant neither reads
+    real images, z-factors or a(-n) weights nor leaves its own behind.  This
+    is the one reset for the tables: a new ``functools.cache`` in fock is
+    emptied here too.  Returns the function that empties them, so a test can
+    also reset warm tables partway through."""
 
     def clear():
-        REAL_X_ON_STATE.cache_clear()
-        fock._partitions_with_z.cache_clear()
+        for table in FOCK_TABLES.values():
+            table.cache_clear()
 
     clear()
     yield clear
     clear()
 
 
+def test_fresh_tables_empties_every_fock_table(fresh_tables):
+    assert set(FOCK_TABLES) == {"partitions", "_partitions_with_z", "_insert_part", "_x_on_state"}
+    assert check_square_zero(3)
+    assert apply_monomial(Monomial((-2, -1)), FockState((1, 1), HALF))
+    assert all(table.cache_info().currsize for table in FOCK_TABLES.values())
+    fresh_tables()
+    assert not any(table.cache_info().currsize for table in FOCK_TABLES.values())
+
+
 def perturb_one_image(monkeypatch):
     """x(m) on a(-1) e^{r alpha} for m + 2r = -3, x(-3) on a(-1) e^0 among
-    them, with one numerator off by one; the recursion reads the perturbed
-    image through the module name."""
+    them, with one integer of the image in the basis a(-lambda)/z_lambda off
+    by one; the recursion reads the perturbed image through the module
+    name."""
 
     @functools.cache
     def perturbed(s, mu):
-        den, nums = REAL_X_ON_STATE(s, mu)
+        coords = REAL_X_ON_STATE(s, mu)
         if s == -3 and mu == (1,):
-            # the first numerator is that of partitions(3, 1)[0] = (1, 1, 1)
-            first, *rest = nums
-            return den, (first + 1, *rest)
-        return den, nums
+            # the first coordinate is that of partitions(3, 1)[0] = (1, 1, 1)
+            first, *rest = coords
+            return (first + 1, *rest)
+        return coords
 
     monkeypatch.setattr(fock, "_x_on_state", perturbed)
+
+
+def drop_multiplicity(monkeypatch):
+    """a(-n) weighted by n in place of z_{lambda+n} / z_lambda =
+    n (mult_n(lambda) + 1), wrong wherever lambda already has the part n."""
+
+    def unweighted(size, n):
+        positions, weights = REAL_INSERT_PART(size, n)
+        return positions, (n,) * len(weights)
+
+    monkeypatch.setattr(fock, "_insert_part", unweighted)
 
 
 RECURSION_MUTANTS = {
@@ -376,6 +447,8 @@ RECURSION_MUTANTS = {
     # z_lambda without its mult! factor, wrong on every repeated part
     "z_without_factorial": lambda mp: mp.setattr(fock, "_z_factor", math.prod),
     "one_image": perturb_one_image,
+    # the a(-n) weight of the recursion without mult_n(lambda) + 1
+    "weight_without_multiplicity": drop_multiplicity,
 }
 
 
@@ -512,12 +585,11 @@ def square_by_exponential(t, state):
     for m1 in range(-(t // 2), m_top + 1):
         m2 = -t - m1
         for first, second in {(m1, m2), (m2, m1)}:
-            den, mids = x_by_exponential(first, state)
-            for mid, n in mids.items():
-                den2, ends = x_by_exponential(second, FockState(mid, _two_r=two_r + 2))
-                for end, n2 in ends.items():
+            for mid, c in x_by_exponential(first, state).items():
+                ends = x_by_exponential(second, FockState(mid, _two_r=two_r + 2))
+                for end, c2 in ends.items():
                     any_nonzero = True
-                    total[end] = total.get(end, 0) + Fraction(n * n2, den * den2)
+                    total[end] = total.get(end, 0) + c * c2
     return {end: c for end, c in total.items() if c}, any_nonzero
 
 
