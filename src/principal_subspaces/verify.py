@@ -17,39 +17,48 @@ the piece of charge k, with d = ``heisenberg_size``, the row a(-lambda) of
 the Fock matrix (``fock_matrix``) is phi(p_lambda) / z_lambda, where phi(g)
 is the functional x(m_1)...x(m_k) -> [z^e] z^{2r} Delta^2 g and Delta^2 =
 prod_{i<j} (z_i - z_j)^2.  The p_lambda with lambda a partition of d span
-the symmetric polynomials of degree d in k variables, and so do the
-monomial symmetric polynomials m_nu with nu a partition of d into at most k
-parts, which are a basis.  Hence the rows phi(m_nu) of ``eval_matrix`` span
-the row space of the Fock matrix: the same kernel, rank and reduced kernel
-basis, from p_{<=k}(d) rows instead of p(d).  phi is injective, since
-multiplying by z^{2r} Delta^2 is and every exponent of z^{2r} Delta^2 g,
-sorted, is that of a domain monomial, so the rows are independent and the
-rank is the row count.
+the symmetric polynomials of degree d in k variables, and so do the Schur
+polynomials s_mu = a_{mu+delta} / a_delta with mu a partition of d into at
+most k parts, which are a basis (Macdonald, Symmetric Functions and Hall
+Polynomials, I.3).  Here delta = (k-1, ..., 1, 0), and a_lambda = sum_sigma
+sgn(sigma) z^{sigma lambda} is the alternant, so a_delta = Delta.  Hence
+the rows phi(s_mu) of ``eval_matrix`` span the row space of the Fock
+matrix: the same kernel, rank and reduced kernel basis, from p_{<=k}(d)
+rows instead of p(d).  phi is injective, since multiplying by z^{2r}
+Delta^2 is and every exponent of z^{2r} Delta^2 g, sorted, is that of a
+domain monomial, so the rows are independent and the rank is the row count.
 
-Each entry sums Delta^2 coefficients at the exponents f - a, for f = e -
-2r the column's exponent and a running over the orbit of nu, and
-``eval_matrix`` reads each as one integer lookup.  A tuple t is keyed by
-sum_i (t_i + offset) B^i, with radix B = 2(weight + d + 4) and offset d +
-1: f with the offset, each orbit element once per call without it, and the
-Delta^2 table, expanded by ``_vandermonde_squared``, re-keyed with it on
-each call that has rows.  Then key(f) - key(a) is one subtraction with the
-digits f_i - a_i + d + 1, and these and the Delta^2 digits all lie in
-[0, B), so two keys are equal only when their tuples are: no key aliases.
+A row needs no Delta^2: Delta^2 s_mu = a_delta a_lambda with lambda = mu +
+delta, and putting tau = sigma rho in the product of the two alternants,
 
-That count is proved on each matrix by ``_full_row_rank``, from the
-matrix alone: every row is the least nonzero row of some column.  Pick one
+    a_delta a_lambda = sum_rho sgn(rho) sum_sigma z^{sigma(delta + rho lambda)}.
+
+The product is symmetric, so the entry of a column depends only on its
+exponent f = e - 2r sorted decreasingly, and sigma(v) = f for exactly
+|Stab f| permutations sigma when v sorts to f, for none otherwise:
+
+    [z^f] a_delta a_lambda = |Stab f| sum_{rho : sort(delta + rho lambda) = f} sgn(rho).
+
+So a row is k! sorted tuples, one per signed permutation of
+``_signed_permutations``, and a piece is n_rows k! steps whatever its
+column count n.
+
+The rank, the row count, is proved on each matrix by ``_full_row_rank``,
+from the matrix alone: every row is the least nonzero row of some column.  Pick one
 such column c_i for each row i.  Column c_i is zero above row i, so the
 minor on c_0, ..., c_{n-1} is lower triangular with a nonzero diagonal,
 hence invertible over Q, and rank E = n_rows, dim ker E = n - n_rows.  A
 wrong matrix makes the check decline, never pass.  It always closes on
-``eval_matrix`` because of the difference-two (DT) columns.  Sort nu
-decreasingly, pad it with zeros to length k and add the staircase 2 delta
-= (2(k-1), ..., 2, 0): the exponent e = nu + 2 delta belongs to the column
-x(m_1)...x(m_k), m_i = -e_i - 1 - 2r, whose adjacent indices differ by at
-least two, the DT column of nu.  Delta^2 leads with z^{2 delta},
-coefficient 1, and Delta^2 m_nu has no monomial above 2 delta + nu, so with
-the rows in lexicographic order of the padded nu the DT column of row i
-has +-1 in row i and nothing above it.
+``eval_matrix`` because of the difference-two (DT) columns.  Pad mu with
+zeros to length k and add the staircase 2 delta = (2(k-1), ..., 2, 0): the
+exponent e = mu + 2 delta belongs to the column x(m_1)...x(m_k), m_i =
+-e_i - 1 - 2r, whose adjacent indices differ by at least two, the DT
+column of mu.  In the lexicographic order of exponent tuples a_delta leads
+with z^delta and a_lambda with z^lambda, each with coefficient 1, so
+a_delta a_{mu+delta} leads with z^{mu + 2 delta}, coefficient 1, and a row
+mu' <_lex mu has no monomial as high.  With the rows in lexicographic
+order of the padded mu, the DT column of row i has 1 in row i and nothing
+above it.
 
 The ideal side is read by ``_ideal_rows`` from the blocks of the
 ``IdealPiece``, a generator g (R_t at the floor, or x(-1)) with its
@@ -188,84 +197,64 @@ def fock_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
 
 
 @functools.cache
-def _vandermonde_squared(k: int) -> dict[tuple[int, ...], int]:
-    """The coefficients of prod_{i<j} (z_i - z_j)^2 in k variables, keyed
-    by exponent tuple."""
-    poly = {(0,) * k: 1}
-    for i, j in itertools.combinations(range(k), 2):
-        for _ in range(2):
-            out: dict[tuple[int, ...], int] = {}
-            for e, c in poly.items():
-                for var, sign in ((i, c), (j, -c)):
-                    f = e[:var] + (e[var] + 1,) + e[var + 1 :]
-                    new = out.get(f, 0) + sign
-                    if new:
-                        out[f] = new
-                    else:
-                        del out[f]
-            poly = out
-    return poly
-
-
-@functools.cache
-def _orbit(exponents: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The distinct permutations of an exponent tuple: the monomials of the
-    monomial symmetric polynomial it indexes."""
-    return tuple(sorted(set(itertools.permutations(exponents))))
-
-
-@functools.cache
 def _row_partitions(size: int, charge: int) -> tuple[tuple[int, ...], ...]:
-    """The partitions of size into at most charge parts, each sorted
+    """The partitions mu of size into at most charge parts, each sorted
     decreasingly and padded with zeros to length charge, in lexicographic
-    order: the rows of ``eval_matrix``, in which the DT column of each row
-    has no nonzero entry above it (see the module docstring)."""
+    order: the Schur rows s_mu of ``eval_matrix``, in which the DT column
+    of each row has no nonzero entry above it (see the module docstring).
+    They are generated directly, never filtered from all p(size)
+    partitions, which ``fock.partitions`` would keep for the process."""
+    return tuple(_decreasing_tuples(size, charge, size))
+
+
+def _decreasing_tuples(size: int, length: int, cap: int) -> Iterable[tuple[int, ...]]:
+    """The non-increasing tuples of the given length with entries in [0,
+    cap] summing to size, in lexicographic order: the first entry runs up
+    from the least it can be, the mean rounded up, or 0."""
+    if length == 0:
+        if size == 0:
+            yield ()
+        return
+    for first in range(max(-(-size // length), 0), min(cap, size) + 1):
+        for rest in _decreasing_tuples(size - first, length - 1, first):
+            yield (first,) + rest
+
+
+@functools.cache
+def _signed_permutations(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every permutation rho of range(k) with its sign sgn(rho)."""
     return tuple(
-        sorted(
-            nu[::-1] + (0,) * (charge - len(nu))
-            for nu in partitions(size, 1)
-            if len(nu) <= charge
-        )
+        (rho, (-1) ** sum(a > b for a, b in itertools.combinations(rho, 2)))
+        for rho in itertools.permutations(range(k))
     )
 
 
-def _key_layout(weight: int, size: int) -> tuple[int, int]:
-    """The radix B = 2(weight + d + 4) and the digit offset d + 1 of the
-    exponent keys of a piece of Heisenberg size d (see ``eval_matrix``)."""
-    return 2 * (weight + size + 4), size + 1
-
-
-def _key(exponents: tuple[int, ...] | list[int], radix: int, offset: int) -> int:
-    """The integer sum_i (t_i + offset) radix^i of an exponent tuple t."""
-    key = 0
-    for t in reversed(exponents):
-        key = key * radix + t + offset
-    return key
+def _stabilizer_order(f: tuple[int, ...]) -> int:
+    """|Stab f|, the number of permutations that fix a sorted tuple f: the
+    product of the factorials of its runs of equal entries."""
+    order = run = 1
+    for a, b in zip(f, f[1:]):
+        run = run + 1 if a == b else 1
+        order *= run
+    return order
 
 
 def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
     """Matrix of the evaluation map on one bidegree in the functional
     realization: columns are the domain monomials in canonical order, and
-    there is one row per partition nu of d = ``heisenberg_size`` with at
+    there is one row per partition mu of d = ``heisenberg_size`` into at
     most k = charge parts, in the order of ``_row_partitions``.  The entry
-    of row nu and column x(m_1)...x(m_k) is the integer
+    of row mu and column x(m_1)...x(m_k) is the integer
 
-        [z^e] z^{2r} Delta^2 m_nu(z_1, ..., z_k),   e_i = -m_i - 1,
+        [z^e] z^{2r} Delta^2 s_mu(z_1, ..., z_k) = [z^f] a_delta a_{mu+delta},
 
-    with 2r = two_r the doubled vacuum coordinate, Delta^2 = prod_{i<j}
-    (z_i - z_j)^2 and m_nu the monomial symmetric polynomial: the sum of the
-    Delta^2 coefficients at e - 2r - a over the distinct permutations a of
-    nu padded to length k.
-
-    Each lookup is one integer (``_key``): radix B = 2(weight + d + 4),
-    digit i the i-th exponent plus the offset d + 1.  The column exponent
-    f = e - 2r and the Delta^2 table are keyed with the offset, each orbit
-    element a once per call without it, so key(f) - key(a) has the digits
-    f_i - a_i + d + 1.  These lie in [0, B), as f_i is in [-1, weight] and
-    a_i in [0, d], and so do the Delta^2 digits, in [0, 2(k - 1)] plus d +
-    1 with k <= weight.  Digits in [0, B) fix the integer's tuple, so no
-    two tuples share a key.  Delta^2 comes from ``_vandermonde_squared``
-    and is re-keyed on every call with rows, never cached in this form.
+    with e_i = -m_i - 1, 2r = two_r the doubled vacuum coordinate, f = e -
+    2r sorted decreasingly, s_mu the Schur polynomial and a the alternants
+    of the module docstring.  It is |Stab f| (``_stabilizer_order``) times
+    the sum of sgn(rho) over the signed permutations rho of
+    ``_signed_permutations`` with sort(delta + rho(mu + delta)) = f, so a
+    row takes k! sorted tuples and Delta^2 is never expanded.  A tuple that
+    is no domain column is skipped; only a wrong ideal spec makes one.
 
     It has the row space of ``fock_matrix``, and so the same kernel, rank
     and reduced kernel basis.  Its rows are independent, so its rank is the
@@ -273,26 +262,27 @@ def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
     module docstring)."""
     spec = IDEALS[tag]
     monos = enumerate_monomials(weight, charge, spec.ambient_floor)
-    size = heisenberg_size(tag, weight, charge)
-    # no partition of a negative size: the rows are empty and Delta^2, of
-    # degree k(k-1) with k up to the weight, is never expanded
-    rows = _row_partitions(size, charge)
+    # no partition of a negative size: the rows are empty and the k!
+    # permutations, with k up to the weight, are never built
+    rows = _row_partitions(heisenberg_size(tag, weight, charge), charge)
     entries: dict[tuple[int, int], int] = {}
     if rows:
-        radix, offset = _key_layout(weight, size)
-        delta2 = {
-            _key(f, radix, offset): c
-            for f, c in _vandermonde_squared(charge).items()
-        }
-        get = delta2.get
-        orbits = [[_key(a, radix, 0) for a in _orbit(nu)] for nu in rows]
         shift = 1 + spec.two_r
-        for j, mono in enumerate(monos):
-            key = _key([-m - shift for m in mono.indices], radix, offset)
-            for i, orbit in enumerate(orbits):
-                v = sum([get(key - a, 0) for a in orbit])
-                if v:
-                    entries[(i, j)] = v
+        column = {
+            tuple([-m - shift for m in mono.indices]): j for j, mono in enumerate(monos)
+        }
+        delta = range(charge - 1, -1, -1)
+        signed = _signed_permutations(charge)
+        for i, mu in enumerate(rows):
+            lam = [a + b for a, b in zip(mu, delta)]
+            sums: dict[tuple[int, ...], int] = {}
+            for rho, sign in signed:
+                f = tuple(sorted([d + lam[p] for d, p in zip(delta, rho)], reverse=True))
+                sums[f] = sums.get(f, 0) + sign
+            for f, total in sums.items():
+                j = column.get(f)
+                if j is not None and total:
+                    entries[(i, j)] = total * _stabilizer_order(f)
     return SparseMatQ(len(rows), len(monos), entries)
 
 

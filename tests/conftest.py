@@ -1,6 +1,9 @@
 """Fixtures shared by the test modules.  Each returns a function, so a
 test can call it partway through."""
 
+import functools
+import itertools
+
 import pytest
 
 from principal_subspaces import relations, verify
@@ -47,21 +50,49 @@ def floor_minus_one_piece():
     return piece
 
 
+@functools.cache
+def _vandermonde_squared(k):
+    """The coefficients of prod_{i<j} (z_i - z_j)^2 in k variables, keyed
+    by exponent tuple."""
+    poly = {(0,) * k: 1}
+    for i, j in itertools.combinations(range(k), 2):
+        for _ in range(2):
+            out = {}
+            for e, c in poly.items():
+                for var, sign in ((i, c), (j, -c)):
+                    f = e[:var] + (e[var] + 1,) + e[var + 1 :]
+                    out[f] = out.get(f, 0) + sign
+            poly = {f: c for f, c in out.items() if c}
+    return poly
+
+
 @pytest.fixture
-def eval_matrix_by_tuples():
-    """The functional matrix of ``verify.eval_matrix`` with each entry
-    summed over the orbit by tuple lookups: the Delta^2 coefficient at e -
-    2r - a for every orbit element a, from the table that
-    ``verify._vandermonde_squared`` returns at call time."""
+def vandermonde_squared():
+    """The Delta^2 table of ``eval_matrix_by_monomial_rows``, as a function
+    of k."""
+    return _vandermonde_squared
+
+
+@pytest.fixture
+def eval_matrix_by_monomial_rows():
+    """The functional matrix with the monomial symmetric rows m_nu in place
+    of the Schur rows of ``verify.eval_matrix``, nu running over
+    ``verify._row_partitions``: the entry of row nu and column e is the sum
+    of the Delta^2 coefficients at e - 2r - a over the distinct
+    permutations a of nu.  The m_nu and the s_mu span the same symmetric
+    polynomials, so the two matrices have one row space."""
 
     def build(tag, weight, charge):
         spec = relations.IDEALS[tag]
         monos = enumerate_monomials(weight, charge, spec.ambient_floor)
         size = verify.heisenberg_size(tag, weight, charge)
-        orbits = [verify._orbit(nu) for nu in verify._row_partitions(size, charge)]
+        orbits = [
+            sorted(set(itertools.permutations(nu)))
+            for nu in verify._row_partitions(size, charge)
+        ]
         entries = {}
         if orbits:
-            delta2 = verify._vandermonde_squared(charge)
+            delta2 = _vandermonde_squared(charge)
             shift = 1 + spec.two_r
             for j, mono in enumerate(monos):
                 e = [-m - shift for m in mono.indices]

@@ -1,7 +1,5 @@
 """Command line behaviour: exit codes, formats, determinism."""
 
-import functools
-import itertools
 import json
 import re
 
@@ -391,35 +389,37 @@ def test_a_failing_piece_builds_the_witness_first(
         assert "fallback" not in builds[2:]
 
 
-@functools.cache
-def vandermonde(k):
-    """prod_{i<j} (z_i - z_j) in k variables: Delta, not Delta^2."""
-    poly = {(0,) * k: 1}
-    for i, j in itertools.combinations(range(k), 2):
-        out = {}
-        for e, c in poly.items():
-            for var, sign in ((i, c), (j, -c)):
-                f = e[:var] + (e[var] + 1,) + e[var + 1 :]
-                out[f] = out.get(f, 0) + sign
-        poly = {e: c for e, c in out.items() if c}
-    return poly
+def permanent(monkeypatch):
+    """Every sign +1: each row a permanent in place of a_delta a_{mu+delta}."""
+    real = verify._signed_permutations
+    monkeypatch.setattr(
+        verify, "_signed_permutations", lambda k: [(rho, 1) for rho, _ in real(k)]
+    )
 
 
+def no_stabilizer(monkeypatch):
+    """|Stab f| dropped from every entry."""
+    monkeypatch.setattr(verify, "_stabilizer_order", lambda f: 1)
+
+
+@pytest.mark.parametrize("mutate", [permanent, no_stabilizer])
 @pytest.mark.parametrize(
     "tag, idx, witness",
     [
-        ("lambda0", (4, 2), "x(-3)*x(-1)"),
-        ("lambda1", (6, 2), "x(-4)*x(-2)"),
-        ("lambda1prime", (6, 2), "x(-4)*x(-2)"),
+        ("lambda0", (4, 2), "2*x(-3)*x(-1) + x(-2)^2"),
+        ("lambda1", (6, 2), "2*x(-5)*x(-1) + 2*x(-4)*x(-2) + x(-3)^2"),
+        ("lambda1prime", (6, 2), "2*x(-4)*x(-2) + x(-3)^2"),
     ],
+    ids=verify.TAGS,
 )
-def test_verify_fails_with_delta_in_place_of_delta_squared(
-    capsys, monkeypatch, tag, idx, witness
+def test_verify_fails_with_a_broken_bialternant(
+    capsys, monkeypatch, mutate, tag, idx, witness
 ):
-    """The functional matrix built from Delta has the wrong kernel.  The
-    cross-check against the Fock matrix rejects it: the witness is a kernel
-    vector of the functional matrix that the Fock action does not kill."""
-    monkeypatch.setattr(verify, "_vandermonde_squared", vandermonde)
+    """The functional matrix with every sign +1 or with |Stab f| dropped
+    has the wrong kernel.  The first failing piece fails containment: its
+    relation, which the Fock action kills and the mutant does not, is the
+    witness, and the Fock cross-check disagrees on that piece too."""
+    mutate(monkeypatch)
     monkeypatch.setattr(verify, "fallbacks", 0)
     code, out, _ = run(
         capsys, "verify", "--module", tag, "--max-weight", "8", "--format", "json"
@@ -429,32 +429,21 @@ def test_verify_fails_with_delta_in_place_of_delta_squared(
     failed = [p for p in json.loads(out)["pieces"] if not p["equality_ok"]]
     piece = failed[0]
     assert (piece["idx"]["weight"], piece["idx"]["charge"]) == idx
+    assert piece["containment_ok"] is False
     assert piece["witness"] == witness
     weight, charge = idx
+    floor = relations.IDEALS[tag].ambient_floor
+    relation = relations.quadratic_relation(weight, floor)
+    assert str(relation) == witness
+    monos = enumerate_monomials(weight, charge, floor)
+    vec = {monos.index(mono): c for mono, c in relation.terms.items()}
     matrix = verify.eval_matrix(tag, weight, charge)
+    fock = verify.fock_matrix(tag, weight, charge)
+    assert matrix.matvec(vec) and not fock.matvec(vec)
     kernel = linalg.kernel_basis(matrix)
     agree, escaped = verify._fock_check(tag, weight, charge, matrix, kernel)
     assert not agree
-    mono = witness_monomial(witness)
-    monos = enumerate_monomials(weight, charge, relations.IDEALS[tag].ambient_floor)
-    assert escaped == {monos.index(mono): 1}
-    assert not matrix.matvec(escaped)
-    vacuum = FockState(_two_r=relations.IDEALS[tag].two_r)
-    assert not apply_monomial(mono, vacuum).is_zero()
-
-
-def test_delta_in_place_of_delta_squared_keys_like_the_tuple_route(
-    monkeypatch, eval_matrix_by_tuples
-):
-    """With Delta patched in, the integer-keyed matrix is still the one the
-    tuple lookups build from the same table, on every piece to weight 16,
-    so the mutant above fails for its table and not for its keys."""
-    monkeypatch.setattr(verify, "_vandermonde_squared", vandermonde)
-    for tag in verify.TAGS:
-        for weight in range(17):
-            for charge in verify.charge_range(tag, weight):
-                piece = (tag, weight, charge)
-                assert verify.eval_matrix(*piece) == eval_matrix_by_tuples(*piece), piece
+    assert not matrix.matvec(escaped) and fock.matvec(escaped)
 
 
 def fock_killing_nothing(m):

@@ -4,12 +4,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from principal_subspaces import linalg, relations, verify
 from principal_subspaces.cli import main
-from principal_subspaces.fock import FockState, apply_monomial, basis_states
+from principal_subspaces.fock import FockState, apply_monomial, basis_states, partitions
 from principal_subspaces.linalg import kernel_basis, span_equal
 from principal_subspaces.poly import Monomial, PolyQ, coordinates, enumerate_monomials, x
 from principal_subspaces.relations import IDEALS, ideal_piece, quadratic_relation
@@ -77,10 +75,11 @@ def test_eval_matrix_weight_four_charge_two():
     assert m.entries == {(0, 0): 1, (0, 1): -2}
 
 
-def test_vandermonde_squared_table():
-    assert verify._vandermonde_squared(0) == {(): 1}
-    assert verify._vandermonde_squared(2) == {(2, 0): 1, (1, 1): -2, (0, 2): 1}
-    delta2 = verify._vandermonde_squared(3)
+def test_vandermonde_squared_table(vandermonde_squared):
+    """The Delta^2 table of the monomial-row oracle."""
+    assert vandermonde_squared(0) == {(): 1}
+    assert vandermonde_squared(2) == {(2, 0): 1, (1, 1): -2, (0, 2): 1}
+    delta2 = vandermonde_squared(3)
     assert len(delta2) == 19
     assert all(sum(e) == 6 for e in delta2)
     assert delta2[(2, 2, 2)] == -6 and delta2[(4, 2, 0)] == 1
@@ -90,14 +89,46 @@ def test_vandermonde_squared_table():
     assert sum(delta2.values()) == 0
 
 
-def test_eval_matrix_expands_no_delta_squared_without_rows(monkeypatch):
+def test_signed_permutations_and_stabilizer_orders():
+    """The k! signed permutations, and |Stab f| as the product of the
+    factorials of the runs of a sorted tuple."""
+    assert verify._signed_permutations(0) == (((), 1),)
+    assert verify._signed_permutations(3) == (
+        ((0, 1, 2), 1),
+        ((0, 2, 1), -1),
+        ((1, 0, 2), -1),
+        ((1, 2, 0), 1),
+        ((2, 0, 1), 1),
+        ((2, 1, 0), -1),
+    )
+    assert [len(verify._signed_permutations(k)) for k in range(6)] == [1, 1, 2, 6, 24, 120]
+    assert sum(sign for _, sign in verify._signed_permutations(5)) == 0
+    for f, order in [((), 1), ((3,), 1), ((4, 2, 0), 1), ((2, 2, 2), 6), ((5, 5, 3, 1, 1, 1), 12)]:
+        assert verify._stabilizer_order(f) == order
+
+
+def test_row_partitions_are_the_partitions_with_at_most_charge_parts():
+    """The rows of ``eval_matrix`` are the partitions of ``fock.partitions``
+    with at most charge parts, reversed, padded with zeros to length charge
+    and sorted, for every size from -2 to 20 and charge to 10."""
+    for size in range(-2, 21):
+        for charge in range(11):
+            expected = sorted(
+                nu[::-1] + (0,) * (charge - len(nu))
+                for nu in partitions(size, 1)
+                if len(nu) <= charge
+            )
+            assert list(verify._row_partitions(size, charge)) == expected, (size, charge)
+
+
+def test_eval_matrix_builds_no_permutations_without_rows(monkeypatch):
     """A piece with d < 0 has no rows, and its charge can reach the weight,
-    so Delta^2 in that many variables must never be expanded."""
+    so the k! signed permutations must never be built for it."""
 
     def refuse(k):
-        raise AssertionError(f"Delta^2 expanded in {k} variables")
+        raise AssertionError(f"the permutations of {k} built")
 
-    monkeypatch.setattr(verify, "_vandermonde_squared", refuse)
+    monkeypatch.setattr(verify, "_signed_permutations", refuse)
     m = eval_matrix("lambda0", 22, 22)
     assert (m.n_rows, m.n_cols, m.entries) == (0, 1, {})
 
@@ -111,90 +142,43 @@ def pieces_to(max_weight):
     ]
 
 
-def test_eval_matrix_equals_the_tuple_route_to_weight_16(eval_matrix_by_tuples):
-    """The integer-keyed lookups give the matrix of the tuple lookups, entry
-    for entry, on every piece to weight 16."""
+def test_eval_matrix_has_the_rref_of_the_monomial_rows_to_weight_16(
+    eval_matrix_by_monomial_rows,
+):
+    """The Schur rows span the row space of the monomial symmetric rows:
+    the two matrices have the same reduced row-echelon form, pivots
+    included, on every piece to weight 16."""
     for piece in pieces_to(16):
-        assert eval_matrix(*piece) == eval_matrix_by_tuples(*piece), piece
+        assert linalg.rref(eval_matrix(*piece)) == linalg.rref(
+            eval_matrix_by_monomial_rows(*piece)
+        ), piece
 
 
-def test_exponent_keys_never_alias_to_weight_16():
-    """Every digit of e - 2r - a + (d + 1), over the columns e and orbit
-    elements a of every piece to weight 16, and of every Delta^2 exponent
-    plus d + 1, lies in [0, B).  This covers lambda1, whose exponents reach
-    -1, and the rows with a part equal to d."""
-    reached_minus_one = reached_part_d = False
-    for tag, weight, charge in pieces_to(16):
-        size = heisenberg_size(tag, weight, charge)
-        rows = verify._row_partitions(size, charge)
-        if not rows:
-            continue
-        radix, offset = verify._key_layout(weight, size)
-        shift = 1 + IDEALS[tag].two_r
-        for mono in enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor):
-            f = [-m - shift for m in mono.indices]
-            reached_minus_one |= -1 in f
-            for nu in rows:
-                reached_part_d |= size > 0 and nu[0] == size
-                for a in verify._orbit(nu):
-                    digits = [fi - ai + offset for fi, ai in zip(f, a)]
-                    assert all(0 <= g < radix for g in digits), (tag, weight, charge)
-        for exponents in verify._vandermonde_squared(charge):
-            assert all(0 <= t + offset < radix for t in exponents)
-    assert reached_minus_one and reached_part_d
-
-
-@st.composite
-def keyed_tuples(draw):
-    """A radix, an offset below it, two tuples e and other of one length
-    whose digits plus the offset lie in [0, radix), and a tuple a with the
-    digits of e - a plus the offset in [0, radix)."""
-    radix = draw(st.integers(min_value=2, max_value=40))
-    offset = draw(st.integers(min_value=0, max_value=radix - 1))
-    length = draw(st.integers(min_value=0, max_value=6))
-    digits = st.lists(
-        st.integers(min_value=-offset, max_value=radix - 1 - offset),
-        min_size=length,
-        max_size=length,
-    )
-    e, other = draw(digits), draw(digits)
-    a = [draw(st.integers(min_value=ei + offset - radix + 1, max_value=ei + offset)) for ei in e]
-    return radix, offset, e, other, a
-
-
-@settings(deadline=None, max_examples=200)
-@given(keyed_tuples())
-def test_key_is_injective_and_subtracts_digit_by_digit(keyed):
-    """Distinct tuples with offset digits in [0, B) get distinct keys, and
-    key(e) - key(a), a keyed without the offset, decodes base B digit by
-    digit to e - a plus the offset."""
-    radix, offset, e, other, a = keyed
-    key = verify._key(e, radix, offset)
-    assert (key == verify._key(other, radix, offset)) == (e == other)
-    diff = key - verify._key(a, radix, 0)
-    digits = []
-    for _ in e:
-        diff, g = divmod(diff, radix)
-        digits.append(g - offset)
-    assert diff == 0
-    assert digits == [ei - ai for ei, ai in zip(e, a)]
+def test_eval_matrix_crosses_the_delta_squared_wall():
+    """lambda0 at (49, 7) is the first piece with rows in 7 variables, where
+    the monomial rows need Delta^2 expanded in 7 variables.  Its one Schur
+    row takes 7! sorted tuples, and both rank statements hold on it."""
+    m = eval_matrix("lambda0", 49, 7)
+    assert (m.n_rows, m.n_cols) == (1, 8033)
+    assert verify._full_row_rank(m)
+    assert dt_minor("lambda0", 49, 7, m)
 
 
 @pytest.mark.parametrize("tag", TAGS)
-def test_eval_matrix_reads_delta_squared_on_every_call(monkeypatch, tag):
-    """After the piece is built once, a patched ``_vandermonde_squared``
-    still reaches the matrix: twice the table gives twice every entry.  A
-    cache of the re-keyed table would hide the patch, and with it the Delta
-    mutant of the command-line tests."""
+def test_eval_matrix_reads_the_signs_on_every_call(monkeypatch, tag):
+    """After the piece is built once, a patched ``_signed_permutations``
+    still reaches the matrix: every sign flipped gives every entry negated.
+    A cache of the rows would hide the patch, and with it the bialternant
+    mutants of the command-line tests."""
     weight, charge = 12, 3
-    real = verify._vandermonde_squared
+    real = verify._signed_permutations
     warm = eval_matrix(tag, weight, charge)
     assert warm.entries
     monkeypatch.setattr(
-        verify, "_vandermonde_squared", lambda k: {f: 2 * c for f, c in real(k).items()}
+        verify, "_signed_permutations", lambda k: [(rho, -sign) for rho, sign in real(k)]
     )
-    doubled = eval_matrix(tag, weight, charge)
-    assert doubled.entries == {ij: 2 * v for ij, v in warm.entries.items()}
+    flipped = eval_matrix(tag, weight, charge)
+    assert flipped.entries == {ij: -v for ij, v in warm.entries.items()}
 
 
 def domain_index(tag, weight, charge):
@@ -293,18 +277,18 @@ def dt_column(tag, weight, charge, i):
 
 def dt_minor(tag, weight, charge, m):
     """The DT statement: the DT column of each row i has its least nonzero
-    row at i, with the entry +-1, so the minor on the DT columns is lower
-    triangular with +-1 on the diagonal."""
+    row at i, with the entry 1, so the minor on the DT columns is lower
+    unitriangular."""
     columns = m.columns()
     return all(
-        j in columns and min(columns[j]) == i and columns[j][i] in (1, -1)
+        j in columns and min(columns[j]) == i and columns[j][i] == 1
         for i, j in enumerate(dt_columns(tag, weight, charge))
     )
 
 
 def zero_diagonal(tag, weight, charge, m):
     j = dt_column(tag, weight, charge, 1)
-    assert m.entries[(1, j)] in (1, -1)
+    assert m.entries[(1, j)] == 1
     return {k: v for k, v in m.entries.items() if k != (1, j)}
 
 
@@ -342,7 +326,7 @@ def test_row_rank_accepts_a_doubled_row_that_the_dt_statement_declines(
     monkeypatch, force_certificate_off, tag
 ):
     """Row 0 of E on (12, 2) doubled keeps the kernel, but the entry of its
-    DT column becomes +-2, so the DT statement no longer holds.  Row 0 still
+    DT column becomes 2, so the DT statement no longer holds.  Row 0 still
     tops that column, so ``_full_row_rank`` accepts, the certificate
     decides the piece, and the report is the unmutated one and the one of
     the rational path."""
