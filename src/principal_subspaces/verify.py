@@ -196,28 +196,16 @@ def fock_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
     return SparseMatQ(len(rows), len(monos), entries)
 
 
-@functools.cache
 def _row_partitions(size: int, charge: int) -> tuple[tuple[int, ...], ...]:
-    """The partitions mu of size into at most charge parts, each sorted
-    decreasingly and padded with zeros to length charge, in lexicographic
-    order: the Schur rows s_mu of ``eval_matrix``, in which the DT column
-    of each row has no nonzero entry above it (see the module docstring).
-    They are generated directly, never filtered from all p(size)
-    partitions, which ``fock.partitions`` would keep for the process."""
-    return tuple(_decreasing_tuples(size, charge, size))
-
-
-def _decreasing_tuples(size: int, length: int, cap: int) -> Iterable[tuple[int, ...]]:
-    """The non-increasing tuples of the given length with entries in [0,
-    cap] summing to size, in lexicographic order: the first entry runs up
-    from the least it can be, the mean rounded up, or 0."""
-    if length == 0:
-        if size == 0:
-            yield ()
-        return
-    for first in range(max(-(-size // length), 0), min(cap, size) + 1):
-        for rest in _decreasing_tuples(size - first, length - 1, first):
-            yield (first,) + rest
+    """The partitions mu of size into at most charge parts, padded with zeros
+    to length charge, in lexicographic order: the Schur rows of ``eval_matrix``,
+    whose DT columns then have nothing above them (see the module docstring).
+    They are the floor -1 domain of (size + charge, charge) under mu_i = -m_i - 1,
+    read backwards: ascending index tuples m list mu in descending lex order."""
+    return tuple(
+        tuple([-m - 1 for m in mono.indices])
+        for mono in reversed(enumerate_monomials(size + charge, charge))
+    )
 
 
 @functools.cache
