@@ -7,16 +7,31 @@ independent difference-two partition counts.  Reports go to stdout (or
 ``--out``) as text, JSON or CSV; exit code 0 means every check passed,
 1 means some mathematical check was falsified, 2 means a usage error or a
 report that ``--out`` cannot write.
+
+A JSON report is the bytes of ``json.dumps(report, indent=2)``, written
+faster, since json's indent encoder is pure Python and only ``indent=None``
+takes its C encoder.  Each top-level list whose rows are dicts of one shape
+(same keys in the same order, the same nested dicts, scalar leaves) is
+written from one row template: the first row with ``None`` leaves,
+indented by ``json.dumps``, with its ``null`` values turned into ``%s``
+slots.  One C-encoder call encodes every leaf of every row, NUL-separated,
+and one ``%`` fills the repeated template.  Everything else (``run``,
+``lemmas``, empty lists, lists whose rows differ or hold a list) goes
+through ``json.dumps(..., indent=2)``.  The text table is built only for
+``--format text``, and the argument parser once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
+import operator
 import sys
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import fock, relations, verify
 
@@ -36,7 +51,10 @@ class RunConfig(NamedTuple):
         return self._asdict()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared afterwards:
+    parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="psverify",
         description="Exact degree-by-degree verification of principal subspace presentations.",
@@ -96,19 +114,96 @@ def _skeleton(cfg: RunConfig) -> dict:
 
 
 def _emit(
-    cfg: RunConfig, report: dict, text: str, header: list[str], rows: Iterable[Iterable]
+    cfg: RunConfig,
+    report: dict,
+    text: Callable[[], list[str]],
+    header: list[str],
+    rows: Iterable[Iterable],
 ) -> None:
+    """Write the report in the chosen format; ``text`` builds the lines of
+    the text table and is called only for ``--format text``."""
     if cfg.format == "json":
-        payload = json.dumps(report, indent=2) + "\n"
+        payload = _dumps(report) + "\n"
     elif cfg.format == "csv":
         payload = _to_csv(header, rows)
     else:
-        payload = text
+        payload = "\n".join(text()) + "\n"
     if cfg.output_path:
         with open(cfg.output_path, "w", encoding="utf-8") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
+
+
+# the types whose C encoding is the indent encoder's, byte for byte
+_SCALARS = {str, int, float, bool, type(None)}
+# no indent, so json takes its C encoder; NUL splits the encoded leaves, and
+# it cannot occur inside one, since an encoded string escapes it as \u0000
+_LEAVES = json.JSONEncoder(separators=("\0", ":"))
+
+
+def _dumps(report: dict) -> str:
+    """``json.dumps(report, indent=2)``, byte for byte.
+
+    Each top-level list whose rows share one shape is written by
+    ``_rows``; every other value, and a report that is empty or has a key
+    that is not a string, goes through ``json.dumps(..., indent=2)``."""
+    if set(map(type, report)) != {str}:
+        return json.dumps(report, indent=2)
+    items = []
+    for key, value in report.items():
+        text = _rows(value) if type(value) is list and value else None
+        if text is None:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
+def _rows(rows: list) -> str | None:
+    """A list of rows as the value of a top-level key, or ``None`` when the
+    rows differ in keys, key order or nesting, or hold a list.
+
+    The first row, with every leaf ``None``, is indented once by
+    ``json.dumps`` into a template whose slots are the lines that end in
+    ``null``: every line of that output ends in its own value, and a key
+    holds no raw newline.  All leaves of all rows are encoded in one C
+    encoder call and fill the repeated template with one ``%``."""
+    columns: list[list] = []
+    if not _leaf_columns(rows, columns):
+        return None
+    template = (
+        json.dumps(_blank(rows[0]), indent=2)
+        .replace("%", "%%")
+        .replace("null\n", "%s\n")
+        .replace("null,\n", "%s,\n")
+        .replace("\n", "\n    ")
+    )
+    leaves = _LEAVES.encode(list(itertools.chain.from_iterable(zip(*columns))))[1:-1]
+    body = ",\n    ".join([template] * len(rows)) % tuple(leaves.split("\0") if leaves else ())
+    return f"[\n    {body}\n  ]"
+
+
+def _leaf_columns(rows: list, columns: list[list]) -> bool:
+    """Append to ``columns`` one list per leaf of the rows' shape, depth
+    first in key order, and say whether every row is a dict of that shape
+    whose leaves are scalars."""
+    if set(map(type, rows)) != {dict} or len(set(map(tuple, rows))) != 1:
+        return False
+    for key, value in rows[0].items():
+        column = list(map(operator.itemgetter(key), rows))
+        if type(value) is dict:
+            if not _leaf_columns(column, columns):
+                return False
+        elif set(map(type, column)) <= _SCALARS:
+            columns.append(column)
+        else:
+            return False
+    return True
+
+
+def _blank(row: dict) -> dict:
+    """The row with every leaf replaced by ``None``."""
+    return {k: _blank(v) if type(v) is dict else None for k, v in row.items()}
 
 
 def _to_csv(header: list[str], rows: Iterable[Iterable]) -> str:
@@ -146,35 +241,46 @@ def _cmd_verify(cfg: RunConfig) -> int:
     ]
     ok = all(run.all_pass for run in runs)
 
-    lines = [
-        f"presentation check to weight {cfg.max_weight} "
-        f"({', '.join(_selected_tags(cfg))})",
-        f"{'module':<14}{'weight':>7}{'charge':>7}{'domain':>8}{'rank':>6}"
-        f"{'kernel':>8}{'ideal':>7}  contain  equal",
-    ]
-    for p in pieces:
-        lines.append(
-            f"{p.module_tag:<14}{p.weight:>7}{p.charge:>7}{p.dim_domain:>8}"
-            f"{p.rank_eval:>6}{p.dim_kernel:>8}{p.dim_ideal_piece:>7}"
-            f"  {'yes' if p.containment_ok else 'NO':<7}"
-            f"  {'yes' if p.equality_ok else 'NO'}"
-        )
-    lines.append(f"pieces: {len(pieces)}, all equal: {'yes' if ok else 'NO'}")
-    _emit(cfg, report, "\n".join(lines) + "\n", list(verify.PieceReport._fields), pieces)
+    def text() -> list[str]:
+        lines = [
+            f"presentation check to weight {cfg.max_weight} "
+            f"({', '.join(_selected_tags(cfg))})",
+            f"{'module':<14}{'weight':>7}{'charge':>7}{'domain':>8}{'rank':>6}"
+            f"{'kernel':>8}{'ideal':>7}  contain  equal",
+        ]
+        for p in pieces:
+            lines.append(
+                f"{p.module_tag:<14}{p.weight:>7}{p.charge:>7}{p.dim_domain:>8}"
+                f"{p.rank_eval:>6}{p.dim_kernel:>8}{p.dim_ideal_piece:>7}"
+                f"  {'yes' if p.containment_ok else 'NO':<7}"
+                f"  {'yes' if p.equality_ok else 'NO'}"
+            )
+        lines.append(f"pieces: {len(pieces)}, all equal: {'yes' if ok else 'NO'}")
+        return lines
+
+    _emit(cfg, report, text, list(verify.PieceReport._fields), pieces)
     return 0 if ok else 1
 
 
 def _cmd_dims(cfg: RunConfig) -> int:
     report = _skeleton(cfg)
-    lines = [f"graded dimensions to weight {cfg.max_weight}"]
     for tag in _selected_tags(cfg):
         dims = verify.graded_dims(tag, cfg.max_weight)
         for (w, k), d in sorted(dims.items()):
             report["dims"].append(
                 {"module_tag": tag, "weight": w, "charge": k, "dim": d}
             )
-            lines.append(f"{tag:<14} weight {w:>3}  charge {k:>3}  dim {d}")
-    _emit(cfg, report, "\n".join(lines) + "\n", *_dims_table(report["dims"]))
+
+    def text() -> list[str]:
+        lines = [f"graded dimensions to weight {cfg.max_weight}"]
+        for row in report["dims"]:
+            lines.append(
+                f"{row['module_tag']:<14} weight {row['weight']:>3}"
+                f"  charge {row['charge']:>3}  dim {row['dim']}"
+            )
+        return lines
+
+    _emit(cfg, report, text, *_dims_table(report["dims"]))
     return 0
 
 
@@ -198,10 +304,14 @@ def _cmd_lemmas(cfg: RunConfig) -> int:
     }
     report = _skeleton(cfg)
     report["lemmas"] = results
-    lines = [f"identity sweeps (t <= {cfg.t_max}, weight <= {cfg.max_weight})"]
-    for name, ok in results.items():
-        lines.append(f"{name:<28} {'pass' if ok else 'FAIL'}")
-    _emit(cfg, report, "\n".join(lines) + "\n", ["name", "ok"], results.items())
+
+    def text() -> list[str]:
+        lines = [f"identity sweeps (t <= {cfg.t_max}, weight <= {cfg.max_weight})"]
+        for name, ok in results.items():
+            lines.append(f"{name:<28} {'pass' if ok else 'FAIL'}")
+        return lines
+
+    _emit(cfg, report, text, ["name", "ok"], results.items())
     return 0 if all(results.values()) else 1
 
 
@@ -211,10 +321,6 @@ def _cmd_qseries(cfg: RunConfig) -> int:
     totals0 = verify.weight_totals(dims0, cfg.max_weight)
     totals1 = verify.weight_totals(dims1, cfg.max_weight)
     report = _skeleton(cfg)
-    lines = [
-        f"graded dimension totals to weight {cfg.max_weight}",
-        f"{'weight':>6}{'lambda0':>9}{'oracle':>8}{'lambda1prime':>14}{'oracle':>8}  match",
-    ]
     ok = True
     for n in range(cfg.max_weight + 1):
         o0 = verify.oracle_weight_total(n, 1)
@@ -231,11 +337,21 @@ def _cmd_qseries(cfg: RunConfig) -> int:
                 "match": match,
             }
         )
-        lines.append(
-            f"{n:>6}{totals0[n]:>9}{o0:>8}{totals1[n]:>14}{o1:>8}"
-            f"  {'yes' if match else 'NO'}"
-        )
-    _emit(cfg, report, "\n".join(lines) + "\n", *_dims_table(report["dims"]))
+
+    def text() -> list[str]:
+        lines = [
+            f"graded dimension totals to weight {cfg.max_weight}",
+            f"{'weight':>6}{'lambda0':>9}{'oracle':>8}{'lambda1prime':>14}{'oracle':>8}  match",
+        ]
+        for row in report["dims"]:
+            lines.append(
+                f"{row['weight']:>6}{row['lambda0_total']:>9}{row['lambda0_oracle']:>8}"
+                f"{row['lambda1prime_total']:>14}{row['lambda1prime_oracle']:>8}"
+                f"  {'yes' if row['match'] else 'NO'}"
+            )
+        return lines
+
+    _emit(cfg, report, text, *_dims_table(report["dims"]))
     return 0 if ok else 1
 
 

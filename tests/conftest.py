@@ -3,12 +3,31 @@ test can call it partway through."""
 
 import functools
 import itertools
+import json
 
 import pytest
 
-from principal_subspaces import relations, verify
+from principal_subspaces import cli, relations, verify
 from principal_subspaces.linalg import SparseMatQ
 from principal_subspaces.poly import PolyQ, enumerate_monomials, x
+
+
+@pytest.fixture
+def json_oracle(monkeypatch):
+    """Compare each report the cli writes as JSON with
+    ``json.dumps(report, indent=2)``, the writer's oracle, as it is
+    written; the list returned holds the reports compared."""
+    compared = []
+    dumps = cli._dumps
+
+    def checked(report):
+        text = dumps(report)
+        assert text == json.dumps(report, indent=2)
+        compared.append(report)
+        return text
+
+    monkeypatch.setattr(cli, "_dumps", checked)
+    return compared
 
 
 @pytest.fixture

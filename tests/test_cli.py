@@ -5,8 +5,8 @@ import re
 
 import pytest
 
-from principal_subspaces import linalg, relations, verify
-from principal_subspaces.cli import main
+from principal_subspaces import cli, linalg, relations, verify
+from principal_subspaces.cli import build_parser, main
 from principal_subspaces.fock import FockState, FockVector, apply_monomial
 from principal_subspaces.linalg import subspace_leq
 from principal_subspaces.poly import (
@@ -215,10 +215,11 @@ def test_verify_fails_without_one_relation_weight(
     assert (code_off, out_off) == (code, out)
 
 
-def test_verify_fails_with_a_halved_relation_coefficient(capsys, monkeypatch):
+def test_verify_fails_with_a_halved_relation_coefficient(capsys, monkeypatch, json_oracle):
     """With 2*x(-3)*x(-1) changed to x(-3)*x(-1) in the weight-4 relation,
     the lambda0 ideal piece (4,2) has the kernel's dimension but lies
-    outside it: only the containment check can reject it."""
+    outside it: only the containment check can reject it.  The failing
+    report, witness and all, is written as ``json.dumps`` writes it."""
     original = relations.quadratic_relation
     monkeypatch.setattr(
         relations,
@@ -233,6 +234,7 @@ def test_verify_fails_with_a_halved_relation_coefficient(capsys, monkeypatch):
     )
     assert code == 1
     assert verify.fallbacks >= 1
+    assert len(json_oracle) == 1
     failed = [p for p in json.loads(out)["pieces"] if not p["equality_ok"]]
     assert [(p["idx"]["weight"], p["idx"]["charge"]) for p in failed] == [(4, 2)]
     piece = failed[0]
@@ -615,3 +617,106 @@ def test_repeat_runs_byte_identical(capsys):
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_one_parser_serves_every_call(capsys):
+    """Calls of ``main`` in one process, a usage error among them, share
+    one parser, and each prints what it prints with a parser of its own."""
+    calls = [
+        ["lemmas", "--max-weight", "1", "--t-max", "4", "--format", "json"],
+        ["verify", "--bogus"],
+        ["verify", "--max-weight", "2", "--format", "json"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    alone = []
+    for argv in calls:
+        build_parser.cache_clear()
+        alone.append(outcome(argv))
+    build_parser.cache_clear()
+    together = [outcome(argv) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    assert together == alone
+    assert [code for code, _, _ in alone] == [0, 2, 0]
+
+
+# rows whose strings and numbers the template must carry through exactly
+AWKWARD_ROWS = [
+    {
+        'q"uote': 'a"b',
+        "back\\slash": "c\\d",
+        "%s": "%s %d",
+        "%%": "%%",
+        "nul\0": "\0",
+        "ctrl\x01": "\x01\n\t",
+        "null": None,
+        "x: null": "null,",
+        "caf\u00e9": "\u00e9\u2603\U0001f600",
+        "flags": {"yes": True, "no": False},
+        "ints": {"neg": -(2**70) - 1, "big": 2**64 + 1, "zero": 0},
+        "float": -1.5e-300,
+        "empty": {},
+    },
+    {
+        'q"uote': "",
+        "back\\slash": "\\",
+        "%s": "%",
+        "%%": "100%",
+        "nul\0": "nul\0\0",
+        "ctrl\x01": "\x1f",
+        "null": "null",
+        "x: null": None,
+        "caf\u00e9": "plain",
+        "flags": {"yes": None, "no": 1},
+        "ints": {"neg": -1, "big": 2**200, "zero": True},
+        "float": 2.5,
+        "empty": {},
+    },
+]
+
+WRITER_CASES = {
+    "awkward rows": ({'rows "%s" \u00e9': AWKWARD_ROWS}, True),
+    "one row": ({"a": [{"k": 1}], "b": {"c": [1, 2]}}, True),
+    "nested like pieces": (
+        {"pieces": [{"idx": {"weight": w, "charge": 0}, "ok": w > 1} for w in range(3)]},
+        True,
+    ),
+    "rows without leaves": ({"dims": [{}, {}], "pieces": [{"e": {}}, {"e": {}}]}, True),
+    "empty list": ({"run": {"x": 1}, "pieces": [], "dims": []}, False),
+    "key order differs": ({"dims": [{"a": 1, "b": 2}, {"b": 2, "a": 1}]}, False),
+    "nested key order differs": (
+        {"pieces": [{"idx": {"w": 1, "c": 0}}, {"idx": {"c": 0, "w": 1}}]},
+        False,
+    ),
+    "keys differ": ({"dims": [{"a": 1}, {"a": 1, "b": 2}]}, False),
+    "scalar for a dict": ({"pieces": [{"idx": {"w": 1}}, {"idx": 1}]}, False),
+    "dict for a scalar": ({"pieces": [{"idx": 1}, {"idx": {"w": 1}}]}, False),
+    "row holds a list": ({"dims": [{"a": 1, "b": [1, {"c": None}]}, {"a": 2, "b": []}]}, False),
+    "rows are not dicts": ({"dims": [1, "two", None]}, False),
+    "empty report": ({}, False),
+    "key not a string": ({1: [{"a": 1}], "b": [{"a": 2}]}, False),
+}
+
+
+@pytest.mark.parametrize("report, templated", list(WRITER_CASES.values()), ids=list(WRITER_CASES))
+def test_json_writer_matches_json_dumps(monkeypatch, report, templated):
+    """The writer gives the bytes of ``json.dumps(report, indent=2)``; only
+    a list of rows of one shape with scalar leaves takes the row template,
+    and everything else falls back to ``json.dumps``."""
+    written = []
+    rows = cli._rows
+
+    def spy(value):
+        written.append(rows(value))
+        return written[-1]
+
+    monkeypatch.setattr(cli, "_rows", spy)
+    assert cli._dumps(report) == json.dumps(report, indent=2)
+    assert any(text is not None for text in written) == templated

@@ -4,6 +4,8 @@ Any change to a verdict, a number, the row order or the rendering of a
 report changes its digest.  A deliberate change to the report layout has to
 update these digests in the same change.  The reports that the benchmark
 gate pins, in ``perfbench/gate.py``, are checked here too, from that file.
+Every JSON report here is also compared with ``json.dumps(report,
+indent=2)``, the oracle of the cli's JSON writer.
 """
 
 import hashlib
@@ -40,11 +42,14 @@ DIGESTS = {
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 @pytest.mark.parametrize("argv", list(DIGESTS), ids=lambda argv: argv[0])
-def test_report_bytes_are_pinned(capsys, argv, fmt):
+def test_report_bytes_are_pinned(capsys, json_oracle, argv, fmt):
+    """The digest holds, and a JSON report is written as
+    ``json.dumps(report, indent=2)`` would write it."""
     code = main([*argv, "--format", fmt])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[argv][fmt]
+    assert len(json_oracle) == (fmt == "json")
 
 
 def _gate_pins():
@@ -60,10 +65,12 @@ GATE_PINS = _gate_pins()
 
 
 @pytest.mark.parametrize("line", list(GATE_PINS))
-def test_benchmark_reports_are_pinned(capsys, line):
+def test_benchmark_reports_are_pinned(capsys, json_oracle, line):
     """Each command line of the benchmark gate, run through ``main`` in
-    this process, prints the report with the gate's digest."""
+    this process, prints the report with the gate's digest, as
+    ``json.dumps(report, indent=2)`` would write it."""
     code = main(line.split())
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GATE_PINS[line]
+    assert len(json_oracle) == 1
