@@ -8,17 +8,19 @@ independent difference-two partition counts.  Reports go to stdout (or
 1 means some mathematical check was falsified, 2 means a usage error or a
 report that ``--out`` cannot write.
 
-A JSON report is the bytes of ``json.dumps(report, indent=2)``, written
-faster, since json's indent encoder is pure Python and only ``indent=None``
-takes its C encoder.  Each top-level list whose rows are dicts of one shape
-(same keys in the same order, the same nested dicts, scalar leaves) is
-written from one row template: the first row with ``None`` leaves,
-indented by ``json.dumps``, with its ``null`` values turned into ``%s``
-slots.  One C-encoder call encodes every leaf of every row, NUL-separated,
-and one ``%`` fills the repeated template.  Everything else (``run``,
-``lemmas``, empty lists, lists whose rows differ or hold a list) goes
-through ``json.dumps(..., indent=2)``.  The text table is built only for
-``--format text``, and the argument parser once per process.
+Each list of report rows is one ``Table``: a CSV header ``fields``, the
+row tuples (a verify piece row is the ``PieceReport`` itself), and the
+JSON row ``layout``.  The text table unpacks the tuples, CSV writes the
+header and the rows, and JSON writes each row through the layout.  A JSON
+report is the bytes of ``json.dumps(..., indent=2)`` of the report with
+each table as its list of row dicts, written faster, since json's indent
+encoder is pure Python and only ``indent=None`` takes its C encoder: the
+layout, indented by ``json.dumps``, is the row template, one walk of it
+gives the row position of each leaf, one C-encoder call encodes every leaf
+of every row, NUL-separated, and one ``%`` fills the repeated template.
+``run`` and ``lemmas`` go through ``json.dumps(..., indent=2)``.  The text
+table is built only for ``--format text``, and the argument parser once
+per process.
 """
 
 from __future__ import annotations
@@ -27,11 +29,9 @@ import argparse
 import csv
 import functools
 import io
-import itertools
 import json
-import operator
 import sys
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import fock, relations, verify
 
@@ -47,14 +47,32 @@ class RunConfig(NamedTuple):
     format: str
     output_path: str | None
 
-    def to_json(self) -> dict:
-        return self._asdict()
+
+class Table(NamedTuple):
+    """Report rows.  ``fields`` is the CSV header and names each position of
+    a row tuple; ``layout`` is the JSON row, in key order, with ``None`` at
+    each leaf keyed by its field name (a nested dict groups fields), or
+    ``None`` for a table that only CSV writes."""
+
+    fields: tuple[str, ...]
+    rows: list[tuple]
+    layout: dict | None
+
+
+DIMS_FIELDS = ("module_tag", "weight", "charge", "dim")
+# a piece's JSON row: weight and charge first, under idx
+PIECE_LAYOUT = {
+    "idx": {"weight": None, "charge": None},
+    "module_tag": None,
+    **dict.fromkeys(verify.PieceReport._fields[3:]),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared afterwards:
-    parsing keeps no state in it."""
+    parsing keeps no state in it.  Its destinations are the fields of
+    ``RunConfig``."""
     parser = argparse.ArgumentParser(
         prog="psverify",
         description="Exact degree-by-degree verification of principal subspace presentations.",
@@ -70,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "--module",
+            dest="module_tag",
             choices=MODULE_CHOICES,
             default="all",
             help="which module's evaluation map to check (default: all)",
@@ -96,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--out",
+            dest="output_path",
             default=None,
             metavar="PATH",
             help="write the report to PATH instead of stdout",
@@ -110,22 +130,17 @@ def _selected_tags(cfg: RunConfig) -> tuple[str, ...]:
 
 
 def _skeleton(cfg: RunConfig) -> dict:
-    return {"run": cfg.to_json(), "pieces": [], "lemmas": {}, "dims": []}
+    return {"run": cfg._asdict(), "pieces": [], "lemmas": {}, "dims": []}
 
 
-def _emit(
-    cfg: RunConfig,
-    report: dict,
-    text: Callable[[], list[str]],
-    header: list[str],
-    rows: Iterable[Iterable],
-) -> None:
-    """Write the report in the chosen format; ``text`` builds the lines of
-    the text table and is called only for ``--format text``."""
+def _emit(cfg: RunConfig, report: dict, text: Callable[[], list[str]], table: Table) -> None:
+    """Write the report in the chosen format: CSV writes ``table``, and
+    ``text`` builds the lines of the text table, called only for
+    ``--format text``."""
     if cfg.format == "json":
         payload = _dumps(report) + "\n"
     elif cfg.format == "csv":
-        payload = _to_csv(header, rows)
+        payload = _to_csv(table)
     else:
         payload = "\n".join(text()) + "\n"
     if cfg.output_path:
@@ -135,90 +150,66 @@ def _emit(
         sys.stdout.write(payload)
 
 
-# the types whose C encoding is the indent encoder's, byte for byte
-_SCALARS = {str, int, float, bool, type(None)}
 # no indent, so json takes its C encoder; NUL splits the encoded leaves, and
 # it cannot occur inside one, since an encoded string escapes it as \u0000
 _LEAVES = json.JSONEncoder(separators=("\0", ":"))
 
 
 def _dumps(report: dict) -> str:
-    """``json.dumps(report, indent=2)``, byte for byte.
-
-    Each top-level list whose rows share one shape is written by
-    ``_rows``; every other value, and a report that is empty or has a key
-    that is not a string, goes through ``json.dumps(..., indent=2)``."""
-    if set(map(type, report)) != {str}:
-        return json.dumps(report, indent=2)
+    """``json.dumps(..., indent=2)`` of the report with each ``Table`` as
+    its list of JSON rows, byte for byte; ``_table`` writes the tables."""
     items = []
     for key, value in report.items():
-        text = _rows(value) if type(value) is list and value else None
-        if text is None:
+        if isinstance(value, Table):
+            text = _table(value)
+        else:
             text = json.dumps(value, indent=2).replace("\n", "\n  ")
         items.append(f"  {json.dumps(key)}: {text}")
     return "{\n" + ",\n".join(items) + "\n}"
 
 
-def _rows(rows: list) -> str | None:
-    """A list of rows as the value of a top-level key, or ``None`` when the
-    rows differ in keys, key order or nesting, or hold a list.
+def _table(table: Table) -> str:
+    """A table's JSON rows as the value of a top-level key.
 
-    The first row, with every leaf ``None``, is indented once by
-    ``json.dumps`` into a template whose slots are the lines that end in
-    ``null``: every line of that output ends in its own value, and a key
-    holds no raw newline.  All leaves of all rows are encoded in one C
-    encoder call and fill the repeated template with one ``%``."""
-    columns: list[list] = []
-    if not _leaf_columns(rows, columns):
-        return None
+    The layout, indented once by ``json.dumps``, is a template whose slots
+    are the lines that end in ``null``: every line of that output ends in
+    its own value, and a key holds no raw newline.  The leaves of all rows,
+    in the layout's depth-first key order, are encoded in one C encoder
+    call and fill the repeated template with one ``%``."""
+    fields, rows, layout = table
+    if not rows:
+        return "[]"
     template = (
-        json.dumps(_blank(rows[0]), indent=2)
+        json.dumps(layout, indent=2)
         .replace("%", "%%")
         .replace("null\n", "%s\n")
         .replace("null,\n", "%s,\n")
         .replace("\n", "\n    ")
     )
-    leaves = _LEAVES.encode(list(itertools.chain.from_iterable(zip(*columns))))[1:-1]
+    order = list(map(fields.index, _leaf_names(layout)))
+    leaves = _LEAVES.encode([row[i] for row in rows for i in order])[1:-1]
     body = ",\n    ".join([template] * len(rows)) % tuple(leaves.split("\0") if leaves else ())
     return f"[\n    {body}\n  ]"
 
 
-def _leaf_columns(rows: list, columns: list[list]) -> bool:
-    """Append to ``columns`` one list per leaf of the rows' shape, depth
-    first in key order, and say whether every row is a dict of that shape
-    whose leaves are scalars."""
-    if set(map(type, rows)) != {dict} or len(set(map(tuple, rows))) != 1:
-        return False
-    for key, value in rows[0].items():
-        column = list(map(operator.itemgetter(key), rows))
-        if type(value) is dict:
-            if not _leaf_columns(column, columns):
-                return False
-        elif set(map(type, column)) <= _SCALARS:
-            columns.append(column)
+def _leaf_names(layout: dict) -> Iterator[str]:
+    """The field names at the leaves of a layout, depth first in key order."""
+    for key, value in layout.items():
+        if value is None:
+            yield key
         else:
-            return False
-    return True
+            yield from _leaf_names(value)
 
 
-def _blank(row: dict) -> dict:
-    """The row with every leaf replaced by ``None``."""
-    return {k: _blank(v) if type(v) is dict else None for k, v in row.items()}
-
-
-def _to_csv(header: list[str], rows: Iterable[Iterable]) -> str:
+def _to_csv(table: Table) -> str:
     """One CSV table; booleans render as ``true``/``false`` and ``None`` as
     an empty field."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
+    writer.writerow(table.fields)
+    for row in table.rows:
         writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in row])
     return buf.getvalue()
-
-
-def _dims_table(rows: list[dict]) -> tuple[list[str], list]:
-    return (list(rows[0]) if rows else []), [row.values() for row in rows]
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
@@ -228,17 +219,12 @@ def _cmd_verify(cfg: RunConfig) -> int:
         key=lambda p: (p.weight, p.charge, p.module_tag),
     )
     report = _skeleton(cfg)
-    report["pieces"] = [p.to_json() for p in pieces]
-    report["dims"] = [
-        {
-            "module_tag": p.module_tag,
-            "weight": p.weight,
-            "charge": p.charge,
-            "dim": p.rank_eval,
-        }
-        for run in runs
-        for p in run.pieces
-    ]
+    report["pieces"] = Table(verify.PieceReport._fields, pieces, PIECE_LAYOUT)
+    report["dims"] = Table(
+        DIMS_FIELDS,
+        [(p.module_tag, p.weight, p.charge, p.rank_eval) for run in runs for p in run.pieces],
+        dict.fromkeys(DIMS_FIELDS),
+    )
     ok = all(run.all_pass for run in runs)
 
     def text() -> list[str]:
@@ -258,29 +244,26 @@ def _cmd_verify(cfg: RunConfig) -> int:
         lines.append(f"pieces: {len(pieces)}, all equal: {'yes' if ok else 'NO'}")
         return lines
 
-    _emit(cfg, report, text, list(verify.PieceReport._fields), pieces)
+    _emit(cfg, report, text, report["pieces"])
     return 0 if ok else 1
 
 
 def _cmd_dims(cfg: RunConfig) -> int:
+    rows = [
+        (tag, w, k, d)
+        for tag in _selected_tags(cfg)
+        for (w, k), d in sorted(verify.graded_dims(tag, cfg.max_weight).items())
+    ]
     report = _skeleton(cfg)
-    for tag in _selected_tags(cfg):
-        dims = verify.graded_dims(tag, cfg.max_weight)
-        for (w, k), d in sorted(dims.items()):
-            report["dims"].append(
-                {"module_tag": tag, "weight": w, "charge": k, "dim": d}
-            )
+    report["dims"] = Table(DIMS_FIELDS, rows, dict.fromkeys(DIMS_FIELDS))
 
     def text() -> list[str]:
         lines = [f"graded dimensions to weight {cfg.max_weight}"]
-        for row in report["dims"]:
-            lines.append(
-                f"{row['module_tag']:<14} weight {row['weight']:>3}"
-                f"  charge {row['charge']:>3}  dim {row['dim']}"
-            )
+        for tag, w, k, d in rows:
+            lines.append(f"{tag:<14} weight {w:>3}  charge {k:>3}  dim {d}")
         return lines
 
-    _emit(cfg, report, text, *_dims_table(report["dims"]))
+    _emit(cfg, report, text, report["dims"])
     return 0
 
 
@@ -311,7 +294,7 @@ def _cmd_lemmas(cfg: RunConfig) -> int:
             lines.append(f"{name:<28} {'pass' if ok else 'FAIL'}")
         return lines
 
-    _emit(cfg, report, text, ["name", "ok"], results.items())
+    _emit(cfg, report, text, Table(("name", "ok"), list(results.items()), None))
     return 0 if all(results.values()) else 1
 
 
@@ -320,39 +303,33 @@ def _cmd_qseries(cfg: RunConfig) -> int:
     dims1 = verify.graded_dims("lambda1prime", cfg.max_weight)
     totals0 = verify.weight_totals(dims0, cfg.max_weight)
     totals1 = verify.weight_totals(dims1, cfg.max_weight)
-    report = _skeleton(cfg)
-    ok = True
+    rows = []
     for n in range(cfg.max_weight + 1):
         o0 = verify.oracle_weight_total(n, 1)
         o1 = verify.oracle_weight_total(n, 2)
-        match = totals0[n] == o0 and totals1[n] == o1
-        ok = ok and match
-        report["dims"].append(
-            {
-                "weight": n,
-                "lambda0_total": totals0[n],
-                "lambda0_oracle": o0,
-                "lambda1prime_total": totals1[n],
-                "lambda1prime_oracle": o1,
-                "match": match,
-            }
-        )
+        rows.append((n, totals0[n], o0, totals1[n], o1, totals0[n] == o0 and totals1[n] == o1))
+    fields = (
+        "weight",
+        "lambda0_total",
+        "lambda0_oracle",
+        "lambda1prime_total",
+        "lambda1prime_oracle",
+        "match",
+    )
+    report = _skeleton(cfg)
+    report["dims"] = Table(fields, rows, dict.fromkeys(fields))
 
     def text() -> list[str]:
         lines = [
             f"graded dimension totals to weight {cfg.max_weight}",
             f"{'weight':>6}{'lambda0':>9}{'oracle':>8}{'lambda1prime':>14}{'oracle':>8}  match",
         ]
-        for row in report["dims"]:
-            lines.append(
-                f"{row['weight']:>6}{row['lambda0_total']:>9}{row['lambda0_oracle']:>8}"
-                f"{row['lambda1prime_total']:>14}{row['lambda1prime_oracle']:>8}"
-                f"  {'yes' if row['match'] else 'NO'}"
-            )
+        for n, t0, o0, t1, o1, match in rows:
+            lines.append(f"{n:>6}{t0:>9}{o0:>8}{t1:>14}{o1:>8}  {'yes' if match else 'NO'}")
         return lines
 
-    _emit(cfg, report, text, *_dims_table(report["dims"]))
-    return 0 if ok else 1
+    _emit(cfg, report, text, report["dims"])
+    return 0 if all(row[-1] for row in rows) else 1
 
 
 _DISPATCH = {
@@ -364,15 +341,7 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        module_tag=args.module,
-        max_weight=args.max_weight,
-        t_max=args.t_max,
-        format=args.format,
-        output_path=args.out,
-    )
+    cfg = RunConfig(**vars(build_parser().parse_args(argv)))
     # dims and qseries are well-defined at weight 0 (the highest weight
     # vector alone); the checking commands need at least weight 1
     weight_floor = 0 if cfg.command in ("dims", "qseries") else 1

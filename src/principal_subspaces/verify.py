@@ -150,12 +150,6 @@ class PieceReport(NamedTuple):
     equality_ok: bool
     witness: str | None = None
 
-    def to_json(self) -> dict:
-        """The fields in order, with weight and charge first, under idx."""
-        fields = self._asdict()
-        idx = {"weight": fields.pop("weight"), "charge": fields.pop("charge")}
-        return {"idx": idx, **fields}
-
 
 class VerificationRun(NamedTuple):
     module_tag: str

@@ -1,5 +1,7 @@
 """Command line behaviour: exit codes, formats, determinism."""
 
+import csv
+import io
 import json
 import re
 
@@ -648,75 +650,106 @@ def test_one_parser_serves_every_call(capsys):
 
 
 # rows whose strings and numbers the template must carry through exactly
-AWKWARD_ROWS = [
+AWKWARD = cli.Table(
+    (
+        'q"uote', "back\\slash", "%s", "%%", "nul\0", "ctrl\x01", "null", "x: null",
+        "caf\u00e9", "yes", "no", "neg", "big", "zero", "float",
+    ),
+    [
+        (
+            'a"b', "c\\d", "%s %d", "%%", "\0", "\x01\n\t", None, "null,",
+            "\u00e9\u2603\U0001f600", True, False, -(2**70) - 1, 2**64 + 1, 0, -1.5e-300,
+        ),
+        (
+            "", "\\", "%", "100%", "nul\0\0", "\x1f", "null", None,
+            "plain", None, 1, -1, 2**200, True, 2.5,
+        ),
+    ],
     {
-        'q"uote': 'a"b',
-        "back\\slash": "c\\d",
-        "%s": "%s %d",
-        "%%": "%%",
-        "nul\0": "\0",
-        "ctrl\x01": "\x01\n\t",
+        'q"uote': None,
+        "back\\slash": None,
+        "%s": None,
+        "%%": None,
+        "nul\0": None,
+        "ctrl\x01": None,
         "null": None,
-        "x: null": "null,",
-        "caf\u00e9": "\u00e9\u2603\U0001f600",
-        "flags": {"yes": True, "no": False},
-        "ints": {"neg": -(2**70) - 1, "big": 2**64 + 1, "zero": 0},
-        "float": -1.5e-300,
-        "empty": {},
-    },
-    {
-        'q"uote': "",
-        "back\\slash": "\\",
-        "%s": "%",
-        "%%": "100%",
-        "nul\0": "nul\0\0",
-        "ctrl\x01": "\x1f",
-        "null": "null",
         "x: null": None,
-        "caf\u00e9": "plain",
-        "flags": {"yes": None, "no": 1},
-        "ints": {"neg": -1, "big": 2**200, "zero": True},
-        "float": 2.5,
+        "caf\u00e9": None,
+        "flags": {"yes": None, "no": None},
+        "ints": {"neg": None, "big": None, "zero": None},
+        "float": None,
         "empty": {},
     },
-]
+)
 
 WRITER_CASES = {
-    "awkward rows": ({'rows "%s" \u00e9': AWKWARD_ROWS}, True),
-    "one row": ({"a": [{"k": 1}], "b": {"c": [1, 2]}}, True),
-    "nested like pieces": (
-        {"pieces": [{"idx": {"weight": w, "charge": 0}, "ok": w > 1} for w in range(3)]},
-        True,
-    ),
-    "rows without leaves": ({"dims": [{}, {}], "pieces": [{"e": {}}, {"e": {}}]}, True),
-    "empty list": ({"run": {"x": 1}, "pieces": [], "dims": []}, False),
-    "key order differs": ({"dims": [{"a": 1, "b": 2}, {"b": 2, "a": 1}]}, False),
-    "nested key order differs": (
-        {"pieces": [{"idx": {"w": 1, "c": 0}}, {"idx": {"c": 0, "w": 1}}]},
-        False,
-    ),
-    "keys differ": ({"dims": [{"a": 1}, {"a": 1, "b": 2}]}, False),
-    "scalar for a dict": ({"pieces": [{"idx": {"w": 1}}, {"idx": 1}]}, False),
-    "dict for a scalar": ({"pieces": [{"idx": 1}, {"idx": {"w": 1}}]}, False),
-    "row holds a list": ({"dims": [{"a": 1, "b": [1, {"c": None}]}, {"a": 2, "b": []}]}, False),
-    "rows are not dicts": ({"dims": [1, "two", None]}, False),
-    "empty report": ({}, False),
-    "key not a string": ({1: [{"a": 1}], "b": [{"a": 2}]}, False),
+    "awkward rows": {'rows "%s" \u00e9': AWKWARD},
+    "one row": {"a": cli.Table(("k",), [(1,)], {"k": None}), "b": {"c": [1, 2]}},
+    "nested like pieces": {
+        "pieces": cli.Table(
+            ("weight", "charge", "ok"),
+            [(w, 0, w > 1) for w in range(3)],
+            {"idx": {"weight": None, "charge": None}, "ok": None},
+        )
+    },
+    "key order differs": {
+        "dims": cli.Table(("a", "b"), [(1, 2), (3, None)], {"b": None, "a": None})
+    },
+    "nested key order differs": {
+        "pieces": cli.Table(
+            ("module_tag", "weight", "charge", "ok"),
+            [("lambda0", w, w // 2, w > 1) for w in range(3)],
+            {"idx": {"weight": None, "charge": None}, "module_tag": None, "ok": None},
+        )
+    },
+    "rows without leaves": {
+        "dims": cli.Table((), [(), ()], {}),
+        "pieces": cli.Table((), [(), ()], {"e": {}}),
+    },
+    "empty list": {"run": {"x": 1}, "pieces": cli.Table(("k",), [], {"k": None}), "dims": []},
 }
 
 
-@pytest.mark.parametrize("report, templated", list(WRITER_CASES.values()), ids=list(WRITER_CASES))
-def test_json_writer_matches_json_dumps(monkeypatch, report, templated):
-    """The writer gives the bytes of ``json.dumps(report, indent=2)``; only
-    a list of rows of one shape with scalar leaves takes the row template,
-    and everything else falls back to ``json.dumps``."""
-    written = []
-    rows = cli._rows
+@pytest.mark.parametrize("report", list(WRITER_CASES.values()), ids=list(WRITER_CASES))
+def test_json_writer_matches_json_dumps(plain_report, report):
+    """The writer gives the bytes of ``json.dumps(..., indent=2)`` of the
+    report with each table written as its list of row dicts."""
+    assert cli._dumps(report) == json.dumps(plain_report(report), indent=2)
 
-    def spy(value):
-        written.append(rows(value))
-        return written[-1]
 
-    monkeypatch.setattr(cli, "_rows", spy)
-    assert cli._dumps(report) == json.dumps(report, indent=2)
-    assert any(text is not None for text in written) == templated
+def _flat(row):
+    """A JSON row's leaves by key, its nested dicts opened."""
+    return {
+        name: value
+        for key, leaf in row.items()
+        for name, value in (_flat(leaf).items() if isinstance(leaf, dict) else [(key, leaf)])
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (("verify", "--module", "all", "--max-weight", "6"), "pieces"),
+        (("qseries", "--max-weight", "6"), "dims"),
+        (("dims", "--max-weight", "6"), "dims"),
+    ],
+    ids=["verify", "qseries", "dims"],
+)
+def test_csv_rows_are_the_json_rows(capsys, argv, key):
+    """The CSV and the JSON report of one command line hold the same rows
+    in the same order: each CSV row, field by field in header order, is
+    the matching JSON row's leaf of that name as CSV renders it."""
+    _, out, _ = run(capsys, *argv, "--format", "csv")
+    header, *csv_rows = csv.reader(io.StringIO(out))
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    json_rows = [_flat(row) for row in json.loads(out)[key]]
+    assert len(csv_rows) == len(json_rows) > 1
+    for csv_row, json_row in zip(csv_rows, json_rows):
+        assert sorted(json_row) == sorted(header)
+        assert csv_row == [_csv_field(json_row[name]) for name in header]
+
+
+def _csv_field(value):
+    if value is None:
+        return ""
+    return str(value).lower() if isinstance(value, bool) else str(value)

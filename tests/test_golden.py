@@ -4,8 +4,10 @@ Any change to a verdict, a number, the row order or the rendering of a
 report changes its digest.  A deliberate change to the report layout has to
 update these digests in the same change.  The reports that the benchmark
 gate pins, in ``perfbench/gate.py``, are checked here too, from that file.
-Every JSON report here is also compared with ``json.dumps(report,
-indent=2)``, the oracle of the cli's JSON writer.
+Every JSON report here is also compared with ``json.dumps(...,
+indent=2)`` of the report with each table turned into its row dicts
+through its layout (the ``json_oracle`` fixture), the oracle of the cli's
+JSON writer.
 """
 
 import hashlib
@@ -43,8 +45,8 @@ DIGESTS = {
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 @pytest.mark.parametrize("argv", list(DIGESTS), ids=lambda argv: argv[0])
 def test_report_bytes_are_pinned(capsys, json_oracle, argv, fmt):
-    """The digest holds, and a JSON report is written as
-    ``json.dumps(report, indent=2)`` would write it."""
+    """The digest holds, and a JSON report is written as the
+    ``json_oracle`` fixture's ``json.dumps`` would write it."""
     code = main([*argv, "--format", fmt])
     out = capsys.readouterr().out
     assert code == 0
@@ -67,8 +69,8 @@ GATE_PINS = _gate_pins()
 @pytest.mark.parametrize("line", list(GATE_PINS))
 def test_benchmark_reports_are_pinned(capsys, json_oracle, line):
     """Each command line of the benchmark gate, run through ``main`` in
-    this process, prints the report with the gate's digest, as
-    ``json.dumps(report, indent=2)`` would write it."""
+    this process, prints the report with the gate's digest, as the
+    ``json_oracle`` fixture's ``json.dumps`` would write it."""
     code = main(line.split())
     out = capsys.readouterr().out
     assert code == 0
