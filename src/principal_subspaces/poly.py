@@ -275,8 +275,8 @@ def enumerate_monomials(weight: int, charge: int, floor: int = -1) -> tuple[Mono
 
     Equivalently: partitions of ``weight`` into exactly ``charge`` parts, each
     part at least ``-floor``.  Returns () when no such monomial exists.  The
-    tuple holds every such monomial once, which the ideal rows of ``verify``
-    rely on: a product of the right bidegree with indices <= floor is a
+    tuple holds every such monomial once, which the ideal side of ``verify``
+    relies on: a product of the right bidegree with indices <= floor is a
     domain monomial, with no lookup to confirm it.  It is the one held by
     the shared table ``_monomials``, so each domain is built once per
     process, from two smaller domains, and every caller gets the same tuple.

@@ -60,31 +60,25 @@ mu' <_lex mu has no monomial as high.  With the rows in lexicographic
 order of the padded mu, the DT column of row i has 1 in row i and nothing
 above it.
 
-The ideal side is read by ``_ideal_rows`` from the blocks of the
-``IdealPiece``, a generator g (R_t at the floor, or x(-1)) with its
-cofactors u, and no ideal ``PolyQ`` is built on a passing piece.  Each
-monomial with indices <= floor gets the integer code sum_i C^(floor -
-m_i), C = charge + 1, which is injective on the monomials of charge at
-most the piece's, so the code of u * v is code(u) + code(v).  Each term
-of g is checked once for the bidegree the block needs and for indices <=
-floor.  If every term passes, every product is a domain monomial, since a
-domain holds every monomial of its bidegree with indices <= floor (the
-contract of ``enumerate_monomials``); if one fails, every product with it
-lies outside the domain, and the block's first element is the witness.
-The lead of u * g is u * lead(g), one addition of codes.  Images under E
-are summed, each product looked up by its code, only over the columns
-where E is nonzero, so the ideal is checked to lie in the kernel exactly,
-and a piece where E has no rows needs no lookup.  The same cofactor
-domains and relations recur in every piece of one charge, so the codes of
-a cofactor tuple, and a generator's verdict, lead code and term codes,
-are read once per process for each (C, floor) and kept in two tables.
-Their keys are the identities of the tuple and of the generator, and each
-entry holds its object, so an id is never reused: a patched relation or a
-doctored cofactor tuple is a new key, never a stale hit.  The witness is the one
-element ``_ideal_rows`` builds, by the ``PolyQ`` product u * g of the
-pair where the scan stopped.  Coordinate rows are built from the
-polynomials only when the certificate declines, for the rational
-fallback.
+Containment is decided from the generators, as in the presentation by the
+ideal that they generate, because x(m), m <= floor, maps ker E into ker E.
+A row of E on (w', k + 1) is phi(s), s symmetric in k + 1 variables, and
+on x(m) p it reads, for each monomial of p with exponents e in z_1, ...,
+z_k, the coefficient of z^e z_{k+1}^{-m-1} of the symmetric z^{2r}
+Delta_{k+1}^2 s.  As Delta_{k+1}^2 = Delta_k^2 prod_{i<=k} (z_i -
+z_{k+1})^2, the coefficient of z_{k+1}^{-m-1} is z^{2r} Delta_k^2 h, h =
+[z_{k+1}^{-m-1-2r}] prod_{i<=k} (z_i - z_{k+1})^2 s symmetric in z_1, ...,
+z_k.  So phi(s)(x(m) p) = phi(h)(p), a functional in the row space of E on
+(w, k), and every u * g lies in ker E once the generator g does on its own
+piece.  A generator (R_t, or x(-1)) passes when its terms share one
+bidegree with every index <= floor, its lead (below) is a balanced pair
+x(a)x(b), b - a <= 1, or x(-1), and E on its own piece, (t, 2) or (1, 1),
+kills it.  Its verdict is read once per run of ``verify_presentation``,
+from the E that the run builds on that piece, into the run's ``Verdicts``;
+a piece reached out of order builds that E.  No verdict outlives its run,
+so a patched spec, relation or E reaches the next one.  This takes E as
+right: up to weight ``FOCK_CHECK_WEIGHT`` it is checked against the Fock
+matrix, and the tests check the closure itself.
 
 The rank of the ideal rows I is bounded by the leads: the lead of a
 nonzero row is its least term under the total order (sum of m_i^2, index
@@ -93,12 +87,25 @@ tuple), and rows with distinct leads are independent.  With rank E = n_rows,
     #distinct leads <= rank I <= dim ker E = n - n_rows,
 
 the second step by containment, so #distinct leads >= n - n_rows makes
-every number of the report exact with no elimination at all.  It closes
-because every non-DT monomial u is a lead: if u has adjacent indices a, b
-with |a - b| <= 1 and u' is the rest of u, u is the unique term of least
-sum m_i^2 in u' times the relation of weight -a - b (for lambda1, a u that
-contains x(-1) is itself a spanning element).  The leads are read from the
-generators as they are, never assumed.  When either half declines, the
+every number of the report exact with no elimination at all.  The leads
+are counted from the domain.  The lead of u * g is u * lead(g): sum m_i^2
+adds up, and sorted index tuples of one length compare by the least index
+whose multiplicity differs.  When the cofactors of a block are the
+shared tuple of ``enumerate_monomials`` of their bidegree, every monomial of
+it (the contract of ``enumerate_monomials``), the block's leads are the
+domain monomials that contain lead(g); a sorted index tuple contains a
+balanced pair a <= b exactly when a and b are adjacent in it.  So the count
+is one pass over the domain, never read from n_rows.  With every R_t a
+generator it counts the non-DT monomials, and those with x(-1) for lambda1,
+and it closes because every non-DT monomial u is a lead: if u has adjacent
+indices a, b with |a - b| <= 1 and u' is the rest of u, u is the unique
+term of least sum m_i^2 in u' times the relation of weight -a - b.
+
+A piece with a generator that fails, or with another block, is read by
+``_ideal_rows``, which scans every element u * g with no ``PolyQ`` built but
+the witness: containment by the image of each element under E, and the
+distinct leads as a set.  The witness is the first element outside the
+kernel or the domain.  When either half of the certificate declines, the
 piece falls back to exact rational elimination, which also finds the
 witness.  Up to weight ``FOCK_CHECK_WEIGHT`` the kernel basis is found in
 any case and proved equal to the kernel of the Fock matrix, the direct
@@ -112,11 +119,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .fock import FockState, apply_monomial, partitions
 from .linalg import (
-    Scalar,
     SparseMatQ,
     Vector,
     kernel_basis,
@@ -269,7 +275,7 @@ def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
 
 
 class IdealRows(NamedTuple):
-    """What ``_ideal_rows`` reads from the blocks of an ideal piece."""
+    """The ideal side of a piece, from ``_ideal_side`` or ``_ideal_rows``."""
 
     witness: PolyQ | None  # the first element outside the kernel
     leads: int  # the distinct leads of the nonzero elements
@@ -281,62 +287,66 @@ def _lead_order(mono: Monomial) -> tuple[int, tuple[int, ...]]:
     return sum([m * m for m in mono.indices]), mono.indices
 
 
-class GeneratorCodes(NamedTuple):
-    """The codes of a generator whose terms fit its block."""
-
-    lead: int | None  # the code of its lead, None for the zero generator
-    terms: list[tuple[int, Scalar]]  # (code, coefficient) of each term
+# The generator verdicts of one run: id(g) -> (g, its lead if g passes, else
+# None).  Each entry holds g, so no other object takes its id meanwhile.
+Verdicts = dict[int, tuple[PolyQ, tuple[int, ...] | None]]
 
 
-# a function from the index tuple of a monomial to its code
-Code = Callable[[tuple[int, ...]], int]
-
-# The code tables of ``_ideal_rows``, kept for the life of the process.
-# Each entry is keyed by the id of the object it reads, with the numbers
-# its codes depend on, and holds that object, so the id is never reused: a
-# patched relation or another cofactor tuple is a new key, never a stale hit.
-_MONOMIAL_CODES: dict[tuple, tuple[tuple[Monomial, ...], tuple[int, ...]]] = {}
-_GENERATOR_CODES: dict[tuple, tuple[PolyQ, GeneratorCodes | None]] = {}
-
-
-def _monomial_codes(
-    monos: tuple[Monomial, ...], base: int, floor: int, code_of: Code
-) -> tuple[int, ...]:
-    """The codes of a tuple of monomials, in its order, from the table;
-    ``code_of`` is the code function of (base, floor)."""
-    key = (id(monos), base, floor)
-    entry = _MONOMIAL_CODES.get(key)
-    if entry is None:
-        entry = _MONOMIAL_CODES[key] = (monos, tuple([code_of(u.indices) for u in monos]))
-    return entry[1]
+def _generator_lead(
+    tag: str, g: PolyQ, piece: IdealPiece, matrix: SparseMatQ
+) -> tuple[int, ...] | None:
+    """The index tuple of the lead of a generator g if g passes, else None:
+    its lead is x(-1) or a balanced pair x(a)x(b), b - a <= 1, its terms
+    share the lead's bidegree with every index <= floor, and E on that
+    bidegree kills it (see the module docstring).  ``matrix`` is E on the
+    bidegree of ``piece``, and serves when that is g's own."""
+    floor = IDEALS[tag].ambient_floor
+    lead = min(g.terms, key=_lead_order, default=Monomial(())).indices
+    charge, weight = len(lead), -sum(lead)
+    as_claimed = lead == (-1,) or len(lead) == 2 and lead[1] - lead[0] <= 1
+    if not as_claimed or not all(_fits(mono.indices, charge, weight, floor) for mono in g.terms):
+        return None
+    if (weight, charge) != (piece.weight, piece.charge):
+        matrix = eval_matrix(tag, weight, charge)
+    column = {mono.indices: j for j, mono in enumerate(enumerate_monomials(weight, charge, floor))}
+    image = matrix.matvec({column[mono.indices]: c for mono, c in g.terms.items()})
+    return None if image else lead
 
 
-def _generator_codes(
-    g: PolyQ, charge: int, weight: int, base: int, floor: int, code_of: Code
-) -> GeneratorCodes | None:
-    """The codes of g, from the table, or None if a term of g does not have
-    the bidegree (weight, charge) or has an index above floor; ``code_of``
-    is the code function of (base, floor)."""
-    key = (id(g), charge, weight, base, floor)
-    entry = _GENERATOR_CODES.get(key)
-    if entry is None:
-        codes = None
-        if all(_fits(mono.indices, charge, weight, floor) for mono in g.terms):
-            lead = min(g.terms, key=_lead_order, default=None)
-            codes = GeneratorCodes(
-                None if lead is None else code_of(lead.indices),
-                [(code_of(mono.indices), c) for mono, c in g.terms.items()],
-            )
-        entry = _GENERATOR_CODES[key] = (g, codes)
-    return entry[1]
+def _ideal_side(tag: str, piece: IdealPiece, matrix: SparseMatQ, verdicts: Verdicts) -> IdealRows:
+    """The witness and the lead count of an ideal piece, ``matrix`` being E
+    on its domain.  If every generator passes (``_generator_lead``, read
+    once into ``verdicts``) and every block's cofactors are the shared
+    domain tuple of their bidegree, there is no witness, and the leads are
+    the domain monomials with an adjacent pair, or an index, that is a
+    generator's lead.  Otherwise ``_ideal_rows`` scans the piece."""
+    weight, charge = piece.weight, piece.charge
+    floor = IDEALS[tag].ambient_floor
+    leads = set()
+    for g, cofactors in piece.blocks:
+        entry = verdicts.get(id(g))
+        if entry is None:
+            entry = verdicts[id(g)] = (g, _generator_lead(tag, g, piece, matrix))
+        lead = entry[1]
+        if lead is None or cofactors is not enumerate_monomials(
+            weight + sum(lead), charge - len(lead), floor
+        ):
+            return _ideal_rows(piece, matrix)
+        leads.add(lead)
+    singles = {lead[0] for lead in leads if len(lead) == 1}
+    count = 0
+    for mono in enumerate_monomials(weight, charge, floor):
+        m = mono.indices
+        count += not (leads.isdisjoint(zip(m, m[1:])) and singles.isdisjoint(m))
+    return IdealRows(None, count)
 
 
 def _ideal_rows(piece: IdealPiece, matrix: SparseMatQ) -> IdealRows:
     """The witness and the lead count of an ideal piece, read from its
-    blocks (g, cofactors) with no ``PolyQ`` built but the witness, the
-    product u * g of its pair (see the module docstring).  ``matrix`` is E
-    on the piece's domain, the monomials of ``enumerate_monomials(weight,
-    charge, floor)``.
+    blocks (g, cofactors) element by element, with no ``PolyQ`` built but
+    the witness, the product u * g of its pair.  ``matrix`` is E on the
+    piece's domain, the monomials of ``enumerate_monomials(weight, charge,
+    floor)``.
 
     A monomial with indices m_i <= floor has the code sum_i C^(floor -
     m_i), C = charge + 1.  On charge-k monomials, k <= charge, its digits
@@ -344,31 +354,20 @@ def _ideal_rows(piece: IdealPiece, matrix: SparseMatQ) -> IdealRows:
     and code(u * v) = code(u) + code(v).  A block passes when every term of
     g has the bidegree that the block's cofactors complete to the piece's
     and every index <= floor; then each product u * v is a domain
-    monomial, as every domain holds all monomials of its bidegree.  If a
-    term fails, every product u * v with it lies outside the domain, so the
-    block's first element is outside the kernel.
-
-    The codes of a cofactor tuple are read once per process for each (C,
-    floor), and so are a generator's verdict for its block bidegree, its
-    lead code and its term codes: the same cofactor domains and relations
-    recur in every piece of one charge.  The tables are keyed by the
-    identity of the tuple or the generator and hold it, so an object built
-    anew, such as a patched relation or a doctored tuple, is read anew.
-    The domain's codes are read on each call, only for the nonzero columns
-    of E.
-
-    The lead of u * g is u * lead(g): multiplying by u keeps the order, as
-    sum m_i^2 adds up and two sorted index tuples of one length compare by
-    the least index whose multiplicity differs.  On a passing piece the
-    distinct leads are distinct codes.  Images under E are summed, by
-    code, only while there is no witness and only on columns where E is
-    nonzero, so a piece where E has no rows needs no lookup at all."""
+    monomial.  If a term fails, every product with it lies outside the
+    domain, so the block's first element is the witness.  On a passing
+    piece the distinct leads u * lead(g) are distinct codes.  Images under
+    E are summed, by code, only while there is no witness and only on
+    columns where E is nonzero."""
     weight, charge, floor = piece.weight, piece.charge, piece.floor
     base = charge + 1
     # digit[m] = C^(floor - m), read with negative indices: every index m
     # of a passing product has floor - m in [0, weight]
     digit = [base**e for e in range(weight, -1, -1)] + [0] * (-floor - 1)
-    code_of = functools.partial(_code, digit)
+
+    def code_of(indices: tuple[int, ...]) -> int:
+        return sum(map(digit.__getitem__, indices))
+
     monos = enumerate_monomials(weight, charge, floor)
     columns = {code_of(monos[j].indices): column for j, column in matrix.columns().items()}
     n_rows = matrix.n_rows
@@ -376,20 +375,20 @@ def _ideal_rows(piece: IdealPiece, matrix: SparseMatQ) -> IdealRows:
     witness = None
     for g, cofactors in piece.blocks:
         first = cofactors[0].indices
-        generator = _generator_codes(
-            g, charge - len(first), weight + sum(first), base, floor, code_of
-        )
-        if generator is None:
+        k, w = charge - len(first), weight + sum(first)
+        if not all(_fits(mono.indices, k, w, floor) for mono in g.terms):
             if witness is None:
                 witness = PolyQ({cofactors[0]: 1}) * g
             continue
-        codes = _monomial_codes(cofactors, base, floor, code_of)
-        if generator.lead is not None:
-            leads.update(map(generator.lead.__add__, codes))
+        codes = [code_of(u.indices) for u in cofactors]
+        if g.terms:
+            lead = code_of(min(g.terms, key=_lead_order).indices)
+            leads.update(map(lead.__add__, codes))
         if witness is None and columns:
+            terms = [(code_of(mono.indices), c) for mono, c in g.terms.items()]
             for u, code in zip(cofactors, codes):
                 image = [0] * n_rows
-                for term, c in generator.terms:
+                for term, c in terms:
                     column = columns.get(code + term)
                     if column is not None:
                         for i, v in column.items():
@@ -398,11 +397,6 @@ def _ideal_rows(piece: IdealPiece, matrix: SparseMatQ) -> IdealRows:
                     witness = PolyQ({u: 1}) * g
                     break
     return IdealRows(witness, len(leads))
-
-
-def _code(digit: list[int], indices: tuple[int, ...]) -> int:
-    """The code of a monomial: the sum of the digits of its indices."""
-    return sum(map(digit.__getitem__, indices))
 
 
 def _fits(indices: tuple[int, ...], charge: int, weight: int, floor: int) -> bool:
@@ -462,13 +456,16 @@ def _fock_check(
     return wider is None, wider
 
 
-def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
+def piece_report(
+    tag: str, weight: int, charge: int, verdicts: Verdicts | None = None
+) -> PieceReport:
     """Compare the kernel of the evaluation map with the ideal piece.
 
-    Containment is checked first, exactly, by ``_ideal_rows`` on the
-    blocks of the piece, and the first element with a nonzero image, or
-    with a monomial outside the domain, is the witness.  Up to weight ``FOCK_CHECK_WEIGHT``
-    the kernel basis (``kernel_basis``) is checked against the Fock matrix
+    Containment is checked first, exactly, by ``_ideal_side``, from the
+    generators (their verdicts in the run's ``verdicts``, or a new store)
+    or by ``_ideal_rows``, whose first element outside the kernel or the
+    domain is the witness.  Up to weight ``FOCK_CHECK_WEIGHT`` the kernel
+    basis (``kernel_basis``) is checked against the Fock matrix
     (``_fock_check``), and a vector in one of the two kernels and not the
     other is the witness.  Given both, the certificate of the module
     docstring decides the piece: ``_full_row_rank`` gives dim ker E = n -
@@ -483,7 +480,7 @@ def piece_report(tag: str, weight: int, charge: int) -> PieceReport:
     matrix = eval_matrix(tag, weight, charge)
     full_rank = _full_row_rank(matrix)
     ideal = ideal_piece(tag, weight, charge)
-    rows = _ideal_rows(ideal, matrix)
+    rows = _ideal_side(tag, ideal, matrix, {} if verdicts is None else verdicts)
     witness = None if rows.witness is None else str(rows.witness)
     containment_ok = witness is None
     kernel = None
@@ -534,12 +531,15 @@ def _require_tag(tag: str) -> None:
 
 
 def verify_presentation(tag: str, max_weight: int) -> VerificationRun:
-    """Check kernel == ideal span on every bidegree up to max_weight."""
+    """Check kernel == ideal span on every bidegree up to max_weight, in
+    order of weight and charge, so that each generator's verdict is read
+    from the E of its own piece; the verdicts live for this run only."""
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
     _require_tag(tag)
+    verdicts: Verdicts = {}
     pieces = [
-        piece_report(tag, weight, charge)
+        piece_report(tag, weight, charge, verdicts)
         for weight in range(max_weight + 1)
         for charge in charge_range(tag, weight)
     ]

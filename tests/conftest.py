@@ -57,17 +57,17 @@ def force_certificate_off(monkeypatch):
     """Make the halves of the certificate of ``piece_report`` decline on
     every piece, from the call on: the row-rank check
     ``verify._full_row_rank``, and the lead count that
-    ``verify._ideal_rows`` takes, set to -1, below every kernel dimension
-    (the witness is still found).  Each half can be left on with
-    ``minor=False`` or ``leads=False``."""
+    ``verify._ideal_side`` takes, from the domain or from ``_ideal_rows``,
+    set to -1, below every kernel dimension (the witness is still found).
+    Each half can be left on with ``minor=False`` or ``leads=False``."""
 
     def force(minor=True, leads=True):
         if minor:
             monkeypatch.setattr(verify, "_full_row_rank", lambda *args: False)
         if leads:
-            rows = verify._ideal_rows
+            side = verify._ideal_side
             monkeypatch.setattr(
-                verify, "_ideal_rows", lambda *args: rows(*args)._replace(leads=-1)
+                verify, "_ideal_side", lambda *args: side(*args)._replace(leads=-1)
             )
 
     return force

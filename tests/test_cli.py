@@ -320,21 +320,24 @@ def test_verify_fails_on_a_relation_term_off_its_bidegree(
 
 @pytest.mark.parametrize("extra", EXTRA_TERMS)
 def test_warm_code_tables_give_the_cold_report_of_a_patched_relation(
-    capsys, monkeypatch, patch_relation, extra
+    capsys, patch_relation, extra
 ):
-    """A passing verify to weight 10 fills the code tables of
-    ``_ideal_rows``.  R_6 patched afterwards with a term off its bidegree
-    gives the exit 1 and the witnesses that it gives from empty tables:
-    the patched relation is a new key, never a hit on the real one."""
+    """A passing verify to weight 10 reads a verdict for every generator.
+    R_6 patched afterwards with a term off its bidegree gives exit 1, and
+    every piece the report that ``piece_report`` gives alone, with a store
+    of its own: no verdict of the passing run reaches the next one."""
     args = ["verify", "--max-weight", "10", "--format", "json"]
     assert run(capsys, *args)[0] == 0
     patch_relation(6, lambda rel: rel + EXTRA_TERMS[extra])
-    warm = run(capsys, *args)
-    monkeypatch.setattr(verify, "_MONOMIAL_CODES", {})
-    monkeypatch.setattr(verify, "_GENERATOR_CODES", {})
-    cold = run(capsys, *args)
-    assert warm == cold and warm[0] == 1
-    assert any(p["witness"] for p in json.loads(warm[1])["pieces"])
+    code, out, _ = run(capsys, *args)
+    assert code == 1
+    pieces = json.loads(out)["pieces"]
+    assert any(p["witness"] for p in pieces)
+    for p in pieces:
+        alone = verify.piece_report(p["module_tag"], p["idx"]["weight"], p["idx"]["charge"])
+        assert (p["witness"], p["containment_ok"], p["equality_ok"]) == (
+            alone.witness, alone.containment_ok, alone.equality_ok
+        )
 
 
 def test_a_passing_verify_builds_no_ideal_polynomial(capsys, monkeypatch):
@@ -448,6 +451,27 @@ def test_verify_fails_with_a_broken_bialternant(
     agree, escaped = verify._fock_check(tag, weight, charge, matrix, kernel)
     assert not agree
     assert not matrix.matvec(escaped) and fock.matvec(escaped)
+
+
+def test_a_broken_bialternant_reaches_the_run_after_a_passing_one(capsys, monkeypatch):
+    """A passing verify to weight 8, then every sign of
+    ``_signed_permutations`` set to +1: the next run reads every generator
+    verdict from the mutant E, so each module fails first on the piece and
+    with the witness of ``test_verify_fails_with_a_broken_bialternant``."""
+    args = ["verify", "--max-weight", "8", "--format", "json"]
+    assert run(capsys, *args)[0] == 0
+    permanent(monkeypatch)
+    code, out, _ = run(capsys, *args)
+    assert code == 1
+    first = {}
+    for p in json.loads(out)["pieces"]:
+        if not p["equality_ok"]:
+            first.setdefault(p["module_tag"], (p["idx"]["weight"], p["idx"]["charge"], p["witness"]))
+    assert first == {
+        "lambda0": (4, 2, "2*x(-3)*x(-1) + x(-2)^2"),
+        "lambda1": (6, 2, "2*x(-5)*x(-1) + 2*x(-4)*x(-2) + x(-3)^2"),
+        "lambda1prime": (6, 2, "2*x(-4)*x(-2) + x(-3)^2"),
+    }
 
 
 def fock_killing_nothing(m):

@@ -407,13 +407,16 @@ def lead(poly):
     return min(poly.terms, key=lambda mono: (sum(m * m for m in mono.indices), mono.indices))
 
 
-def without_one_lead(tag, weight, charge, inner=False):
+def without_one_lead(tag, weight, charge, inner=False, repeat=False):
     """The ideal piece, the piece with the cofactor of the first spanning
     element with a lead of its own dropped from its block, and the number
     of distinct leads.  The block gets a new cofactor tuple, or is left out
     if that was its one cofactor, and the other blocks are kept as they
     are.  With ``inner``, the element is the first one that is not the
-    first of its block, so the new tuple starts as the old one did."""
+    first of its block, so the new tuple starts as the old one did.  With
+    ``repeat`` (and so ``inner``), the cofactor is replaced by the first of
+    its block, so the new tuple has the old one's length."""
+    inner = inner or repeat
     piece = ideal_piece(tag, weight, charge)
     polys = list(piece)
     leads = [lead(p) for p in polys]
@@ -430,10 +433,11 @@ def without_one_lead(tag, weight, charge, inner=False):
         i = drop - start
         start += len(cofactors)
         if 0 <= i < len(cofactors):
-            cofactors = cofactors[:i] + cofactors[i + 1 :]
+            cofactors = cofactors[:i] + cofactors[:1] * repeat + cofactors[i + 1 :]
+            first = drop - i
         blocks.append((g, cofactors))
     kept = relations.IdealPiece(weight, charge, piece.floor, blocks)
-    assert list(kept) == polys[:drop] + polys[drop + 1 :]
+    assert list(kept) == polys[:drop] + [polys[first]] * repeat + polys[drop + 1 :]
     return piece, kept, len(set(leads))
 
 
@@ -461,27 +465,53 @@ def test_certificate_declines_without_one_cofactor_multiple(
     assert piece_report(tag, weight, charge) == report
 
 
+def declines_on_a_doctored_piece(monkeypatch, tag, kept, distinct, verdicts):
+    """``_ideal_side`` leaves the doctored piece ``kept`` to ``_ideal_rows``
+    with the warm ``verdicts``, which counts one lead fewer than
+    ``distinct``, and ``piece_report`` on it falls back."""
+    weight, charge = kept.weight, kept.charge
+    matrix = eval_matrix(tag, weight, charge)
+    assert verify._ideal_side(tag, kept, matrix, verdicts) == (None, distinct - 1)
+    monkeypatch.setattr(verify, "ideal_piece", lambda *piece: kept)
+    monkeypatch.setattr(verify, "fallbacks", 0)
+    piece_report(tag, weight, charge, verdicts)
+    assert verify.fallbacks == 1
+
+
 @pytest.mark.parametrize("tag", TAGS)
 @pytest.mark.parametrize("weight, charge, inner", [(12, 3, False), (12, 4, True)])
 def test_warm_code_tables_read_a_dropped_cofactor_anew(
-    capsys, monkeypatch, tag, weight, charge, inner
+    monkeypatch, tag, weight, charge, inner
 ):
-    """After a passing verify to weight 10 and the real piece have filled
-    the code tables of ``_ideal_rows``, the piece with one cofactor dropped
-    still has one distinct lead fewer than the kernel dimension, and the
-    certificate still declines: a shorter tuple is a new key.  On (12, 3)
-    the cofactor is the one of the test above, on (12, 4) it is inside a
-    block of R_t, whose new tuple starts with the cofactor of the old."""
-    assert main(["verify", "--max-weight", "10", "--format", "json"]) == 0
-    capsys.readouterr()
-    assert piece_report(tag, weight, charge).equality_ok
+    """After a run to the piece has filled a verdict store with every
+    generator it reads, the piece with one cofactor dropped is still read
+    anew: its block's tuple is not the shared domain tuple, so
+    ``_ideal_side`` leaves it to ``_ideal_rows``, which counts one distinct
+    lead fewer than the kernel dimension, and the certificate declines.  On
+    (12, 3) the cofactor is the one of the test above, on (12, 4) it is
+    inside a block of R_t, whose new tuple starts with the cofactor of the
+    old."""
+    verdicts = {}
+    for w in range(weight + 1):
+        for k in charge_range(tag, w):
+            assert piece_report(tag, w, k, verdicts).equality_ok
     _, kept, distinct = without_one_lead(tag, weight, charge, inner)
-    matrix = eval_matrix(tag, weight, charge)
-    assert verify._ideal_rows(kept, matrix) == (None, distinct - 1)
-    monkeypatch.setattr(verify, "ideal_piece", lambda *piece: kept)
-    monkeypatch.setattr(verify, "fallbacks", 0)
-    piece_report(tag, weight, charge)
-    assert verify.fallbacks == 1
+    declines_on_a_doctored_piece(monkeypatch, tag, kept, distinct, verdicts)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_a_cofactor_tuple_of_the_domain_length_is_read_anew(monkeypatch, tag):
+    """The piece (12, 4) with the cofactor of a spanning element with a
+    lead of its own, inside its block, replaced by the block's first: the
+    tuple keeps its length and bidegree but is not the shared domain tuple,
+    so ``_ideal_side`` leaves it to ``_ideal_rows``, which counts one
+    distinct lead fewer, and the certificate declines even with a warm
+    verdict store."""
+    weight, charge = 12, 4
+    verdicts = {}
+    assert piece_report(tag, weight, charge, verdicts).equality_ok
+    _, kept, distinct = without_one_lead(tag, weight, charge, repeat=True)
+    declines_on_a_doctored_piece(monkeypatch, tag, kept, distinct, verdicts)
 
 
 def rows_by_coordinates(polys, monos):
@@ -581,6 +611,125 @@ def test_each_half_of_the_certificate_declines_alone(
     runs = [verify_presentation(tag, 8) for tag in TAGS]
     assert runs == certified
     assert verify.fallbacks == sum(len(run.pieces) for run in runs)
+
+
+def test_a_passing_run_reads_the_generators_and_agrees_with_the_scan(capsys, monkeypatch):
+    """On a passing verify of every module to weight 22, ``_ideal_rows`` is
+    never called and no piece falls back.  On every piece the witness and
+    the lead count that ``_ideal_side`` reads from the generators and the
+    domain are those of the ``_ideal_rows`` scan of every element."""
+    scan, side = verify._ideal_rows, verify._ideal_side
+    seen = []
+
+    def recorded(tag, piece, matrix, verdicts):
+        rows = side(tag, piece, matrix, verdicts)
+        seen.append((piece, matrix, rows))
+        return rows
+
+    monkeypatch.setattr(verify, "_ideal_side", recorded)
+    monkeypatch.setattr(verify, "_ideal_rows", lambda *args: pytest.fail("scanned"))
+    monkeypatch.setattr(verify, "fallbacks", 0)
+    assert main(["verify", "--module", "all", "--max-weight", "22", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert verify.fallbacks == 0
+    assert len(seen) == sum(len(charge_range(tag, w)) for tag in TAGS for w in range(23))
+    assert all(rows == scan(piece, matrix) for piece, matrix, rows in seen)
+
+
+def closure_escapes(tag, max_weight):
+    """The products x(m) v, for v in the kernel basis of E on a piece (w,
+    k), m <= floor and w - m <= max_weight, that E on (w - m, k + 1) does
+    not kill, as (w, k, m), and the number of products; E is the
+    ``eval_matrix`` that verify reads."""
+    floor = IDEALS[tag].ambient_floor
+    products, escapes = 0, []
+    for weight in range(max_weight + 1):
+        for charge in charge_range(tag, weight):
+            monos = enumerate_monomials(weight, charge, floor)
+            kernel = kernel_basis(verify.eval_matrix(tag, weight, charge))
+            for m in range(floor, weight - max_weight - 1, -1):
+                target = domain_index(tag, weight - m, charge + 1)
+                matrix = verify.eval_matrix(tag, weight - m, charge + 1)
+                for vec in kernel:
+                    product = {
+                        target[tuple(sorted((*monos[j].indices, m)))]: c for j, c in vec.items()
+                    }
+                    products += 1
+                    if matrix.matvec(product):
+                        escapes.append((weight, charge, m))
+    return products, escapes
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_x_m_maps_the_kernel_into_the_kernel(tag):
+    """x(m) ker E(w, k) lies in ker E(w - m, k + 1) for every m <= floor, to
+    weight 14: the closure that lets the generators alone decide
+    containment."""
+    products, escapes = closure_escapes(tag, 14)
+    assert products > 100 and escapes == []
+
+
+def changed_entry(real):
+    """E on the lambda0 piece (12, 3) with 1 added to its entry (0, 8), -2,
+    which keeps every row the top of a column."""
+
+    def matrix(tag, weight, charge):
+        m = real(tag, weight, charge)
+        if (tag, weight, charge) != ("lambda0", 12, 3):
+            return m
+        assert m.entries[(0, 8)] == -2
+        return linalg.SparseMatQ(m.n_rows, m.n_cols, {**m.entries, (0, 8): -1})
+
+    return matrix
+
+
+def test_an_e_mutant_above_the_fock_check_breaks_the_closure(monkeypatch):
+    """One entry of E on the lambda0 piece (12, 3) changed.  The closure
+    test rejects it: x(-6) R_6 and x(-3) R_9 leave its kernel.  So does
+    the ``_ideal_rows`` scan, with a witness.  ``_ideal_side`` takes the
+    closure as proved and reads only the generators, on their own pieces,
+    so it finds no witness, and above ``FOCK_CHECK_WEIGHT`` nothing else in
+    ``verify`` reads this E against another."""
+    mutant = changed_entry(verify.eval_matrix)
+    monkeypatch.setattr(verify, "eval_matrix", mutant)
+    assert closure_escapes("lambda0", 14)[1] == [(6, 2, -6), (9, 2, -3)]
+    matrix = mutant("lambda0", 12, 3)
+    assert verify._full_row_rank(matrix)
+    piece = ideal_piece("lambda0", 12, 3)
+    assert verify._ideal_rows(piece, matrix).witness is not None
+    assert verify._ideal_side("lambda0", piece, matrix, {}).witness is None
+
+
+def without_balanced_term(rel):
+    """A relation with its balanced term, its lead, set to zero."""
+    return PolyQ({mono: c for mono, c in rel.terms.items() if mono != lead(rel)})
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_a_moved_lead_declines_and_the_piece_is_scanned(
+    monkeypatch, force_certificate_off, patch_relation, tag
+):
+    """R_10 with its balanced term x(-5)^2 set to zero keeps its bidegree,
+    but its lead moves to x(-6)x(-4).  The lead check of
+    ``_generator_lead`` declines it even against an E with no rows, which
+    passes the real R_10.  Every piece with R_10 is then scanned, verify to
+    weight 12 fails on (10, 2), and its report is the one of the rational
+    path with the certificate forced off."""
+    floor = IDEALS[tag].ambient_floor
+    real = quadratic_relation(10, floor)
+    patch_relation(10, without_balanced_term)
+    moved = relations.quadratic_relation(10, floor)
+    assert lead(real).indices == (-5, -5) and lead(moved).indices == (-6, -4)
+    piece = ideal_piece(tag, 10, 2)
+    no_rows = linalg.SparseMatQ(0, len(domain_index(tag, 10, 2)))
+    assert verify._generator_lead(tag, real, piece, no_rows) == (-5, -5)
+    assert verify._generator_lead(tag, moved, piece, no_rows) is None
+    monkeypatch.setattr(verify, "fallbacks", 0)
+    report = verify_presentation(tag, 12)
+    failed = [(p.weight, p.charge) for p in report.pieces if not p.equality_ok]
+    assert failed[0] == (10, 2) and verify.fallbacks >= 1
+    force_certificate_off()
+    assert verify_presentation(tag, 12) == report
 
 
 def test_piece_report_weight_four_charge_two():
