@@ -47,19 +47,23 @@ basis the base case is all ones (Macdonald I.2: h_n = sum p_lambda /
 z_lambda), and a(-n) moves the coordinate of lambda to lambda + n with the
 weight z_{lambda+n} / z_lambda = n (mult_n(lambda) + 1), so every image is
 an integer tuple with no denominator.  No ``FockState`` is built inside the
-tables.  Monomial actions and the square-zero check both sum such images
-through one accumulator, ``_x_sum``, which adds them position by position
-in one dense list per (coset, size).  The tables are keyed by the states
-(lambda; r) of the basis a(-lambda), so between two x(m) a sum goes back to
-that basis through ``_unscaled``: each coordinate over its z_lambda, all
-times one common multiple, the lcm of the z_lambda present.  Every z_lambda
-is read from ``_partitions_with_z``.  ``apply_monomial``, which ``x_act``
-calls with one generator, carries plain (2r, mu, numerator) triples from
-one x(m) to the next over one common denominator, and builds the
-``FockState`` keys and ``Fraction`` coefficients of its result once, at the
-end, each coordinate over the denominator times its z_lambda.  The tables
-(x(m) images, partitions with their z-factors, and ``_insert_part``, the
-positions and weights of a(-n) in the basis a(-lambda)/z_lambda) are
+tables.  Monomial actions and the state-by-state half of the square-zero
+check sum such images through one accumulator, ``_x_sum``, which adds them
+position by position in one dense list per (coset, size).  The vacuum half
+reads x(m) on h_j(a) e^{r alpha}, the image of a lattice vacuum under one
+x(m'), from ``_x_on_h``, which builds it from the vacuum images by Newton's
+identity and never takes x(m) one partition at a time.  The tables are
+keyed by the states (lambda; r) of the basis a(-lambda), so between two
+x(m) a sum goes back to that basis through ``_unscaled``: each coordinate
+over its z_lambda, all times one common multiple, the lcm of the z_lambda
+present.  Every z_lambda is read from ``_partitions_with_z``.
+``apply_monomial``, which ``x_act`` calls with one generator, carries plain
+(2r, mu, numerator) triples from one x(m) to the next over one common
+denominator, and builds the ``FockState`` keys and ``Fraction``
+coefficients of its result once, at the end, each coordinate over the
+denominator times its z_lambda.  The tables (x(m) images on states and on
+h_j(a) e^{r alpha}, partitions with their z-factors, and ``_insert_part``,
+the positions and weights of a(-n) in the basis a(-lambda)/z_lambda) are
 ``functools.cache`` functions: unbounded, kept for the life of the process,
 and each reports ``cache_info()``.
 """
@@ -244,6 +248,35 @@ def _x_on_state(s: int, mu: tuple[int, ...]) -> _XImage:
 
 
 @functools.cache
+def _x_on_h(s: int, j: int) -> _XImage:
+    """j! x(m) h_j(a) e^{r alpha} for every m + 2r = s, on the states
+    (lambda; r + 1) in the basis a(-lambda)/z_lambda, with h_j(a) =
+    sum_{mu |- j} a(-mu)/z_mu.  Newton's identity (Macdonald I.2), j h_j =
+    sum_{n=1..j} p_n h_{j-n}, and x(m) a(-n) = a(-n) x(m) - 2 x(m-n) give
+
+        V(s, j) = sum_n (j-1)!/(j-n)! (a(-n) V(s, j-n) - 2 V(s-n, j-n)),
+
+    from V(s, 0) = ``_x_on_state(s, ())``, with a(-n) by ``_insert_part``."""
+    if not j:
+        return _x_on_state(s, ())
+    size = j - s - 1
+    if size < 0:
+        return ()
+    acc = [0] * len(partitions(size, 1))
+    for n in range(1, j + 1):
+        weight = math.perm(j - 1, n - 1)
+        shifted = _x_on_h(s - n, j - n)
+        if shifted:
+            acc = [a - weight * _PAIRING * c for a, c in zip(acc, shifted)]
+        created = _x_on_h(s, j - n)
+        if created:
+            positions, weights = _insert_part(size - n, n)
+            for i, w, c in zip(positions, weights, created):
+                acc[i] += weight * w * c
+    return tuple(acc) if any(acc) else ()
+
+
+@functools.cache
 def _insert_part(size: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """a(-n) in the basis a(-lambda)/z_lambda, for each partition lambda of
     size in partitions(size, 1) order: (positions, weights).  The position is
@@ -400,8 +433,18 @@ def check_square_zero(weight_bound: int) -> bool:
     (mu; 0).  The annihilation bound of (mu; r) is that of (mu; 0) lowered
     by 2r, so the truncated pairs, and which of them fold, correspond one
     to one.  Each check therefore decides every distinct (t - 4r, mu) of its
-    range once, with ``_component_kills``; the keys are collected afresh on
-    every call, and no verdict is kept between calls.
+    range once, the sweep with ``_component_kills`` and the vacuum check with
+    ``_vacuum_kills``; the keys are collected afresh on every call, and no
+    verdict is kept between calls.
+
+    The vacuum check reads no image of a state (mid; 1) one partition at a
+    time.  The first factor gives x(m1) e^0 = h_j(a) e^alpha, j = -m1 - 1
+    (the base case of the recursion), and ``_x_on_h`` tabulates V(s, j) =
+    j! x(m2) h_j(a) e^alpha, s = m2 + 2, by Newton's identity j h_j =
+    sum_n p_n h_{j-n} (Macdonald I.2) and x(m) a(-n) = a(-n) x(m) -
+    2 x(m-n).  The commutator holds for every part n (module docstring), so
+    V(s, j) = j! sum_{mu |- j} x(m2)(mu; 1)/z_mu, the sum that the first
+    images in the basis a(-mid)/z_mid add up; the tests compare the two.
 
     The zero test is exact although no image carries a denominator.
     ``_component_kills`` takes the first images in the basis
@@ -412,6 +455,10 @@ def check_square_zero(weight_bound: int) -> bool:
     Multiplying every term by the same positive integer Z, and every
     coordinate by z_lambda > 0, cannot turn a nonzero vector into zero, so
     the integer lists are zero exactly when S_u (mu; 0) is.
+    ``_vacuum_kills`` sums the pair j as (pair factor) J!/j! V(m2 + 2, j),
+    J the largest j of the sum, which is J! S_u e^0 in the basis
+    a(-lambda)/z_lambda.  Every multiplier is a positive integer, so that
+    list too is zero exactly when S_u e^0 is.
     """
     if weight_bound < 1:
         raise ValueError("weight_bound must be >= 1")
@@ -442,7 +489,27 @@ def _vacuum_check(weight_bound: int) -> bool:
         for two_r in range(-two_r_limit, two_r_limit + 1)
         for t in range(-2 * weight_bound, (12 * weight_bound - two_r * two_r) // 4 + 1)
     )
-    return all(_component_kills(u, ()) for u in keys)
+    return all(_vacuum_kills(u) for u in keys)
+
+
+def _vacuum_kills(u: int) -> bool:
+    """S_u e^0 == 0, with the pairs truncated and folded as in
+    ``_component_kills``; it decides S_t e^{r alpha} for every t - 4r = u.
+    The pair (m1, m2) reads j! x(m2) h_j e^alpha, j = -m1 - 1, from
+    ``_x_on_h``.  j runs up from 0 over the pairs, and the sum A_j = j A_{j-1}
+    + (pair factor) V(m2 + 2, j) carries the pair j times J!/j!, J the last
+    j, so A_J = J! S_u e^0."""
+    acc: list[int] = []
+    for j, m2 in enumerate(range(1 - u, (-u) // 2 + 1)):
+        image = _x_on_h(m2 + 2, j)
+        n = 1 if 2 * m2 == -u else 2
+        if not acc:
+            acc = [n * c for c in image]
+        elif image:
+            acc = [j * a + n * c for a, c in zip(acc, image)]
+        else:
+            acc = [j * a for a in acc]
+    return not any(acc)
 
 
 def _component_kills(u: int, mu: tuple[int, ...]) -> bool:

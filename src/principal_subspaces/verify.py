@@ -432,7 +432,11 @@ def _full_row_rank(matrix: SparseMatQ) -> bool:
     per row gives a lower triangular minor with a nonzero diagonal.  On
     ``eval_matrix`` the DT columns are such columns, so the check closes on
     every piece (see the module docstring)."""
-    return len({min(column) for column in matrix.columns().values()}) == matrix.n_rows
+    least: dict[int, int] = {}
+    for i, j in matrix.entries:
+        if least.get(j, i) >= i:
+            least[j] = i
+    return len(set(least.values())) == matrix.n_rows
 
 
 def _fock_check(

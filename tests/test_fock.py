@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import types
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -379,6 +380,7 @@ def test_recursion_equals_exponential_formula():
 
 
 REAL_X_ON_STATE = fock._x_on_state
+REAL_X_ON_H = fock._x_on_h
 REAL_INSERT_PART = fock._insert_part
 # every functools.cache table of fock, as the module defines them
 FOCK_TABLES = {
@@ -404,7 +406,13 @@ def fresh_tables():
 
 
 def test_fresh_tables_empties_every_fock_table(fresh_tables):
-    assert set(FOCK_TABLES) == {"partitions", "_partitions_with_z", "_insert_part", "_x_on_state"}
+    assert set(FOCK_TABLES) == {
+        "partitions",
+        "_partitions_with_z",
+        "_insert_part",
+        "_x_on_state",
+        "_x_on_h",
+    }
     assert check_square_zero(3)
     assert apply_monomial(Monomial((-2, -1)), FockState((1, 1), HALF))
     assert all(table.cache_info().currsize for table in FOCK_TABLES.values())
@@ -441,6 +449,31 @@ def drop_multiplicity(monkeypatch):
     monkeypatch.setattr(fock, "_insert_part", unweighted)
 
 
+def newton_weight_one(monkeypatch):
+    """V(s, j) = j! x(m) h_j e^alpha with every Newton weight (j-1)!/(j-n)!,
+    ``math.perm(j - 1, n - 1)`` in ``_x_on_h``, replaced by 1: fock reads
+    ``math.perm`` there only."""
+    patched = types.SimpleNamespace(**vars(math))
+    patched.perm = lambda n, k: 1
+    monkeypatch.setattr(fock, "math", patched)
+
+
+def perturb_one_newton_image(monkeypatch):
+    """V(-4, 2) = 2! x(m) h_2(a) e^{r alpha} for m + 2r = -4, with its first
+    integer, that of partitions(5, 1)[0] = (1, 1, 1, 1, 1), off by one; the
+    recursion and the vacuum check read it through the module name."""
+
+    @functools.cache
+    def perturbed(s, j):
+        coords = REAL_X_ON_H(s, j)
+        if (s, j) == (-4, 2):
+            first, *rest = coords
+            return (first + 1, *rest)
+        return coords
+
+    monkeypatch.setattr(fock, "_x_on_h", perturbed)
+
+
 RECURSION_MUTANTS = {
     # x(m)(mu; r) = a(-n) x(m)(mu \ n; r) + 2 x(m-n)(mu \ n; r)
     "plus_two": lambda mp: mp.setattr(fock, "_PAIRING", -2),
@@ -450,11 +483,17 @@ RECURSION_MUTANTS = {
     # the a(-n) weight of the recursion without mult_n(lambda) + 1
     "weight_without_multiplicity": drop_multiplicity,
 }
+# mutants of the Newton table that the vacuum half reads, x(m) on h_j e^alpha
+NEWTON_MUTANTS = {
+    "newton_weight_one": newton_weight_one,
+    "one_newton_image": perturb_one_newton_image,
+}
+MUTANTS = RECURSION_MUTANTS | NEWTON_MUTANTS
 
 
-@pytest.mark.parametrize("mutant", list(RECURSION_MUTANTS))
+@pytest.mark.parametrize("mutant", list(MUTANTS))
 def test_recursion_mutants_fail_lemmas(capsys, monkeypatch, fresh_tables, mutant):
-    RECURSION_MUTANTS[mutant](monkeypatch)
+    MUTANTS[mutant](monkeypatch)
     code = main(["lemmas", "--max-weight", "4", "--format", "json"])
     lemmas = json.loads(capsys.readouterr().out)["lemmas"]
     assert code == 1
@@ -462,25 +501,100 @@ def test_recursion_mutants_fail_lemmas(capsys, monkeypatch, fresh_tables, mutant
     assert [name for name, ok in lemmas.items() if not ok] == ["square_zero"]
 
 
-@pytest.mark.parametrize("mutant", list(RECURSION_MUTANTS))
+@pytest.mark.parametrize("mutant", list(MUTANTS))
 def test_recursion_mutants_reach_warm_tables_once_reset(
     capsys, monkeypatch, fresh_tables, mutant
 ):
     # the real images are in the tables, then the reset empties them
     assert check_square_zero(4)
     fresh_tables()
-    RECURSION_MUTANTS[mutant](monkeypatch)
+    MUTANTS[mutant](monkeypatch)
     assert main(["lemmas", "--max-weight", "4", "--format", "json"]) == 1
     assert json.loads(capsys.readouterr().out)["lemmas"]["square_zero"] is False
 
 
-@pytest.mark.parametrize("half", ["_brute_sweep", "_vacuum_check"])
-@pytest.mark.parametrize("mutant", list(RECURSION_MUTANTS))
+# the brute half reads the tables of states and the z-factors of _unscaled;
+# the vacuum half reads the Newton table, built from the vacuum images with
+# _PAIRING and _insert_part, and neither per-partition images nor z-factors
+# (the partition-sum cross-check below rejects those two mutants)
+HALF_MUTANTS = [(mutant, "_brute_sweep") for mutant in RECURSION_MUTANTS] + [
+    (mutant, "_vacuum_check")
+    for mutant in ("plus_two", "weight_without_multiplicity", *NEWTON_MUTANTS)
+]
+
+
+@pytest.mark.parametrize(("mutant", "half"), HALF_MUTANTS)
 def test_each_square_zero_half_rejects_recursion_mutants(
     monkeypatch, fresh_tables, mutant, half
 ):
-    RECURSION_MUTANTS[mutant](monkeypatch)
+    MUTANTS[mutant](monkeypatch)
     assert getattr(fock, half)(4) is False
+
+
+def newton_keys(monkeypatch, weight_bound):
+    """Every (s, j) that ``_vacuum_check(weight_bound)`` reads from cold
+    tables: the recursion reads ``_x_on_h`` through the module name, so the
+    spy sees each key it builds."""
+    keys = set()
+
+    def spy(s, j):
+        keys.add((s, j))
+        return REAL_X_ON_H(s, j)
+
+    monkeypatch.setattr(fock, "_x_on_h", spy)
+    assert fock._vacuum_check(weight_bound)
+    monkeypatch.setattr(fock, "_x_on_h", REAL_X_ON_H)
+    return keys
+
+
+def partition_sum_mismatches(keys):
+    """The (s, j) in keys where V(s, j) = ``_x_on_h(s, j)`` is not
+    j! sum_{mu |- j} ``_x_on_state(s, mu)`` / z_mu, with the z_mu of
+    ``_partitions_with_z``: the sum that ``_component_kills(u, ())`` adds
+    up over the first images in the basis a(-mid)/z_mid, one partition mid
+    at a time.  Exact: integers over the lcm of the z_mu, then
+    ``Fraction``s."""
+    bad = []
+    for s, j in keys:
+        with_z = fock._partitions_with_z(j)
+        common = math.lcm(*(z for _, z in with_z))
+        total = []
+        for mu, z in with_z:
+            image = fock._x_on_state(s, mu)
+            f = math.factorial(j) * (common // z)
+            if image:
+                total = [a + f * c for a, c in zip(total or [0] * len(image), image)]
+        expected = [Fraction(c, common) for c in total] if any(total) else []
+        if list(fock._x_on_h(s, j)) != expected:
+            bad.append((s, j))
+    return bad
+
+
+def test_newton_table_equals_the_partition_sum(monkeypatch, fresh_tables):
+    keys = newton_keys(monkeypatch, 6)
+    assert len(keys) == 121
+    assert partition_sum_mismatches(keys) == []
+
+
+def test_vacuum_kills_weighs_the_pair_j_by_the_last_j_factorial_over_j_factorial(monkeypatch):
+    # S_8 e^0 has the pairs m2 = -7..-4, that is j = 0..3 and s = m2 + 2,
+    # with pair factors 2, 2, 2, 1: the sum 2 3!/0! V_0 + 2 3!/1! V_1 +
+    # 2 3!/2! V_2 + V_3, zero images too, is zero here and then is not
+    images = {(-5, 0): (1, 2), (-4, 1): (1, 0), (-3, 2): (), (-2, 3): (-24, -24)}
+    monkeypatch.setattr(fock, "_x_on_h", lambda s, j: images[(s, j)])
+    assert fock._vacuum_kills(8)
+    images[(-2, 3)] = (-24, -23)
+    assert not fock._vacuum_kills(8)
+
+
+@pytest.mark.parametrize("mutant", ["one_image", "z_without_factorial"])
+def test_the_partition_sum_rejects_the_mutants_the_vacuum_half_cannot_read(
+    monkeypatch, fresh_tables, mutant
+):
+    MUTANTS[mutant](monkeypatch)
+    # the vacuum half passes: it reads neither mutated table
+    keys = newton_keys(monkeypatch, 6)
+    assert partition_sum_mismatches(keys)
 
 
 def test_square_zero_halves_and_bounds(monkeypatch):
@@ -524,9 +638,10 @@ def vacuum_check_range(w):
     ]
 
 
-def spy_on_component_kills(monkeypatch):
-    """{half: [(u, mu) for each _component_kills call]}, filled from the
-    call on, with the calls filed under the half that made them."""
+def spy_on_decisions(monkeypatch):
+    """{half: [(u, mu) for each decision]}, filled from the call on, with
+    each ``_component_kills(u, mu)`` and each ``_vacuum_kills(u)``, as
+    (u, ()), filed under the half that made it."""
     decided = {}
     for half in ("_brute_sweep", "_vacuum_check"):
         real = getattr(fock, half)
@@ -537,19 +652,25 @@ def spy_on_component_kills(monkeypatch):
 
         monkeypatch.setattr(fock, half, run)
     real_kills = fock._component_kills
+    real_vacuum_kills = fock._vacuum_kills
 
     def kills(u, mu):
         decided[list(decided)[-1]].append((u, mu))
         return real_kills(u, mu)
 
+    def vacuum_kills(u):
+        decided[list(decided)[-1]].append((u, ()))
+        return real_vacuum_kills(u)
+
     monkeypatch.setattr(fock, "_component_kills", kills)
+    monkeypatch.setattr(fock, "_vacuum_kills", vacuum_kills)
     return decided
 
 
 def test_square_zero_decides_each_translated_key_once_per_half(monkeypatch):
     # S_t (mu; r) = h^{2r} S_{t-4r} (mu; 0): each half decides the distinct
     # keys (t - 2 * two_r, mu) of its range, each one once
-    decided = spy_on_component_kills(monkeypatch)
+    decided = spy_on_decisions(monkeypatch)
     for w in range(1, 7):
         decided.clear()
         assert check_square_zero(w)
@@ -566,9 +687,10 @@ def test_square_zero_decides_each_translated_key_once_per_half(monkeypatch):
 
 def test_square_zero_counts_from_cold_tables(monkeypatch, fresh_tables):
     # one table per lattice point built 3385 images and decided 1043 sums
-    decided = spy_on_component_kills(monkeypatch)
+    decided = spy_on_decisions(monkeypatch)
     assert check_square_zero(6)
-    assert fock._x_on_state.cache_info().currsize == 920
+    assert fock._x_on_state.cache_info().currsize == 414
+    assert fock._x_on_h.cache_info().currsize == 121
     assert sum(len(keys) for keys in decided.values()) == 315
 
 
