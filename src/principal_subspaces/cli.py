@@ -279,11 +279,7 @@ def _cmd_lemmas(cfg: RunConfig) -> int:
             relations.check_lift_identity(t) for t in range(4, cfg.t_max + 1)
         ),
         "square_zero": fock.check_square_zero(cfg.max_weight),
-        "translate_ideal_inclusion": all(
-            relations.check_translate_ideal_inclusion(w, k)
-            for w in range(cfg.max_weight + 1)
-            for k in range(w + 1)
-        ),
+        "translate_ideal_inclusion": relations.translate_ideal_inclusion(cfg.max_weight),
     }
     report = _skeleton(cfg)
     report["lemmas"] = results

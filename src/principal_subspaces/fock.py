@@ -52,7 +52,9 @@ check sum such images through one accumulator, ``_x_sum``, which adds them
 position by position in one dense list per (coset, size).  The vacuum half
 reads x(m) on h_j(a) e^{r alpha}, the image of a lattice vacuum under one
 x(m'), from ``_x_on_h``, which builds it from the vacuum images by Newton's
-identity and never takes x(m) one partition at a time.  The tables are
+identity and never takes x(m) one partition at a time; the shifted half of
+Newton's sum is the table ``_x_on_h_shifted``, each entry one step from the
+one before it.  The tables are
 keyed by the states (lambda; r) of the basis a(-lambda), so between two
 x(m) a sum goes back to that basis through ``_unscaled``: each coordinate
 over its z_lambda, all times one common multiple, the lcm of the z_lambda
@@ -62,8 +64,9 @@ present.  Every z_lambda is read from ``_partitions_with_z``.
 denominator, and builds the ``FockState`` keys and ``Fraction``
 coefficients of its result once, at the end, each coordinate over the
 denominator times its z_lambda.  The tables (x(m) images on states and on
-h_j(a) e^{r alpha}, partitions with their z-factors, and ``_insert_part``,
-the positions and weights of a(-n) in the basis a(-lambda)/z_lambda) are
+h_j(a) e^{r alpha} with the shifted half of the latter, partitions with
+their z-factors and their positions, and ``_insert_part``, the positions and
+weights of a(-n) in the basis a(-lambda)/z_lambda) are
 ``functools.cache`` functions: unbounded, kept for the life of the process,
 and each reports ``cache_info()``.
 """
@@ -254,22 +257,20 @@ def _x_on_h(s: int, j: int) -> _XImage:
     sum_{mu |- j} a(-mu)/z_mu.  Newton's identity (Macdonald I.2), j h_j =
     sum_{n=1..j} p_n h_{j-n}, and x(m) a(-n) = a(-n) x(m) - 2 x(m-n) give
 
-        V(s, j) = sum_n (j-1)!/(j-n)! (a(-n) V(s, j-n) - 2 V(s-n, j-n)),
+        V(s, j) = sum_n (j-1)!/(j-n)! a(-n) V(s, j-n) - 2 U(s, j),
 
-    from V(s, 0) = ``_x_on_state(s, ())``, with a(-n) by ``_insert_part``."""
+    from V(s, 0) = ``_x_on_state(s, ())``, with a(-n) by ``_insert_part``
+    and the shifted half U(s, j) from ``_x_on_h_shifted``."""
     if not j:
         return _x_on_state(s, ())
     size = j - s - 1
     if size < 0:
         return ()
-    acc = [0] * len(partitions(size, 1))
+    acc = [-_PAIRING * c for c in _x_on_h_shifted(s, j)] or [0] * len(partitions(size, 1))
     for n in range(1, j + 1):
-        weight = math.perm(j - 1, n - 1)
-        shifted = _x_on_h(s - n, j - n)
-        if shifted:
-            acc = [a - weight * _PAIRING * c for a, c in zip(acc, shifted)]
         created = _x_on_h(s, j - n)
         if created:
+            weight = math.perm(j - 1, n - 1)
             positions, weights = _insert_part(size - n, n)
             for i, w, c in zip(positions, weights, created):
                 acc[i] += weight * w * c
@@ -277,14 +278,40 @@ def _x_on_h(s: int, j: int) -> _XImage:
 
 
 @functools.cache
+def _x_on_h_shifted(s: int, j: int) -> _XImage:
+    """U(s, j) = sum_{n=1..j} (j-1)!/(j-n)! V(s-n, j-n), j >= 1, the shifted
+    half of V(s, j) = ``_x_on_h(s, j)``, on the same target size j - s - 1.
+    Splitting off n = 1 and putting n = n' + 1 in the rest gives
+
+        U(s, 1) = V(s-1, 0),   U(s, j) = V(s-1, j-1) + (j-1) U(s-1, j-1),
+
+    so each entry is one dense pass over one table entry, not a sum of j."""
+    head = _x_on_h(s - 1, j - 1)
+    tail = _x_on_h_shifted(s - 1, j - 1) if j > 1 else ()
+    if not tail:
+        return head
+    if not head:
+        return tuple((j - 1) * c for c in tail)
+    acc = [a + (j - 1) * c for a, c in zip(head, tail)]
+    return tuple(acc) if any(acc) else ()
+
+
+@functools.cache
+def _partition_index(size: int) -> dict[tuple[int, ...], int]:
+    """The position of each partition of size in partitions(size, 1)."""
+    return {lam: i for i, lam in enumerate(partitions(size, 1))}
+
+
+@functools.cache
 def _insert_part(size: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """a(-n) in the basis a(-lambda)/z_lambda, for each partition lambda of
     size in partitions(size, 1) order: (positions, weights).  The position is
-    that of lambda + n in partitions(size + n, 1); a(-n) maps distinct states
-    to distinct states, so the positions are distinct.  The weight is
-    z_{lambda+n} / z_lambda = n (mult_n(lambda) + 1), since a(-n) a(-lambda) /
-    z_lambda = (z_{lambda+n} / z_lambda) a(-lambda-n) / z_{lambda+n}."""
-    index = {lam: i for i, lam in enumerate(partitions(size + n, 1))}
+    that of lambda + n in partitions(size + n, 1), read from
+    ``_partition_index``; a(-n) maps distinct states to distinct states, so
+    the positions are distinct.  The weight is z_{lambda+n} / z_lambda =
+    n (mult_n(lambda) + 1), since a(-n) a(-lambda) / z_lambda =
+    (z_{lambda+n} / z_lambda) a(-lambda-n) / z_{lambda+n}."""
+    index = _partition_index(size + n)
     positions, weights = [], []
     for lam in partitions(size, 1):
         i = bisect.bisect_right(lam, n)
@@ -442,9 +469,12 @@ def check_square_zero(weight_bound: int) -> bool:
     (the base case of the recursion), and ``_x_on_h`` tabulates V(s, j) =
     j! x(m2) h_j(a) e^alpha, s = m2 + 2, by Newton's identity j h_j =
     sum_n p_n h_{j-n} (Macdonald I.2) and x(m) a(-n) = a(-n) x(m) -
-    2 x(m-n).  The commutator holds for every part n (module docstring), so
-    V(s, j) = j! sum_{mu |- j} x(m2)(mu; 1)/z_mu, the sum that the first
-    images in the basis a(-mid)/z_mid add up; the tests compare the two.
+    2 x(m-n); the shifted half U(s, j) = sum_n (j-1)!/(j-n)! V(s-n, j-n)
+    is the table ``_x_on_h_shifted``, by U(s, j) = V(s-1, j-1) +
+    (j-1) U(s-1, j-1).  The commutator holds for every part n (module
+    docstring), so V(s, j) = j! sum_{mu |- j} x(m2)(mu; 1)/z_mu, the sum
+    that the first images in the basis a(-mid)/z_mid add up; the tests
+    compare the two, and U with its defining sum.
 
     The zero test is exact although no image carries a denominator.
     ``_component_kills`` takes the first images in the basis

@@ -184,7 +184,3 @@ def span_dim(vectors: Sequence[Vector], n_cols: int) -> int:
 def subspace_leq(a: Sequence[Vector], b: Sequence[Vector], n_cols: int) -> bool:
     """True iff span(a) is contained in span(b), by rank comparison."""
     return not a or span_dim([*b, *a], n_cols) == span_dim(b, n_cols)
-
-
-def span_equal(a: Sequence[Vector], b: Sequence[Vector], n_cols: int) -> bool:
-    return subspace_leq(a, b, n_cols) and subspace_leq(b, a, n_cols)

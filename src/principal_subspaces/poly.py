@@ -238,18 +238,6 @@ def translate(p: PolyQ, s: int = 1) -> PolyQ:
     )
 
 
-def drop_minus_one_terms(p: PolyQ) -> PolyQ:
-    """Project onto the subalgebra with indices <= -2 by deleting every term
-    containing x(-1).  Defined only on input supported on indices <= -1."""
-    out: dict[Monomial, Scalar] = {}
-    for mono, c in p.terms.items():
-        if mono.indices and mono.indices[-1] >= 0:
-            raise ValueError("projection requires all generator indices <= -1")
-        if not mono.indices or mono.indices[-1] != -1:
-            out[mono] = c
-    return PolyQ(out)
-
-
 def derive(p: PolyQ) -> PolyQ:
     """The derivation with derive(x(m)) = -m * x(m-1).
 

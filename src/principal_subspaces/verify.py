@@ -128,9 +128,8 @@ from .linalg import (
     kernel_basis,
     rank,
     span_dim,
-    subspace_leq,
 )
-from .poly import Monomial, PolyQ, coordinates, derive, enumerate_monomials
+from .poly import Monomial, PolyQ, enumerate_monomials
 from .relations import IDEALS, IdealPiece, ideal_piece
 
 TAGS = tuple(IDEALS)
@@ -613,21 +612,3 @@ def oracle_weight_total(n: int, min_part: int = 1) -> int:
         total += partition_oracle(n, k, min_part)
         k += 1
     return total
-
-
-def check_ideal_D_stability(max_weight: int) -> bool:
-    """The derivation maps each lambda0 ideal piece into the piece one
-    weight higher."""
-    if max_weight < 2:
-        raise ValueError("max_weight must be >= 2")
-    for weight in range(2, max_weight + 1):
-        for charge in range(2, weight + 1):
-            piece = ideal_piece("lambda0", weight, charge)
-            if not piece:
-                continue
-            basis = enumerate_monomials(weight + 1, charge, -1)
-            derived = coordinates([derive(p) for p in piece], basis)
-            target = coordinates(ideal_piece("lambda0", weight + 1, charge), basis)
-            if not subspace_leq(derived, target, len(basis)):
-                return False
-    return True

@@ -8,8 +8,8 @@ import json
 import pytest
 
 from principal_subspaces import cli, relations, verify
-from principal_subspaces.linalg import SparseMatQ
-from principal_subspaces.poly import PolyQ, enumerate_monomials, x
+from principal_subspaces.linalg import SparseMatQ, subspace_leq
+from principal_subspaces.poly import PolyQ, coordinates, derive, enumerate_monomials, x
 
 
 @pytest.fixture
@@ -255,3 +255,78 @@ def ideal_piece_by_products():
         ]
 
     return piece
+
+
+@pytest.fixture
+def span_equal():
+    """Whether two families of sparse vectors in n_cols columns span the
+    same space: ``linalg.subspace_leq`` both ways."""
+
+    def equal(a, b, n_cols):
+        return subspace_leq(a, b, n_cols) and subspace_leq(b, a, n_cols)
+
+    return equal
+
+
+@pytest.fixture
+def drop_minus_one_terms():
+    """The projection onto the subalgebra with indices <= -2: every term
+    containing x(-1) deleted.  Defined only on input supported on indices
+    <= -1, and raises ``ValueError`` otherwise."""
+
+    def drop(p):
+        out = {}
+        for mono, c in p.terms.items():
+            if mono.indices and mono.indices[-1] >= 0:
+                raise ValueError("projection requires all generator indices <= -1")
+            if not mono.indices or mono.indices[-1] != -1:
+                out[mono] = c
+        return PolyQ(out)
+
+    return drop
+
+
+@pytest.fixture
+def translate_inclusion_by_pieces():
+    """Whether translate of the lambda0 ideal piece at (weight, charge)
+    lies in the lambda1 ideal piece at (weight + charge, charge), by
+    coordinate rows of every element over the floor -1 domain and rational
+    elimination: the piece-by-piece oracle of
+    ``relations.translate_ideal_inclusion``.  The spec, the relations and
+    ``translate`` are read through ``relations``, so a patched one reaches
+    it."""
+
+    def included(weight, charge):
+        source = relations.ideal_piece("lambda0", weight, charge)
+        if not source:
+            return True
+        basis = enumerate_monomials(weight + charge, charge, -1)
+        shifted = coordinates([relations.translate(p, 1) for p in source], basis)
+        target = coordinates(relations.ideal_piece("lambda1", weight + charge, charge), basis)
+        return subspace_leq(shifted, target, len(basis))
+
+    return included
+
+
+@pytest.fixture
+def ideal_D_stability():
+    """Whether the derivation maps each lambda0 ideal piece of weight 2 to
+    max_weight into the piece one weight higher, by coordinate rows and
+    rational elimination; ``derive`` may be replaced by a mutant."""
+
+    def stable(max_weight, derive=derive):
+        if max_weight < 2:
+            raise ValueError("max_weight must be >= 2")
+        for weight in range(2, max_weight + 1):
+            for charge in range(2, weight + 1):
+                piece = relations.ideal_piece("lambda0", weight, charge)
+                if not piece:
+                    continue
+                basis = enumerate_monomials(weight + 1, charge, -1)
+                derived = coordinates([derive(p) for p in piece], basis)
+                target = coordinates(relations.ideal_piece("lambda0", weight + 1, charge), basis)
+                if not subspace_leq(derived, target, len(basis)):
+                    return False
+        return True
+
+    return stable

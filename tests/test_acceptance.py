@@ -10,7 +10,7 @@ from contextlib import redirect_stdout
 
 from principal_subspaces.cli import main
 from principal_subspaces.fock import check_square_zero
-from principal_subspaces.linalg import kernel_basis, span_equal
+from principal_subspaces.linalg import kernel_basis
 from principal_subspaces.poly import coordinates, enumerate_monomials
 from principal_subspaces.relations import (
     check_derive_relation,
@@ -19,7 +19,6 @@ from principal_subspaces.relations import (
     quadratic_relation,
 )
 from principal_subspaces.verify import (
-    check_ideal_D_stability,
     eval_matrix,
     graded_dims,
     kernel_containment_L0_in_L1,
@@ -75,11 +74,11 @@ def test_square_zero_to_weight_6():
     report("squared vertex operator vanishes to weight 6, both cosets", check_square_zero(6))
 
 
-def test_ideal_derivation_stability_to_weight_10():
-    report("derivation stability of the lambda0 ideal to weight 10", check_ideal_D_stability(10))
+def test_ideal_derivation_stability_to_weight_10(ideal_D_stability):
+    report("derivation stability of the lambda0 ideal to weight 10", ideal_D_stability(10))
 
 
-def test_low_charge_kernel_structure():
+def test_low_charge_kernel_structure(span_equal):
     """Charge-1 kernel pieces vanish; each charge-2 kernel piece at weight t
     is one-dimensional, spanned by the weight-t relation."""
     ok = True

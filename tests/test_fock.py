@@ -409,9 +409,11 @@ def test_fresh_tables_empties_every_fock_table(fresh_tables):
     assert set(FOCK_TABLES) == {
         "partitions",
         "_partitions_with_z",
+        "_partition_index",
         "_insert_part",
         "_x_on_state",
         "_x_on_h",
+        "_x_on_h_shifted",
     }
     assert check_square_zero(3)
     assert apply_monomial(Monomial((-2, -1)), FockState((1, 1), HALF))
@@ -474,6 +476,22 @@ def perturb_one_newton_image(monkeypatch):
     monkeypatch.setattr(fock, "_x_on_h", perturbed)
 
 
+def shifted_factor_j(monkeypatch):
+    """U(s, j) = V(s-1, j-1) + j U(s-1, j-1), the factor j - 1 of
+    ``_x_on_h_shifted`` raised to j; ``_x_on_h`` and the recursion read U
+    through the module name."""
+
+    @functools.cache
+    def wrong(s, j):
+        head = fock._x_on_h(s - 1, j - 1)
+        tail = wrong(s - 1, j - 1) if j > 1 else ()
+        if not tail:
+            return head
+        return tuple(a + j * c for a, c in zip(head or [0] * len(tail), tail))
+
+    monkeypatch.setattr(fock, "_x_on_h_shifted", wrong)
+
+
 RECURSION_MUTANTS = {
     # x(m)(mu; r) = a(-n) x(m)(mu \ n; r) + 2 x(m-n)(mu \ n; r)
     "plus_two": lambda mp: mp.setattr(fock, "_PAIRING", -2),
@@ -487,6 +505,7 @@ RECURSION_MUTANTS = {
 NEWTON_MUTANTS = {
     "newton_weight_one": newton_weight_one,
     "one_newton_image": perturb_one_newton_image,
+    "shifted_factor_j": shifted_factor_j,
 }
 MUTANTS = RECURSION_MUTANTS | NEWTON_MUTANTS
 
@@ -531,19 +550,20 @@ def test_each_square_zero_half_rejects_recursion_mutants(
     assert getattr(fock, half)(4) is False
 
 
-def newton_keys(monkeypatch, weight_bound):
+def newton_keys(monkeypatch, weight_bound, table="_x_on_h"):
     """Every (s, j) that ``_vacuum_check(weight_bound)`` reads from cold
-    tables: the recursion reads ``_x_on_h`` through the module name, so the
-    spy sees each key it builds."""
+    tables, from ``_x_on_h`` or from the table named: the recursion reads
+    both through the module name, so the spy sees each key it builds."""
     keys = set()
+    real = getattr(fock, table)
 
     def spy(s, j):
         keys.add((s, j))
-        return REAL_X_ON_H(s, j)
+        return real(s, j)
 
-    monkeypatch.setattr(fock, "_x_on_h", spy)
+    monkeypatch.setattr(fock, table, spy)
     assert fock._vacuum_check(weight_bound)
-    monkeypatch.setattr(fock, "_x_on_h", REAL_X_ON_H)
+    monkeypatch.setattr(fock, table, real)
     return keys
 
 
@@ -574,6 +594,32 @@ def test_newton_table_equals_the_partition_sum(monkeypatch, fresh_tables):
     keys = newton_keys(monkeypatch, 6)
     assert len(keys) == 121
     assert partition_sum_mismatches(keys) == []
+
+
+def test_shifted_table_equals_the_direct_sum(monkeypatch, fresh_tables):
+    # U(s, j) = sum_{n=1..j} (j-1)!/(j-n)! V(s-n, j-n), exactly, on every
+    # (s, j) that the vacuum check reads
+    keys = newton_keys(monkeypatch, 6, "_x_on_h_shifted")
+    assert len(keys) == 100
+    bad = []
+    for s, j in keys:
+        size = j - s - 1
+        total = [0] * len(fock.partitions(size, 1))
+        for n in range(1, j + 1):
+            image = fock._x_on_h(s - n, j - n)
+            f = math.perm(j - 1, n - 1)
+            total = [a + f * c for a, c in zip(total, image or [0] * len(total))]
+        if list(fock._x_on_h_shifted(s, j)) != (total if any(total) else []):
+            bad.append((s, j))
+    assert bad == []
+
+
+@pytest.mark.parametrize("mutant", list(NEWTON_MUTANTS))
+def test_the_partition_sum_rejects_the_newton_mutants(monkeypatch, fresh_tables, mutant):
+    keys = newton_keys(monkeypatch, 6)
+    fresh_tables()
+    MUTANTS[mutant](monkeypatch)
+    assert partition_sum_mismatches(keys)
 
 
 def test_vacuum_kills_weighs_the_pair_j_by_the_last_j_factorial_over_j_factorial(monkeypatch):
@@ -691,6 +737,7 @@ def test_square_zero_counts_from_cold_tables(monkeypatch, fresh_tables):
     assert check_square_zero(6)
     assert fock._x_on_state.cache_info().currsize == 414
     assert fock._x_on_h.cache_info().currsize == 121
+    assert fock._x_on_h_shifted.cache_info().currsize == 100
     assert sum(len(keys) for keys in decided.values()) == 315
 
 

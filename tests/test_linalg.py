@@ -14,7 +14,6 @@ from principal_subspaces.linalg import (
     rank,
     rref,
     span_dim,
-    span_equal,
     subspace_leq,
 )
 
@@ -87,7 +86,7 @@ def test_subspace_leq_column_out_of_range():
         subspace_leq([{2: 1}], [{0: 1}], 2)
 
 
-def test_span_helpers():
+def test_span_helpers(span_equal):
     assert span_dim([], 2) == 0
     assert span_dim([], 0) == 0
     assert span_dim([{0: 1, 1: 1}, {0: 2, 1: 2}], 2) == 1

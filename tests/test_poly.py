@@ -12,7 +12,6 @@ from principal_subspaces.poly import (
     PolyQ,
     coordinates,
     derive,
-    drop_minus_one_terms,
     enumerate_monomials,
     translate,
     x,
@@ -87,7 +86,7 @@ def test_translate_weight_shift(mono, s):
         assert target.weight > mono.weight
 
 
-def test_projection_kills_minus_one_terms():
+def test_projection_kills_minus_one_terms(drop_minus_one_terms):
     assert drop_minus_one_terms(x(-1) * x(-1)) == PolyQ.zero()
     r40 = 2 * (x(-3) * x(-1)) + x(-2) * x(-2)
     assert drop_minus_one_terms(r40) == x(-2) * x(-2)
@@ -95,13 +94,13 @@ def test_projection_kills_minus_one_terms():
     assert drop_minus_one_terms(fixed) == fixed
 
 
-def test_projection_is_idempotent():
+def test_projection_is_idempotent(drop_minus_one_terms):
     p = 2 * (x(-3) * x(-1)) + x(-2) * x(-2) + 5 * x(-1)
     once = drop_minus_one_terms(p)
     assert drop_minus_one_terms(once) == once
 
 
-def test_projection_rejects_nonnegative_indices():
+def test_projection_rejects_nonnegative_indices(drop_minus_one_terms):
     with pytest.raises(ValueError):
         drop_minus_one_terms(x(0) * x(-2))
 

@@ -1,14 +1,15 @@
 """Relation families, ideal pieces and the supporting identities."""
 
+import json
+
 import pytest
 
-from principal_subspaces import relations
-from principal_subspaces.linalg import span_equal, subspace_leq
+from principal_subspaces import linalg, relations
+from principal_subspaces.cli import main
 from principal_subspaces.poly import (
     Monomial,
     PolyQ,
     coordinates,
-    drop_minus_one_terms,
     enumerate_monomials,
     translate,
     x,
@@ -16,10 +17,10 @@ from principal_subspaces.poly import (
 from principal_subspaces.relations import (
     check_derive_relation,
     check_lift_identity,
-    check_translate_ideal_inclusion,
     check_translate_relation,
     ideal_piece,
     quadratic_relation,
+    translate_ideal_inclusion,
 )
 
 
@@ -73,7 +74,7 @@ def test_relation_bidegree_and_coefficient_pattern():
                 assert coeff == (1 if m1 == m2 else 2)
 
 
-def test_projection_sends_floor1_family_to_floor2_family():
+def test_projection_sends_floor1_family_to_floor2_family(drop_minus_one_terms):
     for t in range(4, 21):
         assert drop_minus_one_terms(quadratic_relation(t, -1)) == quadratic_relation(t, -2)
 
@@ -198,30 +199,145 @@ def test_derive_relation_identity():
         assert check_derive_relation(t)
 
 
-def test_translate_ideal_inclusion_examples():
-    assert check_translate_ideal_inclusion(2, 2)
-    assert check_translate_ideal_inclusion(3, 2)
-    assert check_translate_ideal_inclusion(5, 3)
+def test_translate_ideal_inclusion_examples(translate_inclusion_by_pieces):
+    assert translate_inclusion_by_pieces(2, 2)
+    assert translate_inclusion_by_pieces(3, 2)
+    assert translate_inclusion_by_pieces(5, 3)
 
 
-def test_translate_ideal_inclusion_sweep():
+def test_translate_ideal_inclusion_sweep(translate_inclusion_by_pieces):
     for weight in range(0, 9):
         for charge in range(0, weight + 1):
-            assert check_translate_ideal_inclusion(weight, charge)
+            assert translate_inclusion_by_pieces(weight, charge)
 
 
-def test_translate_ideal_inclusion_needs_the_degree_one_generator(monkeypatch):
+def without_x_minus_one(monkeypatch):
+    """The lambda1 ideal without its generator x(-1)."""
+    spec = relations.IDEALS["lambda1"]._replace(includes_degree_one_generator=False)
+    monkeypatch.setitem(relations.IDEALS, "lambda1", spec)
+
+
+def translate_doubling_x_minus_one(p, s=1):
+    """``translate`` with x(-1) -> 2 x(-2): still a ring map, but for t >= 3
+    translate(R_t) - R_{t+2} is the wrong correction -2 x(-t-1) x(-1) +
+    2 x(-2) x(-t), which leaves the lambda1 ideal from t = 4 on."""
+    return PolyQ(
+        {
+            Monomial(m - s for m in mono.indices): c * 2 ** mono.indices.count(-1)
+            for mono, c in p.terms.items()
+        }
+    )
+
+
+def wrong_correction(monkeypatch):
+    monkeypatch.setattr(relations, "translate", translate_doubling_x_minus_one)
+
+
+# mutants of the inclusion, each with the lemmas that it makes false
+INCLUSION_MUTANTS = {
+    "without_x_minus_one": (without_x_minus_one, ["translate_ideal_inclusion"]),
+    "wrong_correction": (wrong_correction, ["translate_relation", "translate_ideal_inclusion"]),
+}
+
+
+def test_translate_ideal_inclusion_needs_the_degree_one_generator(
+    monkeypatch, translate_inclusion_by_pieces
+):
     """translate(R_t) = R_{t+2} - 2 x(-t-1) x(-1) lies in the lambda1 ideal
     only through its generator x(-1).  Without it the inclusion fails at
     (2, 2), where translate(x(-1)^2) = x(-2)^2 is no multiple of R_4, and at
     (3, 2)."""
-    spec = relations.IDEALS["lambda1"]._replace(includes_degree_one_generator=False)
-    monkeypatch.setitem(relations.IDEALS, "lambda1", spec)
-    assert not check_translate_ideal_inclusion(2, 2)
-    assert not check_translate_ideal_inclusion(3, 2)
+    without_x_minus_one(monkeypatch)
+    assert not translate_inclusion_by_pieces(2, 2)
+    assert not translate_inclusion_by_pieces(3, 2)
+    assert not translate_ideal_inclusion(2)
 
 
-def test_translated_lambda0_piece_spans_lambda1prime_piece():
+def test_wrong_correction_leaves_the_lambda1_ideal_from_weight_four(
+    monkeypatch, translate_inclusion_by_pieces
+):
+    wrong_correction(monkeypatch)
+    assert relations.translate(quadratic_relation(4, -1), 1) == quadratic_relation(
+        6, -1
+    ) - 2 * (x(-5) * x(-1)) + 2 * (x(-2) * x(-4))
+    assert translate_inclusion_by_pieces(3, 2)
+    assert not translate_inclusion_by_pieces(4, 2)
+    assert translate_ideal_inclusion(3)
+    assert not translate_ideal_inclusion(4)
+
+
+def test_translate_is_multiplicative_on_domain_products():
+    """translate(u * v) = translate(u) * translate(v) for every pair of
+    floor -1 domain monomials of weight <= 6, and on products of relations:
+    the ring-map property the generator route rests on."""
+    domain = [u for w in range(7) for k in range(w + 1) for u in enumerate_monomials(w, k)]
+    assert len(domain) == 30
+    for u in domain:
+        pu = PolyQ({u: 1})
+        for v in domain:
+            pv = PolyQ({v: 1})
+            assert translate(pu * pv, 1) == translate(pu, 1) * translate(pv, 1)
+    for s in range(2, 9):
+        for t in range(2, 9):
+            rs, rt = quadratic_relation(s, -1), quadratic_relation(t, -1)
+            assert translate(rs * rt, 1) == translate(rs, 1) * translate(rt, 1)
+            for u in domain:
+                pu = PolyQ({u: 1})
+                assert translate(pu * rt, 1) == translate(pu, 1) * translate(rt, 1)
+
+
+@pytest.mark.parametrize("mutant", list(INCLUSION_MUTANTS))
+def test_lemmas_fail_only_on_the_keys_each_inclusion_mutant_breaks(capsys, monkeypatch, mutant):
+    patch, broken = INCLUSION_MUTANTS[mutant]
+    patch(monkeypatch)
+    code = main(["lemmas", "--max-weight", "4", "--t-max", "6", "--format", "json"])
+    lemmas = json.loads(capsys.readouterr().out)["lemmas"]
+    assert code == 1
+    assert [name for name, ok in lemmas.items() if not ok] == broken
+
+
+@pytest.mark.parametrize("bound", [1, 2, 6, 9])
+def test_lemmas_decides_the_inclusion_from_the_generators(capsys, monkeypatch, bound):
+    """lemmas --max-weight W calls ``subspace_leq`` at most W times and
+    ``ideal_piece`` at most 2 (W + 1) times, where the piece-by-piece sweep
+    took one of each per piece; counted by spies on the module names that
+    ``relations`` reads."""
+    calls = {"subspace_leq": 0, "ideal_piece": 0}
+    for name, real in (("subspace_leq", linalg.subspace_leq), ("ideal_piece", ideal_piece)):
+
+        def spy(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(relations, name, spy)
+    assert main(["lemmas", "--max-weight", str(bound), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["lemmas"]["translate_ideal_inclusion"]
+    assert 0 < calls["ideal_piece"] <= 2 * (bound + 1)
+    assert calls["subspace_leq"] <= bound
+    assert calls["subspace_leq"] == bound - 1
+
+
+@pytest.mark.parametrize("mutant", [None, *INCLUSION_MUTANTS])
+def test_generator_route_equals_the_piece_oracle(
+    monkeypatch, translate_inclusion_by_pieces, mutant
+):
+    """``translate_ideal_inclusion(W)`` is the all of the piece-by-piece
+    oracle over the pieces of weight <= W, for every W <= 10, on the real
+    ideals and under each mutant; each mutant is rejected by both."""
+    if mutant is not None:
+        INCLUSION_MUTANTS[mutant][0](monkeypatch)
+    pieces = {
+        (w, k): translate_inclusion_by_pieces(w, k) for w in range(11) for k in range(w + 1)
+    }
+    routes = []
+    for bound in range(11):
+        oracle = all(ok for (w, _), ok in pieces.items() if w <= bound)
+        assert translate_ideal_inclusion(bound) == oracle
+        routes.append(oracle)
+    assert all(routes) == (mutant is None)
+
+
+def test_translated_lambda0_piece_spans_lambda1prime_piece(drop_minus_one_terms, span_equal):
     """After projecting away x(-1) terms (a no-op here, since every shifted
     index is <= -2) the translated piece spans exactly the floor -2 ideal
     piece at the shifted bidegree."""

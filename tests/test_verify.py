@@ -8,13 +8,12 @@ import pytest
 from principal_subspaces import linalg, relations, verify
 from principal_subspaces.cli import main
 from principal_subspaces.fock import FockState, apply_monomial, basis_states, partitions
-from principal_subspaces.linalg import kernel_basis, span_equal
+from principal_subspaces.linalg import kernel_basis
 from principal_subspaces.poly import Monomial, PolyQ, coordinates, enumerate_monomials, x
 from principal_subspaces.relations import IDEALS, ideal_piece, quadratic_relation
 from principal_subspaces.verify import (
     TAGS,
     charge_range,
-    check_ideal_D_stability,
     eval_matrix,
     fock_matrix,
     graded_dims,
@@ -732,7 +731,7 @@ def test_a_moved_lead_declines_and_the_piece_is_scanned(
     assert verify_presentation(tag, 12) == report
 
 
-def test_piece_report_weight_four_charge_two():
+def test_piece_report_weight_four_charge_two(span_equal):
     report = piece_report("lambda0", 4, 2)
     assert report.dim_domain == 2
     assert report.rank_eval == 1
@@ -830,10 +829,10 @@ def test_oracle_weight_totals_match_dims():
     assert [oracle_weight_total(n, 2) for n in range(9)] == [1, 0, 1, 1, 1, 1, 2, 2, 3]
 
 
-def test_ideal_derivation_stability_small():
-    assert check_ideal_D_stability(6)
+def test_ideal_derivation_stability_small(ideal_D_stability):
+    assert ideal_D_stability(6)
     with pytest.raises(ValueError):
-        check_ideal_D_stability(1)
+        ideal_D_stability(1)
 
 
 def derive_without_the_index_factor(p):
@@ -846,15 +845,14 @@ def derive_without_the_index_factor(p):
     return out
 
 
-def test_ideal_derivation_stability_fails_without_the_index_factor(monkeypatch):
+def test_ideal_derivation_stability_fails_without_the_index_factor(ideal_D_stability):
     """Without the factor -m the derivation sends R_3 = 2 x(-2) x(-1) to
     2 x(-3) x(-1) + 2 x(-2)^2, which is not a multiple of R_4."""
-    monkeypatch.setattr(verify, "derive", derive_without_the_index_factor)
     assert derive_without_the_index_factor(quadratic_relation(3, -1)) == 2 * (
         x(-3) * x(-1) + x(-2) * x(-2)
     )
-    assert check_ideal_D_stability(2)
-    assert not check_ideal_D_stability(3)
+    assert ideal_D_stability(2, derive_without_the_index_factor)
+    assert not ideal_D_stability(3, derive_without_the_index_factor)
 
 
 def test_runs_are_deterministic():
