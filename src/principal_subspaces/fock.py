@@ -33,42 +33,38 @@ sum, and all the component operators commute.
 
 Both lines of the recursion see m and r only through s = m + 2r: the base
 case sums over the partitions of -s-1, and the step keeps s in its first
-term and lowers it to s - n in its second.  This is the half-lattice
-translation h = ``half_shift``, (mu; r) -> (mu; r + 1/2), which intertwines
-x(m) h = h x(m+1).  So x(m) (mu; r) = h^{2r} x(m + 2r) (mu; 0): the images on
-every lattice point, in both cosets, are one image relabelled.
+term and lowers it to s - n in its second.  So the relabelling h, (mu; r)
+-> (mu; r + 1/2), intertwines x(m) h = h x(m+1), and x(m) (mu; r) =
+h^{2r} x(m + 2r) (mu; 0): the images on every lattice point, in both
+cosets, are one image relabelled, and the key m + 2r carries h.
 
-Vectors are ``FockVector``s, the exact linear combinations of ``poly``
-over Fock states.  x(m) on the basis states (mu; r) is computed once for
-each value of m + 2r and tabulated, keyed by the plain tuple (m + 2r, mu),
-in the basis a(-lambda)/z_lambda: a dense tuple with one integer for each
-partition lambda of the target size, in ``partitions`` order.  In that
-basis the base case is all ones (Macdonald I.2: h_n = sum p_lambda /
-z_lambda), and a(-n) moves the coordinate of lambda to lambda + n with the
-weight z_{lambda+n} / z_lambda = n (mult_n(lambda) + 1), so every image is
-an integer tuple with no denominator.  No ``FockState`` is built inside the
-tables.  Monomial actions and the state-by-state half of the square-zero
-check sum such images through one accumulator, ``_x_sum``, which adds them
-position by position in one dense list per (coset, size).  The vacuum half
-reads x(m) on h_j(a) e^{r alpha}, the image of a lattice vacuum under one
-x(m'), from ``_x_on_h``, which builds it from the vacuum images by Newton's
-identity and never takes x(m) one partition at a time; the shifted half of
-Newton's sum is the table ``_x_on_h_shifted``, each entry one step from the
-one before it.  The tables are
-keyed by the states (lambda; r) of the basis a(-lambda), so between two
-x(m) a sum goes back to that basis through ``_unscaled``: each coordinate
-over its z_lambda, all times one common multiple, the lcm of the z_lambda
-present.  Every z_lambda is read from ``_partitions_with_z``.
-``apply_monomial``, which ``x_act`` calls with one generator, carries plain
-(2r, mu, numerator) triples from one x(m) to the next over one common
-denominator, and builds the ``FockState`` keys and ``Fraction``
-coefficients of its result once, at the end, each coordinate over the
-denominator times its z_lambda.  The tables (x(m) images on states and on
-h_j(a) e^{r alpha} with the shifted half of the latter, partitions with
-their z-factors and their positions, and ``_insert_part``, the positions and
-weights of a(-n) in the basis a(-lambda)/z_lambda) are
-``functools.cache`` functions: unbounded, kept for the life of the process,
-and each reports ``cache_info()``.
+x(m) on the basis states (mu; r) is computed once for each value of m + 2r
+and tabulated, keyed by the plain tuple (m + 2r, mu), in the basis
+a(-lambda)/z_lambda: a dense tuple with one integer for each partition
+lambda of the target size, in ``partitions`` order.  In that basis the
+base case is all ones (Macdonald I.2: h_n = sum p_lambda / z_lambda), and
+a(-n) moves the coordinate of lambda to lambda + n with the weight
+z_{lambda+n} / z_lambda = n (mult_n(lambda) + 1), so every image is an
+integer tuple with no denominator.  These tables are the one
+representation of Fock vectors.  Monomial actions and the state-by-state
+half of the square-zero check sum images through one accumulator,
+``_x_sum``, which adds them position by position in one dense list per
+(coset, size).  The vacuum half reads x(m) on h_j(a) e^{r alpha}, the
+image of a lattice vacuum under one x(m'), from ``_x_on_h``, which builds
+it from the vacuum images by Newton's identity and never takes x(m) one
+partition at a time; the shifted half of Newton's sum is the table
+``_x_on_h_shifted``, each entry one step from the one before it.  The
+tables are keyed by the states (lambda; r) of the basis a(-lambda), so
+between two x(m) a sum goes back to that basis through ``_unscaled``: each
+coordinate over its z_lambda, all times one common multiple, the lcm of
+the z_lambda present.  Every z_lambda is read from ``_partitions_with_z``.
+``apply_monomial`` acts on a lattice vacuum and returns its image as one
+such tuple over one integer denominator, the product of those multiples.
+The tables (x(m) images on states and on h_j(a) e^{r alpha} with the
+shifted half of the latter, partitions with their z-factors and their
+positions, and ``_insert_part``, the positions and weights of a(-n) in the
+basis a(-lambda)/z_lambda) are ``functools.cache`` functions: unbounded,
+kept for the life of the process, and each reports ``cache_info()``.
 """
 
 from __future__ import annotations
@@ -77,10 +73,9 @@ import bisect
 import functools
 import math
 from collections import Counter
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .poly import LinearCombination, Monomial, Scalar
+from .poly import Monomial
 
 # <alpha, alpha>: a(n) a(-n) - a(-n) a(n) = _PAIRING * n and
 # [a(-n), x(m)] = _PAIRING * x(m-n)
@@ -88,80 +83,6 @@ _PAIRING = 2
 
 # check_square_zero runs its state-by-state sweep to this weight
 BRUTE_SWEEP_WEIGHT = 4
-
-
-class FockState:
-    """Basis state (mu; r): partition mu (non-decreasing tuple of positive
-    integers) over the lattice point r*alpha, with r a half-integer.
-
-    The coordinate is stored doubled as an int (``two_r``) so that state
-    hashing and comparison stay integer-only in the hot paths.
-    """
-
-    __slots__ = ("mu", "two_r", "_hash")
-
-    def __init__(self, mu: Iterable[int] = (), r: Scalar = 0, *, _two_r: int | None = None):
-        mu = tuple(sorted(mu))
-        if mu and mu[0] < 1:
-            raise ValueError("Heisenberg parts must be positive integers")
-        if _two_r is None:
-            rf = Fraction(r)
-            if rf.denominator not in (1, 2):
-                raise ValueError("lattice coordinate must be a half-integer")
-            _two_r = rf.numerator if rf.denominator == 2 else 2 * rf.numerator
-        self.mu = mu
-        self.two_r = _two_r
-        self._hash = hash((mu, _two_r))
-
-    @property
-    def r(self) -> Fraction:
-        return Fraction(self.two_r, 2)
-
-    @property
-    def weight(self) -> Fraction:
-        return sum(self.mu) + Fraction(self.two_r * self.two_r, 4)
-
-    @property
-    def charge(self) -> Fraction:
-        return Fraction(self.two_r, 2)
-
-    def sort_key(self) -> tuple:
-        return (self.two_r, sum(self.mu), self.mu)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FockState):
-            return NotImplemented
-        return self.mu == other.mu and self.two_r == other.two_r
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "FockState") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __repr__(self) -> str:
-        return f"FockState({self.mu!r}, {str(self.r)!r})"
-
-    def __str__(self) -> str:
-        factors = [
-            f"a(-{part})" if mult == 1 else f"a(-{part})^{mult}"
-            for part, mult in sorted(Counter(self.mu).items())
-        ]
-        head = "*".join(factors)
-        tail = f"e{{{self.r}}}"
-        return f"{head} {tail}" if head else tail
-
-
-class FockVector(LinearCombination):
-    """Finite exact combination of Fock states, with ``Scalar`` coefficients."""
-
-    __slots__ = ()
-
-
-def _as_vector(v: FockVector | FockState) -> FockVector:
-    if isinstance(v, FockState):
-        return FockVector({v: 1})
-    return v
 
 
 @functools.cache
@@ -190,33 +111,6 @@ def _z_factor(lam: tuple[int, ...]) -> int:
 @functools.cache
 def _partitions_with_z(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple((lam, _z_factor(lam)) for lam in partitions(n, 1))
-
-
-def heis_act(n: int, v: FockVector | FockState) -> FockVector:
-    """Heisenberg mode a(n): creation for n < 0 (adds the part |n|),
-    annihilation for n > 0 with a(n) a(-n) - a(-n) a(n) = 2n.  n = 0 is
-    rejected; its eigenvalue is available through weight_charge."""
-    if n == 0:
-        raise ValueError("a(0) is diagonal; use weight_charge for its eigenvalue")
-    out: dict[FockState, Scalar] = {}
-    for s, c in _as_vector(v).terms.items():
-        if n < 0:
-            target = FockState(s.mu + (-n,), _two_r=s.two_r)
-            coeff = c
-        else:
-            mult = s.mu.count(n)
-            if not mult:
-                continue
-            rest = list(s.mu)
-            rest.remove(n)
-            target = FockState(rest, _two_r=s.two_r)
-            coeff = c * _PAIRING * n * mult
-        new = out.get(target, 0) + coeff
-        if new:
-            out[target] = new
-        else:
-            out.pop(target, None)
-    return FockVector(out)
 
 
 # x(m) on a basis state (mu; r) in the basis a(-lambda)/z_lambda: one integer
@@ -363,61 +257,24 @@ def _unscaled(
     return common, [(key, lam, c * (common // z)) for key, lam, z, c in entries]
 
 
-def x_act(m: int, v: FockVector | FockState) -> FockVector:
-    """Vertex operator component x(m): raises charge by 1 and weight by -m;
-    annihilates any state once m exceeds |mu| - 1 - 2r."""
-    return apply_monomial(Monomial((m,)), v)
-
-
-def half_shift(v: FockVector | FockState) -> FockVector:
-    """The half-lattice translation operator: relabels (mu; r) to
-    (mu; r + 1/2).  Bijective, and intertwines x(m) with x(m-1)."""
-    return FockVector(
-        {
-            FockState(s.mu, _two_r=s.two_r + 1): c
-            for s, c in _as_vector(v).terms.items()
-        }
-    )
-
-
-def weight_charge(v: FockVector | FockState) -> tuple[Fraction, Fraction]:
-    """(weight, charge) of a nonzero bihomogeneous vector; weight lies in
-    (1/4)Z and charge in (1/2)Z."""
-    return _as_vector(v).bidegree()
-
-
-def apply_monomial(mono: Monomial, v: FockVector | FockState) -> FockVector:
-    """Act by the monomial x(m1)...x(mk), rightmost (largest) index first.
-    The components commute, so the order is a convention, not a choice."""
-    terms = _as_vector(v).terms
-    if not mono.indices:
-        return FockVector._from_terms({s: Fraction(c) for s, c in terms.items()})
-    # v as integer numerators over the least common denominator den
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    states = [(s.two_r, s.mu, c.numerator * (den // c.denominator)) for s, c in terms.items()]
-    for step, m in enumerate(reversed(mono.indices)):
-        if step:
-            # the image in the basis a(-lambda), for the next x(m)
-            scale, states = _unscaled((two_r, size, acc) for (two_r, size), acc in out.items())
-            den *= scale
-        out = _x_sum((m + two_r, mu, two_r, n) for two_r, mu, n in states)
-        if not out:
-            break
-    return FockVector._from_terms(
-        {
-            FockState(lam, _two_r=two_r): Fraction(c, den * z)
-            for (two_r, size), acc in out.items()
-            for (lam, z), c in zip(_partitions_with_z(size), acc)
-            if c
-        }
-    )
-
-
-def basis_states(n: int, r: Scalar) -> list[FockState]:
-    """The canonical ordered basis of states (mu; r) with |mu| = n."""
-    if n < 0:
-        return []
-    return [FockState(p, r) for p in partitions(n, 1)]
+def apply_monomial(mono: Monomial, two_r: int) -> tuple[int, _XImage]:
+    """The monomial x(m1)...x(mk) on the lattice vacuum e^{r alpha}, 2r =
+    two_r, rightmost (largest) index first; the components commute, so the
+    order is a convention, not a choice.  Returns (den, coords): the image
+    is sum_lambda coords_lambda / den a(-lambda)/z_lambda e^{(r+k) alpha},
+    coords a dense integer tuple over partitions(size, 1), or () for a zero
+    image.  Between two x(m) the sum goes back to the basis a(-lambda)
+    through ``_unscaled``, and den is the product of the common multiples
+    that this takes."""
+    den = 1
+    out: _XSum = {(two_r, 0): [1]}
+    for m in reversed(mono.indices):
+        scale, states = _unscaled((t, size, acc) for (t, size), acc in out.items())
+        den *= scale
+        out = _x_sum((m + t, mu, t, n) for t, mu, n in states)
+    # one bidegree, so at most one list
+    acc = next(iter(out.values()), ())
+    return den, tuple(acc) if any(acc) else ()
 
 
 def check_square_zero(weight_bound: int) -> bool:
@@ -450,9 +307,9 @@ def check_square_zero(weight_bound: int) -> bool:
     which keeps the intermediate vectors small.
 
     Both checks decide each lattice point through the integral one.  The
-    half-lattice translation h = ``half_shift`` intertwines x(m) h =
-    h x(m+1) (module docstring), so x(m1) x(m2) h^{2r} = h^{2r} x(m1 + 2r)
-    x(m2 + 2r), and with m1 + m2 = -t
+    relabelling h, (mu; r) -> (mu; r + 1/2), that the key m + 2r of the
+    tables carries intertwines x(m) h = h x(m+1) (module docstring), so
+    x(m1) x(m2) h^{2r} = h^{2r} x(m1 + 2r) x(m2 + 2r), and with m1 + m2 = -t
 
         S_t (mu; r) = h^{2r} S_{t - 4r} (mu; 0).
 

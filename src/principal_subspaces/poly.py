@@ -22,9 +22,10 @@ monomials u * x(-1), u in D(w - 1, k - 1, 1).  The two halves are disjoint
 and each is sorted by index tuple, so merging them by index tuple gives the
 canonical order.
 
-``LinearCombination`` is the finite exact linear combination over any
-bigraded basis; ``PolyQ`` is the one over monomials and adds the product,
-and ``fock.FockVector`` is the one over Fock states.
+``PolyQ`` is the finite exact linear combination of monomials: sum,
+scalar multiple, product, equality, rendering and ``bidegree``.  It is the
+one linear combination type of the package; Fock vectors are the integer
+tuples of ``fock``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import heapq
 import operator
 from collections import Counter
 from fractions import Fraction
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .linalg import Scalar
 
@@ -87,123 +88,81 @@ class Monomial:
 UNIT = Monomial(())
 
 
-class LinearCombination:
-    """Finite linear combination of basis elements with ``Scalar``
-    coefficients, each kept as the int or Fraction it was given as.
-
-    A basis element is hashable and has ``sort_key()``, ``weight`` and
-    ``charge``.  Each subclass fixes one basis type, and combinations of
-    different subclasses never add, subtract or compare equal.
-    """
+class PolyQ:
+    """Finite linear combination of monomials with ``Scalar`` coefficients,
+    each kept as the int or Fraction it was given as."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict | Iterable[tuple[Hashable, Scalar]] | None = None):
-        acc: dict = {}
+    def __init__(self, terms: dict | Iterable[tuple[Monomial, Scalar]] | None = None):
+        acc: dict[Monomial, Scalar] = {}
         if terms is not None:
             items = terms.items() if isinstance(terms, dict) else terms
-            for basis, c in items:
+            for mono, c in items:
                 if not isinstance(c, (int, Fraction)):
                     raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
                 if not c:
                     continue
-                prev = acc.get(basis)
+                prev = acc.get(mono)
                 new = c if prev is None else prev + c
                 if new:
-                    acc[basis] = new
+                    acc[mono] = new
                 elif prev is not None:
-                    del acc[basis]
+                    del acc[mono]
         self.terms = acc
 
     @classmethod
-    def _from_terms(cls, terms: dict) -> "LinearCombination":
+    def _from_terms(cls, terms: dict[Monomial, Scalar]) -> "PolyQ":
         """Wrap an already normalised dict (no zero coefficients)."""
         res = cls.__new__(cls)
         res.terms = terms
         return res
 
     @classmethod
-    def zero(cls) -> "LinearCombination":
+    def zero(cls) -> "PolyQ":
         return cls()
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def bidegree(self) -> tuple:
-        """(weight, charge) of a nonzero bihomogeneous element."""
-        if not self.terms:
-            raise ValueError(f"the zero {type(self).__name__} has no bidegree")
-        degrees = {(b.weight, b.charge) for b in self.terms}
-        if len(degrees) > 1:
-            raise ValueError(f"{type(self).__name__} mixes bidegrees")
-        return degrees.pop()
-
-    def sorted_terms(self) -> list[tuple[Hashable, Scalar]]:
-        return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
-
-    def __add__(self, other: "LinearCombination") -> "LinearCombination":
-        if type(other) is not type(self):
-            return NotImplemented
-        out = dict(self.terms)
-        for basis, c in other.terms.items():
-            new = out.get(basis, 0) + c
-            if new:
-                out[basis] = new
-            else:
-                out.pop(basis, None)
-        return self._from_terms(out)
-
-    def __neg__(self) -> "LinearCombination":
-        return self._from_terms({b: -c for b, c in self.terms.items()})
-
-    def __sub__(self, other: "LinearCombination") -> "LinearCombination":
-        return self + (-other)
-
-    def __mul__(self, other: Scalar) -> "LinearCombination":
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        if not other:
-            return self._from_terms({})
-        return self._from_terms({b: c * other for b, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({str(self)!r})"
-
-    def _term_body(self, basis: Hashable, mag: Scalar) -> str:
-        return str(basis) if mag == 1 else f"{mag}*{basis}"
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks: list[str] = []
-        for i, (basis, c) in enumerate(self.sorted_terms()):
-            body = self._term_body(basis, abs(c))
-            if i == 0:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(chunks)
-
-
-class PolyQ(LinearCombination):
-    """Finite linear combination of monomials."""
-
-    __slots__ = ()
 
     @classmethod
     def one(cls) -> "PolyQ":
         return cls({UNIT: 1})
 
-    def __mul__(self, other: "PolyQ | Scalar") -> "PolyQ":
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def bidegree(self) -> tuple[int, int]:
+        """(weight, charge) of a nonzero bihomogeneous polynomial."""
+        if not self.terms:
+            raise ValueError("the zero PolyQ has no bidegree")
+        degrees = {(mono.weight, mono.charge) for mono in self.terms}
+        if len(degrees) > 1:
+            raise ValueError("PolyQ mixes bidegrees")
+        return degrees.pop()
+
+    def __add__(self, other: "PolyQ") -> "PolyQ":
         if type(other) is not PolyQ:
-            return super().__mul__(other)
+            return NotImplemented
+        out = dict(self.terms)
+        for mono, c in other.terms.items():
+            new = out.get(mono, 0) + c
+            if new:
+                out[mono] = new
+            else:
+                out.pop(mono, None)
+        return PolyQ._from_terms(out)
+
+    def __neg__(self) -> "PolyQ":
+        return PolyQ._from_terms({mono: -c for mono, c in self.terms.items()})
+
+    def __sub__(self, other: "PolyQ") -> "PolyQ":
+        return self + (-other)
+
+    def __mul__(self, other: "PolyQ | Scalar") -> "PolyQ":
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return PolyQ._from_terms({})
+            return PolyQ._from_terms({mono: c * other for mono, c in self.terms.items()})
+        if type(other) is not PolyQ:
+            return NotImplemented
         out: dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -215,9 +174,35 @@ class PolyQ(LinearCombination):
                     out.pop(mono, None)
         return PolyQ._from_terms(out)
 
-    def _term_body(self, mono: Monomial, mag: Scalar) -> str:
-        # the constant term renders as its coefficient alone
-        return super()._term_body(mono, mag) if mono.indices else str(mag)
+    __rmul__ = __mul__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not PolyQ:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __repr__(self) -> str:
+        return f"PolyQ({str(self)!r})"
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        chunks: list[str] = []
+        terms = sorted(self.terms.items(), key=lambda t: t[0].sort_key())
+        for i, (mono, c) in enumerate(terms):
+            mag = abs(c)
+            if not mono.indices:
+                # the constant term renders as its coefficient alone
+                body = str(mag)
+            elif mag == 1:
+                body = str(mono)
+            else:
+                body = f"{mag}*{mono}"
+            if i == 0:
+                chunks.append(body if c > 0 else f"-{body}")
+            else:
+                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(chunks)
 
 
 def x(m: int) -> PolyQ:

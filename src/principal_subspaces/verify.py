@@ -13,20 +13,22 @@ composes to the functional realization
     Omega(z) = exp(sum_n a(-n) p_n(z) / n) = sum_lambda a(-lambda) p_lambda(z) / z_lambda,
 
 and x(m_1)...x(m_k) reads off the coefficient of z^e, e_i = -m_i - 1.  So on
-the piece of charge k, with d = ``heisenberg_size``, the row a(-lambda) of
-the Fock matrix (``fock_matrix``) is phi(p_lambda) / z_lambda, where phi(g)
-is the functional x(m_1)...x(m_k) -> [z^e] z^{2r} Delta^2 g and Delta^2 =
-prod_{i<j} (z_i - z_j)^2.  The p_lambda with lambda a partition of d span
-the symmetric polynomials of degree d in k variables, and so do the Schur
-polynomials s_mu = a_{mu+delta} / a_delta with mu a partition of d into at
-most k parts, which are a basis (Macdonald, Symmetric Functions and Hall
-Polynomials, I.3).  Here delta = (k-1, ..., 1, 0), and a_lambda = sum_sigma
-sgn(sigma) z^{sigma lambda} is the alternant, so a_delta = Delta.  Hence
-the rows phi(s_mu) of ``eval_matrix`` span the row space of the Fock
-matrix: the same kernel, rank and reduced kernel basis, from p_{<=k}(d)
-rows instead of p(d).  phi is injective, since multiplying by z^{2r}
-Delta^2 is and every exponent of z^{2r} Delta^2 g, sorted, is that of a
-domain monomial, so the rows are independent and the rank is the row count.
+the piece of charge k, with d = ``heisenberg_size``, the coefficient of
+a(-lambda) is phi(p_lambda) / z_lambda, where phi(g) is the functional
+x(m_1)...x(m_k) -> [z^e] z^{2r} Delta^2 g and Delta^2 = prod_{i<j} (z_i -
+z_j)^2.  The integer Fock matrix (``fock_matrix``) scales row lambda by
+z_lambda L, one common multiple L, so that row is L phi(p_lambda).  The
+p_lambda with lambda a partition of d span the symmetric polynomials of
+degree d in k variables, and so do the Schur polynomials s_mu = a_{mu+delta}
+/ a_delta with mu a partition of d into at most k parts, which are a basis
+(Macdonald, Symmetric Functions and Hall Polynomials, I.3).  Here delta =
+(k-1, ..., 1, 0), and a_lambda = sum_sigma sgn(sigma) z^{sigma lambda} is
+the alternant, so a_delta = Delta.  Hence the rows phi(s_mu) of
+``eval_matrix`` span the row space of the Fock matrix: the same kernel,
+rank and reduced kernel basis, from p_{<=k}(d) rows instead of p(d).  phi
+is injective, since multiplying by z^{2r} Delta^2 is and every exponent of
+z^{2r} Delta^2 g, sorted, is that of a domain monomial, so the rows are
+independent and the rank is the row count.
 
 A row needs no Delta^2: Delta^2 s_mu = a_delta a_lambda with lambda = mu +
 delta, and putting tau = sigma rho in the product of the two alternants,
@@ -119,9 +121,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Iterable, NamedTuple
 
-from .fock import FockState, apply_monomial, partitions
+from .fock import apply_monomial, partitions
 from .linalg import (
     SparseMatQ,
     Vector,
@@ -140,6 +143,7 @@ fallbacks = 0
 # pieces up to this weight also check the kernel of eval_matrix against
 # fock_matrix, the direct evaluation that it replaces
 FOCK_CHECK_WEIGHT = 8
+
 
 class PieceReport(NamedTuple):
     """One bidegree of the kernel-equals-ideal statement."""
@@ -177,20 +181,26 @@ def heisenberg_size(tag: str, weight: int, charge: int) -> int:
 
 
 def fock_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
-    """Matrix of the evaluation map on one bidegree in the Fock basis:
-    columns are the domain monomials in canonical order, rows the Fock
-    states of the target bidegree, entries the exact coefficients of each
-    monomial's action on the highest weight vector."""
+    """Matrix of the evaluation map on one bidegree in the Fock basis, in
+    integers: columns are the domain monomials in canonical order, rows the
+    partitions lambda of ``heisenberg_size`` in ``partitions`` order.
+    Column j is the image (den_j, coords_j) of ``apply_monomial`` on the
+    highest weight vector, and entry (lambda, j) is coords_j[lambda] (L //
+    den_j), with L the lcm of the den_j.  This is the exact coefficient of
+    a(-lambda) e^{(r+k) alpha} with row lambda times z_lambda and the whole
+    matrix times L.  Scaling rows by nonzero numbers is an invertible row
+    operation, so the kernel, the rank and the reduced row-echelon form,
+    hence ``kernel_basis``, are those of the exact coefficients."""
     spec = IDEALS[tag]
     monos = enumerate_monomials(weight, charge, spec.ambient_floor)
     rows = partitions(heisenberg_size(tag, weight, charge), 1)
-    target_two_r = spec.two_r + 2 * charge
-    row_index = {FockState(mu, _two_r=target_two_r): i for i, mu in enumerate(rows)}
-    vacuum = FockState(_two_r=spec.two_r)
+    images = [apply_monomial(mono, spec.two_r) for mono in monos]
+    common = math.lcm(*(den for den, _ in images))
     entries = {
-        (row_index[state], j): c
-        for j, mono in enumerate(monos)
-        for state, c in apply_monomial(mono, vacuum).terms.items()
+        (i, j): c * (common // den)
+        for j, (den, coords) in enumerate(images)
+        for i, c in enumerate(coords)
+        if c
     }
     return SparseMatQ(len(rows), len(monos), entries)
 

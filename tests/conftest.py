@@ -4,10 +4,14 @@ test can call it partway through."""
 import functools
 import itertools
 import json
+import math
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from principal_subspaces import cli, relations, verify
+from principal_subspaces.fock import partitions
 from principal_subspaces.linalg import SparseMatQ, subspace_leq
 from principal_subspaces.poly import PolyQ, coordinates, derive, enumerate_monomials, x
 
@@ -330,3 +334,74 @@ def ideal_D_stability():
         return True
 
     return stable
+
+
+# The exponential formula for x(m), the oracle for the recursion that
+# defines the x(m) tables of fock: exp(+sum a(-n) x^n / n) exp(-sum a(n)
+# x^-n / n) on (mu; r), shifted to r + 1, times x^(2r), read at x^(-m-1).
+
+
+@functools.cache
+def _annihilation_terms(mu):
+    """exp(-sum a(n)/n x^-n) on the state with partition mu: triples
+    (removed size, remaining parts, integer coefficient)."""
+    results = [(0, (), 1)]
+    for part, mult in sorted(Counter(mu).items()):
+        results = [
+            (
+                removed + k * part,
+                kept + (part,) * (mult - k),
+                coeff * (-2) ** k * math.comb(mult, k),
+            )
+            for removed, kept, coeff in results
+            for k in range(mult + 1)
+        ]
+    return tuple(results)
+
+
+@functools.cache
+def _partitions_with_z(n):
+    """(lambda, z_lambda) for every partition lambda of n, with z_lambda
+    computed here, not read from fock."""
+    return tuple(
+        (lam, math.prod(p**k * math.factorial(k) for p, k in Counter(lam).items()))
+        for lam in partitions(n, 1)
+    )
+
+
+@functools.cache
+def _x_on_state_by_exponential(m, two_r, mu):
+    """x(m) on the basis state (mu; two_r/2) as {lambda: Fraction}, the
+    coefficients of the states (lambda; two_r/2 + 1) in the basis
+    a(-lambda)."""
+    degree_max = -m - 1 - two_r + sum(mu)
+    if degree_max < 0:
+        return {}
+    # every z-factor of a created partition divides degree_max!
+    scale = math.factorial(degree_max)
+    acc = {}
+    for removed, kept, ann_coeff in _annihilation_terms(mu):
+        degree = -m - 1 - two_r + removed
+        for lam, z in _partitions_with_z(degree):
+            target = tuple(sorted(kept + lam))
+            acc[target] = acc.get(target, 0) + ann_coeff * (scale // z)
+    return {lam: Fraction(n, scale) for lam, n in acc.items() if n}
+
+
+def _x_by_exponential(m, v):
+    """x(m) on a Fock vector {(two_r, mu): coefficient}, in the basis
+    a(-mu), every image from the exponential formula."""
+    out = {}
+    for (two_r, mu), c in v.items():
+        for lam, q in _x_on_state_by_exponential(m, two_r, mu).items():
+            key = (two_r + 2, lam)
+            out[key] = out.get(key, 0) + c * q
+    return {key: c for key, c in out.items() if c}
+
+
+@pytest.fixture
+def x_by_exponential():
+    """x(m) on a Fock vector {(two_r, mu): coefficient}, a dict over the
+    states (mu; two_r/2) of the basis a(-mu), with mu non-decreasing:
+    the image from the exponential formula, in the same form."""
+    return _x_by_exponential

@@ -9,7 +9,6 @@ import pytest
 
 from principal_subspaces import cli, linalg, relations, verify
 from principal_subspaces.cli import build_parser, main
-from principal_subspaces.fock import FockState, FockVector, apply_monomial
 from principal_subspaces.linalg import subspace_leq
 from principal_subspaces.poly import (
     Monomial,
@@ -150,8 +149,11 @@ def test_verify_fails_on_mutated_ideal(
     assert piece["containment_ok"] is containment_ok
     assert piece["equality_ok"] is False
     assert piece["witness"] == witness
-    image = apply_monomial(witness_monomial(witness), FockState(_two_r=spec.two_r))
-    assert image.is_zero() is killed
+    # the Fock matrix reads the patched spec's vacuum
+    monos = enumerate_monomials(*idx, spec.ambient_floor)
+    (vec,) = coordinates([PolyQ({witness_monomial(witness): 1})], monos)
+    image = verify.fock_matrix(tag, *idx).matvec(vec)
+    assert (image == {}) is killed
 
 
 def zero_relation(monkeypatch, weight):
@@ -200,16 +202,13 @@ def test_verify_fails_without_one_relation_weight(
     ]
     assert verify.fallbacks >= len(failed)
     spec = relations.IDEALS[tag]
-    vacuum = FockState(_two_r=spec.two_r)
     for piece, witness in zip(failed, [witness, *LATER_WITNESSES[tag]]):
         assert piece["containment_ok"] is True
         assert piece["witness"] == str(witness)
-        image = FockVector()
-        for mono, c in witness.terms.items():
-            image = image + c * apply_monomial(mono, vacuum)
-        assert image.is_zero()
         weight, charge = piece["idx"]["weight"], piece["idx"]["charge"]
         monos = enumerate_monomials(weight, charge, spec.ambient_floor)
+        (vec,) = coordinates([witness], monos)
+        assert not verify.fock_matrix(tag, weight, charge).matvec(vec)
         ideal = coordinates(relations.ideal_piece(tag, weight, charge), monos)
         assert not subspace_leq(coordinates([witness], monos), ideal, len(monos))
     force_certificate_off()
@@ -244,11 +243,8 @@ def test_verify_fails_with_a_halved_relation_coefficient(capsys, monkeypatch, js
     assert piece["dim_kernel"] == piece["dim_ideal_piece"] == 1
     witness = x(-3) * x(-1) + x(-2) * x(-2)
     assert piece["witness"] == str(witness)
-    vacuum = FockState((), 0)
-    image = FockVector()
-    for mono, c in witness.terms.items():
-        image = image + c * apply_monomial(mono, vacuum)
-    assert not image.is_zero()
+    (vec,) = coordinates([witness], enumerate_monomials(4, 2, -1))
+    assert verify.fock_matrix("lambda0", 4, 2).matvec(vec)
 
 
 def test_verify_fails_on_relations_outside_the_domain(

@@ -164,6 +164,22 @@ def test_rref_is_idempotent(m):
     assert rref(SparseMatQ(m.n_rows, m.n_cols, flipped)).matrix == once
 
 
+@settings(deadline=None, max_examples=60)
+@given(sparse_matrices(), st.data())
+def test_row_scaling_keeps_the_kernel_basis(m, data):
+    """Each row times a nonzero integer is an invertible row operation, so
+    the reduced form, hence the rank and ``kernel_basis``, stay: the ground
+    on which ``verify.fock_matrix`` scales row lambda by z_lambda L."""
+    nonzero = st.integers(-6, 6).filter(bool)
+    scales = data.draw(st.lists(nonzero, min_size=m.n_rows, max_size=m.n_rows))
+    scaled = SparseMatQ(
+        m.n_rows, m.n_cols, {(i, j): v * scales[i] for (i, j), v in m.entries.items()}
+    )
+    assert rref(scaled).matrix == rref(m).matrix
+    assert rank(scaled) == rank(m)
+    assert kernel_basis(scaled) == kernel_basis(m)
+
+
 def leibniz_det(rows):
     """Determinant by permutation expansion, independent of elimination."""
     total = Fraction(0)

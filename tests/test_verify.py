@@ -1,13 +1,16 @@
 """Evaluation matrices, kernel-ideal comparison and the partition oracle."""
 
 import itertools
+import json
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from principal_subspaces import linalg, relations, verify
 from principal_subspaces.cli import main
-from principal_subspaces.fock import FockState, apply_monomial, basis_states, partitions
+from principal_subspaces.fock import apply_monomial, partitions
 from principal_subspaces.linalg import kernel_basis
 from principal_subspaces.poly import Monomial, PolyQ, coordinates, enumerate_monomials, x
 from principal_subspaces.relations import IDEALS, ideal_piece, quadratic_relation
@@ -44,25 +47,89 @@ def test_eval_matrix_weight_two_charge_two():
     assert m.entries == {}
 
 
-def test_fock_matrix_is_the_exact_action():
-    """Each Fock matrix holds the exact coefficients of apply_monomial."""
-    for tag in TAGS:
-        spec = IDEALS[tag]
-        r = Fraction(spec.two_r, 2)
-        vacuum = FockState((), r)
-        for weight in range(11):
-            for charge in charge_range(tag, weight):
-                m = fock_matrix(tag, weight, charge)
-                monos = enumerate_monomials(weight, charge, spec.ambient_floor)
-                rows = basis_states(heisenberg_size(tag, weight, charge), r + charge)
-                row_index = {s: i for i, s in enumerate(rows)}
-                exact = {
-                    (row_index[s], j): c
-                    for j, mono in enumerate(monos)
-                    for s, c in apply_monomial(mono, vacuum).terms.items()
-                }
-                assert (m.n_rows, m.n_cols) == (len(rows), len(monos))
-                assert m.entries == exact
+def z_factor(lam):
+    return math.prod(p**k * math.factorial(k) for p, k in Counter(lam).items())
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_fock_matrix_is_the_exact_action(tag, x_by_exponential):
+    """Each Fock matrix, to weight 10, holds integers, and row lambda
+    divided by z_lambda L, L the lcm of the denominators of
+    ``apply_monomial``, is the exact action of each column's monomial on
+    the highest weight vector, composed from the exponential formula."""
+    spec = IDEALS[tag]
+    for weight in range(11):
+        for charge in charge_range(tag, weight):
+            m = fock_matrix(tag, weight, charge)
+            monos = enumerate_monomials(weight, charge, spec.ambient_floor)
+            rows = partitions(heisenberg_size(tag, weight, charge), 1)
+            common = math.lcm(*(apply_monomial(mono, spec.two_r)[0] for mono in monos))
+            exact = {}
+            for j, mono in enumerate(monos):
+                image = {(spec.two_r, ()): 1}
+                for index in reversed(mono.indices):
+                    image = x_by_exponential(index, image)
+                for (two_r, lam), c in image.items():
+                    assert two_r == spec.two_r + 2 * charge
+                    exact[(rows.index(lam), j)] = c
+            assert (m.n_rows, m.n_cols) == (len(rows), len(monos))
+            assert all(type(c) is int for c in m.entries.values())
+            scaled = {
+                (i, j): Fraction(c, z_factor(rows[i]) * common)
+                for (i, j), c in m.entries.items()
+            }
+            assert scaled == exact, (weight, charge)
+
+
+# the pieces to weight 8 whose columns are not all over one denominator,
+# with the first nonzero column whose factor L // den_j is not 1
+UNEQUAL_DENOMINATORS = {
+    ("lambda0", 6, 2): "x(-5)*x(-1)",
+    ("lambda0", 7, 2): "x(-6)*x(-1)",
+    ("lambda0", 8, 2): "x(-7)*x(-1)",
+    ("lambda1", 8, 2): "x(-6)*x(-2)",
+    ("lambda1prime", 8, 2): "x(-6)*x(-2)",
+}
+
+
+@pytest.mark.parametrize("piece", list(UNEQUAL_DENOMINATORS))
+def test_verify_rejects_a_fock_column_without_its_factor(capsys, monkeypatch, piece):
+    """``fock_matrix`` on one piece with the factor L // den_j of one column
+    dropped, so that column alone is scaled by a wrong factor: verify to
+    weight 8 fails on that piece only, its containment holds, and the
+    witness is a kernel vector of E that the mutant F does not kill, the
+    disagreement that ``_fock_check`` returns."""
+    tag, weight, charge = piece
+    spec = IDEALS[tag]
+    monos = enumerate_monomials(weight, charge, spec.ambient_floor)
+    images = [apply_monomial(mono, spec.two_r) for mono in monos]
+    dens = [den for den, _ in images]
+    common = math.lcm(*dens)
+    j = next(j for j, (den, coords) in enumerate(images) if den < common and coords)
+    assert str(monos[j]) == UNEQUAL_DENOMINATORS[piece]
+    real = fock_matrix
+    mutant = real(*piece)
+    mutant = linalg.SparseMatQ(
+        mutant.n_rows,
+        mutant.n_cols,
+        {
+            (i, col): c // (common // dens[j]) if col == j else c
+            for (i, col), c in mutant.entries.items()
+        },
+    )
+    monkeypatch.setattr(
+        verify, "fock_matrix", lambda *args: mutant if args == piece else real(*args)
+    )
+    assert main(["verify", "--max-weight", "8", "--format", "json"]) == 1
+    failed = [p for p in json.loads(capsys.readouterr().out)["pieces"] if not p["equality_ok"]]
+    assert [(p["module_tag"], p["idx"]["weight"], p["idx"]["charge"]) for p in failed] == [piece]
+    assert failed[0]["containment_ok"] is True
+    (escaped,) = [
+        vec
+        for vec in kernel_basis(eval_matrix(*piece))
+        if str(PolyQ({monos[col]: c for col, c in vec.items()})) == failed[0]["witness"]
+    ]
+    assert mutant.matvec(escaped) and not real(*piece).matvec(escaped)
 
 
 def test_eval_matrix_weight_four_charge_two():
