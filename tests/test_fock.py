@@ -48,6 +48,36 @@ def add(v, w):
     return {key: c for key, c in out.items() if c}
 
 
+def scale(c, v):
+    return {key: c * d for key, d in v.items() if c * d}
+
+
+def create(n, v):
+    """a(-n) on a Fock vector, through ``fock._insert_part``: each
+    coefficient of a(-mu) into the basis a(-lambda)/z_lambda, moved to the
+    position of mu + n with its weight, and back over z_{mu+n}."""
+    out = {}
+    for (two_r, mu), c in v.items():
+        size = sum(mu)
+        i = fock._partition_index(size)[mu]
+        positions, weights = fock._insert_part(size, n)
+        lam, z = fock._partitions_with_z(size + n)[positions[i]]
+        out = add(out, {(two_r, lam): Fraction(c * fock._z_factor(mu) * weights[i], z)})
+    return out
+
+
+def annihilate(n, v):
+    """a(n), n > 0, on a Fock vector: a(n) kills every lattice vacuum and
+    [a(n), a(-n)] = 2n, so it takes one part n of mu away, times 2n for
+    each copy of n in mu."""
+    out = {}
+    for (two_r, mu), c in v.items():
+        if n in mu:
+            i = mu.index(n)
+            out = add(out, {(two_r, mu[:i] + mu[i + 1 :]): c * 2 * n * mu.count(n)})
+    return out
+
+
 def bidegree(state):
     """(weight, charge) of the state (mu; r): (|mu| + r^2, r)."""
     two_r, mu = state
@@ -155,6 +185,57 @@ def test_insert_part_weights_are_z_ratios():
                 assert weight == z_after // fock._z_factor(lam)
 
 
+def test_heisenberg_creation():
+    # a(-3) e^0 = 3 a(-3)/z_(3) e^0: the last position of the partitions of
+    # 3, with the weight z_(3)/z_() = 3
+    assert fock._insert_part(0, 3) == ((2,), (3,))
+    assert create(3, VAC0) == {(0, (3,)): 1}
+    assert create(1, {(2, (1, 2)): HALF}) == {(2, (1, 1, 2)): HALF}
+    assert create(2, {(1, (2,)): 1, (1, (1, 1)): 3}) == {(1, (2, 2)): 1, (1, (1, 1, 2)): 3}
+
+
+def test_heisenberg_bracket_relation():
+    """[a(-n), x(m)] = 2 x(m-n) on every state of both cosets to weight 4,
+    for every n: the recursion of the tables removes the largest part of
+    mu only, and the module docstring claims any part gives the same
+    image."""
+    for state in all_states(4, half_lattice=False) + all_states(4, half_lattice=True):
+        v = {state: 1}
+        for n in range(1, 5):
+            for m in range(-5, 4):
+                bracket = add(create(n, x_on(m, v)), scale(-1, x_on(m, create(n, v))))
+                assert bracket == scale(2, x_on(m - n, v)), (state, n, m)
+
+
+def test_heisenberg_annihilation():
+    """[a(n), x(m)] = 2 x(m+n), n > 0, on every state of both cosets to
+    weight 4: the tables are built from the creation bracket alone, and
+    this is the annihilation half of the exponential formula."""
+    assert annihilate(2, {(2, (2,)): 1}) == {(2, ()): 4}
+    assert annihilate(1, {(0, (1, 1, 3)): HALF}) == {(0, (1, 3)): 2}
+    for state in all_states(4, half_lattice=False) + all_states(4, half_lattice=True):
+        v = {state: 1}
+        for n in range(1, 5):
+            for m in range(-5, 4):
+                bracket = add(annihilate(n, x_on(m, v)), scale(-1, x_on(m, annihilate(n, v))))
+                assert bracket == scale(2, x_on(m + n, v)), (state, n, m)
+
+
+def test_heisenberg_kills_vacuum_part():
+    """a(n), n > 0, kills every lattice vacuum, so on a vacuum the bracket
+    reads a(n) x(m) e^{r alpha} = 2 x(m+n) e^{r alpha}; and the vacuum
+    images of the tables are the creation half of the exponential formula
+    alone, all ones in the basis a(-lambda)/z_lambda."""
+    for two_r in range(-4, 5):
+        vacuum = {(two_r, ()): 1}
+        for m in range(-8, 2):
+            for n in range(1, 6):
+                assert annihilate(n, x_on(m, vacuum)) == scale(2, x_on(m + n, vacuum))
+    for s in range(-9, 2):
+        assert fock._x_on_state(s, ()) == (1,) * len(partitions(-s - 1, 1))
+    assert fock._x_on_state(0, ()) == ()
+
+
 def test_unscaled_takes_a_sum_back_to_the_basis_a_lambda():
     # coordinates c_lambda in the basis a(-lambda)/z_lambda, partitions of 2
     # with z 2 and 2, of 3 with z 6, 2 and 3: c_lambda Z / z_lambda in the
@@ -174,7 +255,22 @@ def half_relabel(v):
     return {(two_r + 1, mu): c for (two_r, mu), c in v.items()}
 
 
-def test_the_half_relabelling_intertwines_modes():
+def test_half_shift_examples():
+    """x(m) on (mu; r) and x(m - 1) on (mu; r + 1/2) read one table entry,
+    the one keyed by m + 2r, and ``fock._x_sum`` files the two images one
+    coset apart."""
+    assert half_relabel(VAC0) == VAC1
+    assert fock._x_sum([(-1, (), 0, 1)]) == {(2, 0): [1]}
+    assert fock._x_sum([(-1, (), 1, 1)]) == {(3, 0): [1]}
+    # x(0) a(-2) e^{-alpha} and x(-1) a(-2) e^{-alpha/2}
+    assert fock._x_sum([(-2, (2,), -2, 1)]) == {(0, 3): [-2, 0, -2]}
+    assert fock._x_sum([(-2, (2,), -1, 1)]) == {(1, 3): [-2, 0, -2]}
+    image = {(0, (1, 1, 1)): Fraction(-1, 3), (0, (3,)): Fraction(-2, 3)}
+    assert x_on(0, {(-2, (2,)): 1}) == image
+    assert x_on(-1, half_relabel({(-2, (2,)): 1})) == half_relabel(image)
+
+
+def test_half_shift_intertwines_modes():
     # h x(m) = x(m-1) h, exactly
     both = half_relabel(x_on(-1, VAC0)), x_on(-2, half_relabel(VAC0))
     assert both[0] == both[1] == {(3, ()): 1}
@@ -231,6 +327,47 @@ def test_apply_monomial_matches_composition(x_by_exponential):
             by_formula = x_by_exponential(m, by_formula)
         assert composed
         assert composed == by_formula
+
+
+def test_weight_charge_values(x_by_exponential):
+    """The image of x(m1)...x(mk) on e^{r alpha} has weight r^2 - sum m_i
+    and charge r + k, so the coordinates of ``apply_monomial`` run over
+    the partitions of weight - charge^2."""
+    assert apply_monomial(Monomial((-4, -2)), 0) == (1, (0, -2))
+    assert apply_monomial_as_vector((-4, -2), 0) == {(4, (2,)): -1}
+    assert bidegree((4, (2,))) == (6, 2)
+    for two_r in range(-3, 4):
+        for indices in ((-3,), (-3, -1), (-5, -3), (-4, -2, -2), (-6, -3, -1)):
+            weight = Fraction(two_r * two_r, 4) - sum(indices)
+            charge = Fraction(two_r, 2) + len(indices)
+            _, coords = apply_monomial(Monomial(indices), two_r)
+            composed = {(two_r, ()): 1}
+            for m in reversed(indices):
+                composed = x_by_exponential(m, composed)
+            assert all(bidegree(state) == (weight, charge) for state in composed)
+            if composed:
+                assert len(coords) == len(partitions(weight - charge * charge, 1))
+            else:
+                assert coords == ()
+
+
+def test_basis_states_order(x_by_exponential):
+    """The coordinates of the tables and of ``apply_monomial`` run over
+    ``partitions(size, 1)``: non-decreasing tuples in lexicographic order,
+    and none for a negative size."""
+    assert partitions(3, 1) == ((1, 1, 1), (1, 2), (3,))
+    assert partitions(-1, 1) == ()
+    assert fock._partition_index(3) == {(1, 1, 1): 0, (1, 2): 1, (3,): 2}
+    # x(-6) x(-2) e^0 has a distinct coordinate in almost every place
+    assert apply_monomial(Monomial((-6, -2)), 0) == (1, (2, 0, -1, -2, -2))
+    image = {
+        (4, (1, 1, 1, 1)): Fraction(1, 12),
+        (4, (1, 3)): Fraction(-1, 3),
+        (4, (2, 2)): Fraction(-1, 4),
+        (4, (4,)): Fraction(-1, 2),
+    }
+    assert apply_monomial_as_vector((-6, -2), 0) == image
+    assert x_by_exponential(-6, x_by_exponential(-2, VAC0)) == image
 
 
 def test_square_zero_small_bound():

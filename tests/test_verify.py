@@ -51,34 +51,34 @@ def z_factor(lam):
     return math.prod(p**k * math.factorial(k) for p, k in Counter(lam).items())
 
 
-@pytest.mark.parametrize("tag", TAGS)
-def test_fock_matrix_is_the_exact_action(tag, x_by_exponential):
-    """Each Fock matrix, to weight 10, holds integers, and row lambda
-    divided by z_lambda L, L the lcm of the denominators of
+def test_fock_matrix_is_the_exact_action(x_by_exponential):
+    """Each Fock matrix of each tag, to weight 10, holds integers, and row
+    lambda divided by z_lambda L, L the lcm of the denominators of
     ``apply_monomial``, is the exact action of each column's monomial on
     the highest weight vector, composed from the exponential formula."""
-    spec = IDEALS[tag]
-    for weight in range(11):
-        for charge in charge_range(tag, weight):
-            m = fock_matrix(tag, weight, charge)
-            monos = enumerate_monomials(weight, charge, spec.ambient_floor)
-            rows = partitions(heisenberg_size(tag, weight, charge), 1)
-            common = math.lcm(*(apply_monomial(mono, spec.two_r)[0] for mono in monos))
-            exact = {}
-            for j, mono in enumerate(monos):
-                image = {(spec.two_r, ()): 1}
-                for index in reversed(mono.indices):
-                    image = x_by_exponential(index, image)
-                for (two_r, lam), c in image.items():
-                    assert two_r == spec.two_r + 2 * charge
-                    exact[(rows.index(lam), j)] = c
-            assert (m.n_rows, m.n_cols) == (len(rows), len(monos))
-            assert all(type(c) is int for c in m.entries.values())
-            scaled = {
-                (i, j): Fraction(c, z_factor(rows[i]) * common)
-                for (i, j), c in m.entries.items()
-            }
-            assert scaled == exact, (weight, charge)
+    for tag in TAGS:
+        spec = IDEALS[tag]
+        for weight in range(11):
+            for charge in charge_range(tag, weight):
+                m = fock_matrix(tag, weight, charge)
+                monos = enumerate_monomials(weight, charge, spec.ambient_floor)
+                rows = partitions(heisenberg_size(tag, weight, charge), 1)
+                common = math.lcm(*(apply_monomial(mono, spec.two_r)[0] for mono in monos))
+                exact = {}
+                for j, mono in enumerate(monos):
+                    image = {(spec.two_r, ()): 1}
+                    for index in reversed(mono.indices):
+                        image = x_by_exponential(index, image)
+                    for (two_r, lam), c in image.items():
+                        assert two_r == spec.two_r + 2 * charge
+                        exact[(rows.index(lam), j)] = c
+                assert (m.n_rows, m.n_cols) == (len(rows), len(monos))
+                assert all(type(c) is int for c in m.entries.values())
+                scaled = {
+                    (i, j): Fraction(c, z_factor(rows[i]) * common)
+                    for (i, j), c in m.entries.items()
+                }
+                assert scaled == exact, (tag, weight, charge)
 
 
 # the pieces to weight 8 whose columns are not all over one denominator,
