@@ -49,22 +49,17 @@ integer tuple with no denominator.  These tables are the one
 representation of Fock vectors.  Monomial actions and the state-by-state
 half of the square-zero check sum images through one accumulator,
 ``_x_sum``, which adds them position by position in one dense list per
-(coset, size).  The vacuum half reads x(m) on h_j(a) e^{r alpha}, the
-image of a lattice vacuum under one x(m'), from ``_x_on_h``, which builds
-it from the vacuum images by Newton's identity and never takes x(m) one
-partition at a time; the shifted half of Newton's sum is the table
-``_x_on_h_shifted``, each entry one step from the one before it.  The
-tables are keyed by the states (lambda; r) of the basis a(-lambda), so
-between two x(m) a sum goes back to that basis through ``_unscaled``: each
-coordinate over its z_lambda, all times one common multiple, the lcm of
-the z_lambda present.  Every z_lambda is read from ``_partitions_with_z``.
-``apply_monomial`` acts on a lattice vacuum and returns its image as one
-such tuple over one integer denominator, the product of those multiples.
-The tables (x(m) images on states and on h_j(a) e^{r alpha} with the
-shifted half of the latter, partitions with their z-factors and their
-positions, and ``_insert_part``, the positions and weights of a(-n) in the
-basis a(-lambda)/z_lambda) are ``functools.cache`` functions: unbounded,
-kept for the life of the process, and each reports ``cache_info()``.
+(coset, size).  The tables are keyed by the states (lambda; r) of the
+basis a(-lambda), so between two x(m) a sum goes back to that basis
+through ``_unscaled``: each coordinate over its z_lambda, all times one
+common multiple, the lcm of the z_lambda present.  Every z_lambda is read
+from ``_partitions_with_z``.  ``apply_monomial`` returns a vacuum image
+as one such integer tuple, and divides that multiple out exactly after
+each x(m).  The tables (x(m) images on states, partitions with their
+z-factors and their positions, and ``_insert_part``, the positions and
+weights of a(-n) in the basis a(-lambda)/z_lambda) are ``functools.cache``
+functions: unbounded, kept for the life of the process, and each reports
+``cache_info()``.
 """
 
 from __future__ import annotations
@@ -145,52 +140,6 @@ def _x_on_state(s: int, mu: tuple[int, ...]) -> _XImage:
 
 
 @functools.cache
-def _x_on_h(s: int, j: int) -> _XImage:
-    """j! x(m) h_j(a) e^{r alpha} for every m + 2r = s, on the states
-    (lambda; r + 1) in the basis a(-lambda)/z_lambda, with h_j(a) =
-    sum_{mu |- j} a(-mu)/z_mu.  Newton's identity (Macdonald I.2), j h_j =
-    sum_{n=1..j} p_n h_{j-n}, and x(m) a(-n) = a(-n) x(m) - 2 x(m-n) give
-
-        V(s, j) = sum_n (j-1)!/(j-n)! a(-n) V(s, j-n) - 2 U(s, j),
-
-    from V(s, 0) = ``_x_on_state(s, ())``, with a(-n) by ``_insert_part``
-    and the shifted half U(s, j) from ``_x_on_h_shifted``."""
-    if not j:
-        return _x_on_state(s, ())
-    size = j - s - 1
-    if size < 0:
-        return ()
-    acc = [-_PAIRING * c for c in _x_on_h_shifted(s, j)] or [0] * len(partitions(size, 1))
-    for n in range(1, j + 1):
-        created = _x_on_h(s, j - n)
-        if created:
-            weight = math.perm(j - 1, n - 1)
-            positions, weights = _insert_part(size - n, n)
-            for i, w, c in zip(positions, weights, created):
-                acc[i] += weight * w * c
-    return tuple(acc) if any(acc) else ()
-
-
-@functools.cache
-def _x_on_h_shifted(s: int, j: int) -> _XImage:
-    """U(s, j) = sum_{n=1..j} (j-1)!/(j-n)! V(s-n, j-n), j >= 1, the shifted
-    half of V(s, j) = ``_x_on_h(s, j)``, on the same target size j - s - 1.
-    Splitting off n = 1 and putting n = n' + 1 in the rest gives
-
-        U(s, 1) = V(s-1, 0),   U(s, j) = V(s-1, j-1) + (j-1) U(s-1, j-1),
-
-    so each entry is one dense pass over one table entry, not a sum of j."""
-    head = _x_on_h(s - 1, j - 1)
-    tail = _x_on_h_shifted(s - 1, j - 1) if j > 1 else ()
-    if not tail:
-        return head
-    if not head:
-        return tuple((j - 1) * c for c in tail)
-    acc = [a + (j - 1) * c for a, c in zip(head, tail)]
-    return tuple(acc) if any(acc) else ()
-
-
-@functools.cache
 def _partition_index(size: int) -> dict[tuple[int, ...], int]:
     """The position of each partition of size in partitions(size, 1)."""
     return {lam: i for i, lam in enumerate(partitions(size, 1))}
@@ -257,24 +206,32 @@ def _unscaled(
     return common, [(key, lam, c * (common // z)) for key, lam, z, c in entries]
 
 
-def apply_monomial(mono: Monomial, two_r: int) -> tuple[int, _XImage]:
+def apply_monomial(mono: Monomial, two_r: int) -> _XImage:
     """The monomial x(m1)...x(mk) on the lattice vacuum e^{r alpha}, 2r =
     two_r, rightmost (largest) index first; the components commute, so the
-    order is a convention, not a choice.  Returns (den, coords): the image
-    is sum_lambda coords_lambda / den a(-lambda)/z_lambda e^{(r+k) alpha},
-    coords a dense integer tuple over partitions(size, 1), or () for a zero
-    image.  Between two x(m) the sum goes back to the basis a(-lambda)
-    through ``_unscaled``, and den is the product of the common multiples
-    that this takes."""
-    den = 1
+    order is a convention, not a choice.  Returns the image sum_lambda
+    coords_lambda a(-lambda)/z_lambda e^{(r+k) alpha}: coords a dense
+    integer tuple over partitions(size, 1), or () for a zero image.
+
+    Between two x(m) the sum goes back to the basis a(-lambda) through
+    ``_unscaled``, times its common multiple Z, and the images that follow
+    are divided by Z again.  Each division is exact: the partial product
+    x(mi)...x(mk) e^{r alpha} is again a vacuum image, whose coordinate at
+    a(-lambda)/z_lambda is the integer [z^e] z^{2r} Delta^2 p_lambda of the
+    functional realization (the ``verify`` module docstring).  A remainder
+    is a bug in the tables, not data, and raises ``ArithmeticError``."""
     out: _XSum = {(two_r, 0): [1]}
     for m in reversed(mono.indices):
         scale, states = _unscaled((t, size, acc) for (t, size), acc in out.items())
-        den *= scale
         out = _x_sum((m + t, mu, t, n) for t, mu, n in states)
+        for acc in out.values():
+            for i, c in enumerate(acc):
+                acc[i], rem = divmod(c, scale)
+                if rem:
+                    raise ArithmeticError(f"{mono} on e^({two_r}/2 alpha) is not integral")
     # one bidegree, so at most one list
     acc = next(iter(out.values()), ())
-    return den, tuple(acc) if any(acc) else ()
+    return tuple(acc) if any(acc) else ()
 
 
 def check_square_zero(weight_bound: int) -> bool:
@@ -302,9 +259,9 @@ def check_square_zero(weight_bound: int) -> bool:
     within the annihilation bound of the state; all omitted pairs act as
     zero termwise because the components commute.  Commutativity (a tested
     invariant: ``test_components_commute*``) is also used, in both checks,
-    to evaluate each composite with the more annihilating index applied
-    first and to fold the two orderings of a distinct pair into a factor 2,
-    which keeps the intermediate vectors small.
+    to fold the two orderings of a distinct pair into a factor 2, and in
+    the sweep to evaluate each composite with the more annihilating index
+    applied first, which keeps the intermediate vectors small.
 
     Both checks decide each lattice point through the integral one.  The
     relabelling h, (mu; r) -> (mu; r + 1/2), that the key m + 2r of the
@@ -318,23 +275,24 @@ def check_square_zero(weight_bound: int) -> bool:
     by 2r, so the truncated pairs, and which of them fold, correspond one
     to one.  Each check therefore decides every distinct (t - 4r, mu) of its
     range once, the sweep with ``_component_kills`` and the vacuum check with
-    ``_vacuum_kills``; the keys are collected afresh on every call, and no
-    verdict is kept between calls.
+    ``verify.square_kills_vacuum``; the keys are collected afresh on every
+    call, and no verdict is kept between calls.
 
-    The vacuum check reads no image of a state (mid; 1) one partition at a
-    time.  The first factor gives x(m1) e^0 = h_j(a) e^alpha, j = -m1 - 1
-    (the base case of the recursion), and ``_x_on_h`` tabulates V(s, j) =
-    j! x(m2) h_j(a) e^alpha, s = m2 + 2, by Newton's identity j h_j =
-    sum_n p_n h_{j-n} (Macdonald I.2) and x(m) a(-n) = a(-n) x(m) -
-    2 x(m-n); the shifted half U(s, j) = sum_n (j-1)!/(j-n)! V(s-n, j-n)
-    is the table ``_x_on_h_shifted``, by U(s, j) = V(s-1, j-1) +
-    (j-1) U(s-1, j-1).  The commutator holds for every part n (module
-    docstring), so V(s, j) = j! sum_{mu |- j} x(m2)(mu; 1)/z_mu, the sum
-    that the first images in the basis a(-mid)/z_mid add up; the tests
-    compare the two, and U with its defining sum.
+    The vacuum check is a generator verdict of ``verify``.  x(m) e^0 = 0
+    for m >= 0, so only the pairs m1, m2 <= -1 act on e^0, with the pair
+    factors 2 and 1 of R_u: S_u e^0 = F R_u, F the lambda0 Fock matrix of
+    (u, 2) (``verify.fock_matrix``).  F and E = ``verify.eval_matrix`` have
+    one kernel (the ``verify`` module docstring: s_mu and p_lambda span the
+    same symmetric polynomials, Macdonald I.3), so S_u e^0 = 0 exactly when
+    E(lambda0, u, 2) kills R_u; below u = 2 no pair acts.  So above
+    ``BRUTE_SWEEP_WEIGHT`` the lemma reads no x(m) table at a vacuum: it
+    rests on the recursion equalling the exponential formula (module
+    docstring), which gives the functional realization that E evaluates,
+    and on ker F = ker E.  The tests keep the route by the tables, x(m) on
+    h_j(a) e^alpha by Newton's identity, as the oracle of this one.
 
-    The zero test is exact although no image carries a denominator.
-    ``_component_kills`` takes the first images in the basis
+    The zero test of the sweep is exact although no image carries a
+    denominator.  ``_component_kills`` takes the first images in the basis
     a(-mid)/z_mid, multiplies each coordinate by Z / z_mid, with Z one
     common positive multiple of the z_mid present, and sums the second
     images in the basis a(-lambda)/z_lambda.  So it holds Z S_u (mu; 0)
@@ -342,10 +300,6 @@ def check_square_zero(weight_bound: int) -> bool:
     Multiplying every term by the same positive integer Z, and every
     coordinate by z_lambda > 0, cannot turn a nonzero vector into zero, so
     the integer lists are zero exactly when S_u (mu; 0) is.
-    ``_vacuum_kills`` sums the pair j as (pair factor) J!/j! V(m2 + 2, j),
-    J the largest j of the sum, which is J! S_u e^0 in the basis
-    a(-lambda)/z_lambda.  Every multiplier is a positive integer, so that
-    list too is zero exactly when S_u e^0 is.
     """
     if weight_bound < 1:
         raise ValueError("weight_bound must be >= 1")
@@ -369,34 +323,18 @@ def _brute_sweep(weight_bound: int) -> bool:
 
 def _vacuum_check(weight_bound: int) -> bool:
     """S_t kills e^{r alpha} for r^2 <= weight_bound and
-    -2*weight_bound <= t <= 3*weight_bound - r^2."""
+    -2*weight_bound <= t <= 3*weight_bound - r^2, each u = t - 4r >= 2 by
+    E(lambda0, u, 2) R_u (see check_square_zero)."""
+    # verify imports this module, so this module reads verify at call time
+    from .verify import square_kills_vacuum
+
     two_r_limit = math.isqrt(4 * weight_bound)
     keys = dict.fromkeys(
         t - 2 * two_r
         for two_r in range(-two_r_limit, two_r_limit + 1)
         for t in range(-2 * weight_bound, (12 * weight_bound - two_r * two_r) // 4 + 1)
     )
-    return all(_vacuum_kills(u) for u in keys)
-
-
-def _vacuum_kills(u: int) -> bool:
-    """S_u e^0 == 0, with the pairs truncated and folded as in
-    ``_component_kills``; it decides S_t e^{r alpha} for every t - 4r = u.
-    The pair (m1, m2) reads j! x(m2) h_j e^alpha, j = -m1 - 1, from
-    ``_x_on_h``.  j runs up from 0 over the pairs, and the sum A_j = j A_{j-1}
-    + (pair factor) V(m2 + 2, j) carries the pair j times J!/j!, J the last
-    j, so A_J = J! S_u e^0."""
-    acc: list[int] = []
-    for j, m2 in enumerate(range(1 - u, (-u) // 2 + 1)):
-        image = _x_on_h(m2 + 2, j)
-        n = 1 if 2 * m2 == -u else 2
-        if not acc:
-            acc = [n * c for c in image]
-        elif image:
-            acc = [j * a + n * c for a, c in zip(acc, image)]
-        else:
-            acc = [j * a for a in acc]
-    return not any(acc)
+    return all(square_kills_vacuum(u) for u in keys if u >= 2)
 
 
 def _component_kills(u: int, mu: tuple[int, ...]) -> bool:

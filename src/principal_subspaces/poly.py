@@ -126,9 +126,6 @@ class PolyQ:
     def one(cls) -> "PolyQ":
         return cls({UNIT: 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def bidegree(self) -> tuple[int, int]:
         """(weight, charge) of a nonzero bihomogeneous polynomial."""
         if not self.terms:

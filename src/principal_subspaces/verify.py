@@ -17,11 +17,11 @@ the piece of charge k, with d = ``heisenberg_size``, the coefficient of
 a(-lambda) is phi(p_lambda) / z_lambda, where phi(g) is the functional
 x(m_1)...x(m_k) -> [z^e] z^{2r} Delta^2 g and Delta^2 = prod_{i<j} (z_i -
 z_j)^2.  The integer Fock matrix (``fock_matrix``) scales row lambda by
-z_lambda L, one common multiple L, so that row is L phi(p_lambda).  The
-p_lambda with lambda a partition of d span the symmetric polynomials of
-degree d in k variables, and so do the Schur polynomials s_mu = a_{mu+delta}
-/ a_delta with mu a partition of d into at most k parts, which are a basis
-(Macdonald, Symmetric Functions and Hall Polynomials, I.3).  Here delta =
+z_lambda, so that row is phi(p_lambda).  The p_lambda with lambda a
+partition of d span the symmetric polynomials of degree d in k variables,
+and so do the Schur polynomials s_mu = a_{mu+delta} / a_delta with mu a
+partition of d into at most k parts, which are a basis (Macdonald,
+Symmetric Functions and Hall Polynomials, I.3).  Here delta =
 (k-1, ..., 1, 0), and a_lambda = sum_sigma sgn(sigma) z^{sigma lambda} is
 the alternant, so a_delta = Delta.  Hence the rows phi(s_mu) of
 ``eval_matrix`` span the row space of the Fock matrix: the same kernel,
@@ -75,12 +75,14 @@ z_k.  So phi(s)(x(m) p) = phi(h)(p), a functional in the row space of E on
 piece.  A generator (R_t, or x(-1)) passes when its terms share one
 bidegree with every index <= floor, its lead (below) is a balanced pair
 x(a)x(b), b - a <= 1, or x(-1), and E on its own piece, (t, 2) or (1, 1),
-kills it.  Its verdict is read once per run of ``verify_presentation``,
-from the E that the run builds on that piece, into the run's ``Verdicts``;
-a piece reached out of order builds that E.  No verdict outlives its run,
+kills it (``_kills``).  Its verdict is read once per run of
+``verify_presentation``, from the E that the run builds on that piece, into
+the run's ``Verdicts``; a piece reached out of order builds that E.  No verdict outlives its run,
 so a patched spec, relation or E reaches the next one.  This takes E as
 right: up to weight ``FOCK_CHECK_WEIGHT`` it is checked against the Fock
-matrix, and the tests check the closure itself.
+matrix, and the tests check the closure itself.  The same verdict on R_u
+decides the vacuum half of ``fock.check_square_zero``: S_u e^0 is the
+lambda0 evaluation of R_u (``square_kills_vacuum``).
 
 The rank of the ideal rows I is bounded by the leads: the lead of a
 nonzero row is its least term under the total order (sum of m_i^2, index
@@ -121,7 +123,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from typing import Iterable, NamedTuple
 
 from .fock import apply_monomial, partitions
@@ -184,22 +185,19 @@ def fock_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
     """Matrix of the evaluation map on one bidegree in the Fock basis, in
     integers: columns are the domain monomials in canonical order, rows the
     partitions lambda of ``heisenberg_size`` in ``partitions`` order.
-    Column j is the image (den_j, coords_j) of ``apply_monomial`` on the
-    highest weight vector, and entry (lambda, j) is coords_j[lambda] (L //
-    den_j), with L the lcm of the den_j.  This is the exact coefficient of
-    a(-lambda) e^{(r+k) alpha} with row lambda times z_lambda and the whole
-    matrix times L.  Scaling rows by nonzero numbers is an invertible row
-    operation, so the kernel, the rank and the reduced row-echelon form,
-    hence ``kernel_basis``, are those of the exact coefficients."""
+    Column j is the image of ``apply_monomial`` on the highest weight
+    vector, so entry (lambda, j) is phi(p_lambda) of the module docstring,
+    the exact coefficient of a(-lambda) e^{(r+k) alpha} times z_lambda.
+    Scaling rows by nonzero numbers is an invertible row operation, so the
+    kernel, the rank and the reduced row-echelon form, hence
+    ``kernel_basis``, are those of the exact coefficients."""
     spec = IDEALS[tag]
     monos = enumerate_monomials(weight, charge, spec.ambient_floor)
     rows = partitions(heisenberg_size(tag, weight, charge), 1)
-    images = [apply_monomial(mono, spec.two_r) for mono in monos]
-    common = math.lcm(*(den for den, _ in images))
     entries = {
-        (i, j): c * (common // den)
-        for j, (den, coords) in enumerate(images)
-        for i, c in enumerate(coords)
+        (i, j): c
+        for j, mono in enumerate(monos)
+        for i, c in enumerate(apply_monomial(mono, spec.two_r))
         if c
     }
     return SparseMatQ(len(rows), len(monos), entries)
@@ -305,21 +303,36 @@ def _generator_lead(
     tag: str, g: PolyQ, piece: IdealPiece, matrix: SparseMatQ
 ) -> tuple[int, ...] | None:
     """The index tuple of the lead of a generator g if g passes, else None:
-    its lead is x(-1) or a balanced pair x(a)x(b), b - a <= 1, its terms
-    share the lead's bidegree with every index <= floor, and E on that
-    bidegree kills it (see the module docstring).  ``matrix`` is E on the
-    bidegree of ``piece``, and serves when that is g's own."""
-    floor = IDEALS[tag].ambient_floor
+    its lead is x(-1) or a balanced pair x(a)x(b), b - a <= 1, and E on the
+    lead's bidegree kills g (``_kills``; see the module docstring).
+    ``matrix`` is E on the bidegree of ``piece``, and serves when that is
+    g's own."""
     lead = min(g.terms, key=_lead_order, default=Monomial(())).indices
     charge, weight = len(lead), -sum(lead)
-    as_claimed = lead == (-1,) or len(lead) == 2 and lead[1] - lead[0] <= 1
-    if not as_claimed or not all(_fits(mono.indices, charge, weight, floor) for mono in g.terms):
+    if not (lead == (-1,) or len(lead) == 2 and lead[1] - lead[0] <= 1):
         return None
-    if (weight, charge) != (piece.weight, piece.charge):
+    own = (weight, charge) == (piece.weight, piece.charge)
+    return lead if _kills(tag, g, weight, charge, matrix if own else None) else None
+
+
+def _kills(tag: str, g: PolyQ, weight: int, charge: int, matrix: SparseMatQ | None = None) -> bool:
+    """Whether g lies in ker E on (weight, charge): its terms share that
+    bidegree with every index <= floor, and E, ``matrix`` if given, else
+    ``eval_matrix``, kills it.  The one way a generator is decided."""
+    floor = IDEALS[tag].ambient_floor
+    if not all(_fits(mono.indices, charge, weight, floor) for mono in g.terms):
+        return False
+    if matrix is None:
         matrix = eval_matrix(tag, weight, charge)
     column = {mono.indices: j for j, mono in enumerate(enumerate_monomials(weight, charge, floor))}
-    image = matrix.matvec({column[mono.indices]: c for mono, c in g.terms.items()})
-    return None if image else lead
+    return not matrix.matvec({column[mono.indices]: c for mono, c in g.terms.items()})
+
+
+def square_kills_vacuum(u: int) -> bool:
+    """S_u e^0 == 0, u >= 2, decided as E(lambda0, u, 2) kills R_u (see
+    ``fock.check_square_zero``), with R_u read from the blocks of
+    ``ideal_piece("lambda0", u, 2)``, so a patched relation or E reaches it."""
+    return all(_kills("lambda0", g, u, 2) for g, _ in ideal_piece("lambda0", u, 2).blocks)
 
 
 def _ideal_side(tag: str, piece: IdealPiece, matrix: SparseMatQ, verdicts: Verdicts) -> IdealRows:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from principal_subspaces import cli, relations, verify
+from principal_subspaces import cli, fock, relations, verify
 from principal_subspaces.fock import partitions
 from principal_subspaces.linalg import SparseMatQ, subspace_leq
 from principal_subspaces.poly import PolyQ, coordinates, derive, enumerate_monomials, x
@@ -405,3 +405,90 @@ def x_by_exponential():
     states (mu; two_r/2) of the basis a(-mu), with mu non-decreasing:
     the image from the exponential formula, in the same form."""
     return _x_by_exponential
+
+
+# The vacuum half of the square-zero lemma by the x(m) tables of fock, the
+# oracle for its decision in verify by E(lambda0, u, 2) R_u: S_u e^0 from
+# x(m) on h_j(a) e^alpha, built by Newton's identity.
+
+
+class NewtonOracle:
+    """S_u e^0 == 0 from the x(m) tables.  The first factor of a pair gives
+    x(m1) e^0 = h_j(a) e^alpha, j = -m1 - 1 (the base case of the
+    recursion), with h_j(a) = sum_{mu |- j} a(-mu)/z_mu, and ``x_on_h``
+    tabulates V(s, j) = j! x(m) h_j(a) e^{r alpha} for every m + 2r = s, on
+    the states (lambda; r + 1) in the basis a(-lambda)/z_lambda.  Newton's
+    identity (Macdonald I.2), j h_j = sum_{n=1..j} p_n h_{j-n}, and
+    x(m) a(-n) = a(-n) x(m) - 2 x(m-n) give
+
+        V(s, j) = sum_n (j-1)!/(j-n)! a(-n) V(s, j-n) - 2 U(s, j),
+
+    from V(s, 0) = ``fock._x_on_state(s, ())``, with a(-n) by
+    ``fock._insert_part``.  The shifted half U(s, j) = sum_{n=1..j}
+    (j-1)!/(j-n)! V(s-n, j-n) is the table ``x_on_h_shifted``, by
+    U(s, 1) = V(s-1, 0) and U(s, j) = V(s-1, j-1) + (j-1) U(s-1, j-1).
+
+    Each table is a cache of this object, so a new oracle starts empty.
+    The recursion reads both tables and the Newton weight ``perm`` through
+    the object, and ``_PAIRING``, the vacuum images and ``_insert_part``
+    through ``fock``, so a mutant of any of them reaches every entry built
+    after it."""
+
+    def __init__(self):
+        self.perm = math.perm
+        self.x_on_h = functools.cache(self._x_on_h)
+        self.x_on_h_shifted = functools.cache(self._x_on_h_shifted)
+
+    def _x_on_h(self, s, j):
+        if not j:
+            return fock._x_on_state(s, ())
+        size = j - s - 1
+        if size < 0:
+            return ()
+        shifted = self.x_on_h_shifted(s, j)
+        acc = [-fock._PAIRING * c for c in shifted] or [0] * len(partitions(size, 1))
+        for n in range(1, j + 1):
+            created = self.x_on_h(s, j - n)
+            if created:
+                weight = self.perm(j - 1, n - 1)
+                positions, weights = fock._insert_part(size - n, n)
+                for i, w, c in zip(positions, weights, created):
+                    acc[i] += weight * w * c
+        return tuple(acc) if any(acc) else ()
+
+    def _x_on_h_shifted(self, s, j):
+        head = self.x_on_h(s - 1, j - 1)
+        tail = self.x_on_h_shifted(s - 1, j - 1) if j > 1 else ()
+        if not tail:
+            return head
+        if not head:
+            return tuple((j - 1) * c for c in tail)
+        acc = [a + (j - 1) * c for a, c in zip(head, tail)]
+        return tuple(acc) if any(acc) else ()
+
+    def vacuum_kills(self, u):
+        """S_u e^0 == 0, summed over the pairs m2 <= m1 <= -1, m1 + m2 = -u,
+        with the pair factors 2 and 1.  The pair (m1, m2) reads
+        V(m2 + 2, j), j = -m1 - 1, from ``x_on_h``.  j runs up from 0 over
+        the pairs, and the sum A_j = j A_{j-1} + (pair factor) V(m2 + 2, j)
+        carries the pair j times J!/j!, J the last j, so A_J = J! S_u e^0
+        in the basis a(-lambda)/z_lambda: every multiplier is a positive
+        integer, so the list is zero exactly when S_u e^0 is."""
+        acc = []
+        for j, m2 in enumerate(range(1 - u, (-u) // 2 + 1)):
+            image = self.x_on_h(m2 + 2, j)
+            n = 1 if 2 * m2 == -u else 2
+            if not acc:
+                acc = [n * c for c in image]
+            elif image:
+                acc = [j * a + n * c for a, c in zip(acc, image)]
+            else:
+                acc = [j * a for a in acc]
+        return not any(acc)
+
+
+@pytest.fixture
+def newton_oracle():
+    """``NewtonOracle``, the class: each call builds an oracle with empty
+    tables."""
+    return NewtonOracle

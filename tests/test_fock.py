@@ -8,17 +8,17 @@ acts on it through the tables, by ``fock._x_sum``."""
 import functools
 import json
 import math
-import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from principal_subspaces import fock
+from principal_subspaces import fock, relations, verify
 from principal_subspaces.cli import main
 from principal_subspaces.fock import apply_monomial, check_square_zero, partitions
-from principal_subspaces.poly import Monomial
+from principal_subspaces.linalg import SparseMatQ
+from principal_subspaces.poly import Monomial, x
 
 HALF = Fraction(1, 2)
 VAC0 = {(0, ()): 1}
@@ -283,25 +283,34 @@ def test_half_shift_intertwines_modes():
 
 def apply_monomial_as_vector(indices, two_r):
     """``apply_monomial`` on the vacuum of 2r = two_r as a Fock vector: each
-    coordinate over den z_lambda, on the states of 2r + 2k and size
+    coordinate over its z_lambda, on the states of 2r + 2k and size
     -sum(m) - k 2r - k^2, k the number of factors."""
-    den, coords = apply_monomial(Monomial(indices), two_r)
+    coords = apply_monomial(Monomial(indices), two_r)
     k = len(indices)
     size = -sum(indices) - k * two_r - k * k
     with_z = fock._partitions_with_z(size) if coords else ()
     return {
-        (two_r + 2 * k, lam): Fraction(c, den * z)
+        (two_r + 2 * k, lam): Fraction(c, z)
         for (lam, z), c in zip(with_z, coords, strict=True)
         if c
     }
 
 
-def test_apply_monomial_matches_composition(x_by_exponential):
-    assert apply_monomial(Monomial(()), 0) == (1, (1,))
-    assert apply_monomial(Monomial((-3,)), 0) == (1, (1, 1))
-    assert apply_monomial(Monomial((-1,)), 1) == (1, ())
-    # on the vacua of both cosets, images over a denominator other than 1
-    dens = set()
+def test_apply_monomial_matches_composition(monkeypatch, x_by_exponential):
+    assert apply_monomial(Monomial(()), 0) == (1,)
+    assert apply_monomial(Monomial((-3,)), 0) == (1, 1)
+    assert apply_monomial(Monomial((-1,)), 1) == ()
+    # on the vacua of both cosets, images that divide a common multiple
+    # above 1 back out, read from a spy on _unscaled
+    scales = set()
+    real = fock._unscaled
+
+    def spy(blocks):
+        scale, states = real(blocks)
+        scales.add(scale)
+        return scale, states
+
+    monkeypatch.setattr(fock, "_unscaled", spy)
     for two_r in range(-2, 3):
         for indices in ((-3, -1), (-5, -3), (-7, -4), (-4, -2, -2), (-6, -3, -1), (-2, 0, 1)):
             composed = by_formula = {(two_r, ()): 1}
@@ -309,8 +318,7 @@ def test_apply_monomial_matches_composition(x_by_exponential):
                 composed = x_on(m, composed)
                 by_formula = x_by_exponential(m, by_formula)
             assert apply_monomial_as_vector(indices, two_r) == composed == by_formula
-            dens.add(apply_monomial(Monomial(indices), two_r)[0])
-    assert dens - {1}
+    assert scales - {1}
     # both cosets, sizes 0 to 6, coefficients with unlike denominators
     v = {
         (0, ()): Fraction(1, 3),
@@ -333,14 +341,14 @@ def test_weight_charge_values(x_by_exponential):
     """The image of x(m1)...x(mk) on e^{r alpha} has weight r^2 - sum m_i
     and charge r + k, so the coordinates of ``apply_monomial`` run over
     the partitions of weight - charge^2."""
-    assert apply_monomial(Monomial((-4, -2)), 0) == (1, (0, -2))
+    assert apply_monomial(Monomial((-4, -2)), 0) == (0, -2)
     assert apply_monomial_as_vector((-4, -2), 0) == {(4, (2,)): -1}
     assert bidegree((4, (2,))) == (6, 2)
     for two_r in range(-3, 4):
         for indices in ((-3,), (-3, -1), (-5, -3), (-4, -2, -2), (-6, -3, -1)):
             weight = Fraction(two_r * two_r, 4) - sum(indices)
             charge = Fraction(two_r, 2) + len(indices)
-            _, coords = apply_monomial(Monomial(indices), two_r)
+            coords = apply_monomial(Monomial(indices), two_r)
             composed = {(two_r, ()): 1}
             for m in reversed(indices):
                 composed = x_by_exponential(m, composed)
@@ -359,7 +367,7 @@ def test_basis_states_order(x_by_exponential):
     assert partitions(-1, 1) == ()
     assert fock._partition_index(3) == {(1, 1, 1): 0, (1, 2): 1, (3,): 2}
     # x(-6) x(-2) e^0 has a distinct coordinate in almost every place
-    assert apply_monomial(Monomial((-6, -2)), 0) == (1, (2, 0, -1, -2, -2))
+    assert apply_monomial(Monomial((-6, -2)), 0) == (2, 0, -1, -2, -2)
     image = {
         (4, (1, 1, 1, 1)): Fraction(1, 12),
         (4, (1, 3)): Fraction(-1, 3),
@@ -423,7 +431,6 @@ def test_recursion_equals_exponential_formula(x_by_exponential):
 
 
 REAL_X_ON_STATE = fock._x_on_state
-REAL_X_ON_H = fock._x_on_h
 REAL_INSERT_PART = fock._insert_part
 # every functools.cache table of fock, as the module defines them
 FOCK_TABLES = {
@@ -455,11 +462,9 @@ def test_fresh_tables_empties_every_fock_table(fresh_tables):
         "_partition_index",
         "_insert_part",
         "_x_on_state",
-        "_x_on_h",
-        "_x_on_h_shifted",
     }
     assert check_square_zero(3)
-    assert apply_monomial(Monomial((-3, -2)), -1)[1]
+    assert apply_monomial(Monomial((-3, -2)), -1)
     assert all(table.cache_info().currsize for table in FOCK_TABLES.values())
     fresh_tables()
     assert not any(table.cache_info().currsize for table in FOCK_TABLES.values())
@@ -494,45 +499,22 @@ def drop_multiplicity(monkeypatch):
     monkeypatch.setattr(fock, "_insert_part", unweighted)
 
 
-def newton_weight_one(monkeypatch):
-    """V(s, j) = j! x(m) h_j e^alpha with every Newton weight (j-1)!/(j-n)!,
-    ``math.perm(j - 1, n - 1)`` in ``_x_on_h``, replaced by 1: fock reads
-    ``math.perm`` there only."""
-    patched = types.SimpleNamespace(**vars(math))
-    patched.perm = lambda n, k: 1
-    monkeypatch.setattr(fock, "math", patched)
-
-
-def perturb_one_newton_image(monkeypatch):
-    """V(-4, 2) = 2! x(m) h_2(a) e^{r alpha} for m + 2r = -4, with its first
-    integer, that of partitions(5, 1)[0] = (1, 1, 1, 1, 1), off by one; the
-    recursion and the vacuum check read it through the module name."""
+def test_apply_monomial_rejects_a_remainder(monkeypatch, fresh_tables):
+    """x(-3)^2 e^0 takes x(-3) e^0 = (a(-1)^2/2 + a(-2)/2) e^alpha back to
+    the basis a(-lambda) times Z = 2, and divides the second images by 2
+    again.  One integer of x(-1) on a(-1)^2 e^alpha off by one leaves a
+    remainder, which is a bug, not data."""
+    assert apply_monomial(Monomial((-3, -3)), 0) == (-2, 2)
 
     @functools.cache
-    def perturbed(s, j):
-        coords = REAL_X_ON_H(s, j)
-        if (s, j) == (-4, 2):
-            first, *rest = coords
-            return (first + 1, *rest)
-        return coords
+    def perturbed(s, mu):
+        coords = REAL_X_ON_STATE(s, mu)
+        return (coords[0] + 1, *coords[1:]) if (s, mu) == (-1, (1, 1)) else coords
 
-    monkeypatch.setattr(fock, "_x_on_h", perturbed)
-
-
-def shifted_factor_j(monkeypatch):
-    """U(s, j) = V(s-1, j-1) + j U(s-1, j-1), the factor j - 1 of
-    ``_x_on_h_shifted`` raised to j; ``_x_on_h`` and the recursion read U
-    through the module name."""
-
-    @functools.cache
-    def wrong(s, j):
-        head = fock._x_on_h(s - 1, j - 1)
-        tail = wrong(s - 1, j - 1) if j > 1 else ()
-        if not tail:
-            return head
-        return tuple(a + j * c for a, c in zip(head or [0] * len(tail), tail))
-
-    monkeypatch.setattr(fock, "_x_on_h_shifted", wrong)
+    fresh_tables()
+    monkeypatch.setattr(fock, "_x_on_state", perturbed)
+    with pytest.raises(ArithmeticError):
+        apply_monomial(Monomial((-3, -3)), 0)
 
 
 RECURSION_MUTANTS = {
@@ -544,18 +526,47 @@ RECURSION_MUTANTS = {
     # the a(-n) weight of the recursion without mult_n(lambda) + 1
     "weight_without_multiplicity": drop_multiplicity,
 }
-# mutants of the Newton table that the vacuum half reads, x(m) on h_j e^alpha
-NEWTON_MUTANTS = {
-    "newton_weight_one": newton_weight_one,
-    "one_newton_image": perturb_one_newton_image,
-    "shifted_factor_j": shifted_factor_j,
+
+
+def halve_one_coefficient(monkeypatch):
+    """R_10 at floor -1 with the coefficient of x(-5)^2 halved, read by
+    ``relations.ideal_piece`` through the module name.  Every other lemma
+    of ``lemmas --t-max 6`` reads only the R_t with t <= 8."""
+    real = relations.quadratic_relation
+
+    def patched(t, floor=-1):
+        rel = real(t, floor)
+        return rel - x(-5) * x(-5) * Fraction(1, 2) if (t, floor) == (10, -1) else rel
+
+    monkeypatch.setattr(relations, "quadratic_relation", patched)
+
+
+def change_one_entry(monkeypatch):
+    """E(lambda0, 10, 2) with one more at its first entry; every column is
+    a term of R_10, so E no longer kills it."""
+    real = verify.eval_matrix
+
+    def patched(*piece):
+        m = real(*piece)
+        if piece != ("lambda0", 10, 2):
+            return m
+        first = min(m.entries)
+        entries = {**m.entries, first: m.entries[first] + 1}
+        return SparseMatQ(m.n_rows, m.n_cols, entries)
+
+    monkeypatch.setattr(verify, "eval_matrix", patched)
+
+
+# mutants of what the vacuum half reads: R_u and E(lambda0, u, 2)
+VACUUM_MUTANTS = {
+    "halved_relation": halve_one_coefficient,
+    "changed_entry": change_one_entry,
 }
-MUTANTS = RECURSION_MUTANTS | NEWTON_MUTANTS
 
 
-@pytest.mark.parametrize("mutant", list(MUTANTS))
+@pytest.mark.parametrize("mutant", list(RECURSION_MUTANTS))
 def test_recursion_mutants_fail_lemmas(capsys, monkeypatch, fresh_tables, mutant):
-    MUTANTS[mutant](monkeypatch)
+    RECURSION_MUTANTS[mutant](monkeypatch)
     code = main(["lemmas", "--max-weight", "4", "--format", "json"])
     lemmas = json.loads(capsys.readouterr().out)["lemmas"]
     assert code == 1
@@ -563,25 +574,31 @@ def test_recursion_mutants_fail_lemmas(capsys, monkeypatch, fresh_tables, mutant
     assert [name for name, ok in lemmas.items() if not ok] == ["square_zero"]
 
 
-@pytest.mark.parametrize("mutant", list(MUTANTS))
+@pytest.mark.parametrize("mutant", list(RECURSION_MUTANTS))
 def test_recursion_mutants_reach_warm_tables_once_reset(
     capsys, monkeypatch, fresh_tables, mutant
 ):
     # the real images are in the tables, then the reset empties them
     assert check_square_zero(4)
     fresh_tables()
-    MUTANTS[mutant](monkeypatch)
+    RECURSION_MUTANTS[mutant](monkeypatch)
     assert main(["lemmas", "--max-weight", "4", "--format", "json"]) == 1
     assert json.loads(capsys.readouterr().out)["lemmas"]["square_zero"] is False
 
 
+@pytest.mark.parametrize("mutant", list(VACUUM_MUTANTS))
+def test_vacuum_mutants_fail_lemmas(capsys, monkeypatch, mutant):
+    VACUUM_MUTANTS[mutant](monkeypatch)
+    code = main(["lemmas", "--max-weight", "4", "--t-max", "6", "--format", "json"])
+    lemmas = json.loads(capsys.readouterr().out)["lemmas"]
+    assert code == 1
+    assert [name for name, ok in lemmas.items() if not ok] == ["square_zero"]
+
+
 # the brute half reads the tables of states and the z-factors of _unscaled;
-# the vacuum half reads the Newton table, built from the vacuum images with
-# _PAIRING and _insert_part, and neither per-partition images nor z-factors
-# (the partition-sum cross-check below rejects those two mutants)
+# the vacuum half reads R_u and E(lambda0, u, 2), and no table of fock
 HALF_MUTANTS = [(mutant, "_brute_sweep") for mutant in RECURSION_MUTANTS] + [
-    (mutant, "_vacuum_check")
-    for mutant in ("plus_two", "weight_without_multiplicity", *NEWTON_MUTANTS)
+    (mutant, "_vacuum_check") for mutant in VACUUM_MUTANTS
 ]
 
 
@@ -589,29 +606,117 @@ HALF_MUTANTS = [(mutant, "_brute_sweep") for mutant in RECURSION_MUTANTS] + [
 def test_each_square_zero_half_rejects_recursion_mutants(
     monkeypatch, fresh_tables, mutant, half
 ):
-    MUTANTS[mutant](monkeypatch)
+    (RECURSION_MUTANTS | VACUUM_MUTANTS)[mutant](monkeypatch)
     assert getattr(fock, half)(4) is False
 
 
-def newton_keys(monkeypatch, weight_bound, table="_x_on_h"):
-    """Every (s, j) that ``_vacuum_check(weight_bound)`` reads from cold
-    tables, from ``_x_on_h`` or from the table named: the recursion reads
-    both through the module name, so the spy sees each key it builds."""
+def vacuum_keys(monkeypatch, weight_bound):
+    """Every u that ``fock._vacuum_check(weight_bound)`` decides, in order,
+    from a spy on ``verify.square_kills_vacuum``, which it reads at call
+    time."""
+    keys = []
+    real = verify.square_kills_vacuum
+    monkeypatch.setattr(verify, "square_kills_vacuum", lambda u: keys.append(u) or real(u))
+    assert fock._vacuum_check(weight_bound)
+    monkeypatch.setattr(verify, "square_kills_vacuum", real)
+    return keys
+
+
+def newton_keys(monkeypatch, oracle, weight_bound, table="x_on_h"):
+    """Every (s, j) that the Newton oracle reads from its table named, from
+    cold, on the keys of ``_vacuum_check(weight_bound)``: its recursion
+    reads both tables through the oracle, so the spy sees each key it
+    builds.  The oracle passes on every key."""
     keys = set()
-    real = getattr(fock, table)
+    real = getattr(oracle, table)
 
     def spy(s, j):
         keys.add((s, j))
         return real(s, j)
 
-    monkeypatch.setattr(fock, table, spy)
-    assert fock._vacuum_check(weight_bound)
-    monkeypatch.setattr(fock, table, real)
+    monkeypatch.setattr(oracle, table, spy)
+    assert all(map(oracle.vacuum_kills, vacuum_keys(monkeypatch, weight_bound)))
+    monkeypatch.setattr(oracle, table, real)
     return keys
 
 
-def partition_sum_mismatches(keys):
-    """The (s, j) in keys where V(s, j) = ``_x_on_h(s, j)`` is not
+def test_the_newton_oracle_agrees_with_the_e_route_to_weight_10(monkeypatch, newton_oracle):
+    # every u = t - 4r of the vacuum range at weight 10; the key sets nest
+    # as the bound grows, so this covers every bound up to 10.  The vacuum
+    # half decides the 33 keys u >= 2; below, no pair acts, the oracle sums
+    # nothing and the lambda0 piece (u, 2) has no block.
+    keys = sorted({t - 2 * two_r for t, (two_r, _) in vacuum_check_range(10)})
+    assert len(keys) == 67
+    assert {t - 2 * two_r for t, (two_r, _) in vacuum_check_range(9)} < set(keys)
+    assert vacuum_keys(monkeypatch, 10) == [u for u in keys if u >= 2]
+    oracle = newton_oracle()
+    assert [oracle.vacuum_kills(u) for u in keys] == list(map(verify.square_kills_vacuum, keys))
+
+
+def newton_weight_one(monkeypatch, oracle):
+    """V(s, j) with every Newton weight (j-1)!/(j-n)! replaced by 1."""
+    monkeypatch.setattr(oracle, "perm", lambda n, k: 1)
+
+
+def perturb_one_newton_image(monkeypatch, oracle):
+    """V(-4, 2) = 2! x(m) h_2(a) e^{r alpha} for m + 2r = -4, with its first
+    integer, that of partitions(5, 1)[0] = (1, 1, 1, 1, 1), off by one; the
+    recursion and ``vacuum_kills`` read it through the oracle."""
+    real = oracle.x_on_h
+
+    @functools.cache
+    def perturbed(s, j):
+        coords = real(s, j)
+        if (s, j) == (-4, 2):
+            first, *rest = coords
+            return (first + 1, *rest)
+        return coords
+
+    monkeypatch.setattr(oracle, "x_on_h", perturbed)
+
+
+def shifted_factor_j(monkeypatch, oracle):
+    """U(s, j) = V(s-1, j-1) + j U(s-1, j-1), the factor j - 1 of
+    ``x_on_h_shifted`` raised to j; V and the recursion read U through the
+    oracle."""
+
+    @functools.cache
+    def wrong(s, j):
+        head = oracle.x_on_h(s - 1, j - 1)
+        tail = wrong(s - 1, j - 1) if j > 1 else ()
+        if not tail:
+            return head
+        return tuple(a + j * c for a, c in zip(head or [0] * len(tail), tail))
+
+    monkeypatch.setattr(oracle, "x_on_h_shifted", wrong)
+
+
+# mutants of the Newton tables of the oracle, x(m) on h_j e^alpha
+NEWTON_MUTANTS = {
+    "newton_weight_one": newton_weight_one,
+    "one_newton_image": perturb_one_newton_image,
+    "shifted_factor_j": shifted_factor_j,
+}
+
+
+@pytest.mark.parametrize("mutant", ["plus_two", "weight_without_multiplicity", *NEWTON_MUTANTS])
+def test_table_mutants_fail_the_newton_oracle_and_spare_the_e_route(
+    monkeypatch, fresh_tables, newton_oracle, mutant
+):
+    # the oracle reads _PAIRING and _insert_part of fock and its own
+    # tables; the vacuum half reads none of them
+    keys = vacuum_keys(monkeypatch, 6)
+    oracle = newton_oracle()
+    if mutant in NEWTON_MUTANTS:
+        NEWTON_MUTANTS[mutant](monkeypatch, oracle)
+    else:
+        RECURSION_MUTANTS[mutant](monkeypatch)
+    assert not all(map(oracle.vacuum_kills, keys))
+    assert fock._vacuum_check(6)
+
+
+def partition_sum_mismatches(oracle, keys):
+    """The (s, j) in keys where V(s, j) = ``oracle.x_on_h(s, j)`` is not
     j! sum_{mu |- j} ``_x_on_state(s, mu)`` / z_mu, with the z_mu of
     ``_partitions_with_z``: the sum that ``_component_kills(u, ())`` adds
     up over the first images in the basis a(-mid)/z_mid, one partition mid
@@ -628,62 +733,71 @@ def partition_sum_mismatches(keys):
             if image:
                 total = [a + f * c for a, c in zip(total or [0] * len(image), image)]
         expected = [Fraction(c, common) for c in total] if any(total) else []
-        if list(fock._x_on_h(s, j)) != expected:
+        if list(oracle.x_on_h(s, j)) != expected:
             bad.append((s, j))
     return bad
 
 
-def test_newton_table_equals_the_partition_sum(monkeypatch, fresh_tables):
-    keys = newton_keys(monkeypatch, 6)
+def test_newton_table_equals_the_partition_sum(monkeypatch, fresh_tables, newton_oracle):
+    oracle = newton_oracle()
+    keys = newton_keys(monkeypatch, oracle, 6)
     assert len(keys) == 121
-    assert partition_sum_mismatches(keys) == []
+    assert partition_sum_mismatches(oracle, keys) == []
 
 
-def test_shifted_table_equals_the_direct_sum(monkeypatch, fresh_tables):
+def test_shifted_table_equals_the_direct_sum(monkeypatch, fresh_tables, newton_oracle):
     # U(s, j) = sum_{n=1..j} (j-1)!/(j-n)! V(s-n, j-n), exactly, on every
-    # (s, j) that the vacuum check reads
-    keys = newton_keys(monkeypatch, 6, "_x_on_h_shifted")
+    # (s, j) that the oracle reads on the vacuum keys
+    oracle = newton_oracle()
+    keys = newton_keys(monkeypatch, oracle, 6, "x_on_h_shifted")
     assert len(keys) == 100
     bad = []
     for s, j in keys:
         size = j - s - 1
         total = [0] * len(fock.partitions(size, 1))
         for n in range(1, j + 1):
-            image = fock._x_on_h(s - n, j - n)
+            image = oracle.x_on_h(s - n, j - n)
             f = math.perm(j - 1, n - 1)
             total = [a + f * c for a, c in zip(total, image or [0] * len(total))]
-        if list(fock._x_on_h_shifted(s, j)) != (total if any(total) else []):
+        if list(oracle.x_on_h_shifted(s, j)) != (total if any(total) else []):
             bad.append((s, j))
     assert bad == []
 
 
 @pytest.mark.parametrize("mutant", list(NEWTON_MUTANTS))
-def test_the_partition_sum_rejects_the_newton_mutants(monkeypatch, fresh_tables, mutant):
-    keys = newton_keys(monkeypatch, 6)
-    fresh_tables()
-    MUTANTS[mutant](monkeypatch)
-    assert partition_sum_mismatches(keys)
+def test_the_partition_sum_rejects_the_newton_mutants(
+    monkeypatch, fresh_tables, newton_oracle, mutant
+):
+    keys = newton_keys(monkeypatch, newton_oracle(), 6)
+    oracle = newton_oracle()
+    NEWTON_MUTANTS[mutant](monkeypatch, oracle)
+    assert partition_sum_mismatches(oracle, keys)
 
 
-def test_vacuum_kills_weighs_the_pair_j_by_the_last_j_factorial_over_j_factorial(monkeypatch):
+def test_vacuum_kills_weighs_the_pair_j_by_the_last_j_factorial_over_j_factorial(
+    monkeypatch, newton_oracle
+):
     # S_8 e^0 has the pairs m2 = -7..-4, that is j = 0..3 and s = m2 + 2,
     # with pair factors 2, 2, 2, 1: the sum 2 3!/0! V_0 + 2 3!/1! V_1 +
     # 2 3!/2! V_2 + V_3, zero images too, is zero here and then is not
     images = {(-5, 0): (1, 2), (-4, 1): (1, 0), (-3, 2): (), (-2, 3): (-24, -24)}
-    monkeypatch.setattr(fock, "_x_on_h", lambda s, j: images[(s, j)])
-    assert fock._vacuum_kills(8)
+    oracle = newton_oracle()
+    monkeypatch.setattr(oracle, "x_on_h", lambda s, j: images[(s, j)])
+    assert oracle.vacuum_kills(8)
     images[(-2, 3)] = (-24, -23)
-    assert not fock._vacuum_kills(8)
+    assert not oracle.vacuum_kills(8)
 
 
 @pytest.mark.parametrize("mutant", ["one_image", "z_without_factorial"])
 def test_the_partition_sum_rejects_the_mutants_the_vacuum_half_cannot_read(
-    monkeypatch, fresh_tables, mutant
+    monkeypatch, fresh_tables, newton_oracle, mutant
 ):
-    MUTANTS[mutant](monkeypatch)
-    # the vacuum half passes: it reads neither mutated table
-    keys = newton_keys(monkeypatch, 6)
-    assert partition_sum_mismatches(keys)
+    RECURSION_MUTANTS[mutant](monkeypatch)
+    # the Newton oracle of the vacuum half passes: it reads neither mutated
+    # table, and the vacuum half reads no table at all
+    oracle = newton_oracle()
+    keys = newton_keys(monkeypatch, oracle, 6)
+    assert partition_sum_mismatches(oracle, keys)
 
 
 def test_square_zero_halves_and_bounds(monkeypatch):
@@ -729,8 +843,8 @@ def vacuum_check_range(w):
 
 def spy_on_decisions(monkeypatch):
     """{half: [(u, mu) for each decision]}, filled from the call on, with
-    each ``_component_kills(u, mu)`` and each ``_vacuum_kills(u)``, as
-    (u, ()), filed under the half that made it."""
+    each ``_component_kills(u, mu)`` and each ``verify.square_kills_vacuum(u)``,
+    as (u, ()), filed under the half that made it."""
     decided = {}
     for half in ("_brute_sweep", "_vacuum_check"):
         real = getattr(fock, half)
@@ -741,7 +855,7 @@ def spy_on_decisions(monkeypatch):
 
         monkeypatch.setattr(fock, half, run)
     real_kills = fock._component_kills
-    real_vacuum_kills = fock._vacuum_kills
+    real_vacuum_kills = verify.square_kills_vacuum
 
     def kills(u, mu):
         decided[list(decided)[-1]].append((u, mu))
@@ -752,20 +866,23 @@ def spy_on_decisions(monkeypatch):
         return real_vacuum_kills(u)
 
     monkeypatch.setattr(fock, "_component_kills", kills)
-    monkeypatch.setattr(fock, "_vacuum_kills", vacuum_kills)
+    monkeypatch.setattr(verify, "square_kills_vacuum", vacuum_kills)
     return decided
 
 
 def test_square_zero_decides_each_translated_key_once_per_half(monkeypatch):
     # S_t (mu; r) = h^{2r} S_{t-4r} (mu; 0): each half decides the distinct
-    # keys (t - 2 * two_r, mu) of its range, each one once
+    # keys (t - 2 * two_r, mu) of its range, each one once; the vacuum half
+    # only those with t - 2 * two_r >= 2, since no pair acts below
     decided = spy_on_decisions(monkeypatch)
     for w in range(1, 7):
         decided.clear()
         assert check_square_zero(w)
         expected = {
             "_brute_sweep": brute_sweep_range(min(w, fock.BRUTE_SWEEP_WEIGHT)),
-            "_vacuum_check": vacuum_check_range(w),
+            "_vacuum_check": [
+                (t, vacuum) for t, vacuum in vacuum_check_range(w) if t - 2 * vacuum[0] >= 2
+            ],
         }
         assert list(decided) == list(expected)
         for half, pairs in expected.items():
@@ -775,13 +892,19 @@ def test_square_zero_decides_each_translated_key_once_per_half(monkeypatch):
 
 
 def test_square_zero_counts_from_cold_tables(monkeypatch, fresh_tables):
-    # one table per lattice point built 3385 images and decided 1043 sums
+    # the vacuum half builds no fock table; the sweep then builds 408
+    # images in the one table of states, and the halves decide 272 and 21
+    # sums
     decided = spy_on_decisions(monkeypatch)
+    assert fock._vacuum_check(6)
+    assert not any(table.cache_info().currsize for table in FOCK_TABLES.values())
+    decided.clear()
     assert check_square_zero(6)
-    assert fock._x_on_state.cache_info().currsize == 414
-    assert fock._x_on_h.cache_info().currsize == 121
-    assert fock._x_on_h_shifted.cache_info().currsize == 100
-    assert sum(len(keys) for keys in decided.values()) == 315
+    assert fock._x_on_state.cache_info().currsize == 408
+    assert {half: len(keys) for half, keys in decided.items()} == {
+        "_brute_sweep": 272,
+        "_vacuum_check": 21,
+    }
 
 
 def square_by_exponential(x_by_exponential, t, state):

@@ -169,7 +169,7 @@ def test_rref_is_idempotent(m):
 def test_row_scaling_keeps_the_kernel_basis(m, data):
     """Each row times a nonzero integer is an invertible row operation, so
     the reduced form, hence the rank and ``kernel_basis``, stay: the ground
-    on which ``verify.fock_matrix`` scales row lambda by z_lambda L."""
+    on which ``verify.fock_matrix`` scales row lambda by z_lambda."""
     nonzero = st.integers(-6, 6).filter(bool)
     scales = data.draw(st.lists(nonzero, min_size=m.n_rows, max_size=m.n_rows))
     scaled = SparseMatQ(

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from principal_subspaces import linalg, relations, verify
+from principal_subspaces import fock, linalg, relations, verify
 from principal_subspaces.cli import main
 from principal_subspaces.fock import apply_monomial, partitions
 from principal_subspaces.linalg import kernel_basis
@@ -53,9 +53,9 @@ def z_factor(lam):
 
 def test_fock_matrix_is_the_exact_action(x_by_exponential):
     """Each Fock matrix of each tag, to weight 10, holds integers, and row
-    lambda divided by z_lambda L, L the lcm of the denominators of
-    ``apply_monomial``, is the exact action of each column's monomial on
-    the highest weight vector, composed from the exponential formula."""
+    lambda divided by z_lambda is the exact action of each column's
+    monomial on the highest weight vector, composed from the exponential
+    formula."""
     for tag in TAGS:
         spec = IDEALS[tag]
         for weight in range(11):
@@ -63,7 +63,6 @@ def test_fock_matrix_is_the_exact_action(x_by_exponential):
                 m = fock_matrix(tag, weight, charge)
                 monos = enumerate_monomials(weight, charge, spec.ambient_floor)
                 rows = partitions(heisenberg_size(tag, weight, charge), 1)
-                common = math.lcm(*(apply_monomial(mono, spec.two_r)[0] for mono in monos))
                 exact = {}
                 for j, mono in enumerate(monos):
                     image = {(spec.two_r, ()): 1}
@@ -75,47 +74,52 @@ def test_fock_matrix_is_the_exact_action(x_by_exponential):
                 assert (m.n_rows, m.n_cols) == (len(rows), len(monos))
                 assert all(type(c) is int for c in m.entries.values())
                 scaled = {
-                    (i, j): Fraction(c, z_factor(rows[i]) * common)
+                    (i, j): Fraction(c, z_factor(rows[i]))
                     for (i, j), c in m.entries.items()
                 }
                 assert scaled == exact, (tag, weight, charge)
 
 
-# the pieces to weight 8 whose columns are not all over one denominator,
-# with the first nonzero column whose factor L // den_j is not 1
+# the pieces to weight 8 whose columns were not all over one denominator
+# before ``apply_monomial`` divided it out, with the first nonzero column
+# whose image carried one above 1, and that denominator
 UNEQUAL_DENOMINATORS = {
-    ("lambda0", 6, 2): "x(-5)*x(-1)",
-    ("lambda0", 7, 2): "x(-6)*x(-1)",
-    ("lambda0", 8, 2): "x(-7)*x(-1)",
-    ("lambda1", 8, 2): "x(-6)*x(-2)",
-    ("lambda1prime", 8, 2): "x(-6)*x(-2)",
+    ("lambda0", 6, 2): ("x(-3)^2", 2),
+    ("lambda0", 7, 2): ("x(-4)*x(-3)", 2),
+    ("lambda0", 8, 2): ("x(-5)*x(-3)", 2),
+    ("lambda1", 8, 2): ("x(-4)^2", 2),
+    ("lambda1prime", 8, 2): ("x(-4)^2", 2),
 }
 
 
 @pytest.mark.parametrize("piece", list(UNEQUAL_DENOMINATORS))
 def test_verify_rejects_a_fock_column_without_its_factor(capsys, monkeypatch, piece):
-    """``fock_matrix`` on one piece with the factor L // den_j of one column
-    dropped, so that column alone is scaled by a wrong factor: verify to
-    weight 8 fails on that piece only, its containment holds, and the
-    witness is a kernel vector of E that the mutant F does not kill, the
-    disagreement that ``_fock_check`` returns."""
+    """``fock_matrix`` on one piece with one column times the denominator
+    that its image no longer carries, so that column alone is scaled by a
+    wrong factor: verify to weight 8 fails on that piece only, its
+    containment holds, and the witness is a kernel vector of E that the
+    mutant F does not kill, the disagreement that ``_fock_check``
+    returns."""
     tag, weight, charge = piece
-    spec = IDEALS[tag]
-    monos = enumerate_monomials(weight, charge, spec.ambient_floor)
-    images = [apply_monomial(mono, spec.two_r) for mono in monos]
-    dens = [den for den, _ in images]
-    common = math.lcm(*dens)
-    j = next(j for j, (den, coords) in enumerate(images) if den < common and coords)
-    assert str(monos[j]) == UNEQUAL_DENOMINATORS[piece]
+    monos = enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor)
+    column, den = UNEQUAL_DENOMINATORS[piece]
+    j = [str(mono) for mono in monos].index(column)
+    # the denominator is the product of the multiples that the image
+    # divides out, read from a spy on fock._unscaled
+    scales = []
+    unscaled = fock._unscaled
+    monkeypatch.setattr(
+        fock, "_unscaled", lambda blocks: scales.append(unscaled(blocks)) or scales[-1]
+    )
+    assert apply_monomial(monos[j], IDEALS[tag].two_r)
+    assert math.prod(scale for scale, _ in scales) == den
+    monkeypatch.setattr(fock, "_unscaled", unscaled)
     real = fock_matrix
     mutant = real(*piece)
     mutant = linalg.SparseMatQ(
         mutant.n_rows,
         mutant.n_cols,
-        {
-            (i, col): c // (common // dens[j]) if col == j else c
-            for (i, col), c in mutant.entries.items()
-        },
+        {(i, col): c * den if col == j else c for (i, col), c in mutant.entries.items()},
     )
     monkeypatch.setattr(
         verify, "fock_matrix", lambda *args: mutant if args == piece else real(*args)
