@@ -118,14 +118,6 @@ class PolyQ:
         res.terms = terms
         return res
 
-    @classmethod
-    def zero(cls) -> "PolyQ":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "PolyQ":
-        return cls({UNIT: 1})
-
     def bidegree(self) -> tuple[int, int]:
         """(weight, charge) of a nonzero bihomogeneous polynomial."""
         if not self.terms:

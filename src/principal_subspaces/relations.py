@@ -82,23 +82,20 @@ class IdealPiece:
 
     ``blocks`` holds, in order, pairs (g, cofactors): a generator g (an R_t
     or x(-1)) and a tuple of the monomials u, all of one bidegree with
-    every index <= ``floor``, whose products u * g are the piece's
+    every index <= the ambient floor, whose products u * g are the piece's
     elements, in cofactor order.  A pair without cofactors is left out.
-    ``floor`` is that of the domain the piece lies in when its generators
-    are right, and ``len`` is the size of the spanning set.  Iteration
-    builds each element as the ``PolyQ`` product u * g.
+    ``len`` is the size of the spanning set.  Iteration builds each element
+    as the ``PolyQ`` product u * g.
     """
 
     def __init__(
         self,
         weight: int,
         charge: int,
-        floor: int,
         blocks: list[tuple[PolyQ, tuple[Monomial, ...]]],
     ):
         self.weight = weight
         self.charge = charge
-        self.floor = floor
         self.blocks = tuple((g, cofactors) for g, cofactors in blocks if cofactors)
         self._len = sum(len(cofactors) for _, cofactors in self.blocks)
 
@@ -133,7 +130,7 @@ def ideal_piece(tag: str, weight: int, charge: int) -> IdealPiece:
         ]
     if spec.includes_degree_one_generator:
         blocks.append((X_MINUS_ONE, enumerate_monomials(weight - 1, charge - 1, floor)))
-    return IdealPiece(weight, charge, floor, blocks)
+    return IdealPiece(weight, charge, blocks)
 
 
 def check_translate_relation(t: int) -> bool:

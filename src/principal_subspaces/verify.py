@@ -105,13 +105,12 @@ and it closes because every non-DT monomial u is a lead: if u has adjacent
 indices a, b with |a - b| <= 1 and u' is the rest of u, u is the unique
 term of least sum m_i^2 in u' times the relation of weight -a - b.
 
-A piece with a generator that fails, or with another block, is read by
-``_ideal_rows``, which scans every element u * g with no ``PolyQ`` built but
-the witness: containment by the image of each element under E, and the
-distinct leads as a set.  The witness is the first element outside the
-kernel or the domain.  When either half of the certificate declines, the
-piece falls back to exact rational elimination, which also finds the
-witness.  Up to weight ``FOCK_CHECK_WEIGHT`` the kernel basis is found in
+A piece with a generator that fails, or with another block, is read from
+its elements: ``_coordinate_rows`` builds each one once, and the witness
+is the first whose row has a column outside the domain or a nonzero image
+under E.  The piece then falls back to exact rational elimination on
+those same rows, as does a piece where either half of the certificate
+declines.  Up to weight ``FOCK_CHECK_WEIGHT`` the kernel basis is found in
 any case and proved equal to the kernel of the Fock matrix, the direct
 evaluation by the vertex operators (``_fock_check``).  ``fallbacks``
 counts the pieces the certificate did not decide in this process and is
@@ -281,13 +280,6 @@ def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
     return SparseMatQ(len(rows), len(monos), entries)
 
 
-class IdealRows(NamedTuple):
-    """The ideal side of a piece, from ``_ideal_side`` or ``_ideal_rows``."""
-
-    witness: PolyQ | None  # the first element outside the kernel
-    leads: int  # the distinct leads of the nonzero elements
-
-
 def _lead_order(mono: Monomial) -> tuple[int, tuple[int, ...]]:
     """The total order (sum of m_i^2, index tuple) whose least term of a
     row is its lead."""
@@ -318,9 +310,10 @@ def _generator_lead(
 def _kills(tag: str, g: PolyQ, weight: int, charge: int, matrix: SparseMatQ | None = None) -> bool:
     """Whether g lies in ker E on (weight, charge): its terms share that
     bidegree with every index <= floor, and E, ``matrix`` if given, else
-    ``eval_matrix``, kills it.  The one way a generator is decided."""
+    ``eval_matrix``, kills it.  The one way a generator is decided, so a
+    zero g, which E kills, is declined here: it is no generator."""
     floor = IDEALS[tag].ambient_floor
-    if not all(_fits(mono.indices, charge, weight, floor) for mono in g.terms):
+    if not g.terms or not all(_fits(mono.indices, charge, weight, floor) for mono in g.terms):
         return False
     if matrix is None:
         matrix = eval_matrix(tag, weight, charge)
@@ -335,13 +328,16 @@ def square_kills_vacuum(u: int) -> bool:
     return all(_kills("lambda0", g, u, 2) for g, _ in ideal_piece("lambda0", u, 2).blocks)
 
 
-def _ideal_side(tag: str, piece: IdealPiece, matrix: SparseMatQ, verdicts: Verdicts) -> IdealRows:
-    """The witness and the lead count of an ideal piece, ``matrix`` being E
-    on its domain.  If every generator passes (``_generator_lead``, read
-    once into ``verdicts``) and every block's cofactors are the shared
-    domain tuple of their bidegree, there is no witness, and the leads are
-    the domain monomials with an adjacent pair, or an index, that is a
-    generator's lead.  Otherwise ``_ideal_rows`` scans the piece."""
+def _ideal_side(
+    tag: str, piece: IdealPiece, matrix: SparseMatQ, verdicts: Verdicts
+) -> int | None:
+    """The distinct-lead count of an ideal piece that lies in ker E,
+    ``matrix`` being E on its domain, or None when the generators do not
+    decide it.  If every generator passes (``_generator_lead``, read once
+    into ``verdicts``) and every block's cofactors are the shared domain
+    tuple of their bidegree, the piece lies in ker E, and the leads are the
+    domain monomials with an adjacent pair, or an index, that is a
+    generator's lead."""
     weight, charge = piece.weight, piece.charge
     floor = IDEALS[tag].ambient_floor
     leads = set()
@@ -353,72 +349,14 @@ def _ideal_side(tag: str, piece: IdealPiece, matrix: SparseMatQ, verdicts: Verdi
         if lead is None or cofactors is not enumerate_monomials(
             weight + sum(lead), charge - len(lead), floor
         ):
-            return _ideal_rows(piece, matrix)
+            return None
         leads.add(lead)
     singles = {lead[0] for lead in leads if len(lead) == 1}
     count = 0
     for mono in enumerate_monomials(weight, charge, floor):
         m = mono.indices
         count += not (leads.isdisjoint(zip(m, m[1:])) and singles.isdisjoint(m))
-    return IdealRows(None, count)
-
-
-def _ideal_rows(piece: IdealPiece, matrix: SparseMatQ) -> IdealRows:
-    """The witness and the lead count of an ideal piece, read from its
-    blocks (g, cofactors) element by element, with no ``PolyQ`` built but
-    the witness, the product u * g of its pair.  ``matrix`` is E on the
-    piece's domain, the monomials of ``enumerate_monomials(weight, charge,
-    floor)``.
-
-    A monomial with indices m_i <= floor has the code sum_i C^(floor -
-    m_i), C = charge + 1.  On charge-k monomials, k <= charge, its digits
-    base C are the multiplicities of the indices, so the code is injective,
-    and code(u * v) = code(u) + code(v).  A block passes when every term of
-    g has the bidegree that the block's cofactors complete to the piece's
-    and every index <= floor; then each product u * v is a domain
-    monomial.  If a term fails, every product with it lies outside the
-    domain, so the block's first element is the witness.  On a passing
-    piece the distinct leads u * lead(g) are distinct codes.  Images under
-    E are summed, by code, only while there is no witness and only on
-    columns where E is nonzero."""
-    weight, charge, floor = piece.weight, piece.charge, piece.floor
-    base = charge + 1
-    # digit[m] = C^(floor - m), read with negative indices: every index m
-    # of a passing product has floor - m in [0, weight]
-    digit = [base**e for e in range(weight, -1, -1)] + [0] * (-floor - 1)
-
-    def code_of(indices: tuple[int, ...]) -> int:
-        return sum(map(digit.__getitem__, indices))
-
-    monos = enumerate_monomials(weight, charge, floor)
-    columns = {code_of(monos[j].indices): column for j, column in matrix.columns().items()}
-    n_rows = matrix.n_rows
-    leads: set[int] = set()
-    witness = None
-    for g, cofactors in piece.blocks:
-        first = cofactors[0].indices
-        k, w = charge - len(first), weight + sum(first)
-        if not all(_fits(mono.indices, k, w, floor) for mono in g.terms):
-            if witness is None:
-                witness = PolyQ({cofactors[0]: 1}) * g
-            continue
-        codes = [code_of(u.indices) for u in cofactors]
-        if g.terms:
-            lead = code_of(min(g.terms, key=_lead_order).indices)
-            leads.update(map(lead.__add__, codes))
-        if witness is None and columns:
-            terms = [(code_of(mono.indices), c) for mono, c in g.terms.items()]
-            for u, code in zip(cofactors, codes):
-                image = [0] * n_rows
-                for term, c in terms:
-                    column = columns.get(code + term)
-                    if column is not None:
-                        for i, v in column.items():
-                            image[i] += v * c
-                if any(image):
-                    witness = PolyQ({u: 1}) * g
-                    break
-    return IdealRows(witness, len(leads))
+    return count
 
 
 def _fits(indices: tuple[int, ...], charge: int, weight: int, floor: int) -> bool:
@@ -488,16 +426,18 @@ def piece_report(
     """Compare the kernel of the evaluation map with the ideal piece.
 
     Containment is checked first, exactly, by ``_ideal_side``, from the
-    generators (their verdicts in the run's ``verdicts``, or a new store)
-    or by ``_ideal_rows``, whose first element outside the kernel or the
-    domain is the witness.  Up to weight ``FOCK_CHECK_WEIGHT`` the kernel
+    generators (their verdicts in the run's ``verdicts``, or a new store).
+    If it declines, each element is built once, into its coordinate row
+    (``_coordinate_rows``), and the first with a column outside the domain
+    or a nonzero image under E is the witness.  Up to weight ``FOCK_CHECK_WEIGHT`` the kernel
     basis (``kernel_basis``) is checked against the Fock matrix
     (``_fock_check``), and a vector in one of the two kernels and not the
     other is the witness.  Given both, the certificate of the module
     docstring decides the piece: ``_full_row_rank`` gives dim ker E = n -
     n_rows, and the distinct leads of the ideal rows reach it.  It cannot
     close on a real failure, where rank I < dim ker E.  Otherwise the piece
-    falls back to exact rational elimination: the kernel basis gives dim
+    falls back to exact rational elimination, on the rows already built if
+    ``_ideal_side`` declined: the kernel basis gives dim
     ker E unless ``_full_row_rank`` did, ``span_dim`` gives rank I, and a
     kernel vector outside the ideal span is the witness."""
     global fallbacks
@@ -506,8 +446,19 @@ def piece_report(
     matrix = eval_matrix(tag, weight, charge)
     full_rank = _full_row_rank(matrix)
     ideal = ideal_piece(tag, weight, charge)
-    rows = _ideal_side(tag, ideal, matrix, {} if verdicts is None else verdicts)
-    witness = None if rows.witness is None else str(rows.witness)
+    leads = _ideal_side(tag, ideal, matrix, {} if verdicts is None else verdicts)
+    witness = rows = None
+    if leads is None:
+        polys = list(ideal)
+        rows = _coordinate_rows(polys, monos)
+        witness = next(
+            (
+                str(p)
+                for p, vec in zip(polys, rows[0])
+                if max(vec, default=-1) >= n or matrix.matvec(vec)
+            ),
+            None,
+        )
     containment_ok = witness is None
     kernel = None
     if weight <= FOCK_CHECK_WEIGHT or not full_rank:
@@ -519,11 +470,11 @@ def piece_report(
         if disagreement is not None and witness is None:
             witness = _as_poly(disagreement, monos)
     kernel_ok = containment_ok and fock_ok
-    equality_ok = kernel_ok and full_rank and rows.leads >= dim_kernel
+    equality_ok = kernel_ok and full_rank and leads is not None and leads >= dim_kernel
     dim_ideal = dim_kernel
     if not equality_ok:
         fallbacks += 1
-        vecs, n_cols = _coordinate_rows(ideal, monos)
+        vecs, n_cols = rows or _coordinate_rows(ideal, monos)
         dim_ideal = span_dim(vecs, n_cols)
         equality_ok = kernel_ok and dim_ideal == dim_kernel
         if kernel_ok and not equality_ok:
@@ -570,20 +521,6 @@ def verify_presentation(tag: str, max_weight: int) -> VerificationRun:
         for charge in charge_range(tag, weight)
     ]
     return VerificationRun(tag, max_weight, pieces)
-
-
-def kernel_containment_L0_in_L1(max_weight: int) -> bool:
-    """Kernel of the lambda0 evaluation sits inside the lambda1 kernel,
-    bidegree by bidegree: on their shared floor -1 domain, E1 kills every
-    vector of the kernel basis of E0."""
-    if max_weight < 1:
-        raise ValueError("max_weight must be >= 1")
-    for weight in range(max_weight + 1):
-        for charge in range(weight + 1):
-            kernel = kernel_basis(eval_matrix("lambda0", weight, charge))
-            if kernel and any(map(eval_matrix("lambda1", weight, charge).matvec, kernel)):
-                return False
-    return True
 
 
 def graded_dims(tag: str, max_weight: int) -> dict[tuple[int, int], int]:

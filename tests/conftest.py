@@ -12,7 +12,7 @@ import pytest
 
 from principal_subspaces import cli, fock, relations, verify
 from principal_subspaces.fock import partitions
-from principal_subspaces.linalg import SparseMatQ, subspace_leq
+from principal_subspaces.linalg import SparseMatQ, kernel_basis, subspace_leq
 from principal_subspaces.poly import PolyQ, coordinates, derive, enumerate_monomials, x
 
 
@@ -60,19 +60,16 @@ def json_oracle(monkeypatch, plain_report):
 def force_certificate_off(monkeypatch):
     """Make the halves of the certificate of ``piece_report`` decline on
     every piece, from the call on: the row-rank check
-    ``verify._full_row_rank``, and the lead count that
-    ``verify._ideal_side`` takes, from the domain or from ``_ideal_rows``,
-    set to -1, below every kernel dimension (the witness is still found).
-    Each half can be left on with ``minor=False`` or ``leads=False``."""
+    ``verify._full_row_rank``, and the lead count of
+    ``verify._ideal_side``, which then declines every piece, so each is read
+    from its coordinate rows (the witness is still found).  Each half can
+    be left on with ``minor=False`` or ``leads=False``."""
 
     def force(minor=True, leads=True):
         if minor:
             monkeypatch.setattr(verify, "_full_row_rank", lambda *args: False)
         if leads:
-            side = verify._ideal_side
-            monkeypatch.setattr(
-                verify, "_ideal_side", lambda *args: side(*args)._replace(leads=-1)
-            )
+            monkeypatch.setattr(verify, "_ideal_side", lambda *args: None)
 
     return force
 
@@ -90,7 +87,7 @@ def floor_minus_one_piece():
             (relations.quadratic_relation(t, -1), enumerate_monomials(weight - t, charge - 2, -2))
             for t in range(2, weight + 1)
         ]
-        return relations.IdealPiece(weight, charge, -2, blocks)
+        return relations.IdealPiece(weight, charge, blocks)
 
     return piece
 
@@ -182,14 +179,16 @@ def monomials_by_descent():
 
 @pytest.fixture
 def ideal_rows_by_three_passes():
-    """The ideal rows of ``verify._coordinate_rows`` and the witness and
-    lead count of ``verify._ideal_rows`` by three separate passes over the
-    polynomials: each one's coordinate row, with its outside columns
-    numbered in order of first appearance; then ``SparseMatQ.matvec`` on
-    each row until the first one with an outside column or a nonzero
-    image, the witness; then a scan of every row for its least key
-    sum(m_i^2) * n + j.  The lead count is None when a row leaves the
-    domain, where the scan has no key for the column."""
+    """The ideal rows of ``verify._coordinate_rows``, the index of the
+    witness that ``verify.piece_report`` reads from them on a piece that
+    ``verify._ideal_side`` declines, and the lead count that
+    ``_ideal_side`` reads from the generators, by three separate passes
+    over the polynomials: each one's coordinate row, with its outside
+    columns numbered in order of first appearance; then
+    ``SparseMatQ.matvec`` on each row until the first one with an outside
+    column or a nonzero image, the witness; then a scan of every row for
+    its least key sum(m_i^2) * n + j.  The lead count is None when a row
+    leaves the domain, where the scan has no key for the column."""
 
     def rows(polys, domain, matrix):
         n = len(domain)
@@ -215,6 +214,25 @@ def ideal_rows_by_three_passes():
         return vecs, n + len(outside), witness, leads
 
     return rows
+
+
+@pytest.fixture
+def kernel_containment_L0_in_L1():
+    """Whether the kernel of the lambda0 evaluation sits inside the lambda1
+    kernel, bidegree by bidegree, to max_weight: on their shared floor -1
+    domain, E1 kills every vector of the kernel basis of E0.  E is read
+    through ``verify``, so a patched ``eval_matrix`` reaches it."""
+
+    def contained(max_weight):
+        for weight in range(max_weight + 1):
+            for charge in range(weight + 1):
+                kernel = kernel_basis(verify.eval_matrix("lambda0", weight, charge))
+                e1 = verify.eval_matrix("lambda1", weight, charge)
+                if any(map(e1.matvec, kernel)):
+                    return False
+        return True
+
+    return contained
 
 
 @pytest.fixture

@@ -21,7 +21,6 @@ from principal_subspaces.relations import (
 from principal_subspaces.verify import (
     eval_matrix,
     graded_dims,
-    kernel_containment_L0_in_L1,
     oracle_weight_total,
     verify_presentation,
     weight_totals,
@@ -48,7 +47,7 @@ def test_presentation_lambda1prime():
     report("presentation lambda1prime to weight 12", run.all_pass)
 
 
-def test_presentation_lambda1_and_kernel_containment():
+def test_presentation_lambda1_and_kernel_containment(kernel_containment_L0_in_L1):
     run = verify_presentation("lambda1", 12)
     contained = kernel_containment_L0_in_L1(12)
     report("presentation lambda1 to weight 12 + kernel containment", run.all_pass and contained)

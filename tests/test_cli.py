@@ -288,11 +288,11 @@ def test_verify_fails_on_a_relation_term_off_its_bidegree(
     extra,
 ):
     """R_6 with an extra term of the wrong weight, of the wrong charge or
-    with an index above the floor: the generator check of ``_ideal_rows``
-    fails on every block of R_6, and verify exits 1.  On every piece to
-    weight 10 the report's witness is the one the ``PolyQ`` route gives,
-    general products read in three passes, and a piece passes exactly
-    where that route finds no witness."""
+    with an index above the floor: the generator check of ``_kills``
+    fails on R_6, and verify exits 1.  On every piece to weight 10 the
+    report's witness is the one the ``PolyQ`` route gives, general
+    products read in three passes, and a piece passes exactly where that
+    route finds no witness."""
     patch_relation(6, lambda rel: rel + EXTRA_TERMS[extra])
     monkeypatch.setattr(verify, "fallbacks", 0)
     code, out, _ = run(capsys, "verify", "--max-weight", "10", "--format", "json")
@@ -349,15 +349,15 @@ def test_a_passing_verify_builds_no_ideal_polynomial(capsys, monkeypatch):
     assert builds == []
 
 
-def test_a_failing_piece_builds_the_witness_first(
+def test_a_failing_piece_builds_each_element_once(
     monkeypatch, patch_relation, ideal_piece_by_products, ideal_rows_by_three_passes
 ):
-    """On a piece that fails containment, ``_ideal_rows`` builds one
-    ``PolyQ`` product, the witness element of the three-pass oracle, and
-    then the rational fallback builds each element once for its
-    coordinate rows.  The lambda0 piece (9, 3) fails by a term of R_6 off
-    its bidegree, and (4, 2) by the nonzero image of R_4 with its
-    coefficients set to 1."""
+    """On a piece that fails containment, ``piece_report`` builds each
+    ``PolyQ`` product of the piece once, calls ``_coordinate_rows`` once,
+    on those products, and reports the witness element of the three-pass
+    oracle; the rational fallback reads the same rows.  The lambda0 piece
+    (9, 3) fails by a term of R_6 off its bidegree, and (4, 2) by the
+    nonzero image of R_4 with its coefficients set to 1."""
     builds = []
     mul = PolyQ.__mul__
     monkeypatch.setattr(
@@ -367,7 +367,7 @@ def test_a_failing_piece_builds_the_witness_first(
     monkeypatch.setattr(
         verify,
         "_coordinate_rows",
-        lambda *args: builds.append("fallback") or coordinate_rows(*args),
+        lambda *args: builds.append("rows") or coordinate_rows(*args),
     )
     tag = "lambda0"
     for relation, change, weight, charge in (
@@ -383,13 +383,10 @@ def test_a_failing_piece_builds_the_witness_first(
         assert witness is not None
         piece = relations.ideal_piece(tag, weight, charge)
         builds.clear()
-        rows = verify._ideal_rows(piece, matrix)
-        assert rows.witness == polys[witness] and len(builds) == 1
-        builds.clear()
         report = verify.piece_report(tag, weight, charge)
         assert report.witness == str(polys[witness])
-        assert builds[1] == "fallback" and len(builds) == 2 + len(piece)
-        assert "fallback" not in builds[2:]
+        elements = [g for g, cofactors in piece.blocks for _ in cofactors]
+        assert len(elements) == len(polys) and builds == [*elements, "rows"]
 
 
 def permanent(monkeypatch):
@@ -541,6 +538,19 @@ def test_lemmas_fail_only_on_the_inclusion_without_x_minus_one(capsys, monkeypat
     assert code == 1
     lemmas = json.loads(out)["lemmas"]
     assert [name for name, ok in lemmas.items() if not ok] == ["translate_ideal_inclusion"]
+
+
+def test_lemmas_fail_only_on_square_zero_with_a_zero_relation(capsys, monkeypatch):
+    """R_10 set to zero: E(lambda0, 10, 2) kills it, but a zero g is no
+    generator, so the vacuum half of the square-zero lemma fails at u = 10.
+    No other lemma reads R_10 at these bounds, and lemmas exits 1."""
+    zero_relation(monkeypatch, 10)
+    code, out, _ = run(
+        capsys, "lemmas", "--t-max", "6", "--max-weight", "4", "--format", "json"
+    )
+    assert code == 1
+    lemmas = json.loads(out)["lemmas"]
+    assert [name for name, ok in lemmas.items() if not ok] == ["square_zero"]
 
 
 @pytest.mark.parametrize("command, payload", [("lemmas", "lemmas"), ("qseries", "dims")])

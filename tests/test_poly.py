@@ -30,7 +30,7 @@ polys = st.builds(
 
 def test_unit_is_identity():
     p = x(-1) + 2 * x(-2)
-    assert PolyQ.one() * p == p
+    assert PolyQ({Monomial(()): 1}) * p == p
 
 
 def test_square_of_generator():
@@ -87,7 +87,7 @@ def test_translate_weight_shift(mono, s):
 
 
 def test_projection_kills_minus_one_terms(drop_minus_one_terms):
-    assert drop_minus_one_terms(x(-1) * x(-1)) == PolyQ.zero()
+    assert drop_minus_one_terms(x(-1) * x(-1)) == PolyQ()
     r40 = 2 * (x(-3) * x(-1)) + x(-2) * x(-2)
     assert drop_minus_one_terms(r40) == x(-2) * x(-2)
     fixed = x(-2) * x(-3)
@@ -107,7 +107,7 @@ def test_projection_rejects_nonnegative_indices(drop_minus_one_terms):
 
 def test_derive_examples():
     assert derive(x(-1)) == x(-2)
-    assert derive(PolyQ.one()) == PolyQ.zero()
+    assert derive(PolyQ({Monomial(()): 1})) == PolyQ()
     assert derive(x(-1) * x(-1)) == 2 * (x(-2) * x(-1))
 
 
@@ -195,10 +195,10 @@ def test_enumeration_is_canonically_ordered_and_on_degree():
 def test_rendering():
     r40 = 2 * (x(-3) * x(-1)) + x(-2) * x(-2)
     assert str(r40) == "2*x(-3)*x(-1) + x(-2)^2"
-    assert str(PolyQ.zero()) == "0"
+    assert str(PolyQ()) == "0"
     assert str(x(-2) * x(-2) - 2 * (x(-3) * x(-1))) == "-2*x(-3)*x(-1) + x(-2)^2"
     assert str(Fraction(1, 2) * x(-1)) == "1/2*x(-1)"
-    assert str(PolyQ.one() * 3) == "3"
+    assert str(PolyQ({Monomial(()): 1}) * 3) == "3"
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, "1", Decimal("0.5")])
@@ -233,7 +233,7 @@ def test_int_and_fraction_twins_are_equal_and_render_alike():
 def test_coordinates_roundtrip():
     basis = enumerate_monomials(4, 2, -1)
     r40 = 2 * (x(-3) * x(-1)) + x(-2) * x(-2)
-    assert coordinates([r40, PolyQ.zero(), x(-2) * x(-2)], basis) == [
+    assert coordinates([r40, PolyQ(), x(-2) * x(-2)], basis) == [
         {0: Fraction(2), 1: Fraction(1)},
         {},
         {1: Fraction(1)},
@@ -246,6 +246,6 @@ def test_coordinates_roundtrip():
 def test_bidegree():
     assert (x(-3) * x(-1)).bidegree() == (4, 2)
     with pytest.raises(ValueError):
-        PolyQ.zero().bidegree()
+        PolyQ().bidegree()
     with pytest.raises(ValueError):
         (x(-1) + x(-2)).bidegree()

@@ -26,7 +26,7 @@ from principal_subspaces.relations import (
 
 def build_by_ordered_pairs(t, floor):
     """Independent oracle: literally sum over ordered pairs."""
-    total = PolyQ.zero()
+    total = PolyQ()
     m1 = floor
     while -t - m1 <= floor:
         total = total + x(m1) * x(-t - m1)

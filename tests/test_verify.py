@@ -21,7 +21,6 @@ from principal_subspaces.verify import (
     fock_matrix,
     graded_dims,
     heisenberg_size,
-    kernel_containment_L0_in_L1,
     oracle_weight_total,
     partition_oracle,
     piece_report,
@@ -506,27 +505,39 @@ def without_one_lead(tag, weight, charge, inner=False, repeat=False):
             cofactors = cofactors[:i] + cofactors[:1] * repeat + cofactors[i + 1 :]
             first = drop - i
         blocks.append((g, cofactors))
-    kept = relations.IdealPiece(weight, charge, piece.floor, blocks)
+    kept = relations.IdealPiece(weight, charge, blocks)
     assert list(kept) == polys[:drop] + [polys[first]] * repeat + polys[drop + 1 :]
     return piece, kept, len(set(leads))
 
 
+def scanned(ideal_rows_by_three_passes, tag, piece, matrix):
+    """The witness index and the lead count of the three-pass oracle on
+    every element of an ideal piece, ``matrix`` being E on its domain."""
+    domain = domain_index(tag, piece.weight, piece.charge)
+    return ideal_rows_by_three_passes(list(piece), domain, matrix)[2:]
+
+
 @pytest.mark.parametrize("tag", TAGS)
 def test_certificate_declines_without_one_cofactor_multiple(
-    monkeypatch, force_certificate_off, tag
+    monkeypatch, force_certificate_off, ideal_rows_by_three_passes, tag
 ):
     """Dropping from its block the cofactor of the one spanning element
     with a given lead of the ideal piece (12, 3) leaves fewer distinct
-    leads than the kernel dimension, so the lead count declines, and the
-    report is the one the rational path gives with the certificate forced
-    off."""
+    leads than the kernel dimension.  That cofactor is its block's only
+    one, so the block is left out, and ``_ideal_side`` counts the leads of
+    the other generators, as the three-pass scan does: the lead count
+    declines, and the report is the one the rational path gives with the
+    certificate forced off."""
     weight, charge = 12, 3
     piece, kept, distinct = without_one_lead(tag, weight, charge)
     matrix = eval_matrix(tag, weight, charge)
     dim_kernel = len(domain_index(tag, weight, charge)) - matrix.n_rows
     assert distinct == dim_kernel
-    assert verify._ideal_rows(piece, matrix) == (None, dim_kernel)
-    assert verify._ideal_rows(kept, matrix) == (None, dim_kernel - 1)
+    assert scanned(ideal_rows_by_three_passes, tag, piece, matrix) == (None, dim_kernel)
+    assert scanned(ideal_rows_by_three_passes, tag, kept, matrix) == (None, dim_kernel - 1)
+    assert verify._ideal_side(tag, piece, matrix, {}) == dim_kernel
+    assert len(kept.blocks) == len(piece.blocks) - 1
+    assert verify._ideal_side(tag, kept, matrix, {}) == dim_kernel - 1
     monkeypatch.setattr(verify, "ideal_piece", lambda *piece: kept)
     monkeypatch.setattr(verify, "fallbacks", 0)
     report = piece_report(tag, weight, charge)
@@ -535,13 +546,17 @@ def test_certificate_declines_without_one_cofactor_multiple(
     assert piece_report(tag, weight, charge) == report
 
 
-def declines_on_a_doctored_piece(monkeypatch, tag, kept, distinct, verdicts):
-    """``_ideal_side`` leaves the doctored piece ``kept`` to ``_ideal_rows``
-    with the warm ``verdicts``, which counts one lead fewer than
-    ``distinct``, and ``piece_report`` on it falls back."""
+def declines_on_a_doctored_piece(monkeypatch, oracle, tag, kept, distinct, verdicts):
+    """The doctored piece ``kept`` has one lead fewer than ``distinct`` by
+    the three-pass ``oracle``.  With the warm ``verdicts``, ``_ideal_side``
+    declines it if it keeps every block, one with a new cofactor tuple, and
+    counts that lead count if the block was left out, and ``piece_report``
+    on it falls back."""
     weight, charge = kept.weight, kept.charge
     matrix = eval_matrix(tag, weight, charge)
-    assert verify._ideal_side(tag, kept, matrix, verdicts) == (None, distinct - 1)
+    assert scanned(oracle, tag, kept, matrix) == (None, distinct - 1)
+    whole = len(kept.blocks) < len(ideal_piece(tag, weight, charge).blocks)
+    assert verify._ideal_side(tag, kept, matrix, verdicts) == (distinct - 1 if whole else None)
     monkeypatch.setattr(verify, "ideal_piece", lambda *piece: kept)
     monkeypatch.setattr(verify, "fallbacks", 0)
     piece_report(tag, weight, charge, verdicts)
@@ -551,13 +566,13 @@ def declines_on_a_doctored_piece(monkeypatch, tag, kept, distinct, verdicts):
 @pytest.mark.parametrize("tag", TAGS)
 @pytest.mark.parametrize("weight, charge, inner", [(12, 3, False), (12, 4, True)])
 def test_warm_code_tables_read_a_dropped_cofactor_anew(
-    monkeypatch, tag, weight, charge, inner
+    monkeypatch, ideal_rows_by_three_passes, tag, weight, charge, inner
 ):
     """After a run to the piece has filled a verdict store with every
     generator it reads, the piece with one cofactor dropped is still read
     anew: its block's tuple is not the shared domain tuple, so
-    ``_ideal_side`` leaves it to ``_ideal_rows``, which counts one distinct
-    lead fewer than the kernel dimension, and the certificate declines.  On
+    ``_ideal_side`` declines it, the piece has one distinct lead fewer than
+    the kernel dimension, and the certificate declines.  On
     (12, 3) the cofactor is the one of the test above, on (12, 4) it is
     inside a block of R_t, whose new tuple starts with the cofactor of the
     old."""
@@ -566,22 +581,27 @@ def test_warm_code_tables_read_a_dropped_cofactor_anew(
         for k in charge_range(tag, w):
             assert piece_report(tag, w, k, verdicts).equality_ok
     _, kept, distinct = without_one_lead(tag, weight, charge, inner)
-    declines_on_a_doctored_piece(monkeypatch, tag, kept, distinct, verdicts)
+    declines_on_a_doctored_piece(
+        monkeypatch, ideal_rows_by_three_passes, tag, kept, distinct, verdicts
+    )
 
 
 @pytest.mark.parametrize("tag", TAGS)
-def test_a_cofactor_tuple_of_the_domain_length_is_read_anew(monkeypatch, tag):
+def test_a_cofactor_tuple_of_the_domain_length_is_read_anew(
+    monkeypatch, ideal_rows_by_three_passes, tag
+):
     """The piece (12, 4) with the cofactor of a spanning element with a
     lead of its own, inside its block, replaced by the block's first: the
     tuple keeps its length and bidegree but is not the shared domain tuple,
-    so ``_ideal_side`` leaves it to ``_ideal_rows``, which counts one
-    distinct lead fewer, and the certificate declines even with a warm
-    verdict store."""
+    so ``_ideal_side`` declines it, the piece has one distinct lead fewer,
+    and the certificate declines even with a warm verdict store."""
     weight, charge = 12, 4
     verdicts = {}
     assert piece_report(tag, weight, charge, verdicts).equality_ok
     _, kept, distinct = without_one_lead(tag, weight, charge, repeat=True)
-    declines_on_a_doctored_piece(monkeypatch, tag, kept, distinct, verdicts)
+    declines_on_a_doctored_piece(
+        monkeypatch, ideal_rows_by_three_passes, tag, kept, distinct, verdicts
+    )
 
 
 def rows_by_coordinates(polys, monos):
@@ -618,40 +638,54 @@ TERM_MUTANTS = ("wrong-weight", "wrong-charge", "above-floor")
 
 @pytest.mark.parametrize("mutant", ["none", "floor-1", *RELATION_MUTANTS])
 def test_one_pass_ideal_rows_equal_the_coordinates_route(
-    floor_minus_one_piece, ideal_rows_by_three_passes, patch_relation, mutant
+    monkeypatch, force_certificate_off, floor_minus_one_piece, ideal_rows_by_three_passes,
+    patch_relation, mutant,
 ):
-    """On every piece to weight 16, for all tags, ``_ideal_rows`` gives the
-    witness element and lead count, and ``_coordinate_rows`` the rows and
-    column count, of three separate passes over the polynomials
-    (``ideal_rows_by_three_passes``), and to weight 12 the rows are those of
-    ``coordinates``.  The mutants reach the other inputs: weight-4
-    coefficients set to 1 (the one ``test_cli`` builds; witnesses) or halved
-    to c/2 (Fraction coefficients), lambda1prime with floor -1 relations
-    (columns outside the domain), the weight-6 relation set to zero (empty
-    rows, and fewer leads than the kernel dimension), and one term added to
-    it that fails the generator check: of weight 7, of charge 3, or with the
-    index 0 above the floor (columns outside the domain)."""
-    piece = floor_minus_one_piece if mutant == "floor-1" else ideal_piece
+    """On every piece to weight 16, for all tags, with ``_ideal_side``
+    forced to decline: ``piece_report`` calls ``_coordinate_rows`` once,
+    and its rows and column count, and the witness the report reads from
+    them, are those of three separate passes over the polynomials
+    (``ideal_rows_by_three_passes``).  Where the real ``_ideal_side`` does
+    not decline, the oracle finds no witness and the same lead count, and
+    to weight 12 the rows are those of ``coordinates``.  The mutants reach
+    the other inputs: weight-4 coefficients set to 1 (the one ``test_cli``
+    builds; witnesses) or halved to c/2 (Fraction coefficients),
+    lambda1prime with floor -1 relations (columns outside the domain), the
+    weight-6 relation set to zero (empty rows, and fewer leads than the
+    kernel dimension), and one term added to it that fails the generator
+    check: of weight 7, of charge 3, or with the index 0 above the floor
+    (columns outside the domain)."""
+    if mutant == "floor-1":
+        monkeypatch.setattr(verify, "ideal_piece", floor_minus_one_piece)
     if mutant in RELATION_MUTANTS:
         patch_relation(*RELATION_MUTANTS[mutant])
+    side, coordinate_rows = verify._ideal_side, verify._coordinate_rows
+    read = []
+    monkeypatch.setattr(
+        verify, "_coordinate_rows", lambda *args: read.append(coordinate_rows(*args)) or read[-1]
+    )
+    force_certificate_off(minor=False)
     fractions = outside = witnesses = empty = short = 0
     for tag in TAGS:
         for weight in range(17):
             for charge in charge_range(tag, weight):
                 monos = enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor)
-                domain = domain_index(tag, weight, charge)
                 matrix = eval_matrix(tag, weight, charge)
-                ideal = piece(tag, weight, charge)
-                rows = verify._ideal_rows(ideal, matrix)
-                vecs, n_cols = verify._coordinate_rows(ideal, monos)
+                ideal = verify.ideal_piece(tag, weight, charge)
                 polys = list(ideal)
+                read.clear()
+                report = piece_report(tag, weight, charge)
+                ((vecs, n_cols),) = read
                 want_vecs, want_cols, witness, leads = ideal_rows_by_three_passes(
-                    polys, domain, matrix
+                    polys, domain_index(tag, weight, charge), matrix
                 )
-                want_witness = None if witness is None else polys[witness]
-                assert (vecs, n_cols, rows.witness) == (want_vecs, want_cols, want_witness)
+                assert (vecs, n_cols) == (want_vecs, want_cols)
+                assert report.containment_ok == (witness is None)
+                if witness is not None:
+                    assert report.witness == str(polys[witness])
+                counted = side(tag, ideal, matrix, {})
+                assert counted is None or (witness, counted) == (None, leads)
                 if leads is not None:
-                    assert rows.leads == leads
                     short += leads < len(monos) - matrix.n_rows
                 if weight <= 12:
                     named = named_rows(vecs, n_cols, polys, monos)
@@ -683,27 +717,31 @@ def test_each_half_of_the_certificate_declines_alone(
     assert verify.fallbacks == sum(len(run.pieces) for run in runs)
 
 
-def test_a_passing_run_reads_the_generators_and_agrees_with_the_scan(capsys, monkeypatch):
-    """On a passing verify of every module to weight 22, ``_ideal_rows`` is
-    never called and no piece falls back.  On every piece the witness and
-    the lead count that ``_ideal_side`` reads from the generators and the
-    domain are those of the ``_ideal_rows`` scan of every element."""
-    scan, side = verify._ideal_rows, verify._ideal_side
+def test_a_passing_run_reads_the_generators_and_agrees_with_the_scan(
+    capsys, monkeypatch, ideal_rows_by_three_passes
+):
+    """On a passing verify of every module to weight 22, ``_ideal_side``
+    declines no piece, ``_coordinate_rows`` is never called and no piece
+    falls back.  On every piece the lead count that ``_ideal_side`` reads
+    from the generators and the domain is the one of the three-pass scan
+    of every element, which finds no witness."""
+    side = verify._ideal_side
     seen = []
 
     def recorded(tag, piece, matrix, verdicts):
-        rows = side(tag, piece, matrix, verdicts)
-        seen.append((piece, matrix, rows))
-        return rows
+        leads = side(tag, piece, matrix, verdicts)
+        seen.append((tag, piece, matrix, leads))
+        return leads
 
     monkeypatch.setattr(verify, "_ideal_side", recorded)
-    monkeypatch.setattr(verify, "_ideal_rows", lambda *args: pytest.fail("scanned"))
+    monkeypatch.setattr(verify, "_coordinate_rows", lambda *args: pytest.fail("rows built"))
     monkeypatch.setattr(verify, "fallbacks", 0)
     assert main(["verify", "--module", "all", "--max-weight", "22", "--format", "json"]) == 0
     capsys.readouterr()
     assert verify.fallbacks == 0
     assert len(seen) == sum(len(charge_range(tag, w)) for tag in TAGS for w in range(23))
-    assert all(rows == scan(piece, matrix) for piece, matrix, rows in seen)
+    for tag, piece, matrix, leads in seen:
+        assert scanned(ideal_rows_by_three_passes, tag, piece, matrix) == (None, leads)
 
 
 def closure_escapes(tag, max_weight):
@@ -753,12 +791,14 @@ def changed_entry(real):
     return matrix
 
 
-def test_an_e_mutant_above_the_fock_check_breaks_the_closure(monkeypatch):
+def test_an_e_mutant_above_the_fock_check_breaks_the_closure(
+    monkeypatch, ideal_rows_by_three_passes
+):
     """One entry of E on the lambda0 piece (12, 3) changed.  The closure
     test rejects it: x(-6) R_6 and x(-3) R_9 leave its kernel.  So does
-    the ``_ideal_rows`` scan, with a witness.  ``_ideal_side`` takes the
-    closure as proved and reads only the generators, on their own pieces,
-    so it finds no witness, and above ``FOCK_CHECK_WEIGHT`` nothing else in
+    the three-pass scan of every element, with a witness.  ``_ideal_side``
+    takes the closure as proved and reads only the generators, on their
+    own pieces, so it does not decline, and above ``FOCK_CHECK_WEIGHT`` nothing else in
     ``verify`` reads this E against another."""
     mutant = changed_entry(verify.eval_matrix)
     monkeypatch.setattr(verify, "eval_matrix", mutant)
@@ -766,8 +806,8 @@ def test_an_e_mutant_above_the_fock_check_breaks_the_closure(monkeypatch):
     matrix = mutant("lambda0", 12, 3)
     assert verify._full_row_rank(matrix)
     piece = ideal_piece("lambda0", 12, 3)
-    assert verify._ideal_rows(piece, matrix).witness is not None
-    assert verify._ideal_side("lambda0", piece, matrix, {}).witness is None
+    assert scanned(ideal_rows_by_three_passes, "lambda0", piece, matrix)[0] is not None
+    assert verify._ideal_side("lambda0", piece, matrix, {}) is not None
 
 
 def without_balanced_term(rel):
@@ -782,9 +822,9 @@ def test_a_moved_lead_declines_and_the_piece_is_scanned(
     """R_10 with its balanced term x(-5)^2 set to zero keeps its bidegree,
     but its lead moves to x(-6)x(-4).  The lead check of
     ``_generator_lead`` declines it even against an E with no rows, which
-    passes the real R_10.  Every piece with R_10 is then scanned, verify to
-    weight 12 fails on (10, 2), and its report is the one of the rational
-    path with the certificate forced off."""
+    passes the real R_10.  Every piece with R_10 is then read from its
+    coordinate rows, verify to weight 12 fails on (10, 2), and its report
+    is the one of the rational path with the certificate forced off."""
     floor = IDEALS[tag].ambient_floor
     real = quadratic_relation(10, floor)
     patch_relation(10, without_balanced_term)
@@ -841,11 +881,13 @@ def test_presentation_rejects_bad_weight():
         verify_presentation("nope", 4)
 
 
-def test_kernel_containment_small():
+def test_kernel_containment_small(kernel_containment_L0_in_L1):
     assert kernel_containment_L0_in_L1(6)
 
 
-def test_kernel_containment_fails_with_the_matrices_swapped(monkeypatch):
+def test_kernel_containment_fails_with_the_matrices_swapped(
+    monkeypatch, kernel_containment_L0_in_L1
+):
     """With the lambda0 and lambda1 matrices swapped the check asks whether
     ker E1 lies in ker E0, which fails at once: E1 kills x(-1), E0 does
     not."""
