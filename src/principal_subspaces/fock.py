@@ -46,7 +46,8 @@ base case is all ones (Macdonald I.2: h_n = sum p_lambda / z_lambda), and
 a(-n) moves the coordinate of lambda to lambda + n with the weight
 z_{lambda+n} / z_lambda = n (mult_n(lambda) + 1), so every image is an
 integer tuple with no denominator.  These tables are the one
-representation of Fock vectors.  Monomial actions and the state-by-state
+representation of Fock vectors.  The action of a monomial x(m_1)...x(m_k),
+given as its sorted index tuple (m_1, ..., m_k), and the state-by-state
 half of the square-zero check sum images through one accumulator,
 ``_x_sum``, which adds them position by position in one dense list per
 (coset, size).  The tables are keyed by the states (lambda; r) of the
@@ -69,8 +70,6 @@ import functools
 import math
 from collections import Counter
 from typing import Iterable, Sequence
-
-from .poly import Monomial
 
 # <alpha, alpha>: a(n) a(-n) - a(-n) a(n) = _PAIRING * n and
 # [a(-n), x(m)] = _PAIRING * x(m-n)
@@ -206,10 +205,11 @@ def _unscaled(
     return common, [(key, lam, c * (common // z)) for key, lam, z, c in entries]
 
 
-def apply_monomial(mono: Monomial, two_r: int) -> _XImage:
-    """The monomial x(m1)...x(mk) on the lattice vacuum e^{r alpha}, 2r =
-    two_r, rightmost (largest) index first; the components commute, so the
-    order is a convention, not a choice.  Returns the image sum_lambda
+def apply_monomial(indices: tuple[int, ...], two_r: int) -> _XImage:
+    """The monomial x(m1)...x(mk), given as its sorted index tuple, on the
+    lattice vacuum e^{r alpha}, 2r = two_r, rightmost (largest) index
+    first; the components commute, so the order is a convention, not a
+    choice.  Returns the image sum_lambda
     coords_lambda a(-lambda)/z_lambda e^{(r+k) alpha}: coords a dense
     integer tuple over partitions(size, 1), or () for a zero image.
 
@@ -221,14 +221,14 @@ def apply_monomial(mono: Monomial, two_r: int) -> _XImage:
     functional realization (the ``verify`` module docstring).  A remainder
     is a bug in the tables, not data, and raises ``ArithmeticError``."""
     out: _XSum = {(two_r, 0): [1]}
-    for m in reversed(mono.indices):
+    for m in reversed(indices):
         scale, states = _unscaled((t, size, acc) for (t, size), acc in out.items())
         out = _x_sum((m + t, mu, t, n) for t, mu, n in states)
         for acc in out.values():
             for i, c in enumerate(acc):
                 acc[i], rem = divmod(c, scale)
                 if rem:
-                    raise ArithmeticError(f"{mono} on e^({two_r}/2 alpha) is not integral")
+                    raise ArithmeticError(f"x{indices} on e^({two_r}/2 alpha) is not integral")
     # one bidegree, so at most one list
     acc = next(iter(out.values()), ())
     return tuple(acc) if any(acc) else ()

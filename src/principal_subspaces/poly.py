@@ -2,15 +2,15 @@
 weight/charge bigrading.
 
 A generator x(m) has weight -m and charge 1.  A monomial is the multiset of
-its generator indices, stored as a non-decreasing tuple.  A coefficient is
-an ``int`` or a ``Fraction`` and stays the one it was computed as, so the
-relations and the ideal pieces built from them hold ints; any other type,
-float included, raises ``TypeError``.  Term and basis orderings are
-graded-lexicographic on the index tuple, so every matrix built downstream
-has a reproducible column order.  Indices range over all of Z: membership
-in the subalgebras with indices <= -1 or <= -2 is a property of an
-element, not a separate type, because the translation map genuinely
-produces indices >= 0.
+its generator indices, and is held as the plain non-decreasing tuple of
+them: weight -sum(m), charge len(m).  A coefficient is an ``int`` or a
+``Fraction`` and stays the one it was computed as, so the relations and the
+ideal pieces built from them hold ints; any other type, float included,
+raises ``TypeError``.  Term and basis orderings are graded-lexicographic
+on the index tuple, so every matrix built downstream has a reproducible
+column order.  Indices range over all of Z: membership in the
+subalgebras with indices <= -1 or <= -2 is a property of an element, not a
+separate type, because the translation map genuinely produces indices >= 0.
 
 Domains (``enumerate_monomials``) are tuples shared by every caller, one
 per (weight, charge, floor), each built once per process from two smaller
@@ -19,20 +19,19 @@ at least p = -floor, and p(w, k) = p(w - k, k) + p(w - 1, k - 1) splits it:
 for p > 1 it is D(w - k, k, p - 1) with every index lowered by one, and
 D(w, k, 1) is D(w, k, 2), the monomials without x(-1), merged with the
 monomials u * x(-1), u in D(w - 1, k - 1, 1).  The two halves are disjoint
-and each is sorted by index tuple, so merging them by index tuple gives the
-canonical order.
+and each is sorted, so merging them gives the canonical order.
 
 ``PolyQ`` is the finite exact linear combination of monomials: sum,
 scalar multiple, product, equality, rendering and ``bidegree``.  It is the
 one linear combination type of the package; Fock vectors are the integer
-tuples of ``fock``.
+tuples of ``fock``.  Its constructor sorts every key, so an index tuple
+given in any order names its monomial.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
-import operator
 from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -40,62 +39,17 @@ from typing import Iterable, Sequence
 from .linalg import Scalar
 
 
-class Monomial:
-    """Finite multiset of generator indices, canonically sorted."""
-
-    __slots__ = ("indices",)
-
-    def __init__(self, indices: Iterable[int] = ()):
-        self.indices = tuple(sorted(indices))
-
-    @property
-    def weight(self) -> int:
-        return -sum(self.indices)
-
-    @property
-    def charge(self) -> int:
-        return len(self.indices)
-
-    def sort_key(self) -> tuple:
-        return (self.weight, self.charge, self.indices)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.indices + other.indices)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self.indices == other.indices
-
-    def __hash__(self) -> int:
-        return hash(self.indices)
-
-    def __lt__(self, other: "Monomial") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __repr__(self) -> str:
-        return f"Monomial({self.indices!r})"
-
-    def __str__(self) -> str:
-        if not self.indices:
-            return "1"
-        parts = []
-        for m, mult in sorted(Counter(self.indices).items()):
-            parts.append(f"x({m})" if mult == 1 else f"x({m})^{mult}")
-        return "*".join(parts)
-
-
-UNIT = Monomial(())
-
-
 class PolyQ:
     """Finite linear combination of monomials with ``Scalar`` coefficients,
-    each kept as the int or Fraction it was given as."""
+    each kept as the int or Fraction it was given as.  ``terms`` maps each
+    sorted index tuple to its nonzero coefficient."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict | Iterable[tuple[Monomial, Scalar]] | None = None):
-        acc: dict[Monomial, Scalar] = {}
+    def __init__(
+        self, terms: dict | Iterable[tuple[Iterable[int], Scalar]] | None = None
+    ):
+        acc: dict[tuple[int, ...], Scalar] = {}
         if terms is not None:
             items = terms.items() if isinstance(terms, dict) else terms
             for mono, c in items:
@@ -103,6 +57,7 @@ class PolyQ:
                     raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
                 if not c:
                     continue
+                mono = tuple(sorted(mono))
                 prev = acc.get(mono)
                 new = c if prev is None else prev + c
                 if new:
@@ -112,8 +67,9 @@ class PolyQ:
         self.terms = acc
 
     @classmethod
-    def _from_terms(cls, terms: dict[Monomial, Scalar]) -> "PolyQ":
-        """Wrap an already normalised dict (no zero coefficients)."""
+    def _from_terms(cls, terms: dict[tuple[int, ...], Scalar]) -> "PolyQ":
+        """Wrap an already normalised dict (sorted keys, no zero
+        coefficients)."""
         res = cls.__new__(cls)
         res.terms = terms
         return res
@@ -122,7 +78,7 @@ class PolyQ:
         """(weight, charge) of a nonzero bihomogeneous polynomial."""
         if not self.terms:
             raise ValueError("the zero PolyQ has no bidegree")
-        degrees = {(mono.weight, mono.charge) for mono in self.terms}
+        degrees = {(-sum(mono), len(mono)) for mono in self.terms}
         if len(degrees) > 1:
             raise ValueError("PolyQ mixes bidegrees")
         return degrees.pop()
@@ -152,10 +108,10 @@ class PolyQ:
             return PolyQ._from_terms({mono: c * other for mono, c in self.terms.items()})
         if type(other) is not PolyQ:
             return NotImplemented
-        out: dict[Monomial, Scalar] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = m1 * m2
+                mono = tuple(sorted(m1 + m2))
                 new = out.get(mono, 0) + c1 * c2
                 if new:
                     out[mono] = new
@@ -177,16 +133,16 @@ class PolyQ:
         if not self.terms:
             return "0"
         chunks: list[str] = []
-        terms = sorted(self.terms.items(), key=lambda t: t[0].sort_key())
+        terms = sorted(self.terms.items(), key=lambda t: (-sum(t[0]), len(t[0]), t[0]))
         for i, (mono, c) in enumerate(terms):
             mag = abs(c)
-            if not mono.indices:
+            if not mono:
                 # the constant term renders as its coefficient alone
                 body = str(mag)
             elif mag == 1:
-                body = str(mono)
+                body = _render(mono)
             else:
-                body = f"{mag}*{mono}"
+                body = f"{mag}*{_render(mono)}"
             if i == 0:
                 chunks.append(body if c > 0 else f"-{body}")
             else:
@@ -194,9 +150,16 @@ class PolyQ:
         return " ".join(chunks)
 
 
+def _render(mono: tuple[int, ...]) -> str:
+    """A sorted index tuple as its factors x(m)^k, in index order; 1 for ()."""
+    return "*".join(
+        f"x({m})" if k == 1 else f"x({m})^{k}" for m, k in Counter(mono).items()
+    ) or "1"
+
+
 def x(m: int) -> PolyQ:
     """The generator x(m) as a polynomial."""
-    return PolyQ({Monomial((m,)): 1})
+    return PolyQ({(m,): 1})
 
 
 def translate(p: PolyQ, s: int = 1) -> PolyQ:
@@ -207,8 +170,9 @@ def translate(p: PolyQ, s: int = 1) -> PolyQ:
     """
     if s == 0:
         return p
-    return PolyQ(
-        {Monomial(m - s for m in mono.indices): c for mono, c in p.terms.items()}
+    # a shift keeps each index tuple sorted and distinct keys distinct
+    return PolyQ._from_terms(
+        {tuple([m - s for m in mono]): c for mono, c in p.terms.items()}
     )
 
 
@@ -218,20 +182,22 @@ def derive(p: PolyQ) -> PolyQ:
     Linear, satisfies the Leibniz rule, raises weight by one and preserves
     charge.
     """
-    acc: list[tuple[Monomial, Scalar]] = []
+    acc: list[tuple[list[int], Scalar]] = []
     for mono, c in p.terms.items():
-        counts = Counter(mono.indices)
-        for m, mult in counts.items():
+        for m, mult in Counter(mono).items():
             if m == 0:
                 continue
-            rest = list(mono.indices)
+            rest = list(mono)
             rest.remove(m)
             rest.append(m - 1)
-            acc.append((Monomial(rest), c * mult * (-m)))
+            # the constructor sorts rest again
+            acc.append((rest, c * mult * (-m)))
     return PolyQ(acc)
 
 
-def enumerate_monomials(weight: int, charge: int, floor: int = -1) -> tuple[Monomial, ...]:
+def enumerate_monomials(
+    weight: int, charge: int, floor: int = -1
+) -> tuple[tuple[int, ...], ...]:
     """All monomials of the given weight and charge with every index <= floor,
     in graded-lexicographic (index-tuple ascending) order.
 
@@ -250,18 +216,8 @@ def enumerate_monomials(weight: int, charge: int, floor: int = -1) -> tuple[Mono
     return _monomials(weight, charge, -floor)
 
 
-_INDICES = operator.attrgetter("indices")
-
-
-def _from_sorted(indices: tuple[int, ...]) -> Monomial:
-    """The monomial of an index tuple that is already non-decreasing."""
-    mono = Monomial.__new__(Monomial)
-    mono.indices = indices
-    return mono
-
-
 @functools.cache
-def _monomials(weight: int, charge: int, min_part: int) -> tuple[Monomial, ...]:
+def _monomials(weight: int, charge: int, min_part: int) -> tuple[tuple[int, ...], ...]:
     """The table behind ``enumerate_monomials``, D(w, k, p) for weight w,
     charge k and parts >= p: unbounded, kept for the life of the process,
     and it reports ``cache_info()``.
@@ -274,29 +230,24 @@ def _monomials(weight: int, charge: int, min_part: int) -> tuple[Monomial, ...]:
       tuples;
     - D(w, k, 1) is D(w, k, 2), the monomials without x(-1), merged with
       u * x(-1) for u in D(w - 1, k - 1, 1), the monomials with it.  Both
-      are sorted by index tuple, -1 is the largest index so u * x(-1) is
-      u's tuple with -1 appended, and no monomial lies in both, so merging
-      by index tuple gives the canonical order with each monomial once.
+      sorted, -1 is the largest index so u * x(-1) is u with -1 appended,
+      and no monomial lies in both, so merging them gives the canonical
+      order with each monomial once.
     """
     if charge == 0:
-        return (UNIT,) if weight == 0 else ()
+        return ((),) if weight == 0 else ()
     if weight < charge * min_part:
         return ()
     if min_part > 1:
         return tuple(
-            [
-                _from_sorted(tuple([m - 1 for m in u.indices]))
-                for u in _monomials(weight - charge, charge, min_part - 1)
-            ]
+            [tuple([m - 1 for m in u]) for u in _monomials(weight - charge, charge, min_part - 1)]
         )
-    with_minus_one = [
-        _from_sorted(u.indices + (-1,)) for u in _monomials(weight - 1, charge - 1, 1)
-    ]
-    return tuple(heapq.merge(_monomials(weight, charge, 2), with_minus_one, key=_INDICES))
+    with_minus_one = [u + (-1,) for u in _monomials(weight - 1, charge - 1, 1)]
+    return tuple(heapq.merge(_monomials(weight, charge, 2), with_minus_one))
 
 
 def coordinates(
-    polys: Iterable[PolyQ], basis: Sequence[Monomial]
+    polys: Iterable[PolyQ], basis: Sequence[tuple[int, ...]]
 ) -> list[dict[int, Scalar]]:
     """Sparse coordinate vectors ``{basis position: coefficient}`` of the
     given polynomials over an ordered monomial basis, one per polynomial."""
@@ -307,7 +258,33 @@ def coordinates(
         for mono, c in p.terms.items():
             i = index.get(mono)
             if i is None:
-                raise ValueError(f"monomial {mono} outside the given basis")
+                raise ValueError(f"monomial {_render(mono)} outside the given basis")
             vec[i] = c
         vecs.append(vec)
     return vecs
+
+
+def coordinate_rows(
+    polys: Iterable[PolyQ], basis: Sequence[tuple[int, ...]]
+) -> tuple[list[dict[int, Scalar]], int]:
+    """The sparse coordinate rows of the polynomials, coefficients as they
+    are, and their column count: a monomial outside ``basis`` gets a new
+    column, numbered after the basis in order of first appearance, where
+    ``coordinates`` would raise.  A rank does not depend on the order of the
+    columns."""
+    columns = {mono: j for j, mono in enumerate(basis)}
+    vecs = [
+        {columns.setdefault(mono, len(columns)): c for mono, c in p.terms.items()}
+        for p in polys
+    ]
+    return vecs, len(columns)
+
+
+def fits(p: PolyQ, weight: int, charge: int, floor: int) -> bool:
+    """Whether p is nonzero and each of its monomials has the bidegree
+    (weight, charge) and every index <= floor: how a generator of an ideal
+    is told from a polynomial that cannot be one."""
+    return bool(p.terms) and all(
+        len(mono) == charge and -sum(mono) == weight and (not mono or mono[-1] <= floor)
+        for mono in p.terms
+    )

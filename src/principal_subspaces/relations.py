@@ -9,14 +9,17 @@ coefficient 1.  Each ideal is generated by the R_t at the floor of its
 subalgebra, for t >= -2 * floor, and for lambda1 also by x(-1).  Ideal
 pieces are spanning sets, never pre-reduced; rank reduction is the
 caller's job.  A piece (``IdealPiece``) is held as blocks of one generator
-and a tuple of cofactor monomials, and each polynomial u * g is built only
-when the piece is iterated.
+and a tuple of cofactor monomials, each a sorted index tuple, and each
+polynomial u * g is built only when the piece is iterated.
 
 The inclusion of the translated lambda0 ideal in the lambda1 ideal is
 decided on the generators (``translate_ideal_inclusion``): ``translate`` is
 a ring map and sends floor -1 cofactors to floor -1 cofactors, so each
 generator's image, one rank comparison on at most three rows, carries every
-piece.
+piece.  A generator is decided as ``verify`` decides one (``poly.fits``),
+so a relation with a term off its bidegree fails the inclusion, and the
+target rows are read over the domain and any monomial outside it
+(``poly.coordinate_rows``).
 """
 
 from __future__ import annotations
@@ -26,11 +29,12 @@ from typing import NamedTuple
 
 from .linalg import subspace_leq
 from .poly import (
-    Monomial,
     PolyQ,
+    coordinate_rows,
     coordinates,
     derive,
     enumerate_monomials,
+    fits,
     translate,
     x,
 )
@@ -48,11 +52,11 @@ def quadratic_relation(t: int, floor: int = -1) -> PolyQ:
         raise ValueError("floor must be -1 or -2")
     if t < -2 * floor:
         raise ValueError(f"weight {t} below the minimum {-2 * floor} for floor {floor}")
-    terms: dict[Monomial, int] = {}
+    terms: dict[tuple[int, ...], int] = {}
     m2 = floor
     while 2 * m2 >= -t:
         m1 = -t - m2
-        terms[Monomial((m1, m2))] = 1 if m1 == m2 else 2
+        terms[(m1, m2)] = 1 if m1 == m2 else 2
         m2 -= 1
     return PolyQ(terms)
 
@@ -81,18 +85,18 @@ class IdealPiece:
     """The spanning set of one (weight, charge) ideal piece, as blocks.
 
     ``blocks`` holds, in order, pairs (g, cofactors): a generator g (an R_t
-    or x(-1)) and a tuple of the monomials u, all of one bidegree with
-    every index <= the ambient floor, whose products u * g are the piece's
-    elements, in cofactor order.  A pair without cofactors is left out.
-    ``len`` is the size of the spanning set.  Iteration builds each element
-    as the ``PolyQ`` product u * g.
+    or x(-1)) and a tuple of the monomials u, sorted index tuples all of
+    one bidegree with every index <= the ambient floor, whose products
+    u * g are the piece's elements, in cofactor order.  A pair without
+    cofactors is left out.  ``len`` is the size of the spanning set.
+    Iteration builds each element as the ``PolyQ`` product u * g.
     """
 
     def __init__(
         self,
         weight: int,
         charge: int,
-        blocks: list[tuple[PolyQ, tuple[Monomial, ...]]],
+        blocks: list[tuple[PolyQ, tuple[tuple[int, ...], ...]]],
     ):
         self.weight = weight
         self.charge = charge
@@ -190,9 +194,13 @@ def translate_ideal_inclusion(max_weight: int) -> bool:
                 generators.append(g)
     for g in generators:
         shifted = translate(g, 1)
-        weight, charge = shifted.bidegree()
+        # a generator has one bidegree, so any of its terms gives it
+        mono = next(iter(shifted.terms), ())
+        weight, charge = -sum(mono), len(mono)
+        if not fits(shifted, weight, charge, -1):
+            return False
         basis = enumerate_monomials(weight, charge, -1)
-        target = coordinates(ideal_piece("lambda1", weight, charge), basis)
-        if not subspace_leq(coordinates([shifted], basis), target, len(basis)):
+        target, n_cols = coordinate_rows(ideal_piece("lambda1", weight, charge), basis)
+        if not subspace_leq(coordinates([shifted], basis), target, n_cols):
             return False
     return True

@@ -92,7 +92,8 @@ tuple), and rows with distinct leads are independent.  With rank E = n_rows,
 
 the second step by containment, so #distinct leads >= n - n_rows makes
 every number of the report exact with no elimination at all.  The leads
-are counted from the domain.  The lead of u * g is u * lead(g): sum m_i^2
+are counted from the domain, the shared tuple of sorted index tuples that
+are the monomials of ``poly``.  The lead of u * g is u * lead(g): sum m_i^2
 adds up, and sorted index tuples of one length compare by the least index
 whose multiplicity differs.  When the cofactors of a block are the
 shared tuple of ``enumerate_monomials`` of their bidegree, every monomial of
@@ -106,7 +107,7 @@ indices a, b with |a - b| <= 1 and u' is the rest of u, u is the unique
 term of least sum m_i^2 in u' times the relation of weight -a - b.
 
 A piece with a generator that fails, or with another block, is read from
-its elements: ``_coordinate_rows`` builds each one once, and the witness
+its elements: ``poly.coordinate_rows`` builds each one once, and the witness
 is the first whose row has a column outside the domain or a nonzero image
 under E.  The piece then falls back to exact rational elimination on
 those same rows, as does a piece where either half of the certificate
@@ -122,7 +123,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .fock import apply_monomial, partitions
 from .linalg import (
@@ -132,7 +133,7 @@ from .linalg import (
     rank,
     span_dim,
 )
-from .poly import Monomial, PolyQ, enumerate_monomials
+from .poly import PolyQ, coordinate_rows, enumerate_monomials, fits
 from .relations import IDEALS, IdealPiece, ideal_piece
 
 TAGS = tuple(IDEALS)
@@ -209,7 +210,7 @@ def _row_partitions(size: int, charge: int) -> tuple[tuple[int, ...], ...]:
     They are the floor -1 domain of (size + charge, charge) under mu_i = -m_i - 1,
     read backwards: ascending index tuples m list mu in descending lex order."""
     return tuple(
-        tuple([-m - 1 for m in mono.indices])
+        tuple([-m - 1 for m in mono])
         for mono in reversed(enumerate_monomials(size + charge, charge))
     )
 
@@ -262,9 +263,7 @@ def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
     entries: dict[tuple[int, int], int] = {}
     if rows:
         shift = 1 + spec.two_r
-        column = {
-            tuple([-m - shift for m in mono.indices]): j for j, mono in enumerate(monos)
-        }
+        column = {tuple([-m - shift for m in mono]): j for j, mono in enumerate(monos)}
         delta = range(charge - 1, -1, -1)
         signed = _signed_permutations(charge)
         for i, mu in enumerate(rows):
@@ -280,10 +279,10 @@ def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
     return SparseMatQ(len(rows), len(monos), entries)
 
 
-def _lead_order(mono: Monomial) -> tuple[int, tuple[int, ...]]:
+def _lead_order(mono: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """The total order (sum of m_i^2, index tuple) whose least term of a
     row is its lead."""
-    return sum([m * m for m in mono.indices]), mono.indices
+    return sum([m * m for m in mono]), mono
 
 
 # The generator verdicts of one run: id(g) -> (g, its lead if g passes, else
@@ -299,7 +298,7 @@ def _generator_lead(
     lead's bidegree kills g (``_kills``; see the module docstring).
     ``matrix`` is E on the bidegree of ``piece``, and serves when that is
     g's own."""
-    lead = min(g.terms, key=_lead_order, default=Monomial(())).indices
+    lead = min(g.terms, key=_lead_order, default=())
     charge, weight = len(lead), -sum(lead)
     if not (lead == (-1,) or len(lead) == 2 and lead[1] - lead[0] <= 1):
         return None
@@ -311,14 +310,15 @@ def _kills(tag: str, g: PolyQ, weight: int, charge: int, matrix: SparseMatQ | No
     """Whether g lies in ker E on (weight, charge): its terms share that
     bidegree with every index <= floor, and E, ``matrix`` if given, else
     ``eval_matrix``, kills it.  The one way a generator is decided, so a
-    zero g, which E kills, is declined here: it is no generator."""
+    zero g, which E kills, is declined here (``poly.fits``): it is no
+    generator."""
     floor = IDEALS[tag].ambient_floor
-    if not g.terms or not all(_fits(mono.indices, charge, weight, floor) for mono in g.terms):
+    if not fits(g, weight, charge, floor):
         return False
     if matrix is None:
         matrix = eval_matrix(tag, weight, charge)
-    column = {mono.indices: j for j, mono in enumerate(enumerate_monomials(weight, charge, floor))}
-    return not matrix.matvec({column[mono.indices]: c for mono, c in g.terms.items()})
+    column = {mono: j for j, mono in enumerate(enumerate_monomials(weight, charge, floor))}
+    return not matrix.matvec({column[mono]: c for mono, c in g.terms.items()})
 
 
 def square_kills_vacuum(u: int) -> bool:
@@ -353,37 +353,9 @@ def _ideal_side(
         leads.add(lead)
     singles = {lead[0] for lead in leads if len(lead) == 1}
     count = 0
-    for mono in enumerate_monomials(weight, charge, floor):
-        m = mono.indices
+    for m in enumerate_monomials(weight, charge, floor):
         count += not (leads.isdisjoint(zip(m, m[1:])) and singles.isdisjoint(m))
     return count
-
-
-def _fits(indices: tuple[int, ...], charge: int, weight: int, floor: int) -> bool:
-    """Whether a monomial, its indices sorted, has the bidegree and every
-    index <= floor."""
-    return (
-        len(indices) == charge
-        and -sum(indices) == weight
-        and (not indices or indices[-1] <= floor)
-    )
-
-
-def _coordinate_rows(
-    polys: Iterable[PolyQ], monos: tuple[Monomial, ...]
-) -> tuple[list[Vector], int]:
-    """The coordinate rows of the ideal polynomials, coefficients as they
-    are, and their column count, for the rational fallback.
-
-    The columns are the domain monomials ``monos`` and then, numbered in
-    order of first appearance, every other monomial of the polynomials.  A
-    rank does not depend on the order of the columns."""
-    columns = {mono.indices: j for j, mono in enumerate(monos)}
-    vecs: list[Vector] = [
-        {columns.setdefault(mono.indices, len(columns)): c for mono, c in p.terms.items()}
-        for p in polys
-    ]
-    return vecs, len(columns)
 
 
 def _full_row_rank(matrix: SparseMatQ) -> bool:
@@ -428,7 +400,7 @@ def piece_report(
     Containment is checked first, exactly, by ``_ideal_side``, from the
     generators (their verdicts in the run's ``verdicts``, or a new store).
     If it declines, each element is built once, into its coordinate row
-    (``_coordinate_rows``), and the first with a column outside the domain
+    (``coordinate_rows``), and the first with a column outside the domain
     or a nonzero image under E is the witness.  Up to weight ``FOCK_CHECK_WEIGHT`` the kernel
     basis (``kernel_basis``) is checked against the Fock matrix
     (``_fock_check``), and a vector in one of the two kernels and not the
@@ -450,7 +422,7 @@ def piece_report(
     witness = rows = None
     if leads is None:
         polys = list(ideal)
-        rows = _coordinate_rows(polys, monos)
+        rows = coordinate_rows(polys, monos)
         witness = next(
             (
                 str(p)
@@ -474,7 +446,7 @@ def piece_report(
     dim_ideal = dim_kernel
     if not equality_ok:
         fallbacks += 1
-        vecs, n_cols = rows or _coordinate_rows(ideal, monos)
+        vecs, n_cols = rows or coordinate_rows(ideal, monos)
         dim_ideal = span_dim(vecs, n_cols)
         equality_ok = kernel_ok and dim_ideal == dim_kernel
         if kernel_ok and not equality_ok:
@@ -498,7 +470,7 @@ def piece_report(
     )
 
 
-def _as_poly(vec: Vector, monos: tuple[Monomial, ...]) -> str:
+def _as_poly(vec: Vector, monos: tuple[tuple[int, ...], ...]) -> str:
     return str(PolyQ({monos[j]: c for j, c in vec.items()}))
 
 

@@ -137,7 +137,7 @@ def eval_matrix_by_monomial_rows():
             delta2 = _vandermonde_squared(charge)
             shift = 1 + spec.two_r
             for j, mono in enumerate(monos):
-                e = [-m - shift for m in mono.indices]
+                e = [-m - shift for m in mono]
                 for i, orbit in enumerate(orbits):
                     v = sum(
                         delta2.get(tuple(ei - ai for ei, ai in zip(e, a)), 0)
@@ -179,7 +179,7 @@ def monomials_by_descent():
 
 @pytest.fixture
 def ideal_rows_by_three_passes():
-    """The ideal rows of ``verify._coordinate_rows``, the index of the
+    """The ideal rows of ``poly.coordinate_rows``, the index of the
     witness that ``verify.piece_report`` reads from them on a piece that
     ``verify._ideal_side`` declines, and the lead count that
     ``_ideal_side`` reads from the generators, by three separate passes
@@ -197,9 +197,9 @@ def ideal_rows_by_three_passes():
         for p in polys:
             vec = {}
             for mono, c in p.terms.items():
-                j = domain.get(mono.indices)
+                j = domain.get(mono)
                 if j is None:
-                    j = outside.setdefault(mono.indices, n + len(outside))
+                    j = outside.setdefault(mono, n + len(outside))
                 vec[j] = c
             vecs.append(vec)
         witness = None
@@ -299,9 +299,9 @@ def drop_minus_one_terms():
     def drop(p):
         out = {}
         for mono, c in p.terms.items():
-            if mono.indices and mono.indices[-1] >= 0:
+            if mono and mono[-1] >= 0:
                 raise ValueError("projection requires all generator indices <= -1")
-            if not mono.indices or mono.indices[-1] != -1:
+            if not mono or mono[-1] != -1:
                 out[mono] = c
         return PolyQ(out)
 

@@ -11,7 +11,6 @@ from principal_subspaces import cli, linalg, relations, verify
 from principal_subspaces.cli import build_parser, main
 from principal_subspaces.linalg import subspace_leq
 from principal_subspaces.poly import (
-    Monomial,
     PolyQ,
     coordinates,
     enumerate_monomials,
@@ -101,10 +100,8 @@ def test_t_max_ignored_outside_lemmas(capsys):
 def witness_monomial(witness):
     """Parse a single-monomial witness such as ``x(-1)^2``."""
     factors = re.findall(r"x\((-?\d+)\)(?:\^(\d+))?", witness)
-    mono = Monomial(
-        tuple(int(m) for m, exp in factors for _ in range(int(exp or 1)))
-    )
-    assert str(mono) == witness
+    mono = tuple(sorted(int(m) for m, exp in factors for _ in range(int(exp or 1))))
+    assert str(PolyQ({mono: 1})) == witness
     return mono
 
 
@@ -302,7 +299,7 @@ def test_verify_fails_on_a_relation_term_off_its_bidegree(
         tag, weight, charge = p["module_tag"], p["idx"]["weight"], p["idx"]["charge"]
         polys = ideal_piece_by_products(tag, weight, charge)
         monos = enumerate_monomials(weight, charge, relations.IDEALS[tag].ambient_floor)
-        domain = {mono.indices: j for j, mono in enumerate(monos)}
+        domain = {mono: j for j, mono in enumerate(monos)}
         matrix = verify.eval_matrix(tag, weight, charge)
         witness = ideal_rows_by_three_passes(polys, domain, matrix)[2]
         if witness is None:
@@ -353,7 +350,7 @@ def test_a_failing_piece_builds_each_element_once(
     monkeypatch, patch_relation, ideal_piece_by_products, ideal_rows_by_three_passes
 ):
     """On a piece that fails containment, ``piece_report`` builds each
-    ``PolyQ`` product of the piece once, calls ``_coordinate_rows`` once,
+    ``PolyQ`` product of the piece once, calls ``coordinate_rows`` once,
     on those products, and reports the witness element of the three-pass
     oracle; the rational fallback reads the same rows.  The lambda0 piece
     (9, 3) fails by a term of R_6 off its bidegree, and (4, 2) by the
@@ -363,10 +360,10 @@ def test_a_failing_piece_builds_each_element_once(
     monkeypatch.setattr(
         PolyQ, "__mul__", lambda self, other: builds.append(other) or mul(self, other)
     )
-    coordinate_rows = verify._coordinate_rows
+    coordinate_rows = verify.coordinate_rows
     monkeypatch.setattr(
         verify,
-        "_coordinate_rows",
+        "coordinate_rows",
         lambda *args: builds.append("rows") or coordinate_rows(*args),
     )
     tag = "lambda0"
@@ -377,7 +374,7 @@ def test_a_failing_piece_builds_each_element_once(
         patch_relation(relation, change)
         polys = ideal_piece_by_products(tag, weight, charge)
         monos = enumerate_monomials(weight, charge, relations.IDEALS[tag].ambient_floor)
-        domain = {mono.indices: j for j, mono in enumerate(monos)}
+        domain = {mono: j for j, mono in enumerate(monos)}
         matrix = verify.eval_matrix(tag, weight, charge)
         witness = ideal_rows_by_three_passes(polys, domain, matrix)[2]
         assert witness is not None
@@ -551,6 +548,23 @@ def test_lemmas_fail_only_on_square_zero_with_a_zero_relation(capsys, monkeypatc
     assert code == 1
     lemmas = json.loads(out)["lemmas"]
     assert [name for name, ok in lemmas.items() if not ok] == ["square_zero"]
+
+
+@pytest.mark.parametrize("weight", [2, 10])
+def test_lemmas_fail_on_a_relation_with_a_term_off_its_bidegree(capsys, patch_relation, weight):
+    """R_2 or R_10 with the charge-one term x(-3) added: no generator, so
+    both lemmas that read it from the ideal pieces are false, not raised.
+    translate(R_2 + x(-3)) mixes two bidegrees and fails ``poly.fits``;
+    R_10 + x(-3) is a target row of translate(R_8), read with a column
+    outside the domain of (10, 2), which the image of R_8 misses."""
+    patch_relation(weight, lambda rel: rel + x(-3))
+    code, out, _ = run(
+        capsys, "lemmas", "--t-max", "6", "--max-weight", "10", "--format", "json"
+    )
+    assert code == 1
+    lemmas = json.loads(out)["lemmas"]
+    assert lemmas["translate_ideal_inclusion"] is False
+    assert lemmas["square_zero"] is False
 
 
 @pytest.mark.parametrize("command, payload", [("lemmas", "lemmas"), ("qseries", "dims")])

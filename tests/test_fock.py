@@ -18,7 +18,7 @@ from principal_subspaces import fock, relations, verify
 from principal_subspaces.cli import main
 from principal_subspaces.fock import apply_monomial, check_square_zero, partitions
 from principal_subspaces.linalg import SparseMatQ
-from principal_subspaces.poly import Monomial, x
+from principal_subspaces.poly import x
 
 HALF = Fraction(1, 2)
 VAC0 = {(0, ()): 1}
@@ -285,7 +285,7 @@ def apply_monomial_as_vector(indices, two_r):
     """``apply_monomial`` on the vacuum of 2r = two_r as a Fock vector: each
     coordinate over its z_lambda, on the states of 2r + 2k and size
     -sum(m) - k 2r - k^2, k the number of factors."""
-    coords = apply_monomial(Monomial(indices), two_r)
+    coords = apply_monomial(indices, two_r)
     k = len(indices)
     size = -sum(indices) - k * two_r - k * k
     with_z = fock._partitions_with_z(size) if coords else ()
@@ -297,9 +297,9 @@ def apply_monomial_as_vector(indices, two_r):
 
 
 def test_apply_monomial_matches_composition(monkeypatch, x_by_exponential):
-    assert apply_monomial(Monomial(()), 0) == (1,)
-    assert apply_monomial(Monomial((-3,)), 0) == (1, 1)
-    assert apply_monomial(Monomial((-1,)), 1) == ()
+    assert apply_monomial((), 0) == (1,)
+    assert apply_monomial((-3,), 0) == (1, 1)
+    assert apply_monomial((-1,), 1) == ()
     # on the vacua of both cosets, images that divide a common multiple
     # above 1 back out, read from a spy on _unscaled
     scales = set()
@@ -341,14 +341,14 @@ def test_weight_charge_values(x_by_exponential):
     """The image of x(m1)...x(mk) on e^{r alpha} has weight r^2 - sum m_i
     and charge r + k, so the coordinates of ``apply_monomial`` run over
     the partitions of weight - charge^2."""
-    assert apply_monomial(Monomial((-4, -2)), 0) == (0, -2)
+    assert apply_monomial((-4, -2), 0) == (0, -2)
     assert apply_monomial_as_vector((-4, -2), 0) == {(4, (2,)): -1}
     assert bidegree((4, (2,))) == (6, 2)
     for two_r in range(-3, 4):
         for indices in ((-3,), (-3, -1), (-5, -3), (-4, -2, -2), (-6, -3, -1)):
             weight = Fraction(two_r * two_r, 4) - sum(indices)
             charge = Fraction(two_r, 2) + len(indices)
-            coords = apply_monomial(Monomial(indices), two_r)
+            coords = apply_monomial(indices, two_r)
             composed = {(two_r, ()): 1}
             for m in reversed(indices):
                 composed = x_by_exponential(m, composed)
@@ -367,7 +367,7 @@ def test_basis_states_order(x_by_exponential):
     assert partitions(-1, 1) == ()
     assert fock._partition_index(3) == {(1, 1, 1): 0, (1, 2): 1, (3,): 2}
     # x(-6) x(-2) e^0 has a distinct coordinate in almost every place
-    assert apply_monomial(Monomial((-6, -2)), 0) == (2, 0, -1, -2, -2)
+    assert apply_monomial((-6, -2), 0) == (2, 0, -1, -2, -2)
     image = {
         (4, (1, 1, 1, 1)): Fraction(1, 12),
         (4, (1, 3)): Fraction(-1, 3),
@@ -464,7 +464,7 @@ def test_fresh_tables_empties_every_fock_table(fresh_tables):
         "_x_on_state",
     }
     assert check_square_zero(3)
-    assert apply_monomial(Monomial((-3, -2)), -1)
+    assert apply_monomial((-3, -2), -1)
     assert all(table.cache_info().currsize for table in FOCK_TABLES.values())
     fresh_tables()
     assert not any(table.cache_info().currsize for table in FOCK_TABLES.values())
@@ -504,7 +504,7 @@ def test_apply_monomial_rejects_a_remainder(monkeypatch, fresh_tables):
     the basis a(-lambda) times Z = 2, and divides the second images by 2
     again.  One integer of x(-1) on a(-1)^2 e^alpha off by one leaves a
     remainder, which is a bug, not data."""
-    assert apply_monomial(Monomial((-3, -3)), 0) == (-2, 2)
+    assert apply_monomial((-3, -3), 0) == (-2, 2)
 
     @functools.cache
     def perturbed(s, mu):
@@ -514,7 +514,7 @@ def test_apply_monomial_rejects_a_remainder(monkeypatch, fresh_tables):
     fresh_tables()
     monkeypatch.setattr(fock, "_x_on_state", perturbed)
     with pytest.raises(ArithmeticError):
-        apply_monomial(Monomial((-3, -3)), 0)
+        apply_monomial((-3, -3), 0)
 
 
 RECURSION_MUTANTS = {

@@ -12,7 +12,7 @@ from principal_subspaces import fock, linalg, relations, verify
 from principal_subspaces.cli import main
 from principal_subspaces.fock import apply_monomial, partitions
 from principal_subspaces.linalg import kernel_basis
-from principal_subspaces.poly import Monomial, PolyQ, coordinates, enumerate_monomials, x
+from principal_subspaces.poly import PolyQ, coordinates, enumerate_monomials, x
 from principal_subspaces.relations import IDEALS, ideal_piece, quadratic_relation
 from principal_subspaces.verify import (
     TAGS,
@@ -65,7 +65,7 @@ def test_fock_matrix_is_the_exact_action(x_by_exponential):
                 exact = {}
                 for j, mono in enumerate(monos):
                     image = {(spec.two_r, ()): 1}
-                    for index in reversed(mono.indices):
+                    for index in reversed(mono):
                         image = x_by_exponential(index, image)
                     for (two_r, lam), c in image.items():
                         assert two_r == spec.two_r + 2 * charge
@@ -102,7 +102,7 @@ def test_verify_rejects_a_fock_column_without_its_factor(capsys, monkeypatch, pi
     tag, weight, charge = piece
     monos = enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor)
     column, den = UNEQUAL_DENOMINATORS[piece]
-    j = [str(mono) for mono in monos].index(column)
+    j = [str(PolyQ({mono: 1})) for mono in monos].index(column)
     # the denominator is the product of the multiples that the image
     # divides out, read from a spy on fock._unscaled
     scales = []
@@ -139,7 +139,7 @@ def test_eval_matrix_weight_four_charge_two():
     # one row, nu = (); the entries are the coefficients of (z1 - z2)^2 at
     # z1^2 and z1 z2, so the kernel is the weight-4 relation
     m = eval_matrix("lambda0", 4, 2)
-    assert [mono.indices for mono in enumerate_monomials(4, 2, -1)] == [(-3, -1), (-2, -2)]
+    assert enumerate_monomials(4, 2, -1) == ((-3, -1), (-2, -2))
     assert (m.n_rows, m.n_cols) == (1, 2)
     assert m.entries == {(0, 0): 1, (0, 1): -2}
 
@@ -251,9 +251,9 @@ def test_eval_matrix_reads_the_signs_on_every_call(monkeypatch, tag):
 
 
 def domain_index(tag, weight, charge):
-    """The index {indices: column} of the domain monomials of a piece."""
+    """The index {index tuple: column} of the domain monomials of a piece."""
     monos = enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor)
-    return {mono.indices: j for j, mono in enumerate(monos)}
+    return {mono: j for j, mono in enumerate(monos)}
 
 
 def test_heisenberg_size_and_charge_range_in_integers():
@@ -473,7 +473,7 @@ def test_row_rank_check_is_sound_on_every_small_matrix():
 
 def lead(poly):
     """The least term of a polynomial under (sum of m_i^2, index tuple)."""
-    return min(poly.terms, key=lambda mono: (sum(m * m for m in mono.indices), mono.indices))
+    return min(poly.terms, key=lambda mono: (sum(m * m for m in mono), mono))
 
 
 def without_one_lead(tag, weight, charge, inner=False, repeat=False):
@@ -605,7 +605,7 @@ def test_a_cofactor_tuple_of_the_domain_length_is_read_anew(
 
 
 def rows_by_coordinates(polys, monos):
-    """The ideal rows by the general route, as {Monomial: coefficient}
+    """The ideal rows by the general route, as {monomial: coefficient}
     maps: ``coordinates`` over the domain and then the sorted monomials
     outside it."""
     outside = sorted({mono for p in polys for mono in p.terms} - set(monos))
@@ -614,7 +614,7 @@ def rows_by_coordinates(polys, monos):
 
 
 def named_rows(vecs, n_cols, polys, monos):
-    """The rows of ``_coordinate_rows`` as {Monomial: coefficient} maps,
+    """The rows of ``coordinate_rows`` as {monomial: coefficient} maps,
     with the outside columns read in order of first appearance."""
     domain = set(monos)
     outside = list(dict.fromkeys(m for p in polys for m in p.terms if m not in domain))
@@ -642,7 +642,7 @@ def test_one_pass_ideal_rows_equal_the_coordinates_route(
     patch_relation, mutant,
 ):
     """On every piece to weight 16, for all tags, with ``_ideal_side``
-    forced to decline: ``piece_report`` calls ``_coordinate_rows`` once,
+    forced to decline: ``piece_report`` calls ``coordinate_rows`` once,
     and its rows and column count, and the witness the report reads from
     them, are those of three separate passes over the polynomials
     (``ideal_rows_by_three_passes``).  Where the real ``_ideal_side`` does
@@ -659,10 +659,10 @@ def test_one_pass_ideal_rows_equal_the_coordinates_route(
         monkeypatch.setattr(verify, "ideal_piece", floor_minus_one_piece)
     if mutant in RELATION_MUTANTS:
         patch_relation(*RELATION_MUTANTS[mutant])
-    side, coordinate_rows = verify._ideal_side, verify._coordinate_rows
+    side, coordinate_rows = verify._ideal_side, verify.coordinate_rows
     read = []
     monkeypatch.setattr(
-        verify, "_coordinate_rows", lambda *args: read.append(coordinate_rows(*args)) or read[-1]
+        verify, "coordinate_rows", lambda *args: read.append(coordinate_rows(*args)) or read[-1]
     )
     force_certificate_off(minor=False)
     fractions = outside = witnesses = empty = short = 0
@@ -721,7 +721,7 @@ def test_a_passing_run_reads_the_generators_and_agrees_with_the_scan(
     capsys, monkeypatch, ideal_rows_by_three_passes
 ):
     """On a passing verify of every module to weight 22, ``_ideal_side``
-    declines no piece, ``_coordinate_rows`` is never called and no piece
+    declines no piece, ``coordinate_rows`` is never called and no piece
     falls back.  On every piece the lead count that ``_ideal_side`` reads
     from the generators and the domain is the one of the three-pass scan
     of every element, which finds no witness."""
@@ -734,7 +734,7 @@ def test_a_passing_run_reads_the_generators_and_agrees_with_the_scan(
         return leads
 
     monkeypatch.setattr(verify, "_ideal_side", recorded)
-    monkeypatch.setattr(verify, "_coordinate_rows", lambda *args: pytest.fail("rows built"))
+    monkeypatch.setattr(verify, "coordinate_rows", lambda *args: pytest.fail("rows built"))
     monkeypatch.setattr(verify, "fallbacks", 0)
     assert main(["verify", "--module", "all", "--max-weight", "22", "--format", "json"]) == 0
     capsys.readouterr()
@@ -760,7 +760,7 @@ def closure_escapes(tag, max_weight):
                 matrix = verify.eval_matrix(tag, weight - m, charge + 1)
                 for vec in kernel:
                     product = {
-                        target[tuple(sorted((*monos[j].indices, m)))]: c for j, c in vec.items()
+                        target[tuple(sorted((*monos[j], m)))]: c for j, c in vec.items()
                     }
                     products += 1
                     if matrix.matvec(product):
@@ -829,7 +829,7 @@ def test_a_moved_lead_declines_and_the_piece_is_scanned(
     real = quadratic_relation(10, floor)
     patch_relation(10, without_balanced_term)
     moved = relations.quadratic_relation(10, floor)
-    assert lead(real).indices == (-5, -5) and lead(moved).indices == (-6, -4)
+    assert lead(real) == (-5, -5) and lead(moved) == (-6, -4)
     piece = ideal_piece(tag, 10, 2)
     no_rows = linalg.SparseMatQ(0, len(domain_index(tag, 10, 2)))
     assert verify._generator_lead(tag, real, piece, no_rows) == (-5, -5)
@@ -952,9 +952,10 @@ def derive_without_the_index_factor(p):
     """The derivation with x(m) -> x(m-1), in place of -m * x(m-1)."""
     out = PolyQ()
     for mono, c in p.terms.items():
-        for i, m in enumerate(mono.indices):
-            rest = mono.indices[:i] + (m - 1,) + mono.indices[i + 1 :]
-            out = out + PolyQ({Monomial(rest): c})
+        for i, m in enumerate(mono):
+            # PolyQ sorts the key again
+            rest = mono[:i] + (m - 1,) + mono[i + 1 :]
+            out = out + PolyQ({rest: c})
     return out
 
 
