@@ -202,18 +202,20 @@ def enumerate_monomials(
     in graded-lexicographic (index-tuple ascending) order.
 
     Equivalently: partitions of ``weight`` into exactly ``charge`` parts, each
-    part at least ``-floor``.  Returns () when no such monomial exists.  The
-    tuple holds every such monomial once, which the ideal side of ``verify``
-    relies on: a product of the right bidegree with indices <= floor is a
-    domain monomial, with no lookup to confirm it.  It is the one held by
-    the shared table ``_monomials``, so each domain is built once per
-    process, from two smaller domains, and every caller gets the same tuple.
+    part at least ``-floor``.  Returns () exactly when ``has_monomials`` is
+    false.  The tuple is the one held by the shared table ``_monomials``, so
+    each domain is built once per process, from two smaller domains.
     """
     if floor > -1:
         raise ValueError("floor must be <= -1")
-    if weight < 0 or charge < 0:
-        return ()
     return _monomials(weight, charge, -floor)
+
+
+def has_monomials(weight: int, charge: int, floor: int) -> bool:
+    """Whether some monomial has the bidegree (weight, charge) and every
+    index <= floor: the empty monomial when the charge is 0, else a
+    partition of weight into charge parts, each at least -floor."""
+    return charge >= 0 and (weight == 0 if charge == 0 else weight >= charge * -floor)
 
 
 @functools.cache
@@ -234,10 +236,10 @@ def _monomials(weight: int, charge: int, min_part: int) -> tuple[tuple[int, ...]
       and no monomial lies in both, so merging them gives the canonical
       order with each monomial once.
     """
-    if charge == 0:
-        return ((),) if weight == 0 else ()
-    if weight < charge * min_part:
+    if not has_monomials(weight, charge, -min_part):
         return ()
+    if charge == 0:
+        return ((),)
     if min_part > 1:
         return tuple(
             [tuple([m - 1 for m in u]) for u in _monomials(weight - charge, charge, min_part - 1)]

@@ -9,8 +9,8 @@ coefficient 1.  Each ideal is generated by the R_t at the floor of its
 subalgebra, for t >= -2 * floor, and for lambda1 also by x(-1).  Ideal
 pieces are spanning sets, never pre-reduced; rank reduction is the
 caller's job.  A piece (``IdealPiece``) is held as blocks of one generator
-and a tuple of cofactor monomials, each a sorted index tuple, and each
-polynomial u * g is built only when the piece is iterated.
+and the bidegree of its cofactors, every monomial of that bidegree with
+indices <= the floor; each u * g is built only when the piece is iterated.
 
 The inclusion of the translated lambda0 ideal in the lambda1 ideal is
 decided on the generators (``translate_ideal_inclusion``): ``translate`` is
@@ -35,6 +35,7 @@ from .poly import (
     derive,
     enumerate_monomials,
     fits,
+    has_monomials,
     translate,
     x,
 )
@@ -84,31 +85,29 @@ IDEALS: dict[str, IdealSpec] = {
 class IdealPiece:
     """The spanning set of one (weight, charge) ideal piece, as blocks.
 
-    ``blocks`` holds, in order, pairs (g, cofactors): a generator g (an R_t
-    or x(-1)) and a tuple of the monomials u, sorted index tuples all of
-    one bidegree with every index <= the ambient floor, whose products
-    u * g are the piece's elements, in cofactor order.  A pair without
-    cofactors is left out.  ``len`` is the size of the spanning set.
-    Iteration builds each element as the ``PolyQ`` product u * g.
+    ``blocks`` holds, in order, pairs (g, (w, k)): a generator g (an R_t
+    or x(-1)) and the bidegree of its cofactors, which are all of
+    ``enumerate_monomials(w, k, floor)``; their products u * g, in that
+    order, are the piece's elements.  ``len`` is the size of the spanning
+    set, fixed when the piece is built.  Iteration builds each element as
+    the ``PolyQ`` product u * g.
     """
 
     def __init__(
-        self,
-        weight: int,
-        charge: int,
-        blocks: list[tuple[PolyQ, tuple[tuple[int, ...], ...]]],
+        self, weight: int, charge: int, floor: int, blocks: list[tuple[PolyQ, tuple[int, int]]]
     ):
         self.weight = weight
         self.charge = charge
-        self.blocks = tuple((g, cofactors) for g, cofactors in blocks if cofactors)
-        self._len = sum(len(cofactors) for _, cofactors in self.blocks)
+        self.floor = floor
+        self.blocks = tuple(blocks)
+        self._len = sum(len(enumerate_monomials(w, k, floor)) for _, (w, k) in self.blocks)
 
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self):
-        for g, cofactors in self.blocks:
-            for u in cofactors:
+        for g, (w, k) in self.blocks:
+            for u in enumerate_monomials(w, k, self.floor):
                 yield PolyQ({u: 1}) * g
 
 
@@ -118,23 +117,23 @@ def ideal_piece(tag: str, weight: int, charge: int) -> IdealPiece:
     Every element is bihomogeneous of the requested bidegree; the spanning
     set is deterministic (relation weight ascending, then cofactor order) and
     may be linearly dependent.  Empty pieces have no elements.  The blocks
-    are the R_t at the floor, t ascending, each with the cofactors of
-    bidegree (weight - t, charge - 2), then x(-1) with those of (weight -
-    1, charge - 1) if it is a generator.  The spec and the relations are
-    read on every call, and the elements are built only when the piece is
-    iterated (see ``IdealPiece``).
+    are the R_t at the floor, t ascending, each with the cofactor bidegree
+    (weight - t, charge - 2), then x(-1) with (weight - 1, charge - 1) if it
+    is a generator, each only if that bidegree has a monomial
+    (``has_monomials``).  The spec and the relations are read on every
+    call, and the elements are built only when the piece is iterated (see
+    ``IdealPiece``).
     """
     spec = IDEALS[tag]
     floor = spec.ambient_floor
-    blocks = []
-    if charge >= 2:
-        blocks += [
-            (quadratic_relation(t, floor), enumerate_monomials(weight - t, charge - 2, floor))
-            for t in range(-2 * floor, weight + 1)
-        ]
-    if spec.includes_degree_one_generator:
-        blocks.append((X_MINUS_ONE, enumerate_monomials(weight - 1, charge - 1, floor)))
-    return IdealPiece(weight, charge, blocks)
+    blocks = [
+        (quadratic_relation(t, floor), (weight - t, charge - 2))
+        for t in range(-2 * floor, weight + 1)
+        if has_monomials(weight - t, charge - 2, floor)
+    ]
+    if spec.includes_degree_one_generator and has_monomials(weight - 1, charge - 1, floor):
+        blocks.append((X_MINUS_ONE, (weight - 1, charge - 1)))
+    return IdealPiece(weight, charge, floor, blocks)
 
 
 def check_translate_relation(t: int) -> bool:

@@ -92,23 +92,24 @@ tuple), and rows with distinct leads are independent.  With rank E = n_rows,
 
 the second step by containment, so #distinct leads >= n - n_rows makes
 every number of the report exact with no elimination at all.  The leads
-are counted from the domain, the shared tuple of sorted index tuples that
-are the monomials of ``poly``.  The lead of u * g is u * lead(g): sum m_i^2
-adds up, and sorted index tuples of one length compare by the least index
-whose multiplicity differs.  When the cofactors of a block are the
-shared tuple of ``enumerate_monomials`` of their bidegree, every monomial of
-it (the contract of ``enumerate_monomials``), the block's leads are the
-domain monomials that contain lead(g); a sorted index tuple contains a
-balanced pair a <= b exactly when a and b are adjacent in it.  So the count
+are counted from the domain, the monomials of ``poly``.  The lead of u * g
+is u * lead(g): sum m_i^2 adds up, and sorted index tuples of one length
+compare by the least index whose multiplicity differs.  A block's
+cofactors are every monomial of their bidegree with indices <= the piece's
+floor (``IdealPiece``), so when that floor is the ambient one and the
+bidegree complements lead(g)'s, the block's leads are the domain monomials
+that contain lead(g); a sorted index tuple contains a balanced pair a <= b
+exactly when a and b are adjacent in it.  So the count
 is one pass over the domain, never read from n_rows.  With every R_t a
 generator it counts the non-DT monomials, and those with x(-1) for lambda1,
 and it closes because every non-DT monomial u is a lead: if u has adjacent
 indices a, b with |a - b| <= 1 and u' is the rest of u, u is the unique
 term of least sum m_i^2 in u' times the relation of weight -a - b.
 
-A piece with a generator that fails, or with another block, is read from
-its elements: ``poly.coordinate_rows`` builds each one once, and the witness
-is the first whose row has a column outside the domain or a nonzero image
+A piece with a generator that fails, a block off the complement of its
+generator's lead, or a floor other than the tag's is read from its
+elements: ``poly.coordinate_rows`` builds each one once, and the witness is
+the first whose row has a column outside the domain or a nonzero image
 under E.  The piece then falls back to exact rational elimination on
 those same rows, as does a piece where either half of the certificate
 declines.  Up to weight ``FOCK_CHECK_WEIGHT`` the kernel basis is found in
@@ -291,18 +292,17 @@ Verdicts = dict[int, tuple[PolyQ, tuple[int, ...] | None]]
 
 
 def _generator_lead(
-    tag: str, g: PolyQ, piece: IdealPiece, matrix: SparseMatQ
+    tag: str, g: PolyQ, bidegree: tuple[int, int], matrix: SparseMatQ
 ) -> tuple[int, ...] | None:
     """The index tuple of the lead of a generator g if g passes, else None:
     its lead is x(-1) or a balanced pair x(a)x(b), b - a <= 1, and E on the
     lead's bidegree kills g (``_kills``; see the module docstring).
-    ``matrix`` is E on the bidegree of ``piece``, and serves when that is
-    g's own."""
+    ``matrix`` is E on ``bidegree``, and serves when that is g's own."""
     lead = min(g.terms, key=_lead_order, default=())
     charge, weight = len(lead), -sum(lead)
     if not (lead == (-1,) or len(lead) == 2 and lead[1] - lead[0] <= 1):
         return None
-    own = (weight, charge) == (piece.weight, piece.charge)
+    own = (weight, charge) == bidegree
     return lead if _kills(tag, g, weight, charge, matrix if own else None) else None
 
 
@@ -329,26 +329,25 @@ def square_kills_vacuum(u: int) -> bool:
 
 
 def _ideal_side(
-    tag: str, piece: IdealPiece, matrix: SparseMatQ, verdicts: Verdicts
+    tag: str, weight: int, charge: int, piece: IdealPiece, matrix: SparseMatQ, verdicts: Verdicts
 ) -> int | None:
-    """The distinct-lead count of an ideal piece that lies in ker E,
-    ``matrix`` being E on its domain, or None when the generators do not
-    decide it.  If every generator passes (``_generator_lead``, read once
-    into ``verdicts``) and every block's cofactors are the shared domain
-    tuple of their bidegree, the piece lies in ker E, and the leads are the
-    domain monomials with an adjacent pair, or an index, that is a
-    generator's lead."""
-    weight, charge = piece.weight, piece.charge
+    """The distinct-lead count of ``piece``, given as the ideal piece of
+    (weight, charge), if it lies in ker E, ``matrix`` being E on that
+    domain, or None when the generators do not decide it.  If the piece's
+    floor is the ambient one, every generator passes (``_generator_lead``,
+    read once into ``verdicts``) and each block's cofactor bidegree plus
+    its lead's bidegree is (weight, charge), whatever bidegree the piece
+    carries, the piece lies in ker E, and the leads are the domain
+    monomials with an adjacent pair, or an index, that is a generator's
+    lead."""
     floor = IDEALS[tag].ambient_floor
     leads = set()
-    for g, cofactors in piece.blocks:
+    for g, (w, k) in piece.blocks:
         entry = verdicts.get(id(g))
         if entry is None:
-            entry = verdicts[id(g)] = (g, _generator_lead(tag, g, piece, matrix))
+            entry = verdicts[id(g)] = (g, _generator_lead(tag, g, (weight, charge), matrix))
         lead = entry[1]
-        if lead is None or cofactors is not enumerate_monomials(
-            weight + sum(lead), charge - len(lead), floor
-        ):
+        if lead is None or (w - sum(lead), k + len(lead), piece.floor) != (weight, charge, floor):
             return None
         leads.add(lead)
     singles = {lead[0] for lead in leads if len(lead) == 1}
@@ -418,7 +417,7 @@ def piece_report(
     matrix = eval_matrix(tag, weight, charge)
     full_rank = _full_row_rank(matrix)
     ideal = ideal_piece(tag, weight, charge)
-    leads = _ideal_side(tag, ideal, matrix, {} if verdicts is None else verdicts)
+    leads = _ideal_side(tag, weight, charge, ideal, matrix, {} if verdicts is None else verdicts)
     witness = rows = None
     if leads is None:
         polys = list(ideal)

@@ -13,7 +13,14 @@ import pytest
 from principal_subspaces import cli, fock, relations, verify
 from principal_subspaces.fock import partitions
 from principal_subspaces.linalg import SparseMatQ, kernel_basis, subspace_leq
-from principal_subspaces.poly import PolyQ, coordinates, derive, enumerate_monomials, x
+from principal_subspaces.poly import (
+    PolyQ,
+    coordinates,
+    derive,
+    enumerate_monomials,
+    has_monomials,
+    x,
+)
 
 
 @pytest.fixture
@@ -77,17 +84,19 @@ def force_certificate_off(monkeypatch):
 @pytest.fixture
 def floor_minus_one_piece():
     """The lambda1prime ideal piece with the floor -1 relations: blocks of
-    R_t at floor -1, for t from 2, with the floor -2 cofactors, in the
-    order of ``ideal_piece``.  Other tags keep their own pieces."""
+    R_t at floor -1, for t from 2, with their floor -2 cofactor bidegree
+    (weight - t, charge - 2) where it has a monomial, in the order of
+    ``ideal_piece``.  Other tags keep their own pieces."""
 
     def piece(tag, weight, charge):
         if tag != "lambda1prime":
             return relations.ideal_piece(tag, weight, charge)
         blocks = [
-            (relations.quadratic_relation(t, -1), enumerate_monomials(weight - t, charge - 2, -2))
+            (relations.quadratic_relation(t, -1), (weight - t, charge - 2))
             for t in range(2, weight + 1)
+            if has_monomials(weight - t, charge - 2, -2)
         ]
-        return relations.IdealPiece(weight, charge, blocks)
+        return relations.IdealPiece(weight, charge, -2, blocks)
 
     return piece
 

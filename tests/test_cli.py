@@ -382,7 +382,9 @@ def test_a_failing_piece_builds_each_element_once(
         builds.clear()
         report = verify.piece_report(tag, weight, charge)
         assert report.witness == str(polys[witness])
-        elements = [g for g, cofactors in piece.blocks for _ in cofactors]
+        elements = [
+            g for g, (w, k) in piece.blocks for _ in enumerate_monomials(w, k, piece.floor)
+        ]
         assert len(elements) == len(polys) and builds == [*elements, "rows"]
 
 

@@ -14,6 +14,7 @@ from principal_subspaces.poly import (
     derive,
     enumerate_monomials,
     fits,
+    has_monomials,
     translate,
     x,
 )
@@ -159,6 +160,16 @@ def test_enumeration_equals_the_descent_in_order(monomials_by_descent):
 def test_enumerate_monomials_rejects_bad_floor():
     with pytest.raises(ValueError):
         enumerate_monomials(3, 1, 0)
+
+
+def test_has_monomials_is_a_nonempty_domain():
+    """The arithmetic emptiness rule agrees with the enumeration, negative
+    weights and charges included."""
+    for floor in (-1, -2, -3):
+        for weight in range(-2, 31):
+            for charge in range(-1, 13):
+                want = bool(enumerate_monomials(weight, charge, floor))
+                assert has_monomials(weight, charge, floor) == want
 
 
 def count_partitions_exact(n, k, min_part):

@@ -106,16 +106,35 @@ def terms_outside_the_domain(tag, weight, charge):
     return sum(mono not in monos for p in ideal_piece(tag, weight, charge) for mono in p.terms)
 
 
+def blocks_with_cofactors(tag, weight, charge):
+    """The blocks an ideal piece should have: each R_t at the floor, t
+    ascending, with its cofactor bidegree (weight - t, charge - 2), then
+    x(-1) with (weight - 1, charge - 1) if it is a generator, each kept
+    only if its cofactor bidegree has a monomial."""
+    spec = relations.IDEALS[tag]
+    floor = spec.ambient_floor
+    generators = [
+        (quadratic_relation(t, floor), (weight - t, charge - 2))
+        for t in range(-2 * floor, weight + 1)
+    ]
+    if spec.includes_degree_one_generator:
+        generators.append((x(-1), (weight - 1, charge - 1)))
+    return [(g, (w, k)) for g, (w, k) in generators if enumerate_monomials(w, k, floor)]
+
+
 def test_ideal_piece_equals_the_products(monkeypatch, ideal_piece_by_products):
     """On every piece to weight 12, ``ideal_piece`` equals the spanning set
-    built by ``PolyQ`` products, and every product lies in the domain.
-    With x(-1) a generator at floor -2 the products u * x(-1) leave the
-    domain."""
+    built by ``PolyQ`` products, and every product lies in the domain.  Its
+    blocks are those of ``blocks_with_cofactors`` and its floor is the
+    tag's.  With x(-1) a generator at floor -2 the products u * x(-1) leave
+    the domain."""
     for tag in relations.IDEALS:
         for weight in range(13):
             for charge in range(weight + 1):
                 piece = ideal_piece(tag, weight, charge)
                 assert list(piece) == ideal_piece_by_products(tag, weight, charge)
+                assert list(piece.blocks) == blocks_with_cofactors(tag, weight, charge)
+                assert piece.floor == relations.IDEALS[tag].ambient_floor
                 assert terms_outside_the_domain(tag, weight, charge) == 0
     spec = relations.IDEALS["lambda1prime"]._replace(includes_degree_one_generator=True)
     monkeypatch.setitem(relations.IDEALS, "lambda1prime", spec)
@@ -124,19 +143,28 @@ def test_ideal_piece_equals_the_products(monkeypatch, ideal_piece_by_products):
         for charge in range(weight + 1):
             piece = ideal_piece("lambda1prime", weight, charge)
             assert list(piece) == ideal_piece_by_products("lambda1prime", weight, charge)
+            assert list(piece.blocks) == blocks_with_cofactors("lambda1prime", weight, charge)
             outside += terms_outside_the_domain("lambda1prime", weight, charge)
     assert outside > 0
     assert list(ideal_piece("lambda1prime", 3, 2)) == [x(-2) * x(-1)]
+    assert ideal_piece("lambda1prime", 3, 2).blocks == ((x(-1), (2, 1)),)
 
 
 def test_ideal_piece_is_lazy(monkeypatch, ideal_piece_by_products):
     """On every piece to weight 12, an ``IdealPiece`` has the length of
-    the product route with no element built, iterates to its list with
-    one ``PolyQ`` product per element, and cannot be indexed."""
-    builds = []
+    the product route with no element built and no monomial enumerated
+    when ``len`` is read, iterates to its list with one ``PolyQ`` product
+    per element, and cannot be indexed."""
+    builds, enumerations = [], []
     mul = PolyQ.__mul__
     monkeypatch.setattr(
         PolyQ, "__mul__", lambda self, other: builds.append(other) or mul(self, other)
+    )
+    enumerate_all = relations.enumerate_monomials
+    monkeypatch.setattr(
+        relations,
+        "enumerate_monomials",
+        lambda *args: enumerations.append(args) or enumerate_all(*args),
     )
     for tag in relations.IDEALS:
         for weight in range(13):
@@ -144,7 +172,8 @@ def test_ideal_piece_is_lazy(monkeypatch, ideal_piece_by_products):
                 want = ideal_piece_by_products(tag, weight, charge)
                 builds.clear()
                 piece = ideal_piece(tag, weight, charge)
-                assert len(piece) == len(want) and builds == []
+                enumerations.clear()
+                assert len(piece) == len(want) and builds == [] and enumerations == []
                 assert list(piece) == want
                 assert len(builds) == len(want)
                 with pytest.raises(TypeError):

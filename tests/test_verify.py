@@ -476,38 +476,26 @@ def lead(poly):
     return min(poly.terms, key=lambda mono: (sum(m * m for m in mono), mono))
 
 
-def without_one_lead(tag, weight, charge, inner=False, repeat=False):
-    """The ideal piece, the piece with the cofactor of the first spanning
-    element with a lead of its own dropped from its block, and the number
-    of distinct leads.  The block gets a new cofactor tuple, or is left out
-    if that was its one cofactor, and the other blocks are kept as they
-    are.  With ``inner``, the element is the first one that is not the
-    first of its block, so the new tuple starts as the old one did.  With
-    ``repeat`` (and so ``inner``), the cofactor is replaced by the first of
-    its block, so the new tuple has the old one's length."""
-    inner = inner or repeat
+def without_one_block(tag, weight, charge):
+    """The ideal piece, the piece without the block of the first spanning
+    element with a lead of its own, the number of cofactors of that block,
+    and the number of distinct leads of the whole piece.  The other blocks
+    are kept as they are."""
     piece = ideal_piece(tag, weight, charge)
     polys = list(piece)
     leads = [lead(p) for p in polys]
-    firsts, start = set(), 0
-    for _, cofactors in piece.blocks:
-        firsts.add(start)
-        start += len(cofactors)
-    drop = next(
-        i for i, mono in enumerate(leads)
-        if leads.count(mono) == 1 and not (inner and i in firsts)
-    )
+    drop = next(i for i, mono in enumerate(leads) if leads.count(mono) == 1)
     blocks, start = [], 0
-    for g, cofactors in piece.blocks:
-        i = drop - start
-        start += len(cofactors)
-        if 0 <= i < len(cofactors):
-            cofactors = cofactors[:i] + cofactors[:1] * repeat + cofactors[i + 1 :]
-            first = drop - i
-        blocks.append((g, cofactors))
-    kept = relations.IdealPiece(weight, charge, blocks)
-    assert list(kept) == polys[:drop] + [polys[first]] * repeat + polys[drop + 1 :]
-    return piece, kept, len(set(leads))
+    for g, (w, k) in piece.blocks:
+        size = len(enumerate_monomials(w, k, piece.floor))
+        if start <= drop < start + size:
+            first, dropped = start, size
+        else:
+            blocks.append((g, (w, k)))
+        start += size
+    kept = relations.IdealPiece(weight, charge, piece.floor, blocks)
+    assert list(kept) == polys[:first] + polys[first + dropped :]
+    return piece, kept, dropped, len(set(leads))
 
 
 def scanned(ideal_rows_by_three_passes, tag, piece, matrix):
@@ -521,23 +509,21 @@ def scanned(ideal_rows_by_three_passes, tag, piece, matrix):
 def test_certificate_declines_without_one_cofactor_multiple(
     monkeypatch, force_certificate_off, ideal_rows_by_three_passes, tag
 ):
-    """Dropping from its block the cofactor of the one spanning element
-    with a given lead of the ideal piece (12, 3) leaves fewer distinct
-    leads than the kernel dimension.  That cofactor is its block's only
-    one, so the block is left out, and ``_ideal_side`` counts the leads of
-    the other generators, as the three-pass scan does: the lead count
-    declines, and the report is the one the rational path gives with the
-    certificate forced off."""
+    """Dropping the block of the one spanning element with a given lead of
+    the ideal piece (12, 3), the block's only cofactor, leaves fewer
+    distinct leads than the kernel dimension.  ``_ideal_side`` counts the
+    leads of the other generators, as the three-pass scan does: the lead
+    count declines, and the report is the one the rational path gives with
+    the certificate forced off."""
     weight, charge = 12, 3
-    piece, kept, distinct = without_one_lead(tag, weight, charge)
+    piece, kept, dropped, distinct = without_one_block(tag, weight, charge)
     matrix = eval_matrix(tag, weight, charge)
     dim_kernel = len(domain_index(tag, weight, charge)) - matrix.n_rows
-    assert distinct == dim_kernel
+    assert dropped == 1 and distinct == dim_kernel
     assert scanned(ideal_rows_by_three_passes, tag, piece, matrix) == (None, dim_kernel)
     assert scanned(ideal_rows_by_three_passes, tag, kept, matrix) == (None, dim_kernel - 1)
-    assert verify._ideal_side(tag, piece, matrix, {}) == dim_kernel
-    assert len(kept.blocks) == len(piece.blocks) - 1
-    assert verify._ideal_side(tag, kept, matrix, {}) == dim_kernel - 1
+    assert verify._ideal_side(tag, weight, charge, piece, matrix, {}) == dim_kernel
+    assert verify._ideal_side(tag, weight, charge, kept, matrix, {}) == dim_kernel - 1
     monkeypatch.setattr(verify, "ideal_piece", lambda *piece: kept)
     monkeypatch.setattr(verify, "fallbacks", 0)
     report = piece_report(tag, weight, charge)
@@ -546,62 +532,86 @@ def test_certificate_declines_without_one_cofactor_multiple(
     assert piece_report(tag, weight, charge) == report
 
 
-def declines_on_a_doctored_piece(monkeypatch, oracle, tag, kept, distinct, verdicts):
-    """The doctored piece ``kept`` has one lead fewer than ``distinct`` by
-    the three-pass ``oracle``.  With the warm ``verdicts``, ``_ideal_side``
-    declines it if it keeps every block, one with a new cofactor tuple, and
-    counts that lead count if the block was left out, and ``piece_report``
-    on it falls back."""
-    weight, charge = kept.weight, kept.charge
+def warm_verdicts(tag, weight, charge):
+    """A verdict store filled by a passing run to the piece (weight,
+    charge), with every generator that the run reads."""
+    verdicts = {}
+    for w in range(weight + 1):
+        for k in charge_range(tag, w):
+            assert piece_report(tag, w, k, verdicts).equality_ok
+    return verdicts
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("weight, charge, several", [(12, 3, False), (12, 4, True)])
+def test_warm_code_tables_read_a_dropped_cofactor_anew(
+    monkeypatch, ideal_rows_by_three_passes, tag, weight, charge, several
+):
+    """After a run to the piece has filled a verdict store, the piece
+    without the block of ``without_one_block`` is still read anew:
+    ``_ideal_side`` counts the leads of the blocks it has, as the three-pass
+    scan does, fewer than the kernel dimension, and the certificate
+    declines.  On (12, 3) the block is the one of the test above, with one
+    cofactor; on (12, 4) it has several."""
+    verdicts = warm_verdicts(tag, weight, charge)
+    _, kept, dropped, distinct = without_one_block(tag, weight, charge)
+    assert (dropped > 1) == several
     matrix = eval_matrix(tag, weight, charge)
-    assert scanned(oracle, tag, kept, matrix) == (None, distinct - 1)
-    whole = len(kept.blocks) < len(ideal_piece(tag, weight, charge).blocks)
-    assert verify._ideal_side(tag, kept, matrix, verdicts) == (distinct - 1 if whole else None)
+    witness, leads = scanned(ideal_rows_by_three_passes, tag, kept, matrix)
+    assert witness is None and leads < distinct
+    assert distinct == len(domain_index(tag, weight, charge)) - matrix.n_rows
+    assert verify._ideal_side(tag, weight, charge, kept, matrix, verdicts) == leads
     monkeypatch.setattr(verify, "ideal_piece", lambda *piece: kept)
     monkeypatch.setattr(verify, "fallbacks", 0)
     piece_report(tag, weight, charge, verdicts)
     assert verify.fallbacks == 1
 
 
-@pytest.mark.parametrize("tag", TAGS)
-@pytest.mark.parametrize("weight, charge, inner", [(12, 3, False), (12, 4, True)])
-def test_warm_code_tables_read_a_dropped_cofactor_anew(
-    monkeypatch, ideal_rows_by_three_passes, tag, weight, charge, inner
-):
-    """After a run to the piece has filled a verdict store with every
-    generator it reads, the piece with one cofactor dropped is still read
-    anew: its block's tuple is not the shared domain tuple, so
-    ``_ideal_side`` declines it, the piece has one distinct lead fewer than
-    the kernel dimension, and the certificate declines.  On
-    (12, 3) the cofactor is the one of the test above, on (12, 4) it is
-    inside a block of R_t, whose new tuple starts with the cofactor of the
-    old."""
-    verdicts = {}
-    for w in range(weight + 1):
-        for k in charge_range(tag, w):
-            assert piece_report(tag, w, k, verdicts).equality_ok
-    _, kept, distinct = without_one_lead(tag, weight, charge, inner)
-    declines_on_a_doctored_piece(
-        monkeypatch, ideal_rows_by_three_passes, tag, kept, distinct, verdicts
-    )
+# doctored ideal pieces of (weight, charge) whose generators all pass: the
+# first block's cofactor weight raised by one, off the complement of its
+# generator's lead; the floor lowered by one, below the tag's; and the piece
+# of the weight below, which carries its own bidegree
+DOCTORED = {
+    "bidegree": lambda tag, weight, charge: relations.IdealPiece(
+        weight,
+        charge,
+        IDEALS[tag].ambient_floor,
+        [
+            (g, (w + (i == 0), k))
+            for i, (g, (w, k)) in enumerate(ideal_piece(tag, weight, charge).blocks)
+        ],
+    ),
+    "floor": lambda tag, weight, charge: relations.IdealPiece(
+        weight, charge, IDEALS[tag].ambient_floor - 1, ideal_piece(tag, weight, charge).blocks
+    ),
+    "other-piece": lambda tag, weight, charge: ideal_piece(tag, weight - 1, charge),
+}
 
 
 @pytest.mark.parametrize("tag", TAGS)
-def test_a_cofactor_tuple_of_the_domain_length_is_read_anew(
-    monkeypatch, ideal_rows_by_three_passes, tag
+@pytest.mark.parametrize("doctor", DOCTORED)
+def test_a_doctored_bidegree_or_floor_is_read_anew(
+    monkeypatch, force_certificate_off, tag, doctor
 ):
-    """The piece (12, 4) with the cofactor of a spanning element with a
-    lead of its own, inside its block, replaced by the block's first: the
-    tuple keeps its length and bidegree but is not the shared domain tuple,
-    so ``_ideal_side`` declines it, the piece has one distinct lead fewer,
-    and the certificate declines even with a warm verdict store."""
+    """The piece (12, 4) with a block whose cofactor bidegree does not
+    complement its generator's lead, with a floor that is not the tag's,
+    or replaced by the piece (11, 4): with a warm verdict store, in which
+    each of its generators passes, ``_ideal_side`` declines it, and
+    ``piece_report`` gives the failing report of the rational path with
+    the certificate forced off."""
     weight, charge = 12, 4
-    verdicts = {}
-    assert piece_report(tag, weight, charge, verdicts).equality_ok
-    _, kept, distinct = without_one_lead(tag, weight, charge, repeat=True)
-    declines_on_a_doctored_piece(
-        monkeypatch, ideal_rows_by_three_passes, tag, kept, distinct, verdicts
-    )
+    verdicts = warm_verdicts(tag, weight, charge)
+    doctored = DOCTORED[doctor](tag, weight, charge)
+    matrix = eval_matrix(tag, weight, charge)
+    piece = ideal_piece(tag, weight, charge)
+    assert verify._ideal_side(tag, weight, charge, piece, matrix, verdicts) is not None
+    assert verify._ideal_side(tag, weight, charge, doctored, matrix, verdicts) is None
+    monkeypatch.setattr(verify, "ideal_piece", lambda *piece: doctored)
+    monkeypatch.setattr(verify, "fallbacks", 0)
+    report = piece_report(tag, weight, charge, verdicts)
+    assert verify.fallbacks == 1 and not report.equality_ok
+    force_certificate_off()
+    assert piece_report(tag, weight, charge) == report
 
 
 def rows_by_coordinates(polys, monos):
@@ -683,7 +693,7 @@ def test_one_pass_ideal_rows_equal_the_coordinates_route(
                 assert report.containment_ok == (witness is None)
                 if witness is not None:
                     assert report.witness == str(polys[witness])
-                counted = side(tag, ideal, matrix, {})
+                counted = side(tag, weight, charge, ideal, matrix, {})
                 assert counted is None or (witness, counted) == (None, leads)
                 if leads is not None:
                     short += leads < len(monos) - matrix.n_rows
@@ -728,8 +738,8 @@ def test_a_passing_run_reads_the_generators_and_agrees_with_the_scan(
     side = verify._ideal_side
     seen = []
 
-    def recorded(tag, piece, matrix, verdicts):
-        leads = side(tag, piece, matrix, verdicts)
+    def recorded(tag, weight, charge, piece, matrix, verdicts):
+        leads = side(tag, weight, charge, piece, matrix, verdicts)
         seen.append((tag, piece, matrix, leads))
         return leads
 
@@ -807,7 +817,7 @@ def test_an_e_mutant_above_the_fock_check_breaks_the_closure(
     assert verify._full_row_rank(matrix)
     piece = ideal_piece("lambda0", 12, 3)
     assert scanned(ideal_rows_by_three_passes, "lambda0", piece, matrix)[0] is not None
-    assert verify._ideal_side("lambda0", piece, matrix, {}) is not None
+    assert verify._ideal_side("lambda0", 12, 3, piece, matrix, {}) is not None
 
 
 def without_balanced_term(rel):
@@ -832,8 +842,8 @@ def test_a_moved_lead_declines_and_the_piece_is_scanned(
     assert lead(real) == (-5, -5) and lead(moved) == (-6, -4)
     piece = ideal_piece(tag, 10, 2)
     no_rows = linalg.SparseMatQ(0, len(domain_index(tag, 10, 2)))
-    assert verify._generator_lead(tag, real, piece, no_rows) == (-5, -5)
-    assert verify._generator_lead(tag, moved, piece, no_rows) is None
+    assert verify._generator_lead(tag, real, (10, 2), no_rows) == (-5, -5)
+    assert verify._generator_lead(tag, moved, (10, 2), no_rows) is None
     monkeypatch.setattr(verify, "fallbacks", 0)
     report = verify_presentation(tag, 12)
     failed = [(p.weight, p.charge) for p in report.pieces if not p.equality_ok]
