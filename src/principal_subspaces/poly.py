@@ -20,6 +20,8 @@ for p > 1 it is D(w - k, k, p - 1) with every index lowered by one, and
 D(w, k, 1) is D(w, k, 2), the monomials without x(-1), merged with the
 monomials u * x(-1), u in D(w - 1, k - 1, 1).  The two halves are disjoint
 and each is sorted, so merging them gives the canonical order.
+``count_monomials`` is the size of a domain by the same recursion on
+integers, so a caller that needs only that size builds no monomial.
 
 ``PolyQ`` is the finite exact linear combination of monomials: sum,
 scalar multiple, product, equality, rendering and ``bidegree``.  It is the
@@ -204,11 +206,21 @@ def enumerate_monomials(
     Equivalently: partitions of ``weight`` into exactly ``charge`` parts, each
     part at least ``-floor``.  Returns () exactly when ``has_monomials`` is
     false.  The tuple is the one held by the shared table ``_monomials``, so
-    each domain is built once per process, from two smaller domains.
+    each domain is built once per process, from two smaller domains; a
+    caller that needs only its length reads ``count_monomials``.
     """
     if floor > -1:
         raise ValueError("floor must be <= -1")
     return _monomials(weight, charge, -floor)
+
+
+def count_monomials(weight: int, charge: int, floor: int = -1) -> int:
+    """``len(enumerate_monomials(weight, charge, floor))``, with no monomial
+    built: the number of partitions of ``weight`` into exactly ``charge``
+    parts, each at least ``-floor``, read from the table ``_counts``."""
+    if floor > -1:
+        raise ValueError("floor must be <= -1")
+    return _counts(weight, charge, -floor)
 
 
 def has_monomials(weight: int, charge: int, floor: int) -> bool:
@@ -246,6 +258,20 @@ def _monomials(weight: int, charge: int, min_part: int) -> tuple[tuple[int, ...]
         )
     with_minus_one = [u + (-1,) for u in _monomials(weight - 1, charge - 1, 1)]
     return tuple(heapq.merge(_monomials(weight, charge, 2), with_minus_one))
+
+
+@functools.cache
+def _counts(weight: int, charge: int, min_part: int) -> int:
+    """The table behind ``count_monomials``: ``len(_monomials(weight, charge,
+    min_part))`` by the same recursion p(w, k) = p(w - k, k) + p(w - 1, k -
+    1) on integers, so it holds no tuple."""
+    if not has_monomials(weight, charge, -min_part):
+        return 0
+    if charge == 0:
+        return 1
+    if min_part > 1:
+        return _counts(weight - charge, charge, min_part - 1)
+    return _counts(weight, charge, 2) + _counts(weight - 1, charge - 1, 1)
 
 
 def coordinates(

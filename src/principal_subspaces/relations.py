@@ -10,7 +10,10 @@ subalgebra, for t >= -2 * floor, and for lambda1 also by x(-1).  Ideal
 pieces are spanning sets, never pre-reduced; rank reduction is the
 caller's job.  A piece (``IdealPiece``) is held as blocks of one generator
 and the bidegree of its cofactors, every monomial of that bidegree with
-indices <= the floor; each u * g is built only when the piece is iterated.
+indices <= the floor; each u * g is built only when the piece is iterated,
+and its size is counted (``poly.count_monomials``), not enumerated.  The
+R_t of a piece are those of ``pair_weights``, whose cofactor bidegree has a
+monomial.
 
 The inclusion of the translated lambda0 ideal in the lambda1 ideal is
 decided on the generators (``translate_ideal_inclusion``): ``translate`` is
@@ -32,6 +35,7 @@ from .poly import (
     PolyQ,
     coordinate_rows,
     coordinates,
+    count_monomials,
     derive,
     enumerate_monomials,
     fits,
@@ -89,8 +93,9 @@ class IdealPiece:
     or x(-1)) and the bidegree of its cofactors, which are all of
     ``enumerate_monomials(w, k, floor)``; their products u * g, in that
     order, are the piece's elements.  ``len`` is the size of the spanning
-    set, fixed when the piece is built.  Iteration builds each element as
-    the ``PolyQ`` product u * g.
+    set, counted from the blocks (``count_monomials``) when it is read, so
+    no cofactor is enumerated for it.  Iteration enumerates the cofactors
+    and builds each element as the ``PolyQ`` product u * g.
     """
 
     def __init__(
@@ -100,15 +105,28 @@ class IdealPiece:
         self.charge = charge
         self.floor = floor
         self.blocks = tuple(blocks)
-        self._len = sum(len(enumerate_monomials(w, k, floor)) for _, (w, k) in self.blocks)
 
     def __len__(self) -> int:
-        return self._len
+        return sum([count_monomials(w, k, self.floor) for _, (w, k) in self.blocks])
 
     def __iter__(self):
         for g, (w, k) in self.blocks:
             for u in enumerate_monomials(w, k, self.floor):
                 yield PolyQ({u: 1}) * g
+
+
+def pair_weights(weight: int, charge: int, floor: int) -> range:
+    """The weights t of the pairs x(a)x(b), a, b <= floor, that divide some
+    monomial of (weight, charge) with indices <= floor: those whose
+    cofactor bidegree (weight - t, charge - 2) has a monomial
+    (``has_monomials``).  For charge 2 that is t = weight alone, from -2 *
+    floor on; above it, every t from -2 * floor to weight + (charge - 2) *
+    floor; below it, none."""
+    if charge == 2:
+        return range(weight, weight + 1) if weight >= -2 * floor else range(0)
+    if charge > 2:
+        return range(-2 * floor, weight + (charge - 2) * floor + 1)
+    return range(0)
 
 
 def ideal_piece(tag: str, weight: int, charge: int) -> IdealPiece:
@@ -117,9 +135,9 @@ def ideal_piece(tag: str, weight: int, charge: int) -> IdealPiece:
     Every element is bihomogeneous of the requested bidegree; the spanning
     set is deterministic (relation weight ascending, then cofactor order) and
     may be linearly dependent.  Empty pieces have no elements.  The blocks
-    are the R_t at the floor, t ascending, each with the cofactor bidegree
-    (weight - t, charge - 2), then x(-1) with (weight - 1, charge - 1) if it
-    is a generator, each only if that bidegree has a monomial
+    are the R_t at the floor for t in ``pair_weights``, ascending, each with
+    the cofactor bidegree (weight - t, charge - 2), then x(-1) with (weight
+    - 1, charge - 1) if it is a generator and that bidegree has a monomial
     (``has_monomials``).  The spec and the relations are read on every
     call, and the elements are built only when the piece is iterated (see
     ``IdealPiece``).
@@ -128,8 +146,7 @@ def ideal_piece(tag: str, weight: int, charge: int) -> IdealPiece:
     floor = spec.ambient_floor
     blocks = [
         (quadratic_relation(t, floor), (weight - t, charge - 2))
-        for t in range(-2 * floor, weight + 1)
-        if has_monomials(weight - t, charge - 2, floor)
+        for t in pair_weights(weight, charge, floor)
     ]
     if spec.includes_degree_one_generator and has_monomials(weight - 1, charge - 1, floor):
         blocks.append((X_MINUS_ONE, (weight - 1, charge - 1)))

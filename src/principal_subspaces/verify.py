@@ -92,17 +92,26 @@ tuple), and rows with distinct leads are independent.  With rank E = n_rows,
 
 the second step by containment, so #distinct leads >= n - n_rows makes
 every number of the report exact with no elimination at all.  The leads
-are counted from the domain, the monomials of ``poly``.  The lead of u * g
-is u * lead(g): sum m_i^2 adds up, and sorted index tuples of one length
-compare by the least index whose multiplicity differs.  A block's
-cofactors are every monomial of their bidegree with indices <= the piece's
-floor (``IdealPiece``), so when that floor is the ambient one and the
-bidegree complements lead(g)'s, the block's leads are the domain monomials
-that contain lead(g); a sorted index tuple contains a balanced pair a <= b
-exactly when a and b are adjacent in it.  So the count
-is one pass over the domain, never read from n_rows.  With every R_t a
-generator it counts the non-DT monomials, and those with x(-1) for lambda1,
-and it closes because every non-DT monomial u is a lead: if u has adjacent
+are counted, with no monomial built.  The lead of u * g is u * lead(g):
+sum m_i^2 adds up, and sorted index tuples of one length compare by the
+least index whose multiplicity differs.  A block's cofactors are every
+monomial of their bidegree with indices <= the piece's floor
+(``IdealPiece``), so when that floor is the ambient one and the bidegree
+complements lead(g)'s, the block's leads are the domain monomials that
+contain lead(g); a sorted index tuple contains a balanced pair a <= b
+exactly when a and b are adjacent in it.  A domain monomial contains a
+pair of weight t exactly when t is one of ``relations.pair_weights``, and
+each t has one balanced pair, (-ceil(t/2), -floor(t/2)).  So when the
+pair leads' weights cover ``pair_weights``, the monomials that carry no
+lead are the DT ones, less those with x(-1) when x(-1) is a lead.  The
+staircase 2 delta of E's DT columns, taken off, makes a DT monomial any
+partition of w - k(k - 1) into k parts, each at least p = -floor, or 2
+when x(-1) is a lead, so the count is n minus that partition count, two
+``poly.count_monomials`` and never read from n_rows.  When the pair leads
+miss a weight of ``pair_weights`` the piece is declined, whatever the
+number of its leads: a block with no cofactor, say R_13 on (12, 4),
+carries a lead weight but no lead.  With every R_t a generator the count
+closes, because every non-DT monomial u is a lead: if u has adjacent
 indices a, b with |a - b| <= 1 and u' is the rest of u, u is the unique
 term of least sum m_i^2 in u' times the relation of weight -a - b.
 
@@ -134,8 +143,8 @@ from .linalg import (
     rank,
     span_dim,
 )
-from .poly import PolyQ, coordinate_rows, enumerate_monomials, fits
-from .relations import IDEALS, IdealPiece, ideal_piece
+from .poly import PolyQ, coordinate_rows, count_monomials, enumerate_monomials, fits
+from .relations import IDEALS, IdealPiece, ideal_piece, pair_weights
 
 TAGS = tuple(IDEALS)
 
@@ -250,33 +259,36 @@ def eval_matrix(tag: str, weight: int, charge: int) -> SparseMatQ:
     the sum of sgn(rho) over the signed permutations rho of
     ``_signed_permutations`` with sort(delta + rho(mu + delta)) = f, so a
     row takes k! sorted tuples and Delta^2 is never expanded.  A tuple that
-    is no domain column is skipped; only a wrong ideal spec makes one.
+    is no domain column is skipped; only a wrong ideal spec makes one.  A
+    piece with no rows builds no domain: its column count is
+    ``count_monomials``.
 
     It has the row space of ``fock_matrix``, and so the same kernel, rank
     and reduced kernel basis.  Its rows are independent, so its rank is the
     row count, which ``_full_row_rank`` proves from the matrix (see the
     module docstring)."""
     spec = IDEALS[tag]
-    monos = enumerate_monomials(weight, charge, spec.ambient_floor)
-    # no partition of a negative size: the rows are empty and the k!
-    # permutations, with k up to the weight, are never built
+    # no partition of a negative size: the rows are empty, and neither the
+    # domain nor the k! permutations, with k up to the weight, are built
     rows = _row_partitions(heisenberg_size(tag, weight, charge), charge)
+    if not rows:
+        return SparseMatQ(0, count_monomials(weight, charge, spec.ambient_floor), {})
+    monos = enumerate_monomials(weight, charge, spec.ambient_floor)
+    shift = 1 + spec.two_r
+    column = {tuple([-m - shift for m in mono]): j for j, mono in enumerate(monos)}
+    delta = range(charge - 1, -1, -1)
+    signed = _signed_permutations(charge)
     entries: dict[tuple[int, int], int] = {}
-    if rows:
-        shift = 1 + spec.two_r
-        column = {tuple([-m - shift for m in mono]): j for j, mono in enumerate(monos)}
-        delta = range(charge - 1, -1, -1)
-        signed = _signed_permutations(charge)
-        for i, mu in enumerate(rows):
-            lam = [a + b for a, b in zip(mu, delta)]
-            sums: dict[tuple[int, ...], int] = {}
-            for rho, sign in signed:
-                f = tuple(sorted([d + lam[p] for d, p in zip(delta, rho)], reverse=True))
-                sums[f] = sums.get(f, 0) + sign
-            for f, total in sums.items():
-                j = column.get(f)
-                if j is not None and total:
-                    entries[(i, j)] = total * _stabilizer_order(f)
+    for i, mu in enumerate(rows):
+        lam = [a + b for a, b in zip(mu, delta)]
+        sums: dict[tuple[int, ...], int] = {}
+        for rho, sign in signed:
+            f = tuple(sorted([d + lam[p] for d, p in zip(delta, rho)], reverse=True))
+            sums[f] = sums.get(f, 0) + sign
+        for f, total in sums.items():
+            j = column.get(f)
+            if j is not None and total:
+                entries[(i, j)] = total * _stabilizer_order(f)
     return SparseMatQ(len(rows), len(monos), entries)
 
 
@@ -337,24 +349,31 @@ def _ideal_side(
     floor is the ambient one, every generator passes (``_generator_lead``,
     read once into ``verdicts``) and each block's cofactor bidegree plus
     its lead's bidegree is (weight, charge), whatever bidegree the piece
-    carries, the piece lies in ker E, and the leads are the domain
-    monomials with an adjacent pair, or an index, that is a generator's
-    lead."""
+    carries, the piece lies in ker E.  If also the set of its pair leads'
+    weights holds every t of ``pair_weights``, the leads are the domain
+    monomials that are not DT, or that hold x(-1) when that is a lead, and
+    their number is counted by the staircase (see the module docstring);
+    otherwise the piece is declined."""
     floor = IDEALS[tag].ambient_floor
+    if piece.floor != floor:
+        return None
     leads = set()
     for g, (w, k) in piece.blocks:
         entry = verdicts.get(id(g))
         if entry is None:
             entry = verdicts[id(g)] = (g, _generator_lead(tag, g, (weight, charge), matrix))
         lead = entry[1]
-        if lead is None or (w - sum(lead), k + len(lead), piece.floor) != (weight, charge, floor):
+        if lead is None or w - sum(lead) != weight or k + len(lead) != charge:
             return None
         leads.add(lead)
-    singles = {lead[0] for lead in leads if len(lead) == 1}
-    count = 0
-    for m in enumerate_monomials(weight, charge, floor):
-        count += not (leads.isdisjoint(zip(m, m[1:])) and singles.isdisjoint(m))
-    return count
+    if not {-sum(lead) for lead in leads if len(lead) == 2}.issuperset(
+        pair_weights(weight, charge, floor)
+    ):
+        return None
+    # the DT monomials, with no x(-1) if that is a lead, by the staircase
+    dt_floor = -2 if (-1,) in leads else floor
+    dt = count_monomials(weight - charge * (charge - 1), charge, dt_floor)
+    return count_monomials(weight, charge, floor) - dt
 
 
 def _full_row_rank(matrix: SparseMatQ) -> bool:
@@ -410,10 +429,12 @@ def piece_report(
     falls back to exact rational elimination, on the rows already built if
     ``_ideal_side`` declined: the kernel basis gives dim
     ker E unless ``_full_row_rank`` did, ``span_dim`` gives rank I, and a
-    kernel vector outside the ideal span is the witness."""
+    kernel vector outside the ideal span is the witness.  n is counted
+    (``count_monomials``): the domain is enumerated only where it is read,
+    for the coordinate rows and to render a witness."""
     global fallbacks
-    monos = enumerate_monomials(weight, charge, IDEALS[tag].ambient_floor)
-    n = len(monos)
+    floor = IDEALS[tag].ambient_floor
+    n = count_monomials(weight, charge, floor)
     matrix = eval_matrix(tag, weight, charge)
     full_rank = _full_row_rank(matrix)
     ideal = ideal_piece(tag, weight, charge)
@@ -421,7 +442,7 @@ def piece_report(
     witness = rows = None
     if leads is None:
         polys = list(ideal)
-        rows = coordinate_rows(polys, monos)
+        rows = coordinate_rows(polys, enumerate_monomials(weight, charge, floor))
         witness = next(
             (
                 str(p)
@@ -439,13 +460,13 @@ def piece_report(
     if weight <= FOCK_CHECK_WEIGHT:
         fock_ok, disagreement = _fock_check(tag, weight, charge, matrix, kernel)
         if disagreement is not None and witness is None:
-            witness = _as_poly(disagreement, monos)
+            witness = _as_poly(disagreement, weight, charge, floor)
     kernel_ok = containment_ok and fock_ok
     equality_ok = kernel_ok and full_rank and leads is not None and leads >= dim_kernel
     dim_ideal = dim_kernel
     if not equality_ok:
         fallbacks += 1
-        vecs, n_cols = rows or coordinate_rows(ideal, monos)
+        vecs, n_cols = rows or coordinate_rows(ideal, enumerate_monomials(weight, charge, floor))
         dim_ideal = span_dim(vecs, n_cols)
         equality_ok = kernel_ok and dim_ideal == dim_kernel
         if kernel_ok and not equality_ok:
@@ -453,7 +474,7 @@ def piece_report(
             # a mismatch means some kernel vector escapes the ideal span
             for vec in kernel_basis(matrix) if kernel is None else kernel:
                 if span_dim([*vecs, vec], n_cols) > dim_ideal:
-                    witness = _as_poly(vec, monos)
+                    witness = _as_poly(vec, weight, charge, floor)
                     break
     return PieceReport(
         module_tag=tag,
@@ -469,7 +490,9 @@ def piece_report(
     )
 
 
-def _as_poly(vec: Vector, monos: tuple[tuple[int, ...], ...]) -> str:
+def _as_poly(vec: Vector, weight: int, charge: int, floor: int) -> str:
+    """The rendering of a vector over the domain of (weight, charge)."""
+    monos = enumerate_monomials(weight, charge, floor)
     return str(PolyQ({monos[j]: c for j, c in vec.items()}))
 
 

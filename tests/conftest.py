@@ -191,7 +191,7 @@ def ideal_rows_by_three_passes():
     """The ideal rows of ``poly.coordinate_rows``, the index of the
     witness that ``verify.piece_report`` reads from them on a piece that
     ``verify._ideal_side`` declines, and the lead count that
-    ``_ideal_side`` reads from the generators, by three separate passes
+    ``_ideal_side`` gives where it does not decline, by three separate passes
     over the polynomials: each one's coordinate row, with its outside
     columns numbered in order of first appearance; then
     ``SparseMatQ.matvec`` on each row until the first one with an outside

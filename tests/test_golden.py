@@ -45,6 +45,14 @@ DIGESTS = {
             "json": "86c622bc0b1f053c76a499df9bba4c06bf502c4f70551f2e27e93d3bc3ab17b4",
         },
     ),
+    "verify_w30": (
+        ("verify", "--module", "all", "--max-weight", "30"),
+        {
+            "text": "b7b03430b04d8393619b2beed89efbecefd8e41b1be8d8d725fe2acfb5f737fb",
+            "csv": "bcf13c9f9ed84c175fdd0f7439439396209cea969799b617a186043139c164d0",
+            "json": "eb5444bda7179c0da1da70cc337e12f52781b664450639d6eb047009733b25b0",
+        },
+    ),
     "lemmas": (
         ("lemmas", "--max-weight", "2", "--t-max", "6"),
         {

@@ -11,6 +11,7 @@ from principal_subspaces.poly import (
     PolyQ,
     coordinate_rows,
     coordinates,
+    count_monomials,
     derive,
     enumerate_monomials,
     fits,
@@ -170,6 +171,19 @@ def test_has_monomials_is_a_nonempty_domain():
             for charge in range(-1, 13):
                 want = bool(enumerate_monomials(weight, charge, floor))
                 assert has_monomials(weight, charge, floor) == want
+
+
+def test_count_monomials_is_the_domain_length():
+    """The counted size of a domain is its length, negative weights and
+    charges included, and a floor above -1 is refused as by the
+    enumeration."""
+    for floor in (-1, -2, -3):
+        for weight in range(-2, 31):
+            for charge in range(-1, 13):
+                got = count_monomials(weight, charge, floor)
+                assert got == len(enumerate_monomials(weight, charge, floor))
+    with pytest.raises(ValueError):
+        count_monomials(3, 1, 0)
 
 
 def count_partitions_exact(n, k, min_part):

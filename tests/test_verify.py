@@ -12,8 +12,8 @@ from principal_subspaces import fock, linalg, relations, verify
 from principal_subspaces.cli import main
 from principal_subspaces.fock import apply_monomial, partitions
 from principal_subspaces.linalg import kernel_basis
-from principal_subspaces.poly import PolyQ, coordinates, enumerate_monomials, x
-from principal_subspaces.relations import IDEALS, ideal_piece, quadratic_relation
+from principal_subspaces.poly import PolyQ, coordinates, count_monomials, enumerate_monomials, x
+from principal_subspaces.relations import IDEALS, X_MINUS_ONE, ideal_piece, quadratic_relation
 from principal_subspaces.verify import (
     TAGS,
     charge_range,
@@ -510,11 +510,11 @@ def test_certificate_declines_without_one_cofactor_multiple(
     monkeypatch, force_certificate_off, ideal_rows_by_three_passes, tag
 ):
     """Dropping the block of the one spanning element with a given lead of
-    the ideal piece (12, 3), the block's only cofactor, leaves fewer
-    distinct leads than the kernel dimension.  ``_ideal_side`` counts the
-    leads of the other generators, as the three-pass scan does: the lead
-    count declines, and the report is the one the rational path gives with
-    the certificate forced off."""
+    the ideal piece (12, 3), the block's only cofactor, leaves one weight of
+    ``pair_weights`` with no lead.  The three-pass scan counts the leads of
+    the other generators, one fewer than the kernel dimension, and
+    ``_ideal_side`` declines the piece; the report is the one the rational
+    path gives with the certificate forced off."""
     weight, charge = 12, 3
     piece, kept, dropped, distinct = without_one_block(tag, weight, charge)
     matrix = eval_matrix(tag, weight, charge)
@@ -523,7 +523,7 @@ def test_certificate_declines_without_one_cofactor_multiple(
     assert scanned(ideal_rows_by_three_passes, tag, piece, matrix) == (None, dim_kernel)
     assert scanned(ideal_rows_by_three_passes, tag, kept, matrix) == (None, dim_kernel - 1)
     assert verify._ideal_side(tag, weight, charge, piece, matrix, {}) == dim_kernel
-    assert verify._ideal_side(tag, weight, charge, kept, matrix, {}) == dim_kernel - 1
+    assert verify._ideal_side(tag, weight, charge, kept, matrix, {}) is None
     monkeypatch.setattr(verify, "ideal_piece", lambda *piece: kept)
     monkeypatch.setattr(verify, "fallbacks", 0)
     report = piece_report(tag, weight, charge)
@@ -545,14 +545,15 @@ def warm_verdicts(tag, weight, charge):
 @pytest.mark.parametrize("tag", TAGS)
 @pytest.mark.parametrize("weight, charge, several", [(12, 3, False), (12, 4, True)])
 def test_warm_code_tables_read_a_dropped_cofactor_anew(
-    monkeypatch, ideal_rows_by_three_passes, tag, weight, charge, several
+    monkeypatch, force_certificate_off, ideal_rows_by_three_passes, tag, weight, charge,
+    several,
 ):
     """After a run to the piece has filled a verdict store, the piece
-    without the block of ``without_one_block`` is still read anew:
-    ``_ideal_side`` counts the leads of the blocks it has, as the three-pass
-    scan does, fewer than the kernel dimension, and the certificate
-    declines.  On (12, 3) the block is the one of the test above, with one
-    cofactor; on (12, 4) it has several."""
+    without the block of ``without_one_block`` is still read anew: the
+    three-pass scan counts fewer leads than the kernel dimension,
+    ``_ideal_side`` declines, and the report is the one of the rational
+    path with the certificate forced off.  On (12, 3) the block is the one
+    of the test above, with one cofactor; on (12, 4) it has several."""
     verdicts = warm_verdicts(tag, weight, charge)
     _, kept, dropped, distinct = without_one_block(tag, weight, charge)
     assert (dropped > 1) == several
@@ -560,11 +561,148 @@ def test_warm_code_tables_read_a_dropped_cofactor_anew(
     witness, leads = scanned(ideal_rows_by_three_passes, tag, kept, matrix)
     assert witness is None and leads < distinct
     assert distinct == len(domain_index(tag, weight, charge)) - matrix.n_rows
-    assert verify._ideal_side(tag, weight, charge, kept, matrix, verdicts) == leads
+    assert verify._ideal_side(tag, weight, charge, kept, matrix, verdicts) is None
     monkeypatch.setattr(verify, "ideal_piece", lambda *piece: kept)
     monkeypatch.setattr(verify, "fallbacks", 0)
-    piece_report(tag, weight, charge, verdicts)
+    report = piece_report(tag, weight, charge, verdicts)
     assert verify.fallbacks == 1
+    force_certificate_off()
+    assert piece_report(tag, weight, charge) == report
+
+
+def balanced_pair(t):
+    """The lead of R_t: x(-t/2)^2 for even t, x(-(t+1)/2) x(-(t-1)/2) for
+    odd t, as a sorted index tuple."""
+    return (-((t + 1) // 2), -(t // 2))
+
+
+def test_pair_weights_are_the_balanced_pairs_of_the_domain():
+    """``pair_weights(w, k, floor)`` is the set of weights t whose
+    balanced pair is adjacent in some monomial of (w, k) at the floor, and
+    the set whose cofactor bidegree (w - t, k - 2) has a monomial, for
+    every -2 <= w <= 20, -1 <= k <= 8 and floor -1, -2, -3; the pieces of
+    charge 2 and 3 and those with an empty range all occur.  The balanced
+    pair of t is the lead of R_t at both floors, for odd t too."""
+    for t in range(2, 12):
+        assert lead(quadratic_relation(t, -1)) == balanced_pair(t)
+        if t >= 4:
+            assert lead(quadratic_relation(t, -2)) == balanced_pair(t)
+    kinds = Counter()
+    for floor in (-1, -2, -3):
+        for weight in range(-2, 21):
+            for charge in range(-1, 9):
+                ts = relations.pair_weights(weight, charge, floor)
+                adjacent = {
+                    t
+                    for mono in enumerate_monomials(weight, charge, floor)
+                    for t in range(-2 * floor, weight + 1)
+                    if any(pair == balanced_pair(t) for pair in zip(mono, mono[1:]))
+                }
+                assert set(ts) == adjacent
+                assert adjacent == {
+                    t
+                    for t in range(-2 * floor, weight + 1)
+                    if enumerate_monomials(weight - t, charge - 2, floor)
+                }
+                kinds[min(charge, 3) if ts else "empty"] += 1
+    assert kinds[2] and kinds[3] and kinds["empty"]
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_the_count_agrees_with_the_scan_and_each_dropped_pair_declines(
+    ideal_rows_by_three_passes, tag
+):
+    """On every piece to weight 12, ``_ideal_side`` gives the three-pass
+    scan's lead count, and it declines the piece without any one R_t
+    block: on charge 2 and 3 pieces and on those with no R_t at all (an
+    empty ``pair_weights``), where nothing can be dropped."""
+    floor = IDEALS[tag].ambient_floor
+    dropped = Counter()
+    for weight in range(13):
+        for charge in charge_range(tag, weight):
+            matrix = eval_matrix(tag, weight, charge)
+            piece = ideal_piece(tag, weight, charge)
+            leads = scanned(ideal_rows_by_three_passes, tag, piece, matrix)[1]
+            assert verify._ideal_side(tag, weight, charge, piece, matrix, {}) == leads
+            ts = relations.pair_weights(weight, charge, floor)
+            pairs = [i for i, (g, _) in enumerate(piece.blocks) if g is not X_MINUS_ONE]
+            assert len(pairs) == len(ts)
+            for i in pairs:
+                blocks = piece.blocks[:i] + piece.blocks[i + 1 :]
+                kept = relations.IdealPiece(weight, charge, floor, blocks)
+                assert verify._ideal_side(tag, weight, charge, kept, matrix, {}) is None
+                dropped[min(charge, 3)] += 1
+            dropped["empty"] += not ts
+    assert dropped[2] and dropped[3] and dropped["empty"]
+
+
+def test_a_block_swapped_for_one_with_no_cofactor_declines(
+    monkeypatch, force_certificate_off, ideal_rows_by_three_passes
+):
+    """The lambda0 piece (12, 4) with its first block, R_2's, replaced by
+    R_13's with the cofactor bidegree (-1, 2), which has no monomial.  With
+    a warm verdict store every block passes on its own: its generator
+    passes and its cofactor bidegree complements its lead.  The piece has
+    as many pair lead weights as ``pair_weights`` has weights, so a count
+    of them would accept it and report 15 against the scan's 12; the set
+    misses t = 2, and ``_ideal_side`` declines.  The piece falls back, and
+    rational elimination finds that its elements still span the kernel: the
+    report is the one of the rational path with the certificate forced
+    off."""
+    tag, weight, charge = "lambda0", 12, 4
+    verdicts = warm_verdicts(tag, 13, 2)
+    piece = ideal_piece(tag, weight, charge)
+    ((first, _), *rest) = piece.blocks
+    assert first is quadratic_relation(2, -1)
+    r13 = quadratic_relation(13, -1)
+    swapped = relations.IdealPiece(weight, charge, -1, [(r13, (-1, 2)), *rest])
+    assert len(swapped) == len(piece) - len(enumerate_monomials(10, 2, -1))
+    weights = set()
+    for g, (w, k) in swapped.blocks:
+        _, lead_g = verdicts[id(g)]
+        assert (w - sum(lead_g), k + len(lead_g)) == (weight, charge)
+        weights.add(-sum(lead_g))
+    ts = relations.pair_weights(weight, charge, -1)
+    assert len(weights) == len(ts) and 2 in ts and 2 not in weights
+    matrix = eval_matrix(tag, weight, charge)
+    n = len(domain_index(tag, weight, charge))
+    assert n - partition_oracle(weight, charge, 1) == n - matrix.n_rows == 15
+    assert scanned(ideal_rows_by_three_passes, tag, swapped, matrix) == (None, 12)
+    assert verify._ideal_side(tag, weight, charge, swapped, matrix, verdicts) is None
+    monkeypatch.setattr(verify, "ideal_piece", lambda *piece: swapped)
+    monkeypatch.setattr(verify, "fallbacks", 0)
+    report = piece_report(tag, weight, charge, verdicts)
+    assert verify.fallbacks == 1 and report.equality_ok
+    force_certificate_off()
+    assert piece_report(tag, weight, charge) == report
+
+
+def test_lambda1_without_x_minus_one_counts_the_pairs_alone(
+    monkeypatch, force_certificate_off, ideal_rows_by_three_passes
+):
+    """The lambda1 piece (12, 3) without its x(-1) block keeps every R_t,
+    so ``_ideal_side`` does not decline: it counts the monomials that are
+    not DT, the three-pass scan's count, which falls short of the kernel
+    dimension by the DT monomials with x(-1), (-8, -3, -1) and (-7, -4,
+    -1).  The piece falls back, and its report is the one of the rational
+    path with the certificate forced off."""
+    tag, weight, charge = "lambda1", 12, 3
+    verdicts = warm_verdicts(tag, weight, charge)
+    piece = ideal_piece(tag, weight, charge)
+    assert piece.blocks[-1][0] is X_MINUS_ONE
+    kept = relations.IdealPiece(weight, charge, -1, piece.blocks[:-1])
+    matrix = eval_matrix(tag, weight, charge)
+    dim_kernel = len(domain_index(tag, weight, charge)) - matrix.n_rows
+    leads = verify._ideal_side(tag, weight, charge, kept, matrix, verdicts)
+    assert scanned(ideal_rows_by_three_passes, tag, kept, matrix) == (None, leads)
+    assert leads == dim_kernel - 2
+    assert verify._ideal_side(tag, weight, charge, piece, matrix, verdicts) == dim_kernel
+    monkeypatch.setattr(verify, "ideal_piece", lambda *piece: kept)
+    monkeypatch.setattr(verify, "fallbacks", 0)
+    report = piece_report(tag, weight, charge, verdicts)
+    assert verify.fallbacks == 1 and not report.equality_ok
+    force_certificate_off()
+    assert piece_report(tag, weight, charge) == report
 
 
 # doctored ideal pieces of (weight, charge) whose generators all pass: the
@@ -733,8 +871,8 @@ def test_a_passing_run_reads_the_generators_and_agrees_with_the_scan(
     """On a passing verify of every module to weight 22, ``_ideal_side``
     declines no piece, ``coordinate_rows`` is never called and no piece
     falls back.  On every piece the lead count that ``_ideal_side`` reads
-    from the generators and the domain is the one of the three-pass scan
-    of every element, which finds no witness."""
+    from the generators and two partition counts is the one of the
+    three-pass scan of every element, which finds no witness."""
     side = verify._ideal_side
     seen = []
 
@@ -752,6 +890,46 @@ def test_a_passing_run_reads_the_generators_and_agrees_with_the_scan(
     assert len(seen) == sum(len(charge_range(tag, w)) for tag in TAGS for w in range(23))
     for tag, piece, matrix, leads in seen:
         assert scanned(ideal_rows_by_three_passes, tag, piece, matrix) == (None, leads)
+
+
+def test_a_passing_run_builds_no_domain_it_only_measures(capsys, monkeypatch):
+    """On a passing verify of every module to weight 22, a spy on
+    ``enumerate_monomials``, through the names that ``verify`` and
+    ``relations`` import, sees a domain built only while a piece is read
+    that uses one: a piece with E rows (its columns), a generator's own
+    piece (t, 2) or (1, 1) (``_kills``), or a piece of weight <=
+    ``FOCK_CHECK_WEIGHT`` (the Fock check).  Every other piece takes its
+    size, its E without rows and its lead count from counts; the most
+    that it enumerates is the empty row domain of a negative size."""
+    report, enumerate_all = verify.piece_report, verify.enumerate_monomials
+    current, calls = [], []
+
+    def reported(tag, weight, charge, verdicts=None):
+        current.append((tag, weight, charge))
+        return report(tag, weight, charge, verdicts)
+
+    def spied(weight, charge, floor=-1):
+        monos = enumerate_all(weight, charge, floor)
+        calls.append((current[-1], len(monos)))
+        return monos
+
+    monkeypatch.setattr(verify, "piece_report", reported)
+    monkeypatch.setattr(verify, "enumerate_monomials", spied)
+    monkeypatch.setattr(relations, "enumerate_monomials", spied)
+    assert main(["verify", "--module", "all", "--max-weight", "22", "--format", "json"]) == 0
+    capsys.readouterr()
+
+    def reads_a_domain(tag, weight, charge):
+        return (
+            heisenberg_size(tag, weight, charge) >= 0
+            or charge == 2
+            or (weight, charge) == (1, 1)
+            or weight <= verify.FOCK_CHECK_WEIGHT
+        )
+
+    measured = {piece for piece in current if not reads_a_domain(*piece)}
+    assert len(current) == 696 and len(measured) > 300
+    assert [call for call in calls if call[0] in measured and call[1]] == []
 
 
 def closure_escapes(tag, max_weight):
@@ -918,6 +1096,19 @@ def test_rank_matches_partition_oracle():
             m1 = eval_matrix("lambda1prime", weight, charge)
             got1 = m1.n_cols - len(kernel_basis(m1))
             assert got1 == partition_oracle(weight, charge, 2)
+
+
+def test_the_staircase_counts_the_dt_partitions():
+    """Taking the staircase (0, 2, ..., 2(k - 1)) off a DT partition of w
+    into k parts, each >= p, leaves any partition of w - k(k - 1) into k
+    parts >= p, so ``count_monomials`` of that bidegree at the floor -p is
+    the direct enumeration of ``partition_oracle``, for w <= 30, k <= 8
+    and p = 1, 2, 3: the DT count that ``_ideal_side`` reads."""
+    for p in (1, 2, 3):
+        for weight in range(31):
+            for charge in range(9):
+                staircase = count_monomials(weight - charge * (charge - 1), charge, -p)
+                assert staircase == partition_oracle(weight, charge, p)
 
 
 def test_partition_oracle_examples():
